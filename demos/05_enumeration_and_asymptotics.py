@@ -7,7 +7,7 @@ coefficients grow like c * n^(-5/2) * 6.27889^n; the growth rate comes from
 a two-equation saddle system and the constants from Richardson-extrapolated
 exact coefficients.
 
-Run:  python demos/05_enumeration_and_asymptotics.py   (about half a minute)
+Run:  python demos/05_enumeration_and_asymptotics.py   (about a second)
 """
 
 import time

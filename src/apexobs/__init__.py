@@ -92,10 +92,7 @@ from .series import (
     SeriesSystemSolution,
     mset,
     mset2,
-    series_add,
     series_exp,
-    series_mul,
-    series_scale,
     solve_T_diamond,
     solve_system,
     substitute_power,
@@ -163,10 +160,7 @@ __all__ = [
     "peripheral_blocks",
     "read_graph6_file",
     "search_obstructions",
-    "series_add",
     "series_exp",
-    "series_mul",
-    "series_scale",
     "solve_T_diamond",
     "solve_saddle",
     "solve_system",

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .series import PowerSeries, SeriesSystemSolution, solve_system
+from .series import PowerSeries, SeriesSystemSolution
 
 DEFAULT_TAIL_K = 40
+MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
 TAIL_TERM_TOL = 1e-18
 
 
@@ -33,23 +34,38 @@ def _log_abs(q: Fraction) -> float:
     return math.log(abs(q))
 
 
+# (n, log|a_n|, a_n < 0) for every non-zero a_n with n >= 1
+LogTerms = list[tuple[int, float, bool]]
+
+
+def _log_terms(series: PowerSeries) -> LogTerms:
+    return [
+        (n, _log_abs(c), c < 0)
+        for n, c in enumerate(series.coeffs)
+        if n and c
+    ]
+
+
+def _sum_log_terms(a0: float, terms: LogTerms, z: float, tol: float = 1e-30) -> float:
+    """a0 + sum a_n z^n over the precomputed log-coefficients, for z > 0."""
+    lz = math.log(z)
+    exp = math.exp
+    total = a0
+    for n, la, negative in terms:
+        term = -exp(la + n * lz) if negative else exp(la + n * lz)
+        total += term
+        if n > 30 and abs(term) < tol * max(1.0, abs(total)):
+            break
+    return total
+
+
 def eval_series(series: PowerSeries, z: float, tol: float = 1e-30) -> float:
     """sum a_n z^n in doubles, robust to coefficients beyond float range."""
     if z == 0.0:
         return float(series.coeffs[0])
     if z < 0:
         raise ValueError("only non-negative arguments are supported")
-    lz = math.log(z)
-    total = float(series.coeffs[0])
-    for n in range(1, series.truncation + 1):
-        c = series.coeffs[n]
-        if not c:
-            continue
-        term = math.copysign(math.exp(_log_abs(c) + n * lz), c)
-        total += term
-        if n > 30 and abs(term) < tol * max(1.0, abs(total)):
-            break
-    return total
+    return _sum_log_terms(float(series.coeffs[0]), _log_terms(series), z, tol)
 
 
 def _derived(series: PowerSeries, order: int) -> PowerSeries:
@@ -70,34 +86,44 @@ class TailValues:
     u2: float
 
 
-def _tails(d: PowerSeries, d1: PowerSeries, d2: PowerSeries, x: float, tail_k: int) -> TailValues:
-    """t, u and their first two x-derivatives at x (arguments x^k, k >= 2)."""
+def _tails(d: PowerSeries, x: float, tail_k: int) -> TailValues:
+    """t, u and their first two x-derivatives at x (arguments x^k, k >= 2).
+
+    log|coefficient| of d and of its first two derived series is taken once
+    here and reused for every argument x^k.
+    """
+    d0 = float(d.coeffs[0])
+    terms = _log_terms(d)
+    terms1 = _log_terms(_derived(d, 1))
+    terms2 = _log_terms(_derived(d, 2))
 
     def f(z: float) -> float:
-        return eval_series(d, z)
+        return _sum_log_terms(d0, terms, z) if z else d0
 
     def fp(z: float) -> float:
-        return eval_series(d1, z) / z if z else float(d.coeffs[1])
+        return _sum_log_terms(0.0, terms1, z) / z if z else float(d.coeffs[1])
 
     def fpp(z: float) -> float:
-        return eval_series(d2, z) / (z * z) if z else 2.0 * float(d.coeffs[2])
+        return _sum_log_terms(0.0, terms2, z) / (z * z) if z else 2.0 * float(d.coeffs[2])
 
     t = t1 = t2 = 0.0
     for k in range(2, tail_k + 1):
         xk = x ** k
         v = f(xk) / k
+        g1 = fp(xk)
         t += v
-        t1 += x ** (k - 1) * fp(xk)
-        t2 += (k - 1) * x ** (k - 2) * fp(xk) + k * x ** (2 * k - 2) * fpp(xk)
+        t1 += x ** (k - 1) * g1
+        t2 += (k - 1) * x ** (k - 2) * g1 + k * x ** (2 * k - 2) * fpp(xk)
         if v < TAIL_TERM_TOL and k > 4:
             break
     u = u1 = u2 = 0.0
     for k in range(1, tail_k + 1):
         x2k = x ** (2 * k)
         v = f(x2k) / k
+        g1 = fp(x2k)
         u += v
-        u1 += 2 * x ** (2 * k - 1) * fp(x2k)
-        u2 += 2 * (2 * k - 1) * x ** (2 * k - 2) * fp(x2k) + 4 * k * x ** (4 * k - 2) * fpp(x2k)
+        u1 += 2 * x ** (2 * k - 1) * g1
+        u2 += 2 * (2 * k - 1) * x ** (2 * k - 2) * g1 + 4 * k * x ** (4 * k - 2) * fpp(x2k)
         if v < TAIL_TERM_TOL and k > 2:
             break
     return TailValues(t, t1, t2, u, u1, u2)
@@ -129,7 +155,7 @@ def eval_F(x: float, y: float, sol: SeriesSystemSolution, tail_k: int = DEFAULT_
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
     d = sol.T_diamond
-    tails = _tails(d, _derived(d, 1), _derived(d, 2), x, tail_k)
+    tails = _tails(d, x, tail_k)
     E = math.exp(y + tails.t)
     W = math.exp(tails.u)
     E3 = E ** 3
@@ -192,11 +218,11 @@ def solve_saddle(
     start: tuple[float, float] = (0.15, 0.4),
     tail_k: int = DEFAULT_TAIL_K,
     max_iter: int = 200,
-    min_truncation: int = 64,
+    min_truncation: int = MIN_SADDLE_TRUNCATION,
 ) -> SaddlePoint:
     """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point."""
     if sol.truncation < min_truncation:
-        raise ValueError("solve the series system with truncation >= 64 first")
+        raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
     x, y = start
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
@@ -527,6 +553,8 @@ def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
         "c_G": est_G.c,
         "c_T_fit": est_T.c_fit,
         "c_G_fit": est_G.c_fit,
+        "c_T_spread": est_T.spread,
+        "c_G_spread": est_G.spread,
         "fit_window": list(est_T.fit_window),
         "z1_residuals": {str(k): v for k, v in z1.residuals.items()},
     }

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__
-from .asymptotics import asymptotics_report
+from .asymptotics import MIN_SADDLE_TRUNCATION, asymptotics_report
 from .cacti import disconnected_obstructions, generate_Z
 from .canonical import canonical_form
 from .graphio import load_graph, to_edgelist, to_graph6
@@ -174,6 +174,10 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    if args.N < MIN_SADDLE_TRUNCATION:
+        raise SystemExit(
+            f"error: --N must be at least {MIN_SADDLE_TRUNCATION} for the saddle-point analysis, got {args.N}"
+        )
     sol = solve_system(args.N)
     report = asymptotics_report(sol, tol=args.tol)
     text = (
@@ -184,8 +188,8 @@ def cmd_asymptotics(args) -> int:
         f"q1       = {report['q1']:.6f}  "
         f"(X^2 coefficient fit {report['x2_coefficient_fit']:.6f}; "
         f"{'consistent' if report['q1_consistent_with_backsubstitution'] else 'printed formula INCONSISTENT with back-substitution'})\n"
-        f"c_T      = {report['c_T']:.5f}\n"
-        f"c_G      = {report['c_G']:.5f}\n"
+        f"c_T      = {report['c_T']:.5f}  (spread {report['c_T_spread']:.1e})\n"
+        f"c_G      = {report['c_G']:.5f}  (spread {report['c_G_spread']:.1e})\n"
         f"Z1 ident = " + ", ".join(f"N={k}: {v:.2e}" for k, v in report["z1_residuals"].items())
     )
     _emit(args, report, text)

@@ -1,5 +1,5 @@
-"""Truncated power series with exact rational coefficients, and the
-functional-equation system counting butterfly-cacti.
+"""Truncated power series, and the functional-equation system counting
+butterfly-cacti.
 
 The counting goes through a tree encoding: a connected cactus obstruction
 with k butterflies corresponds to a tree with three vertex types (square
@@ -12,14 +12,20 @@ dissymmetry relation (unrooted = vertex-rooted + edge-rooted - oriented-
 edge-rooted) yields the unrooted count series T(x); the full (possibly
 disconnected) count is G(x) = MSET(T).
 
-All arithmetic is exact; T and G come out with non-negative integer
-coefficients (asserted), growing like 6.279^n.
+`PowerSeries` and its operators (`mset`, `series_exp`, `mset2`) work on
+exact rational coefficients.  The system itself (`solve_T_diamond`,
+`solve_system`) runs on Python ints: every division in it (the /2 of
+T_diamond, the /m of the Euler transform, the /8, /4, /2 of the rooted
+pieces) is checked to be exact, so integrality is proved while the series
+are computed.  T and G come out with non-negative integer coefficients
+(checked), growing like 6.279^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Union
 
 Rational = Union[int, Fraction]
@@ -118,18 +124,6 @@ class PowerSeries:
         return tuple(int(c) for c in self.coeffs)
 
 
-def series_add(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a + b
-
-
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    return a * b
-
-
-def series_scale(a: PowerSeries, factor: Rational) -> PowerSeries:
-    return a.scale(factor)
-
-
 def substitute_power(a: PowerSeries, k: int) -> PowerSeries:
     """A(x^k): coefficient j of the input lands at exponent j*k."""
     if k < 1:
@@ -185,6 +179,41 @@ def mset2(a: PowerSeries) -> PowerSeries:
 # -- the functional-equation system -------------------------------------------
 
 
+def _exact_div(num: int, den: int, what: str, n: int) -> int:
+    """num / den, raising if it is not an integer (the system's integrality proof)."""
+    quo, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what}: coefficient of x^{n} is {num}/{den}, not an integer")
+    return quo
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Truncated product of two integer coefficient lists of equal length."""
+    return [sum(map(mul, a[: m + 1], b[m::-1])) for m in range(len(a))]
+
+
+def _add_divisor_terms(s: list[int], q: int, b_q: int) -> None:
+    """Add q*b_q to s[m] for every multiple m of q: s[m] = sum_{q|m} q*b_q."""
+    if b_q:
+        for m in range(q, len(s), q):
+            s[m] += q * b_q
+
+
+def _int_mset(b: list[int]) -> list[int]:
+    """MSET of an integer series by the Euler transform
+    m*M_m = sum_{j=1..m} (sum_{q|j} q*b_q) * M_{m-j}, each /m checked exact."""
+    if b[0]:
+        raise ValueError("mset needs zero constant term")
+    n = len(b) - 1
+    s = [0] * (n + 1)
+    for q in range(1, n + 1):
+        _add_divisor_terms(s, q, b[q])
+    out = [1] + [0] * n
+    for m in range(1, n + 1):
+        out[m] = _exact_div(sum(map(mul, s[1 : m + 1], out[m - 1 :: -1])), m, "MSET", m)
+    return out
+
+
 def solve_T_diamond(truncation: int) -> tuple[PowerSeries, PowerSeries]:
     """Solve the leaf-rooted tree equation; returns (T_diamond, T_star).
 
@@ -194,32 +223,37 @@ def solve_T_diamond(truncation: int) -> tuple[PowerSeries, PowerSeries]:
     The unique fixed point with zero constant term is computed order by
     order: each new coefficient depends only on lower-order ones, which is
     the same sequence naive re-iteration from 0 stabilizes to, one order per
-    round.
+    round.  A is extended by the Euler transform as each coefficient of
+    T_diamond appears; both come out as ints.
     """
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     n = truncation
-    d = [Fraction(0)] * (n + 1)   # T_diamond
-    a = [Fraction(0)] * (n + 1)   # T_star
-    a[0] = Fraction(1)
-    a2 = [Fraction(0)] * (n + 1)  # running A^2
-    a3 = [Fraction(0)] * (n + 1)  # running A^3
-    lg = [Fraction(0)] * (n + 1)  # sum_k D(x^k)/k
-    a2[0] = a3[0] = Fraction(1)
+    d = [0] * (n + 1)   # T_diamond
+    a = [0] * (n + 1)   # T_star
+    a[0] = 1
+    a2 = [0] * (n + 1)  # running A^2
+    s = [0] * (n + 1)   # s[m] = sum_{q|m} q*d[q], the Euler transform's weights
     for m in range(1, n + 1):
         p = m - 1
-        a2[p] = sum(a[i] * a[p - i] for i in range(p + 1))
-        a3[p] = sum(a2[i] * a[p - i] for i in range(p + 1))
-        aax2 = sum(a[p - 2 * j] * a[j] for j in range(p // 2 + 1))
-        d[m] = Fraction(1, 2) * (a3[p] + aax2)
-        lg[m] = sum(Fraction(d[q], m // q) for q in range(1, m + 1) if m % q == 0)
-        a[m] = sum(j * lg[j] * a[m - j] for j in range(1, m + 1)) / m
+        rev = a[p::-1]  # a[p], ..., a[0]
+        a2[p] = sum(map(mul, a[:m], rev))
+        a3 = sum(map(mul, a2[:m], rev))
+        aax2 = sum(map(mul, a[: p // 2 + 1], a[p::-2]))  # [x^p] A(x) A(x^2)
+        d[m] = _exact_div(a3 + aax2, 2, "T_diamond", m)
+        _add_divisor_terms(s, m, d[m])
+        a[m] = _exact_div(sum(map(mul, s[1 : m + 1], rev)), m, "T_star", m)
     return PowerSeries(tuple(d)), PowerSeries(tuple(a))
 
 
 @dataclass(frozen=True)
 class SeriesSystemSolution:
-    """All series of the tree system at one truncation order."""
+    """All series of the tree system at one truncation order.
+
+    The coefficients are ints.  T_triangle and T_sq_to_tri are one series
+    (each triangle node has exactly one square neighbour), held in both
+    fields.
+    """
 
     T_diamond: PowerSeries
     T_star: PowerSeries
@@ -246,50 +280,54 @@ class SeriesSystemSolution:
 def solve_system(truncation: int) -> SeriesSystemSolution:
     """Evaluate the rooted series, combine by dissymmetry, and count multisets.
 
-    T = T_square + T_triangle + T_circ - T_sq_to_tri - T_tri_to_circ;
-    G = MSET(T).  Both must have non-negative integer coefficients (they
-    count graphs); that is asserted, not rounded.
+    With A = T_star, C = A(x^2) and Q = A(x^4), the rooted pieces are
+        T_circ      = A - 1,
+        T_square    = x (A^4 + 2 A^2 C + 3 C^2 + 2 Q) / 8,
+        T_triangle  = x (A^4 + 2 A^2 C + C^2) / 4  (= T_sq_to_tri),
+        T_tri_to_circ = x (A^4 + A^2 C) / 2,
+    and T = T_square + T_triangle + T_circ - T_sq_to_tri - T_tri_to_circ
+          = T_circ + T_square - T_tri_to_circ;  G = MSET(T).
+    Every division is checked exact, and T and G must have non-negative
+    coefficients (they count graphs); a failure of either raises, nothing
+    is rounded.
     """
-    d, a = solve_T_diamond(truncation)
-    one = PowerSeries.one(truncation)
-    c = substitute_power(a, 2)       # A(x^2)
-    q = substitute_power(a, 4)       # A(x^4)
-    a2 = a * a
-    a4 = a2 * a2
-    a2c = a2 * c
-    c2 = c * c
-    t_circ = a - one
-    t_square = (
-        a4.scale(Fraction(1, 8))
-        + a2c.scale(Fraction(1, 4))
-        + c2.scale(Fraction(3, 8))
-        + q.scale(Fraction(1, 4))
-    ).shift()
-    t_triangle = (
-        a4.scale(Fraction(1, 4)) + a2c.scale(Fraction(1, 2)) + c2.scale(Fraction(1, 4))
-    ).shift()
-    t_sq_to_tri = (
-        a4.scale(Fraction(1, 4)) + a2c.scale(Fraction(1, 2)) + c2.scale(Fraction(1, 4))
-    ).shift()
-    t_tri_to_circ = (
-        a4.scale(Fraction(1, 2)) + a2c.scale(Fraction(1, 2))
-    ).shift()
-    t = t_square + t_triangle + t_circ - t_sq_to_tri - t_tri_to_circ
-    g = mset(t)
-    for name, s in (("T", t), ("G", g)):
-        ints = s.integer_coeffs()  # raises if any coefficient is fractional
+    d, star = solve_T_diamond(truncation)
+    n = truncation
+    a = list(star.coeffs)
+    c = [0] * (n + 1)
+    c[::2] = a[: n // 2 + 1]   # A(x^2)
+    q = [0] * (n + 1)
+    q[::4] = a[: n // 4 + 1]   # A(x^4)
+    a2 = _int_mul(a, a)
+    a4 = _int_mul(a2, a2)
+    a2c = _int_mul(a2, c)
+    c2 = _int_mul(c, c)
+
+    def rooted(numerator: list[int], den: int, what: str) -> list[int]:
+        # x * numerator / den, truncated
+        return [0] + [_exact_div(v, den, what, i + 1) for i, v in enumerate(numerator[:n])]
+
+    t_circ = [0] + a[1:]
+    t_square = rooted([w + 2 * y + 3 * z + 2 * u for w, y, z, u in zip(a4, a2c, c2, q)],
+                      8, "T_square")
+    t_triangle = rooted([w + 2 * y + z for w, y, z in zip(a4, a2c, c2)], 4, "T_triangle")
+    t_tri_to_circ = rooted([w + y for w, y in zip(a4, a2c)], 2, "T_tri_to_circ")
+    t = [ci + sq - tc for ci, sq, tc in zip(t_circ, t_square, t_tri_to_circ)]
+    g = _int_mset(t)
+    for name, ints in (("T", t), ("G", g)):
         if any(v < 0 for v in ints):
             raise AssertionError(f"{name} has a negative coefficient")
+    triangle = PowerSeries(tuple(t_triangle))
     return SeriesSystemSolution(
         T_diamond=d,
-        T_star=a,
-        T_circ=t_circ,
-        T_square=t_square,
-        T_triangle=t_triangle,
-        T_sq_to_tri=t_sq_to_tri,
-        T_tri_to_circ=t_tri_to_circ,
-        T=t,
-        G=g,
+        T_star=star,
+        T_circ=PowerSeries(tuple(t_circ)),
+        T_square=PowerSeries(tuple(t_square)),
+        T_triangle=triangle,
+        T_sq_to_tri=triangle,
+        T_tri_to_circ=PowerSeries(tuple(t_tri_to_circ)),
+        T=PowerSeries(tuple(t)),
+        G=PowerSeries(tuple(g)),
     )
 
 

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from apexobs.asymptotics import (
+    asymptotics_report,
     check_Z1_vanishes,
     coefficient_slope,
     empirical_radius,
@@ -197,3 +198,35 @@ class TestScalarSolve:
         x = 0.05
         direct = eval_series(sol.T_diamond, x)
         assert solve_y_at(sol, x) == pytest.approx(direct, rel=1e-10)
+
+
+class TestEvalSeries:
+    def test_coefficient_beyond_float_range(self):
+        # 10**400 overflows a double; the sum goes through logarithms
+        big = 10 ** 400
+        want = 1e100
+        assert eval_series(PowerSeries((0, big)), 1e-300) == pytest.approx(want, rel=1e-12)
+        assert eval_series(PowerSeries((0, -big)), 1e-300) == pytest.approx(-want, rel=1e-12)
+        rational = PowerSeries.from_coeffs([0, big])
+        assert eval_series(rational, 1e-300) == pytest.approx(want, rel=1e-12)
+
+
+class TestReportRegression:
+    """asymptotics_report at N=64, pinned to the values of the Fraction-based
+    solver it replaced."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return asymptotics_report(solve_system(64))
+
+    def test_pinned_values(self, report):
+        assert report["rho"] == pytest.approx(0.15926382314075604, rel=1e-12)
+        assert report["h0"] == pytest.approx(0.5773490598522706, rel=1e-12)
+        assert report["c_T"] == pytest.approx(0.27160778986849554, rel=1e-12)
+        assert report["c_G"] == pytest.approx(0.33997646454813896, rel=1e-12)
+
+    def test_spreads_reported(self, report):
+        for name in ("c_T", "c_G"):
+            spread = report[f"{name}_spread"]
+            assert math.isfinite(spread)
+            assert 0.0 <= spread < 0.01 * report[name]

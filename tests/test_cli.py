@@ -109,6 +109,11 @@ class TestSubcommands:
         assert run(["definitely-not-a-command"]) == 2
         assert run(["search", "--k", "0"]) == 2  # missing --max-n
 
+    def test_asymptotics_truncation_too_small(self, capsys):
+        assert run(["asymptotics", "--N", "32"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestDeterminism:
     def test_byte_identical_reruns(self, capsys):

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from apexobs.series import (
     PowerSeries,
+    SeriesSystemSolution,
+    _exact_div,
     coefficient_table,
     mset,
     mset2,
@@ -183,6 +185,71 @@ class TestSystem:
         sub = sol.truncated(10)
         assert sub.T.truncation == 10
         assert sub.T.coeffs == sol.T.coeffs[:11]
+
+
+def fraction_system(n: int) -> SeriesSystemSolution:
+    """The counting system on Fraction-valued PowerSeries, as a reference.
+
+    T_diamond comes from plain fixed-point iteration of its equation from 0
+    (one more exact order per round), and every rooted piece and the
+    dissymmetry sum are written out term by term with rational scales.
+    """
+    d = PowerSeries.zero(n)
+    for _ in range(n + 1):
+        a = mset(d)
+        d = ((a * a * a) + (a * substitute_power(a, 2))).scale(Fraction(1, 2)).shift()
+    a = mset(d)
+    c = substitute_power(a, 2)
+    q = substitute_power(a, 4)
+    a2 = a * a
+    a4 = a2 * a2
+    a2c = a2 * c
+    c2 = c * c
+    t_circ = a - PowerSeries.one(n)
+    t_square = (
+        a4.scale(Fraction(1, 8))
+        + a2c.scale(Fraction(1, 4))
+        + c2.scale(Fraction(3, 8))
+        + q.scale(Fraction(1, 4))
+    ).shift()
+    t_triangle = (
+        a4.scale(Fraction(1, 4)) + a2c.scale(Fraction(1, 2)) + c2.scale(Fraction(1, 4))
+    ).shift()
+    t_sq_to_tri = (
+        a4.scale(Fraction(1, 4)) + a2c.scale(Fraction(1, 2)) + c2.scale(Fraction(1, 4))
+    ).shift()
+    t_tri_to_circ = (a4.scale(Fraction(1, 2)) + a2c.scale(Fraction(1, 2))).shift()
+    t = t_square + t_triangle + t_circ - t_sq_to_tri - t_tri_to_circ
+    return SeriesSystemSolution(
+        d, a, t_circ, t_square, t_triangle, t_sq_to_tri, t_tri_to_circ, t, mset(t)
+    )
+
+
+SYSTEM_FIELDS = ("T_diamond", "T_star", "T_circ", "T_square", "T_triangle",
+                 "T_sq_to_tri", "T_tri_to_circ", "T", "G")
+
+
+class TestIntegerSystem:
+    def test_matches_fraction_reference(self):
+        got, want = solve_system(40), fraction_system(40)
+        for name in SYSTEM_FIELDS:
+            assert getattr(got, name).coeffs == getattr(want, name).coeffs, name
+
+    def test_coefficients_are_ints(self):
+        sol = solve_system(64)
+        for name in SYSTEM_FIELDS:
+            assert all(type(c) is int for c in getattr(sol, name).coeffs), name
+
+    def test_order_512(self):
+        sol = solve_system(512)
+        assert sol.truncation == 512
+        assert list(sol.T.coeffs[:11]) == T_KNOWN
+        assert list(sol.G.coeffs[:11]) == G_KNOWN
+
+    def test_inexact_division_raises(self):
+        assert _exact_div(-12, 4, "T_square", 3) == -3
+        with pytest.raises(ArithmeticError, match=r"T_square: coefficient of x\^3"):
+            _exact_div(14, 4, "T_square", 3)
 
 
 class TestDissymmetrySanity:
