@@ -21,17 +21,15 @@ from .graphs import (
     ClassId,
     Graph,
     butterfly_graph,
+    _count_forest_sets,
     complete_graph,
-    component_masks,
-    decompose,
     disjoint_union,
     has_apex_set_within,
     is_connected,
     is_in_class,
-    min_apex_size,
 )
 from .minors import max_triangle_packing_in_cactus
-from .obstructions import check_obstruction, is_obstruction
+from .obstructions import is_obstruction
 
 MAX_LEVEL = 6  # 5 + 4(k-1) vertices; k=6 gives 25 <= 32
 
@@ -96,8 +94,8 @@ def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
     """The central vertices K(G), the unique k-set whose removal leaves a forest.
 
     verify="forest" re-checks that removing the set leaves a forest;
-    verify="unique" additionally brute-forces all k-subsets and demands no
-    other one works (exhaustive, meant for k <= 5); verify="none" skips both.
+    verify="unique" additionally counts the k-subsets that leave a forest
+    and demands exactly one; verify="none" skips both.
     """
     g, k = b.graph, b.k
     mask = 0
@@ -115,19 +113,10 @@ def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
 
 def count_forest_apex_sets(g: Graph, k: int) -> int:
     """Number of k-subsets of vertices whose removal leaves a forest."""
-    from itertools import combinations
-
-    from .graphs import _class_holds_masked
-
+    if k < 0:
+        raise ValueError("k must be non-negative")
     full = (1 << g.n) - 1
-    count = 0
-    for drop in combinations(range(g.n), k):
-        mask = 0
-        for v in drop:
-            mask |= 1 << v
-        if _class_holds_masked(g, full & ~mask, ClassId.FOREST):
-            count += 1
-    return count
+    return _count_forest_sets(g.adj, full, full, k)
 
 
 # -- disconnected obstructions --------------------------------------------------

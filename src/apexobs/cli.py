@@ -15,9 +15,8 @@ import time
 
 from . import __version__
 from .asymptotics import MIN_SADDLE_TRUNCATION, asymptotics_report
-from .cacti import disconnected_obstructions, generate_Z
-from .canonical import canonical_form
-from .graphio import load_graph, to_edgelist, to_graph6
+from .cacti import MAX_LEVEL, disconnected_obstructions, generate_Z
+from .graphio import load_graph, to_graph6
 from .graphs import ClassId, Graph, is_in_class, make_named, min_apex_size
 from .minors import is_minor
 from .obstructions import (
@@ -97,15 +96,15 @@ def cmd_verify_catalog(args) -> int:
         raise SystemExit(
             f"error: cannot load the k={args.k} catalog: {type(exc).__name__}: {exc}"
         ) from None
-    report = verify_catalog(cat, threads=args.threads)
+    report = verify_catalog(cat)
     _emit(args, report.to_dict(), report.to_text())
     return EXIT_OK if report.all_verified else EXIT_VERIFICATION_FAILED
 
 
 def cmd_search(args) -> int:
-    cat = search_obstructions(
-        args.k, args.max_n, connected_only=args.connected_only, threads=args.threads
-    )
+    if args.k < 0:
+        raise SystemExit(f"error: --k must be non-negative, got {args.k}")
+    cat = search_obstructions(args.k, args.max_n, connected_only=args.connected_only)
     payload = {
         "k": cat.k,
         "max_n": args.max_n,
@@ -123,10 +122,12 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen_cacti(args) -> int:
-    if args.k > 3 and not args.allow_expensive and args.verify:
-        raise SystemExit(
-            "error: verification beyond k=3 is expensive; pass --allow-expensive"
-        )
+    if not 1 <= args.k <= MAX_LEVEL:
+        raise SystemExit(f"error: --k must be in 1..{MAX_LEVEL}, got {args.k}")
+    try:
+        dis = disconnected_obstructions(args.k) if args.disconnected else None
+    except ValueError as exc:
+        raise SystemExit(f"error: --disconnected: {exc}") from None
     rows = []
     lines = []
     for k in range(1, args.k + 1):
@@ -149,8 +150,7 @@ def cmd_gen_cacti(args) -> int:
             if bad:
                 _emit(args, {"error": "verification failed"}, "\n".join(lines))
                 return EXIT_VERIFICATION_FAILED
-    if args.disconnected:
-        dis = disconnected_obstructions(args.k)
+    if dis is not None:
         for g in dis:
             rows.append({"k": args.k, "graph6": to_graph6(g), "n": g.n, "disconnected": True})
         lines.append(f"k={args.k}: {len(dis)} disconnected cactus obstructions")
@@ -205,13 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, timing=True):
+    def common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
         sp.add_argument(
             "--format", choices=("g6", "edgelist"), default="g6", help="graph file format"
         )
-        if timing:
-            sp.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
+        sp.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
 
     sp = sub.add_parser("check", help="class membership of a graph")
     sp.add_argument("--class", dest="cls", required=True,
@@ -235,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-catalog", help="re-verify a shipped obstruction catalog")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     common(sp)
     sp.set_defaults(func=cmd_verify_catalog)
 
@@ -243,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--max-n", type=int, required=True)
     sp.add_argument("--connected-only", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_search)
 
@@ -252,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--verify", action="store_true", help="check obstruction-hood of every member")
     sp.add_argument("--disconnected", action="store_true",
                     help="also emit the disconnected obstructions at level k")
-    sp.add_argument("--allow-expensive", action="store_true")
-    sp.add_argument("--threads", type=int, default=1)
     common(sp)
     sp.set_defaults(func=cmd_gen_cacti)
 

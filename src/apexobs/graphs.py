@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
+from math import comb
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 32
@@ -257,18 +258,22 @@ def component_masks(g: Graph, within: int | None = None) -> list[int]:
     todo = ((1 << g.n) - 1) if within is None else within
     comps = []
     while todo:
-        start = todo & -todo
-        seen = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & todo
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        todo &= ~seen
+        comp = _component(g.adj, todo & -todo, todo)
+        comps.append(comp)
+        todo &= ~comp
     return comps
+
+
+def _component(adj: tuple[int, ...], start: int, within: int) -> int:
+    """Vertex mask of the component of ``within`` holding the vertices ``start``."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
 
 
 def is_connected(g: Graph) -> bool:
@@ -312,46 +317,235 @@ def is_in_class(g: Graph, cls: ClassId) -> bool:
     raise TypeError(f"not a ClassId: {cls!r}")
 
 
-def _class_holds_masked(g: Graph, keep: int, cls: ClassId) -> bool:
-    """is_in_class on the induced subgraph, without building it when possible."""
-    if cls in (ClassId.SUB_UNICYCLIC, ClassId.FOREST):
-        comps = component_masks(g, keep)
-        cyc = _edges_within(g, keep) - popcount(keep) + len(comps)
-        return cyc == 0 if cls is ClassId.FOREST else cyc <= 1
+# -- apex sets: a bounded search tree over vertex bitmasks ------------------
+#
+# FOREST, SUB_UNICYCLIC and PSEUDOFOREST are decided by cycles alone, so the
+# search works on the 2-core of the surviving vertices: a vertex of degree
+# <= 1 lies on no cycle and never needs deleting.  Every node picks a witness
+# subgraph that any solution must hit, and branches on its vertices of degree
+# >= 3.  That is enough: a degree-2 vertex v sits on a chain whose end a has
+# degree >= 3 and lies in the witness too; every cycle through v passes a, so
+# deleting a instead of v leaves a subgraph of what deleting v leaves, plus a
+# pendant path.  The cost is |witness|^k search nodes, not C(n, <=k).
+
+
+def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
+    """The 2-core of ``alive`` and the mask of its vertices of degree >= 3."""
+    while True:
+        low = high = 0
+        m = alive
+        while m:
+            b = m & -m
+            m ^= b
+            d = (adj[b.bit_length() - 1] & alive).bit_count()
+            if d < 2:
+                low |= b
+            elif d > 2:
+                high |= b
+        if not low:
+            return alive, high
+        alive ^= low
+
+
+def _shortest_cycle(adj: tuple[int, ...] | list[int], alive: int) -> int:
+    """Vertex mask of one shortest cycle induced by ``alive``; 0 if acyclic."""
+    m = alive
+    while m:  # triangles: one AND per edge
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        for u in bits(adj[v] & m):
+            common = adj[v] & adj[u] & alive
+            if common:
+                return b | 1 << u | (common & -common)
+    # BFS from every root; the shortest non-tree edge over all roots closes a
+    # shortest cycle, and then the two tree paths meet only at the root
+    best, best_len = 0, MAX_VERTICES + 1
+    for r in bits(alive):
+        parent = {r: -1}
+        depth = {r: 0}
+        layer, d = [r], 0
+        while layer and 2 * d + 1 < best_len:
+            nxt = []
+            for u in layer:
+                for w in bits(adj[u] & alive):
+                    if w == parent[u]:
+                        continue
+                    if w in depth:
+                        if d + depth[w] + 1 < best_len:
+                            best_len = d + depth[w] + 1
+                            best = 0
+                            for x in (u, w):
+                                while x >= 0:
+                                    best |= 1 << x
+                                    x = parent[x]
+                    else:
+                        parent[w] = u
+                        depth[w] = d + 1
+                        nxt.append(w)
+            layer, d = nxt, d + 1
+        if best_len == 4:  # no triangle, so no shorter cycle exists
+            break
+    return best
+
+
+def _cycle_packing(adj: tuple[int, ...], core: int, limit: int) -> int:
+    """Greedy count of vertex-disjoint shortest cycles in ``core``, capped at ``limit``.
+
+    A lower bound on the deletions into FOREST; minus one, into SUB_UNICYCLIC.
+    """
+    count = 0
+    while core and count < limit:
+        cycle = _shortest_cycle(adj, core)
+        if not cycle:
+            break
+        count += 1
+        core = _strip(adj, core & ~cycle)[0]
+    return count
+
+
+def _second_cycle(adj: tuple[int, ...], within: int, cycle: int, high: int) -> int:
+    """A shortest cycle of ``within`` other than ``cycle``, avoiding one of its edges.
+
+    Of the choices of edge, the one giving the fewest branch vertices wins.
+    ``within`` has cyclomatic number >= 2, so every choice finds a cycle.
+    """
+    best, best_cost = 0, MAX_VERTICES + 1
+    for v in bits(cycle):
+        for u in bits(adj[v] & cycle & ~((2 << v) - 1)):
+            cut = list(adj)
+            cut[v] &= ~(1 << u)
+            cut[u] &= ~(1 << v)
+            other = _shortest_cycle(cut, within)
+            cost = ((cycle | other) & high).bit_count()
+            if cost < best_cost:
+                best, best_cost = other, cost
+    return best
+
+
+def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> int:
+    """Mask of vertices to branch on: the degree >= 3 vertices of a witness.
+
+    FOREST: a shortest cycle.  SUB_UNICYCLIC: two distinct cycles.
+    PSEUDOFOREST: two distinct cycles in one component and a path joining
+    them.  A cycle with no vertex of degree >= 3 is a whole component; any
+    one of its vertices stands for all of them.
+    """
     if cls is ClassId.PSEUDOFOREST:
-        return all(
-            _edges_within(g, c) <= popcount(c) for c in component_masks(g, keep)
-        )
-    return is_in_class(g.subgraph(keep), cls)
+        # a component that is not a bare cycle has a vertex of degree >= 3
+        core = _component(adj, high & -high, core)
+    first = _shortest_cycle(adj, core)
+    if cls is ClassId.FOREST:
+        return first & high or first & -first
+    second = _second_cycle(adj, core, first, high)
+    out = (first & high or first & -first) | (second & high or second & -second)
+    if cls is ClassId.PSEUDOFOREST and not first & second:
+        # join the two cycles by a shortest path inside the component
+        reach, layers = first, []
+        while not reach & second:
+            grown = reach
+            for v in bits(reach):
+                grown |= adj[v] & core
+            layers.append(grown & ~reach)
+            reach = grown
+        tip = reach & second
+        for layer in reversed(layers[:-1]):
+            step = adj[(tip & -tip).bit_length() - 1] & layer
+            tip = step & -step
+            out |= tip & high
+    return out
+
+
+def _core_in_class(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> bool:
+    if cls is ClassId.FOREST:
+        return not core
+    if high:
+        return False
+    # a union of bare cycles: a pseudoforest, sub-unicyclic if it is one cycle
+    return cls is ClassId.PSEUDOFOREST or not core or _component(adj, core & -core, core) == core
+
+
+def _apex_search(
+    adj: tuple[int, ...], alive: int, cls: ClassId, k: int, failed: dict[int, int]
+) -> bool:
+    """True iff deleting at most k vertices of ``alive`` lands it in ``cls``.
+
+    ``failed`` maps a core to the largest budget it was refuted with.  The
+    packing bound is skipped at k <= 1, where branching is as cheap.
+    """
+    core, high = _strip(adj, alive)
+    if _core_in_class(adj, core, high, cls):
+        return True
+    if k == 0 or failed.get(core, -1) >= k:
+        return False
+    if k >= 2 and cls is not ClassId.PSEUDOFOREST:
+        need = k + 1 if cls is ClassId.FOREST else k + 2
+        if _cycle_packing(adj, core, need) >= need:
+            failed[core] = k
+            return False
+    branch = sorted(
+        bits(_branch_vertices(adj, core, high, cls)),
+        key=lambda v: -(adj[v] & core).bit_count(),
+    )
+    for v in branch:
+        if _apex_search(adj, core & ~(1 << v), cls, k - 1, failed):
+            return True
+    failed[core] = k
+    return False
+
+
+def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> int:
+    """Number of k-subsets of ``free`` whose deletion leaves ``alive`` a forest.
+
+    Ordered exclusion keeps the branches disjoint: branch i deletes the i-th
+    free vertex of a shortest cycle and forbids the ones before it.  Once the
+    rest is a forest, any k of the free vertices left will do.
+    """
+    core = _strip(adj, alive)[0]
+    if not core:
+        return comb(free.bit_count(), k)
+    if k == 0:
+        return 0
+    if k >= 2 and _cycle_packing(adj, core, k + 1) > k:
+        return 0
+    total = 0
+    for v in bits(_shortest_cycle(adj, core) & free):
+        total += _count_forest_sets(adj, core & ~(1 << v), free & ~(1 << v), k - 1)
+        free &= ~(1 << v)
+    return total
+
+
+def _cactus_deletions(g: Graph, limit: int) -> int | None:
+    """Fewest deletions (at most ``limit``) into CACTUS, by trying every subset."""
+    for s in range(min(limit, g.n) + 1):
+        for drop in combinations(range(g.n), s):
+            if is_in_class(g.delete_vertices(drop), ClassId.CACTUS):
+                return s
+    return None
 
 
 def min_apex_size(g: Graph, cls: ClassId) -> int:
     """Smallest number of vertex deletions landing g in the class.
 
-    Exhaustive: tries deletion sets of size 0, 1, 2, ... with early exit.
+    Iterative deepening over the bounded search: budgets 0, 1, 2, ...
     """
+    if cls is ClassId.CACTUS:
+        return _cactus_deletions(g, g.n)
     full = (1 << g.n) - 1
-    for s in range(g.n + 1):
-        for drop in combinations(range(g.n), s):
-            mask = 0
-            for v in drop:
-                mask |= 1 << v
-            if _class_holds_masked(g, full & ~mask, cls):
-                return s
-    return g.n  # unreachable: the empty graph is in every class
+    failed: dict[int, int] = {}
+    k = 0
+    while not _apex_search(g.adj, full, cls, k, failed):
+        k += 1
+    return k
 
 
 def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
     """True iff some deletion set of size <= k lands g in the class."""
-    full = (1 << g.n) - 1
-    for s in range(min(k, g.n) + 1):
-        for drop in combinations(range(g.n), s):
-            mask = 0
-            for v in drop:
-                mask |= 1 << v
-            if _class_holds_masked(g, full & ~mask, cls):
-                return True
-    return False
+    if k < 0:
+        return False
+    if cls is ClassId.CACTUS:
+        return _cactus_deletions(g, k) is not None
+    return _apex_search(g.adj, (1 << g.n) - 1, cls, k, {})
 
 
 # -- blocks, cut vertices, bc-tree ------------------------------------------

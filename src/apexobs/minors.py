@@ -11,10 +11,9 @@ vertices when h is close to g in size.
 from __future__ import annotations
 
 from .canonical import canonical_form
-from .graphs import Graph, bits, one_step_minors
+from .graphs import Graph, one_step_minors
 
-# (canonical_form(h), canonical_form(g)) -> bool.  Threads may race on
-# inserts; a lost insert only costs a recomputation.
+# (canonical_form(h), canonical_form(g)) -> bool.
 _memo: dict[tuple[bytes, bytes], bool] = {}
 
 

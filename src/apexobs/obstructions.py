@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -26,8 +25,6 @@ from .graphs import (
     bridges,
     has_apex_set_within,
     is_connected,
-    is_in_class,
-    min_apex_size,
 )
 
 DATA_ENV_VAR = "APEXOBS_DATA"
@@ -266,18 +263,15 @@ def verify_record(rec: ObstructionRecord) -> dict:
         "m": rec.graph.num_edges(),
         "status": rec.status.value,
         "failed_step": outcome.failed_step,
+        "witness": None if outcome.witness is None else to_graph6(outcome.witness),
         "seconds": time.perf_counter() - t0,
     }
 
 
-def verify_catalog(cat: Catalog, threads: int = 1) -> VerificationReport:
+def verify_catalog(cat: Catalog) -> VerificationReport:
     """Run the obstruction test on every record; refutations are data, not errors."""
     t0 = time.perf_counter()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(verify_record, cat.records))
-    else:
-        results = [verify_record(rec) for rec in cat.records]
+    results = [verify_record(rec) for rec in cat.records]
     return VerificationReport(cat.k, results, time.perf_counter() - t0)
 
 
@@ -288,7 +282,6 @@ def search_obstructions(
     k: int,
     max_n: int,
     connected_only: bool = False,
-    threads: int = 1,
     budget_seconds: float | None = None,
 ) -> Catalog:
     """Find all k-apex sub-unicyclic obstructions with at most max_n vertices.
@@ -306,24 +299,12 @@ def search_obstructions(
     ]
     complete = True
     found: list[Graph] = []
-
-    def test(g: Graph) -> Graph | None:
-        return g if is_obstruction(g, k) else None
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = pool.map(test, candidates)
-            for g in hits:
-                if g is not None:
-                    found.append(g)
-    else:
-        for g in candidates:
-            if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
-                complete = False
-                break
-            if is_obstruction(g, k):
-                found.append(g)
-
+    for g in candidates:
+        if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
+            complete = False
+            break
+        if is_obstruction(g, k):
+            found.append(g)
     found.sort(key=canonical_form)
     records = [
         ObstructionRecord(
@@ -342,10 +323,6 @@ def search_obstructions(
         source_note=f"exhaustive search over all graphs with <= {max_n} vertices"
         + (" (connected only)" if connected_only else ""),
     )
-
-
-def catalog_graphs(cat: Catalog) -> list[Graph]:
-    return [rec.graph for rec in cat.records]
 
 
 def same_graph_sets(a: Iterable[Graph], b: Iterable[Graph]) -> bool:

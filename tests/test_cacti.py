@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from apexobs.cacti import (
@@ -24,8 +26,9 @@ from apexobs.graphs import (
     min_apex_size,
     path_graph,
 )
-from apexobs.obstructions import is_obstruction, load_catalog
+from apexobs.obstructions import check_obstruction, is_obstruction, load_catalog
 
+from conftest import random_graph
 from oracles import find_butterfly_buckets
 
 
@@ -94,6 +97,38 @@ class TestCentralSet:
         wrong = ButterflyCactus(g, frozenset({1}), 1)  # not the central vertex
         with pytest.raises(AssertionError):
             central_set(wrong)
+
+
+class TestForestApexCount:
+    def test_against_subset_count(self, rng):
+        counts = []
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 10), rng.uniform(0.1, 0.6))
+            for k in range(5):
+                brute = sum(
+                    is_in_class(g.delete_vertices(drop), ClassId.FOREST)
+                    for drop in combinations(range(g.n), k)
+                )
+                assert count_forest_apex_sets(g, k) == brute, (g, k)
+                counts.append(brute)
+        assert max(counts) > 1 and 0 in counts
+
+    def test_negative_k(self):
+        with pytest.raises(ValueError):
+            count_forest_apex_sets(butterfly_graph(), -1)
+
+
+class TestTopLevels:
+    def test_z6_member_is_level_five_obstruction(self):
+        b = generate_Z(6)[0]
+        assert b.graph.n == 25
+        assert is_obstruction(b.graph, 5)
+        assert count_forest_apex_sets(b.graph, 6) == 1
+
+    def test_z5_member_fails_membership_at_level_five(self):
+        check = check_obstruction(generate_Z(5)[0].graph, 5)
+        assert not check.is_obstruction
+        assert check.failed_step == "membership"
 
 
 class TestDisconnected:

@@ -105,6 +105,30 @@ class TestSubcommands:
         fams = json.loads(out)["families"]
         assert sum(1 for f in fams if f["k"] == 3) == 3
 
+    def test_gen_cacti_verify_level_five(self, capsys):
+        code, out = invoke(capsys, "gen-cacti", "--k", "5", "--verify")
+        assert code == 0
+        assert "k=5: 25 butterfly-cacti  (all verified)" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-cacti", "--k", "9"),
+            ("gen-cacti", "--k", "0", "--verify"),
+            ("gen-cacti", "--k", "5", "--disconnected"),
+            ("search", "--k", "-1", "--max-n", "4"),
+        ],
+    )
+    def test_out_of_range_level_exit_2(self, capsys, argv):
+        assert run(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_removed_flags_rejected(self):
+        assert run(["gen-cacti", "--k", "4", "--verify", "--allow-expensive"]) == 2
+        assert run(["verify-catalog", "--k", "0", "--threads", "2"]) == 2
+
     def test_usage_error_exit_2(self):
         assert run(["definitely-not-a-command"]) == 2
         assert run(["search", "--k", "0"]) == 2  # missing --max-n

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from apexobs.graphs import (
@@ -12,6 +14,7 @@ from apexobs.graphs import (
     cyclomatic,
     decompose,
     disjoint_union,
+    has_apex_set_within,
     is_connected,
     is_in_class,
     make_named,
@@ -227,6 +230,59 @@ class TestMinApex:
             g = random_graph(rng, rng.randint(1, 7), rng.random())
             for cls in ClassId:
                 assert min_apex_size(g, cls) == oracle_min_apex(g, cls.value)
+
+
+def subset_loop_within(g: Graph, cls: ClassId, k: int) -> bool:
+    """Plain loop over all deletion sets of size <= k."""
+    return any(
+        is_in_class(g.delete_vertices(drop), cls)
+        for s in range(min(k, g.n) + 1)
+        for drop in combinations(range(g.n), s)
+    )
+
+
+class TestApexSearch:
+    def test_against_subset_loop(self, rng):
+        outcomes = set()
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 10), rng.uniform(0.1, 0.7))
+            for cls in ClassId:
+                for k in range(4):
+                    got = has_apex_set_within(g, cls, k)
+                    assert got == subset_loop_within(g, cls, k), (g, cls, k)
+                    outcomes.add((cls, k, got))
+        # every class and budget saw both answers
+        assert len(outcomes) == 2 * 4 * len(ClassId)
+
+    def test_negative_budget(self):
+        assert not has_apex_set_within(Graph(0), ClassId.FOREST, -1)
+
+    def test_long_cycles(self):
+        # no triangles: the shortest cycles come from the breadth-first search
+        g = disjoint_union(cycle_graph(5), cycle_graph(7), cycle_graph(4))
+        assert min_apex_size(g, ClassId.FOREST) == 3
+        assert min_apex_size(g, ClassId.SUB_UNICYCLIC) == 2
+        assert min_apex_size(g, ClassId.PSEUDOFOREST) == 0
+
+    def test_pseudoforest_dumbbell(self):
+        # two 5-cycles joined by a 3-edge path: one deletion, anywhere on it
+        edges = [(i, (i + 1) % 5) for i in range(5)]
+        edges += [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+        edges += [(0, 10), (10, 11), (11, 5)]
+        g = Graph(12, edges)
+        assert min_apex_size(g, ClassId.PSEUDOFOREST) == 1
+        assert not has_apex_set_within(g, ClassId.SUB_UNICYCLIC, 0)
+        assert has_apex_set_within(g.delete_vertices([10]), ClassId.PSEUDOFOREST, 0)
+
+    def test_pseudoforest_hub(self):
+        # three triangles each joined by an edge to a hub: only the hub,
+        # which lies on no cycle, splits them with one deletion
+        edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7), (7, 8), (8, 6)]
+        edges += [(9, 0), (9, 3), (9, 6)]
+        g = Graph(10, edges)
+        assert min_apex_size(g, ClassId.PSEUDOFOREST) == 1
+        assert min_apex_size(g, ClassId.SUB_UNICYCLIC) == 2
+        assert min_apex_size(g, ClassId.FOREST) == 3
 
 
 class TestOneStepMinors:
