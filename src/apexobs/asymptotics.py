@@ -19,19 +19,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .series import PowerSeries, SeriesSystemSolution
+from .series import PowerSeries, Rational, SeriesSystemSolution
 
 DEFAULT_TAIL_K = 40
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
 TAIL_TERM_TOL = 1e-18
 
 
-def _log_abs(q: Fraction) -> float:
-    if isinstance(q, Fraction):
-        return math.log(abs(q.numerator)) - math.log(q.denominator)
-    return math.log(abs(q))
+def _log_abs(q: Rational) -> float:
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
 
 
 # (n, log|a_n|, a_n < 0) for every non-zero a_n with n >= 1
@@ -68,34 +65,18 @@ def eval_series(series: PowerSeries, z: float, tol: float = 1e-30) -> float:
     return _sum_log_terms(float(series.coeffs[0]), _log_terms(series), z, tol)
 
 
-def _derived(series: PowerSeries, order: int) -> PowerSeries:
-    """Coefficients a_n * n * (n-1) * ... (falling factorial); evaluated /z^order."""
-    cs = list(series.coeffs)
-    for shift in range(order):
-        cs = [c * (n - shift) for n, c in enumerate(cs)]
-    return PowerSeries(tuple(cs))
+def _tails(d: PowerSeries, x: float, tail_k: int) -> tuple[float, ...]:
+    """(t, t', t'', u, u', u'') at x: t, u and their first two x-derivatives
+    (arguments x^k, k >= 2).
 
-
-@dataclass(frozen=True)
-class TailValues:
-    t: float
-    t1: float
-    t2: float
-    u: float
-    u1: float
-    u2: float
-
-
-def _tails(d: PowerSeries, x: float, tail_k: int) -> TailValues:
-    """t, u and their first two x-derivatives at x (arguments x^k, k >= 2).
-
-    log|coefficient| of d and of its first two derived series is taken once
-    here and reused for every argument x^k.
+    log|coefficient| of d is taken once here; the derived series n*d_n and
+    n*(n-1)*d_n add log n and log(n-1) to it, and all three are reused for
+    every argument x^k.
     """
     d0 = float(d.coeffs[0])
     terms = _log_terms(d)
-    terms1 = _log_terms(_derived(d, 1))
-    terms2 = _log_terms(_derived(d, 2))
+    terms1 = [(n, la + math.log(n), neg) for n, la, neg in terms]
+    terms2 = [(n, la + math.log(n - 1), neg) for n, la, neg in terms1 if n > 1]
 
     def f(z: float) -> float:
         return _sum_log_terms(d0, terms, z) if z else d0
@@ -126,7 +107,7 @@ def _tails(d: PowerSeries, x: float, tail_k: int) -> TailValues:
         u2 += 2 * (2 * k - 1) * x ** (2 * k - 2) * g1 + 4 * k * x ** (4 * k - 2) * fpp(x2k)
         if v < TAIL_TERM_TOL and k > 2:
             break
-    return TailValues(t, t1, t2, u, u1, u2)
+    return t, t1, t2, u, u1, u2
 
 
 @dataclass(frozen=True)
@@ -154,13 +135,10 @@ def eval_F(x: float, y: float, sol: SeriesSystemSolution, tail_k: int = DEFAULT_
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    d = sol.T_diamond
-    tails = _tails(d, x, tail_k)
-    E = math.exp(y + tails.t)
-    W = math.exp(tails.u)
+    t, tp, tpp, u, up, upp = _tails(sol.T_diamond, x, tail_k)
+    E = math.exp(y + t)
+    W = math.exp(u)
     E3 = E ** 3
-    tp, up = tails.t1, tails.u1
-    tpp, upp = tails.t2, tails.u2
 
     def pure(c3: float) -> float:
         return (x / 2.0) * (c3 * E3 + E * W)
@@ -288,22 +266,18 @@ def solve_y_at(sol: SeriesSystemSolution, x: float, tail_k: int = DEFAULT_TAIL_K
 
     Direct summation of the T_diamond series is useless near rho (the terms
     decay like n^(-3/2) there); the functional equation converges to machine
-    precision instead.
+    precision instead.  F(x, y) - y is convex in y, positive at 0 and
+    decreasing up to its root, so Newton from y = 0 rises monotonically
+    onto the root.  A step that does not shrink is float noise: the
+    iterate is returned without it.
     """
-    y = 0.0
-    for _ in range(200):
+    y, step = 0.0, math.inf
+    while True:
         p = eval_F(x, y, sol, tail_k)
-        denom = p.Fy - 1.0
-        if abs(denom) < 1e-15:
-            break
-        step = (p.F - y) / denom
-        y_new = y - step
-        if not 0.0 <= y_new <= 10.0:
-            y_new = p.F  # fall back to plain fixed-point step
-        if abs(y_new - y) < 1e-15:
-            return y_new
-        y = y_new
-    return y
+        new_step = (p.F - y) / (1.0 - p.Fy)
+        if not abs(new_step) < abs(step):
+            return y
+        y, step = y + new_step, new_step
 
 
 def expansion_coeffs(
@@ -407,23 +381,25 @@ def estimate_constant(
     lo = hi // 2 if window is None else window[0]
     if hi > series.truncation or lo < 1 or lo >= hi:
         raise ValueError(f"bad fit window ({lo}, {hi})")
-    # a_n rho^n is computed in exact rationals (coefficients overflow floats
-    # long before n = 512); only the n^(alpha+1) factor is floating.  The
-    # sequence is normalized by its first element before extrapolation, so
-    # scaling the series rescales the result exactly (one final multiply).
-    frho = Fraction(rho)
+    # a_n rho^n is an exact quotient of integers rounded once (coefficients
+    # overflow floats long before n = 512; rho = num/den exactly); only the
+    # n^(alpha+1) factor is floating.  The sequence is normalized by its
+    # first element before extrapolation, so scaling the series rescales
+    # the result exactly (one final multiply).
+    num, den = rho.as_integer_ratio()
     a_ref = series.coeffs[lo]
     if a_ref <= 0:
         raise ValueError(f"non-positive coefficient at n={lo} inside the fit window")
-    c_ref = float(a_ref * frho ** lo) * lo ** (alpha + 1.0)
-    power = Fraction(1)
+    c_ref = a_ref * num ** lo / den ** lo * lo ** (alpha + 1.0)
+    pnum, pden = 1, a_ref  # rho^(n-lo) / a_ref
     pts: list[tuple[int, float]] = []
     for n in range(lo, hi + 1):
         c = series.coeffs[n]
         if c <= 0:
             raise ValueError(f"non-positive coefficient at n={n} inside the fit window")
-        pts.append((n, float(c * power / a_ref) * (n / lo) ** (alpha + 1.0)))
-        power *= frho
+        pts.append((n, c * pnum / pden * (n / lo) ** (alpha + 1.0)))
+        pnum *= num
+        pden *= den
     c_fit = _richardson(pts) * c_ref
     c_half = _richardson(pts[: max(2, len(pts) // 2)]) * c_ref
     spread = abs(c_fit - c_half)
@@ -449,12 +425,10 @@ def empirical_radius(series: PowerSeries, at: int | None = None) -> float:
     step removes the 1/n term.
     """
     hi = series.truncation if at is None else at
-    r = [
-        float(Fraction(series.coeffs[n], series.coeffs[n + 1]))
-        for n in (hi - 2, hi - 1)
-    ]
-    n1, n2 = hi - 2, hi - 1
-    return r[1] + n1 * (r[1] - r[0])
+    a = series.coeffs
+    n = hi - 2
+    r0, r1 = float(a[n] / a[n + 1]), float(a[n + 1] / a[n + 2])
+    return r1 + n * (r1 - r0)
 
 
 def coefficient_slope(series: PowerSeries, rho: float, lo: int, hi: int) -> float:

@@ -140,6 +140,15 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
     G_i a k_i-butterfly-cactus and sum k_i = k+1, plus the exceptional
     (k+2) disjoint triangles.
     """
+    out = _cacti_unions(k)
+    exceptional = exceptional_obstruction(k)
+    out[canonical_form(exceptional)] = exceptional
+    return tuple(out[key] for key in sorted(out))
+
+
+def _cacti_unions(k: int) -> dict[bytes, Graph]:
+    """The disconnected obstructions at level k other than (k+2)K3, keyed
+    by canonical form."""
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4 (largest member has 5(k+1) vertices)")
     zs = {j: [b.graph for b in generate_Z(j)] for j in range(1, k + 1)}
@@ -162,9 +171,7 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
             for combo in choices[i]:
                 expand(i + 1, acc + combo)
         expand(0, [])
-    exceptional = disjoint_union(*([complete_graph(3)] * (k + 2)))
-    out.setdefault(canonical_form(exceptional), exceptional)
-    return tuple(out[key] for key in sorted(out))
+    return out
 
 
 def exceptional_obstruction(k: int) -> Graph:
@@ -205,16 +212,12 @@ class CactusObstructionFamily:
 
 def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
     """The full cactus-obstruction family at level k (1 <= k <= 4)."""
-    exceptional = exceptional_obstruction(k)
-    skip = canonical_form(exceptional)
-    unions = tuple(
-        g for g in disconnected_obstructions(k) if canonical_form(g) != skip
-    )
+    unions = _cacti_unions(k)
     return CactusObstructionFamily(
         k=k,
         connected=generate_Z(k + 1),
-        disconnected=unions,
-        exceptional=exceptional,
+        disconnected=tuple(unions[key] for key in sorted(unions)),
+        exceptional=exceptional_obstruction(k),
     )
 
 

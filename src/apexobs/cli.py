@@ -16,8 +16,8 @@ import time
 from . import __version__
 from .asymptotics import MIN_SADDLE_TRUNCATION, asymptotics_report
 from .cacti import MAX_LEVEL, disconnected_obstructions, generate_Z
-from .graphio import load_graph, to_graph6
-from .graphs import ClassId, Graph, is_in_class, make_named, min_apex_size
+from .graphio import from_graph6, load_graph, to_graph6
+from .graphs import _NAME_RE, ClassId, Graph, is_in_class, make_named, min_apex_size
 from .minors import is_minor
 from .obstructions import (
     load_catalog,
@@ -34,13 +34,15 @@ EXIT_USAGE = 2
 def _read_graph(spec: str, fmt: str) -> Graph:
     """A graph argument: a named graph, a graph6 literal, or a file path."""
     if os.path.exists(spec):
-        return load_graph(spec, fmt)
+        try:
+            return load_graph(spec, fmt)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"error: cannot read {spec} as {fmt}: {exc}") from None
     try:
         return make_named(spec)
-    except ValueError:
-        pass
-    from .graphio import from_graph6
-
+    except ValueError as exc:
+        if _NAME_RE.match(spec.strip()):  # a graph name, but too large or malformed
+            raise SystemExit(f"error: {spec!r}: {exc}") from None
     try:
         return from_graph6(spec)
     except ValueError:
@@ -207,29 +209,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        sp.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
+
+    def graph_input(sp):
+        common(sp)
         sp.add_argument(
             "--format", choices=("g6", "edgelist"), default="g6", help="graph file format"
         )
-        sp.add_argument("--timing", action="store_true", help="print elapsed time to stderr")
 
     sp = sub.add_parser("check", help="class membership of a graph")
     sp.add_argument("--class", dest="cls", required=True,
                     choices=[c.value for c in ClassId])
     sp.add_argument("graph", help="file, graph name (Z, K4, 2K3, ...), or graph6")
-    common(sp)
+    graph_input(sp)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("minor", help="is h a minor of g?")
     sp.add_argument("h")
     sp.add_argument("g")
-    common(sp)
+    graph_input(sp)
     sp.set_defaults(func=cmd_minor)
 
     sp = sub.add_parser("apex", help="minimum vertex deletions into a class")
     sp.add_argument("--class", dest="cls", default=ClassId.SUB_UNICYCLIC.value,
                     choices=[c.value for c in ClassId])
     sp.add_argument("graph")
-    common(sp)
+    graph_input(sp)
     sp.set_defaults(func=cmd_apex)
 
     sp = sub.add_parser("verify-catalog", help="re-verify a shipped obstruction catalog")

@@ -104,7 +104,9 @@ def load_graph(path: str, fmt: str = "g6") -> Graph:
     with open(path) as fh:
         text = fh.read()
     if fmt == "g6":
-        first = next(ln for ln in text.splitlines() if ln.strip())
+        first = next((ln for ln in text.splitlines() if ln.strip()), None)
+        if first is None:
+            raise ValueError("no graph in the file")
         return from_graph6(first)
     if fmt == "edgelist":
         return from_edgelist(text)

@@ -30,7 +30,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+            raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES} (the vertex limit)")
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -173,8 +173,7 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count() if hasattr(mask, "bit_count") else bin(mask).count("1")
+popcount = int.bit_count  # number of set bits of a mask
 
 
 # -- named constructions ----------------------------------------------------
@@ -209,7 +208,7 @@ def butterfly_graph() -> Graph:
 def disjoint_union(*graphs: Graph) -> Graph:
     n = sum(g.n for g in graphs)
     if n > MAX_VERTICES:
-        raise ValueError(f"union has {n} > {MAX_VERTICES} vertices")
+        raise ValueError(f"union has {n} vertices, above the {MAX_VERTICES}-vertex limit")
     adj: list[int] = []
     off = 0
     for g in graphs:

@@ -23,7 +23,7 @@ are computed.  T and G come out with non-negative integer coefficients
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Union
@@ -250,9 +250,9 @@ def solve_T_diamond(truncation: int) -> tuple[PowerSeries, PowerSeries]:
 class SeriesSystemSolution:
     """All series of the tree system at one truncation order.
 
-    The coefficients are ints.  T_triangle and T_sq_to_tri are one series
-    (each triangle node has exactly one square neighbour), held in both
-    fields.
+    The coefficients are ints.  T_triangle also counts the trees rooted at
+    a square-to-triangle edge (each triangle node has exactly one square
+    neighbour), so the dissymmetry sum holds no separate field for them.
     """
 
     T_diamond: PowerSeries
@@ -260,7 +260,6 @@ class SeriesSystemSolution:
     T_circ: PowerSeries
     T_square: PowerSeries
     T_triangle: PowerSeries
-    T_sq_to_tri: PowerSeries
     T_tri_to_circ: PowerSeries
     T: PowerSeries
     G: PowerSeries
@@ -271,9 +270,7 @@ class SeriesSystemSolution:
 
     def truncated(self, truncation: int) -> SeriesSystemSolution:
         return SeriesSystemSolution(
-            *(getattr(self, f).truncate(truncation) for f in (
-                "T_diamond", "T_star", "T_circ", "T_square", "T_triangle",
-                "T_sq_to_tri", "T_tri_to_circ", "T", "G"))
+            *(getattr(self, f.name).truncate(truncation) for f in fields(self))
         )
 
 
@@ -317,14 +314,12 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
     for name, ints in (("T", t), ("G", g)):
         if any(v < 0 for v in ints):
             raise AssertionError(f"{name} has a negative coefficient")
-    triangle = PowerSeries(tuple(t_triangle))
     return SeriesSystemSolution(
         T_diamond=d,
         T_star=star,
         T_circ=PowerSeries(tuple(t_circ)),
         T_square=PowerSeries(tuple(t_square)),
-        T_triangle=triangle,
-        T_sq_to_tri=triangle,
+        T_triangle=PowerSeries(tuple(t_triangle)),
         T_tri_to_circ=PowerSeries(tuple(t_tri_to_circ)),
         T=PowerSeries(tuple(t)),
         G=PowerSeries(tuple(g)),

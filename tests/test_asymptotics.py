@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import apexobs.asymptotics
 from apexobs.asymptotics import (
     asymptotics_report,
     check_Z1_vanishes,
@@ -199,6 +200,21 @@ class TestScalarSolve:
         direct = eval_series(sol.T_diamond, x)
         assert solve_y_at(sol, x) == pytest.approx(direct, rel=1e-10)
 
+    def test_stops_near_the_singularity(self, sol, sp, monkeypatch):
+        # at eps = 0.02 the iterate ends up alternating between two doubles;
+        # the stop on a step that no longer shrinks must end the solve there
+        x = sp.x0 * (1.0 - 0.02 ** 2)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return eval_F(*args, **kwargs)
+
+        monkeypatch.setattr(apexobs.asymptotics, "eval_F", counted)
+        y = solve_y_at(sol, x)
+        assert len(calls) < 30
+        assert abs(eval_F(x, y, sol).F - y) <= 1e-14
+
 
 class TestEvalSeries:
     def test_coefficient_beyond_float_range(self):
@@ -224,6 +240,7 @@ class TestReportRegression:
         assert report["h0"] == pytest.approx(0.5773490598522706, rel=1e-12)
         assert report["c_T"] == pytest.approx(0.27160778986849554, rel=1e-12)
         assert report["c_G"] == pytest.approx(0.33997646454813896, rel=1e-12)
+        assert report["x2_coefficient_fit"] == pytest.approx(0.23820064532403082, rel=1e-9)
 
     def test_spreads_reported(self, report):
         for name in ("c_T", "c_G"):

@@ -66,6 +66,34 @@ class TestCheck:
     def test_unknown_graph_is_usage_error(self, capsys):
         assert run(["check", "--class", "forest", "NOPE@@@"]) == 2
 
+    @pytest.mark.parametrize(
+        "fmt,text",
+        [
+            ("g6", ""),              # no graph in the file
+            ("g6", "\n  \n"),
+            ("edgelist", "2 1\n1 1\n"),  # a loop
+            ("edgelist", "2 1\n0 x\n"),  # not a vertex number
+        ],
+    )
+    def test_bad_graph_file_is_usage_error(self, tmp_path, capsys, fmt, text):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert run(["check", "--format", fmt, "--class", "forest", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(p) in captured.err and captured.out == ""
+
+    def test_directory_is_usage_error(self, tmp_path, capsys):
+        assert run(["check", "--class", "forest", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_graph_name_above_vertex_limit(self, capsys):
+        assert run(["minor", "K3", "K40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: 'K40'") and err.count("\n") == 1
+        assert "32" in err and "limit" in err
+
 
 class TestSubcommands:
     def test_minor(self, capsys):
@@ -128,6 +156,20 @@ class TestSubcommands:
     def test_removed_flags_rejected(self):
         assert run(["gen-cacti", "--k", "4", "--verify", "--allow-expensive"]) == 2
         assert run(["verify-catalog", "--k", "0", "--threads", "2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-catalog", "--k", "0"),
+            ("search", "--k", "0", "--max-n", "3"),
+            ("gen-cacti", "--k", "1"),
+            ("enumerate", "--n", "3"),
+            ("asymptotics", "--N", "64"),
+        ],
+    )
+    def test_format_only_where_graphs_are_read(self, capsys, argv):
+        assert run([*argv, "--format", "g6"]) == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_usage_error_exit_2(self):
         assert run(["definitely-not-a-command"]) == 2

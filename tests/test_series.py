@@ -158,10 +158,6 @@ class TestSystem:
         assert list(sol.T.integer_coeffs()[:11]) == T_KNOWN
         assert list(sol.G.integer_coeffs()[:11]) == G_KNOWN
 
-    def test_identical_rooted_pair(self):
-        sol = solve_system(12)
-        assert sol.T_sq_to_tri.coeffs == sol.T_triangle.coeffs
-
     def test_integrality_at_larger_order(self):
         sol = solve_system(48)
         assert sol.T.is_integral() and sol.G.is_integral()
@@ -221,12 +217,12 @@ def fraction_system(n: int) -> SeriesSystemSolution:
     t_tri_to_circ = (a4.scale(Fraction(1, 2)) + a2c.scale(Fraction(1, 2))).shift()
     t = t_square + t_triangle + t_circ - t_sq_to_tri - t_tri_to_circ
     return SeriesSystemSolution(
-        d, a, t_circ, t_square, t_triangle, t_sq_to_tri, t_tri_to_circ, t, mset(t)
+        d, a, t_circ, t_square, t_triangle, t_tri_to_circ, t, mset(t)
     )
 
 
 SYSTEM_FIELDS = ("T_diamond", "T_star", "T_circ", "T_square", "T_triangle",
-                 "T_sq_to_tri", "T_tri_to_circ", "T", "G")
+                 "T_tri_to_circ", "T", "G")
 
 
 class TestIntegerSystem:
