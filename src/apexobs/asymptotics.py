@@ -418,33 +418,6 @@ def estimate_constant(
     )
 
 
-def empirical_radius(series: PowerSeries, at: int | None = None) -> float:
-    """Radius of convergence from coefficient ratios, 1/n-extrapolated.
-
-    r_n = a_n / a_{n+1} drifts like rho (1 + (alpha+1)/n); one elimination
-    step removes the 1/n term.
-    """
-    hi = series.truncation if at is None else at
-    a = series.coeffs
-    n = hi - 2
-    r0, r1 = float(a[n] / a[n + 1]), float(a[n + 1] / a[n + 2])
-    return r1 + n * (r1 - r0)
-
-
-def coefficient_slope(series: PowerSeries, rho: float, lo: int, hi: int) -> float:
-    """Least-squares slope of log(a_n rho^n) against log n over [lo, hi]."""
-    lrho = math.log(rho)
-    xs, ys = [], []
-    for n in range(lo, hi + 1):
-        xs.append(math.log(n))
-        ys.append(_log_abs(series.coeffs[n]) + n * lrho)
-    mx = sum(xs) / len(xs)
-    my = sum(ys) / len(ys)
-    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    den = sum((x - mx) ** 2 for x in xs)
-    return num / den
-
-
 # -- the Z1-vanishing identity -----------------------------------------------------
 
 
@@ -479,9 +452,12 @@ def check_Z1_vanishes(
     sol: SeriesSystemSolution,
     truncations: tuple[int, ...] = (64, 96, 128),
     tol: float = 1e-13,
+    saddle: SaddlePoint | None = None,
 ) -> Z1Report:
     """Solve the saddle at each truncation; evaluate the identity against
-    the reference (full-truncation) series.
+    the reference (full-truncation) series.  ``saddle``, if given, is the
+    saddle already solved on ``sol`` itself at ``tol`` and stands for the
+    truncation ``sol.truncation``.
 
     The residual then measures how far truncation displaces the saddle from
     the true identity.  The tails converge geometrically (ratio rho ~ 0.16),
@@ -492,8 +468,11 @@ def check_Z1_vanishes(
     residuals = {}
     values = {}
     for n in truncations:
-        sub = sol.truncated(n) if n < sol.truncation else sol
-        sp = solve_saddle(sub, tol=tol, min_truncation=4)
+        if saddle is not None and n == sol.truncation:
+            sp = saddle
+        else:
+            sub = sol.truncated(n) if n < sol.truncation else sol
+            sp = solve_saddle(sub, tol=tol, min_truncation=4)
         r = z1_identity_residual(sol, sp)
         residuals[n] = abs(r)
         p = eval_F(sp.x0, sp.y0, sol, sp.tail_truncation)
@@ -511,7 +490,9 @@ def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
     n = sol.truncation
     est_T = estimate_constant(sol.T, sp.x0, 1.5, (max(1, n // 2), n))
     est_G = estimate_constant(sol.G, sp.x0, 1.5, (max(1, n // 2), n))
-    z1 = check_Z1_vanishes(sol, truncations=tuple(t for t in (64, 96, 128) if t <= n))
+    z1 = check_Z1_vanishes(
+        sol, truncations=tuple(t for t in (64, 96, 128) if t <= n), tol=tol, saddle=sp
+    )
     return {
         "N": n,
         "rho": sp.x0,

@@ -82,21 +82,25 @@ def to_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_pair(lineno: int, line: str, form: str) -> tuple[int, int]:
+    """The two ints of an edge-list line; ``ValueError`` naming the line otherwise."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise ValueError(
+            f"edge list line {lineno}: expected {form!r}, got {line.strip()!r}"
+        ) from None
+    return a, b
+
+
 def from_edgelist(text: str) -> Graph:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"bad edge-list header {lines[0]!r}")
-    n, m = int(head[0]), int(head[1])
+    n, m = _int_pair(*lines[0], "n m")
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list header promises {m} edges, found {len(lines)-1}")
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    return Graph(n, edges)
+    return Graph(n, [_int_pair(i, ln, "u v") for i, ln in lines[1:]])
 
 
 def load_graph(path: str, fmt: str = "g6") -> Graph:

@@ -8,8 +8,6 @@ import apexobs.asymptotics
 from apexobs.asymptotics import (
     asymptotics_report,
     check_Z1_vanishes,
-    coefficient_slope,
-    empirical_radius,
     estimate_constant,
     eval_F,
     eval_series,
@@ -158,6 +156,29 @@ class TestEstimateConstant:
             estimate_constant(PowerSeries.from_coeffs([0, -1, 2, 1]), 0.5)
 
 
+def empirical_radius(series: PowerSeries) -> float:
+    """Radius of convergence from coefficient ratios, 1/n-extrapolated.
+
+    r_n = a_n / a_{n+1} drifts like rho (1 + (alpha+1)/n); one elimination
+    step removes the 1/n term.
+    """
+    a = series.coeffs
+    n = series.truncation - 2
+    r0, r1 = a[n] / a[n + 1], a[n + 1] / a[n + 2]
+    return r1 + n * (r1 - r0)
+
+
+def coefficient_slope(series: PowerSeries, rho: float, lo: int, hi: int) -> float:
+    """Least-squares slope of log(a_n rho^n) against log n over [lo, hi]."""
+    xs = [math.log(n) for n in range(lo, hi + 1)]
+    ys = [math.log(series.coeffs[n]) + n * math.log(rho) for n in range(lo, hi + 1)]
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    den = sum((x - mx) ** 2 for x in xs)
+    return num / den
+
+
 class TestRadiusAndSlope:
     def test_empirical_radius_close(self, sol, sp):
         r = empirical_radius(sol.T)
@@ -186,6 +207,19 @@ class TestZ1Identity:
         rs = [rep.residuals[n] for n in (6, 10, 14)]
         assert rs[0] > rs[1] > rs[2]
         assert rs[0] > 1e-8
+
+    def test_given_saddle_stands_for_the_full_truncation(self, sol, sp, monkeypatch):
+        solved = []
+
+        def counted(sub, **kwargs):
+            solved.append(sub.truncation)
+            return solve_saddle(sub, **kwargs)
+
+        monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", counted)
+        reused = check_Z1_vanishes(sol, truncations=(128, N), saddle=sp)
+        assert solved == [128]
+        monkeypatch.undo()
+        assert reused == check_Z1_vanishes(sol, truncations=(128, N))
 
     def test_perturbed_rho_has_power(self, sol):
         sp = solve_saddle(sol)
@@ -241,6 +275,17 @@ class TestReportRegression:
         assert report["c_T"] == pytest.approx(0.27160778986849554, rel=1e-12)
         assert report["c_G"] == pytest.approx(0.33997646454813896, rel=1e-12)
         assert report["x2_coefficient_fit"] == pytest.approx(0.23820064532403082, rel=1e-9)
+
+    def test_one_saddle_solve(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_saddle(*args, **kwargs)
+
+        monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", counted)
+        asymptotics_report(solve_system(64))
+        assert len(calls) == 1
 
     def test_spreads_reported(self, report):
         for name in ("c_T", "c_G"):

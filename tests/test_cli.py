@@ -83,6 +83,24 @@ class TestCheck:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert str(p) in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize(
+        "text,lineno,form",
+        [
+            ("3 1\n0 1 2\n", 2, "u v"),        # three numbers on an edge line
+            ("3 2\n0 1\n\n1 x\n", 4, "u v"),   # blank lines keep their numbers
+            ("3\n0 1\n", 1, "n m"),            # header without the edge count
+            ("a b\n", 1, "n m"),
+        ],
+    )
+    def test_malformed_edge_list_line_is_named(self, tmp_path, capsys, text, lineno, form):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        assert run(["check", "--format", "edgelist", "--class", "forest", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert f"line {lineno}:" in captured.err and repr(form) in captured.err
+        assert captured.out == ""
+
     def test_directory_is_usage_error(self, tmp_path, capsys):
         assert run(["check", "--class", "forest", str(tmp_path)]) == 2
         err = capsys.readouterr().err

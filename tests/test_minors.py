@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from apexobs.canonical import enumerate_graphs
+from apexobs.canonical import canonical_form, enumerate_graphs
 from apexobs.graphs import (
     Graph,
     butterfly_graph,
@@ -11,8 +11,11 @@ from apexobs.graphs import (
     disjoint_union,
     make_named,
     path_graph,
+    popcount,
 )
+import apexobs.minors
 from apexobs.minors import is_minor, max_triangle_packing_in_cactus
+from apexobs.obstructions import load_catalog
 
 from conftest import random_graph
 from oracles import oracle_is_minor
@@ -78,6 +81,92 @@ class TestIsMinor:
         for g in picks:
             h = random_graph(rng, rng.randint(2, 5), rng.random())
             assert is_minor(h, g) == oracle_is_minor(h, g), (h, g)
+
+
+def with_trees(rng, core: Graph, extra: int) -> Graph:
+    """core plus ``extra`` new vertices, each isolated or hung on an earlier
+    vertex, so the additions form pendant trees and small new components."""
+    edges = list(core.edges())
+    for v in range(core.n, core.n + extra):
+        if rng.random() >= 0.25:
+            edges.append((rng.randrange(v), v))
+    return Graph(core.n + extra, edges)
+
+
+class TestPrunes:
+    """The cycle-rank refutation and the 2-core host reduction."""
+
+    def test_catalog_patterns_on_hosts_with_trees(self, rng):
+        # every catalog graph on <= 8 vertices (all of minimum degree >= 2,
+        # so the host is cut to its 2-core) against hosts built from it: the
+        # graph itself, one edge deleted, one contracted or one subdivided,
+        # then pendant trees, isolated vertices and a K2 component added
+        patterns = [
+            rec.graph for k in (0, 1) for rec in load_catalog(k).records if rec.graph.n <= 8
+        ]
+        assert len(patterns) == 25 and all(min(map(popcount, h.adj)) >= 2 for h in patterns)
+        answers = []
+        for h in patterns:
+            for _ in range(3):
+                u, v = rng.choice(list(h.edges()))
+                core = rng.choice([
+                    h,
+                    h.delete_edge(u, v),
+                    h.contract_edge(u, v),
+                    Graph(h.n + 1, [e for e in h.edges() if e != (u, v)] + [(u, h.n), (h.n, v)]),
+                ])
+                room = h.n + 2 - core.n  # keeps the oracle to seconds
+                if room >= 3 and rng.random() < 0.5:
+                    core, room = disjoint_union(core, make_named("K2")), room - 2
+                g = with_trees(rng, core, room)
+                answers.append(is_minor(h, g))
+                assert answers[-1] == oracle_is_minor(h, g), (h, g)
+        assert 0 < sum(answers) < len(answers)
+
+    @pytest.mark.parametrize("h", [
+        pytest.param(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]), id="paw"),
+        pytest.param(disjoint_union(path_graph(3), make_named("K3")), id="P3+K3"),
+    ])
+    def test_pattern_with_a_leaf_keeps_the_host(self, rng, h):
+        # h has a vertex of degree 1, so the host's pendant vertices can carry
+        # it; the hosts here all have a smaller 2-core
+        fixed = [
+            Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]),  # K3 with a tail
+            Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (0, 4)]),          # K3, two leaves, K1
+        ]
+        hosts = fixed + [
+            with_trees(rng, random_graph(rng, rng.randint(3, 5), 0.6), rng.randint(1, 3))
+            for _ in range(25)
+        ]
+        answers = []
+        for g in hosts:
+            assert min(map(popcount, g.adj)) <= 1
+            answers.append(is_minor(h, g))
+            assert answers[-1] == oracle_is_minor(h, g), (h, g)
+        assert any(answers) and not all(answers)
+
+    @pytest.mark.parametrize("h,g", [
+        pytest.param(make_named("K4-"), cycle_graph(8), id="cycle-host"),
+        pytest.param(
+            make_named("K4-"), Graph(7, [(v, (v - 1) // 2) for v in range(1, 7)]), id="tree-host"
+        ),
+        # equal cycle rank, but the 2-core of K3 with a 5-vertex tail is too small
+        pytest.param(
+            cycle_graph(5),
+            Graph(8, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]),
+            id="small-2-core",
+        ),
+    ])
+    def test_refuted_before_any_canonical_form(self, monkeypatch, h, g):
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return canonical_form(graph)
+
+        monkeypatch.setattr(apexobs.minors, "canonical_form", counted)
+        assert not is_minor(h, g)
+        assert calls == []
 
 
 class TestCactusCharacterization:
