@@ -31,7 +31,7 @@ from .graphs import (
 from .minors import max_triangle_packing_in_cactus
 from .obstructions import is_obstruction
 
-MAX_LEVEL = 6  # 5 + 4(k-1) vertices; k=6 gives 25 <= 32
+MAX_LEVEL = 7  # 5 + 4(k-1) vertices; k=7 gives 29 <= 32, k=8 would give 33
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     """All k-butterfly-cacti up to isomorphism, with central vertices tracked.
 
     Deduplication by canonical form happens at every recursion level to keep
-    the frontier small.  Counts for k = 1..6: 1, 1, 3, 7, 25, 88.
+    the frontier small.  Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
     """
     if not 1 <= k <= MAX_LEVEL:
         raise ValueError(f"k must be in 1..{MAX_LEVEL}")

@@ -714,6 +714,23 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
 # -- one-step minors ---------------------------------------------------------
 
 
+def _one_step_children(g: Graph) -> Iterator[Graph]:
+    """The one-step minors of g lazily, repeats included.
+
+    The contraction of every edge of ``g.edges()``, then the deletion of
+    every edge, then one isolated-vertex deletion if g has an isolated vertex
+    (all such deletions give the same child).  Contractions come first
+    because each drops a vertex, and a minor test has to drop ``g.n - h.n``.
+    """
+    for u, v in g.edges():
+        yield g.contract_edge(u, v)
+    for u, v in g.edges():
+        yield g.delete_edge(u, v)
+    iso = next((v for v in range(g.n) if g.adj[v] == 0), None)
+    if iso is not None:
+        yield g.delete_vertices([iso])
+
+
 def one_step_minors(g: Graph) -> tuple[Graph, ...]:
     """All graphs one elementary minor operation below g, up to isomorphism.
 
@@ -724,12 +741,6 @@ def one_step_minors(g: Graph) -> tuple[Graph, ...]:
     from .canonical import canonical_form
 
     seen: dict[bytes, Graph] = {}
-    for u, v in g.edges():
-        for child in (g.delete_edge(u, v), g.contract_edge(u, v)):
-            seen.setdefault(canonical_form(child), child)
-    for v in range(g.n):
-        if g.adj[v] == 0:
-            child = g.delete_vertices([v])
-            seen.setdefault(canonical_form(child), child)
-            break  # all isolated vertices give the same child
+    for child in _one_step_children(g):
+        seen.setdefault(canonical_form(child), child)
     return tuple(seen[k] for k in sorted(seen))

@@ -3,6 +3,7 @@
 The test is recursive descent over the proper-minor order: h is a minor of g
 iff h is isomorphic to g or h is a minor of some one-step minor of g (single
 edge deletion, single edge contraction, single isolated-vertex deletion).
+The children of g are built and tested one at a time, repeats included.
 Results are memoized on canonical-form pairs, so repeated queries against the
 same family of graphs stay cheap.
 
@@ -25,7 +26,7 @@ rank falls below h's.
 from __future__ import annotations
 
 from .canonical import canonical_form
-from .graphs import Graph, _block_masks, _strip, cyclomatic, one_step_minors, popcount
+from .graphs import Graph, _block_masks, _one_step_children, _strip, cyclomatic, popcount
 
 # (canonical_form(h), canonical_form(g)) -> bool.
 _memo: dict[tuple[bytes, bytes], bool] = {}
@@ -85,7 +86,7 @@ def _is_minor_uncached(h: Graph, g: Graph, key: tuple[bytes, bytes]) -> bool:
                 if is_minor(hh, gg):
                     return True
         return False
-    return any(is_minor(h, child) for child in one_step_minors(g))
+    return any(is_minor(h, child) for child in _one_step_children(g))
 
 
 def max_triangle_packing_in_cactus(g: Graph) -> int:

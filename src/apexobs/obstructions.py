@@ -22,6 +22,7 @@ from .graphio import from_graph6, to_graph6
 from .graphs import (
     ClassId,
     Graph,
+    _one_step_children,
     bridges,
     has_apex_set_within,
     is_connected,
@@ -103,15 +104,16 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     """Test minor-minimality of g outside the k-apex class, with diagnostics.
 
     membership step: g must NOT be k-apex (min_apex_size > k);
-    minimality step: every one-step minor must be k-apex.
+    minimality step: every one-step minor must be k-apex.  The raw children
+    are tested in generation order, with no canonical form: isomorphic
+    children get the same verdict, so repeats cost a test but change no
+    outcome, and the witness is the first child that is not k-apex.
     """
-    from .graphs import one_step_minors
-
     if k < 0:
         raise ValueError("k must be non-negative")
     if has_apex_set_within(g, cls, k):
         return ObstructionCheck(False, failed_step="membership")
-    for child in one_step_minors(g):
+    for child in _one_step_children(g):
         if not has_apex_set_within(child, cls, k):
             return ObstructionCheck(False, failed_step="minimality", witness=child)
     return ObstructionCheck(True)

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from apexobs.cacti import (
+    MAX_LEVEL,
     ButterflyCactus,
     apex_forest_bound_check,
     central_set,
@@ -51,7 +52,7 @@ class TestGenerateZ:
         with pytest.raises(ValueError):
             generate_Z(0)
         with pytest.raises(ValueError):
-            generate_Z(7)
+            generate_Z(MAX_LEVEL + 1)
 
     def test_members_are_cacti_with_triangle_blocks(self):
         for k in range(1, 5):
@@ -124,6 +125,15 @@ class TestTopLevels:
         assert b.graph.n == 25
         assert is_obstruction(b.graph, 5)
         assert count_forest_apex_sets(b.graph, 6) == 1
+
+    def test_z7_members_are_level_six_obstructions(self):
+        # 29 vertices, the largest level within the 32-vertex limit
+        assert MAX_LEVEL == 7
+        z7 = generate_Z(7)
+        assert len(z7) == 366  # T_7
+        for b in z7[::73]:
+            assert b.graph.n == 29
+            assert is_obstruction(b.graph, 6)
 
     def test_z5_member_fails_membership_at_level_five(self):
         check = check_obstruction(generate_Z(5)[0].graph, 5)

@@ -7,6 +7,7 @@ import pytest
 from apexobs.graphs import (
     ClassId,
     Graph,
+    _one_step_children,
     butterfly_graph,
     bridges,
     complete_graph,
@@ -311,3 +312,22 @@ class TestOneStepMinors:
             forms = [canonical_form(k) for k in kids]
             assert len(set(forms)) == len(forms)
             assert forms == sorted(forms)
+
+    def test_raw_children_in_edge_order(self, rng):
+        # every contraction, then every deletion, in edge order, then one
+        # isolated-vertex deletion; deduplicated they are exactly one_step_minors
+        isolated_seen = False
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 8), rng.random())
+            kids = list(_one_step_children(g))
+            expected = [g.contract_edge(u, v) for u, v in g.edges()]
+            expected += [g.delete_edge(u, v) for u, v in g.edges()]
+            if 0 in g.adj:
+                isolated_seen = True
+                assert kids[-1].n == g.n - 1 and kids[-1].num_edges() == g.num_edges()
+                kids = kids[:-1]
+            assert kids == expected
+            assert {canonical_form(k) for k in _one_step_children(g)} == {
+                canonical_form(k) for k in one_step_minors(g)
+            }
+        assert isolated_seen

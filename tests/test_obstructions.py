@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+import apexobs.canonical
+from apexobs.cacti import generate_Z
 from apexobs.canonical import canonical_form
 from apexobs.graphio import from_graph6
 from apexobs.graphs import (
@@ -12,9 +15,12 @@ from apexobs.graphs import (
     butterfly_graph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
+    has_apex_set_within,
     is_connected,
     is_in_class,
     make_named,
+    one_step_minors,
     path_graph,
 )
 from apexobs.minors import is_minor
@@ -31,6 +37,7 @@ from apexobs.obstructions import (
     verify_catalog,
 )
 
+from conftest import random_graph
 from oracles import oracle_min_apex
 
 
@@ -62,6 +69,86 @@ class TestIsObstruction:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             is_obstruction(make_named("K3"), -1)
+
+
+def reference_check(g: Graph, k: int) -> tuple[bool, str | None]:
+    """The obstruction test over the deduplicated children of one_step_minors.
+
+    Those children are first checked against every edge deletion and
+    contraction and every isolated-vertex deletion, built here one by one.
+    """
+    built = [g.delete_edge(u, v) for u, v in g.edges()]
+    built += [g.contract_edge(u, v) for u, v in g.edges()]
+    built += [g.delete_vertices([v]) for v in range(g.n) if g.adj[v] == 0]
+    children = one_step_minors(g)
+    assert {canonical_form(c) for c in built} == {canonical_form(c) for c in children}
+    cls = ClassId.SUB_UNICYCLIC
+    if has_apex_set_within(g, cls, k):
+        return False, "membership"
+    if any(not has_apex_set_within(c, cls, k) for c in children):
+        return False, "minimality"
+    return True, None
+
+
+def assert_matches_reference(g: Graph, k: int) -> str | None:
+    check = check_obstruction(g, k)
+    assert (check.is_obstruction, check.failed_step) == reference_check(g, k), (g, k)
+    if check.failed_step != "minimality":
+        assert check.witness is None
+        return check.failed_step
+    w = check.witness
+    assert w.num_edges() < g.num_edges() or w.n < g.n
+    assert canonical_form(w) in {canonical_form(c) for c in one_step_minors(g)}
+    assert oracle_min_apex(w, ClassId.SUB_UNICYCLIC.value) > k
+    return "minimality"
+
+
+class TestRawChildren:
+    """check_obstruction tests raw one-step children against the dedup reference."""
+
+    def test_catalog_records_around_their_level(self):
+        steps = set()
+        for cat_k in (0, 1):
+            for rec in load_catalog(cat_k).records:
+                for k in (rec.k - 1, rec.k, rec.k + 1):
+                    if k >= 0:
+                        steps.add(assert_matches_reference(rec.graph, k))
+        assert steps == {None, "membership", "minimality"}
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_butterfly_cacti_below_their_level(self, level):
+        for b in generate_Z(level):
+            assert assert_matches_reference(b.graph, level - 1) is None
+            assert assert_matches_reference(b.graph, level - 2) == "minimality"
+
+    def test_random_graphs(self):
+        rng = random.Random(7007)
+        steps = []
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.7))
+            for k in (0, 1, 2):
+                steps.append(assert_matches_reference(g, k))
+        assert {"membership", "minimality"} <= set(steps)
+
+    def test_isolated_vertex(self):
+        # only the isolated-vertex deletion, generated last, leaves 2K3
+        g = disjoint_union(make_named("2K3"), Graph(1))
+        assert assert_matches_reference(g, 0) == "minimality"
+        witness = check_obstruction(g, 0).witness
+        assert witness.n == 6 and canonical_form(witness) == canonical_form(make_named("2K3"))
+
+    def test_no_canonical_form(self, monkeypatch):
+        g = generate_Z(5)[0].graph
+        calls = []
+        original = apexobs.canonical._canonical
+
+        def counting(h):
+            calls.append(h)
+            return original(h)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical", counting)
+        assert check_obstruction(g, 4).is_obstruction
+        assert calls == []
 
 
 class TestStructuralFilters:
