@@ -3,10 +3,23 @@
 The canonical form is computed by individualization-refinement: refine an
 ordered partition of the vertices to an equitable one, branch on the first
 non-singleton cell, and take the lexicographically smallest relabelled
-adjacency matrix over all branches.  Automorphisms discovered when two
-branches produce the same matrix are used to prune sibling branches, which
-keeps the search tree near-linear on the highly symmetric cactus graphs this
-package generates.
+adjacency matrix over all branches.
+
+Refinement counts neighbors only into the cells the previous pass created
+(the *fresh* cells): every other cell already has a constant count inside
+each cell, so counting against it could split nothing and would not change
+the order of the sub-cells.  At the root the fresh cell is the unit cell;
+below a branch it is the individualized vertex ``[v]``.
+
+Two prunes skip branch vertices whose subtrees are images of an explored
+sibling's subtree under an automorphism fixing the branch prefix, so they
+hold no leaf that the sibling's subtree does not hold earlier: a *twin* v of
+an explored sibling u (N(v) - {u} = N(u) - {v}, so the transposition (u v) is
+an automorphism), and a vertex that automorphisms found from two leaves with
+the same matrix map onto an explored sibling.  The first smallest leaf in
+search order is never pruned, so the form and the labeling do not depend on
+either prune.  This keeps the search tree near-linear on the highly
+symmetric cactus graphs this package generates.
 
 Two graphs have equal canonical forms iff they are isomorphic.
 """
@@ -15,67 +28,92 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, bits, popcount
+from .graphs import Graph, popcount
 
 _CACHE_SIZE = 1 << 18
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]
+) -> list[list[int]]:
     """Refine an ordered partition until it is equitable.
 
-    Each pass splits every cell by the vector of neighbor counts into all
-    current cells; splitting is deterministic (sub-cells ordered by their
-    count signature) so the refined partition is isomorphism-invariant.
+    Each pass splits every cell by the vector of its neighbor counts into the
+    fresh cells (``fresh`` holds their indices into ``cells``, ascending), and
+    the sub-cells the pass creates are the fresh cells of the next pass.
+    Splitting is deterministic (sub-cells ordered by their count vector) so
+    the refined partition is isomorphism-invariant.  A cell with no neighbor
+    in a fresh cell has all counts 0 and stays whole.
+
+    Precondition: inside each cell, the neighbor count into each cell that is
+    not fresh is constant.  Then the count vectors into *all* cells differ
+    only at the fresh positions, so the splits and the sub-cell order are
+    those of counting against every cell.  It holds for the unit partition
+    with ``fresh=[0]``, and for an equitable partition with one cell split
+    into ``[v]`` and the rest, with ``fresh`` the index of ``[v]``: a count
+    into the rest is the count into the old cell minus adjacency to v.  Each
+    pass keeps it, since a cell it does not split was either fresh, and so
+    split every cell by its counts, or already had constant counts.
     """
-    while True:
+    while fresh:
         masks = []
-        for cell in cells:
+        for i in fresh:
             m = 0
-            for v in cell:
+            for v in cells[i]:
                 m |= 1 << v
             masks.append(m)
         new_cells: list[list[int]] = []
-        changed = False
+        fresh = []
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sig = {}
-            for v in cell:
-                key = tuple(popcount(adj[v] & m) for m in masks)
-                sig.setdefault(key, []).append(v)
-            if len(sig) == 1:
-                new_cells.append(cell)
-                continue
-            changed = True
-            for key in sorted(sig):
-                new_cells.append(sig[key])
+            if len(cell) > 1:
+                if len(masks) == 1:
+                    m = masks[0]
+                    keys = [popcount(adj[v] & m) for v in cell]
+                else:
+                    keys = [tuple([popcount(adj[v] & m) for m in masks]) for v in cell]
+                if keys.count(keys[0]) != len(keys):
+                    sig = {}
+                    for v, key in zip(cell, keys):
+                        sig.setdefault(key, []).append(v)
+                    for key in sorted(sig):
+                        fresh.append(len(new_cells))
+                        new_cells.append(sig[key])
+                    continue
+            new_cells.append(cell)
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
-def _matrix_bytes(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:
-    """Adjacency matrix bytes after relabelling: position i gets vertex order[i]."""
-    pos = [0] * n
+def _certificate(adj: tuple[int, ...], order: list[int]) -> int:
+    """Relabelled adjacency matrix (position i gets vertex order[i]) as one int.
+
+    Row i is the 32-bit mask of the positions adjacent to position i; rows are
+    concatenated first row most significant, so ``to_bytes(4 * n, "big")``
+    gives the matrix bytes, and for a fixed n comparing two certificates
+    compares those bytes.
+    """
+    at = [0] * len(order)
     for i, v in enumerate(order):
-        pos[v] = i
-    rows = bytearray()
+        at[v] = 1 << i
+    cert = 0
     for v in order:
+        a = adj[v]
         row = 0
-        for u in bits(adj[v]):
-            row |= 1 << pos[u]
-        rows += row.to_bytes(4, "big")
-    return bytes(rows)
+        while a:
+            low = a & -a
+            row |= at[low.bit_length() - 1]
+            a ^= low
+        cert = cert << 32 | row
+    return cert
 
 
 def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
-    """Individualization-refinement with orbit pruning (see module docstring)."""
+    """Individualization-refinement with twin and orbit pruning (see module docstring)."""
     n, adj = g.n, g.adj
     if n == 0:
         return b"", []
-    best: bytes | None = None
-    best_order: list[int] | None = None
+    best = -1
+    best_order: list[int] = []
     gens: list[tuple[int, ...]] = []
 
     def find(parent: list[int], x: int) -> int:
@@ -84,14 +122,14 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
             x = parent[x]
         return x
 
-    def descend(cells: list[list[int]], fixed: tuple[int, ...]) -> None:
+    def descend(cells: list[list[int]], fresh: list[int], fixed: tuple[int, ...]) -> None:
         nonlocal best, best_order
-        cells = _refine(adj, cells)
+        cells = _refine(adj, cells, fresh)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target is None:
             order = [c[0] for c in cells]
-            s = _matrix_bytes(n, adj, order)
-            if best is None or s < best:
+            s = _certificate(adj, order)
+            if best < 0 or s < best:
                 best, best_order = s, order
             elif s == best:
                 sigma = [0] * n
@@ -105,6 +143,11 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
         folded = 0
         for v in cell:
             if explored:
+                # skip v if it is a twin of an explored sibling u: the
+                # transposition (u v) is an automorphism fixing `fixed`
+                av = adj[v]
+                if any(av & ~(1 << u) == adj[u] & ~(1 << v) for u in explored):
+                    continue
                 # fold in automorphisms (old and newly found) fixing `fixed`;
                 # skip v if one maps an explored sibling onto it
                 while folded < len(gens):
@@ -120,10 +163,10 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
                     continue
             explored.append(v)
             rest = [u for u in cell if u != v]
-            descend(cells[:target] + [[v], rest] + cells[target + 1:], fixed + (v,))
+            descend(cells[:target] + [[v], rest] + cells[target + 1:], [target], fixed + (v,))
 
-    descend([list(range(n))], ())
-    return best, best_order  # type: ignore[return-value]
+    descend([list(range(n))], [0], ())
+    return best.to_bytes(4 * n, "big"), best_order
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the code paths under test: minor
 containment is decided by enumerating partition models, class membership and
-connectivity go through networkx, isomorphism through networkx VF2, and the
-tree census through an AHU certificate.  Slow is fine; these run on small
+connectivity go through networkx, isomorphism through networkx VF2, the
+tree census through an AHU certificate, and partition refinement counts
+neighbors into every cell on every pass.  Slow is fine; these run on small
 graphs only.
 """
 
@@ -25,6 +26,28 @@ def to_nx(g: Graph) -> nx.Graph:
 
 def nx_isomorphic(g: Graph, h: Graph) -> bool:
     return nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
+def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Refine an ordered partition until it is equitable, counting into all cells.
+
+    Each pass splits every cell by the vector of neighbor counts into every
+    current cell, sub-cells ordered by that vector, until a pass splits
+    nothing.  The library's refinement counts only into the cells the
+    previous pass created and must give the same ordered partition.
+    """
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            sig: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(bin(adj[v] & m).count("1") for m in masks)
+                sig.setdefault(key, []).append(v)
+            new_cells.extend(sig[key] for key in sorted(sig))
+        if len(new_cells) == len(cells):
+            return cells
+        cells = new_cells
 
 
 # -- class membership ----------------------------------------------------------

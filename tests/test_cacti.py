@@ -270,10 +270,29 @@ class TestCountCrossCheck:
         # connected + disconnected obstruction counts against the multiset
         # series: the count at level k exceeds [x^(k+1)]G by exactly 1,
         # the exceptional (k+2)K3 not being a union of butterfly-cacti
+        from apexobs.cacti import cactus_obstruction_family
         from apexobs.series import solve_system
 
-        sol = solve_system(8)
-        g = sol.G.integer_coeffs()
-        for k in (1, 2, 3):
+        g = solve_system(8).G.integer_coeffs()
+        sizes = []
+        for k in (1, 2, 3, 4):
             total = len(generate_Z(k + 1)) + len(disconnected_obstructions(k))
             assert total == g[k + 1] + 1
+            assert len(cactus_obstruction_family(k)) == total
+            sizes.append(total)
+        assert sizes == [3, 6, 14, 42]
+
+    def test_abstract_lower_bound_exact(self):
+        # the abstract: at least 0.34 * k^-2.5 * 6.278^k obstructions at
+        # level k; with 0.34 = 17/50 and 6.278 = 3139/500, squared and
+        # cleared of denominators, in exact ints for every k < 512
+        from apexobs.series import solve_system
+
+        g = solve_system(512).G.integer_coeffs()
+
+        def holds(count: int, k: int) -> bool:
+            return count**2 * k**5 * 50**2 * 500 ** (2 * k) >= 17**2 * 3139 ** (2 * k)
+
+        assert all(holds(g[k + 1] + 1, k) for k in range(1, 512))
+        # the exceptional (k+2)K3 is needed: G_2 = 2 < 0.34 * 6.278
+        assert not holds(g[2], 1)

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from apexobs.cacti import _attach_butterfly, generate_Z
 from apexobs.canonical import (
+    _refine,
     are_isomorphic,
     canonical_form,
     canonical_graph,
@@ -13,10 +16,34 @@ from apexobs.canonical import (
     enumerate_graphs,
     graphs_up_to,
 )
-from apexobs.graphs import Graph, complete_graph, cycle_graph, disjoint_union, make_named
+from apexobs.graphs import (
+    Graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    make_named,
+    path_graph,
+)
 
 from conftest import random_graph
-from oracles import nx_isomorphic
+from oracles import nx_isomorphic, reference_refine
+
+
+def add_twins_and_pendants(rng: random.Random, g: Graph, extra: int) -> Graph:
+    """g plus `extra` new vertices, each a copy of a random vertex (with or
+    without the edge to it) or a pendant vertex hanging off one."""
+    for _ in range(extra):
+        v = rng.randrange(g.n)
+        kind = rng.choice(("twin", "true twin", "pendant"))
+        nb = 1 << v if kind == "pendant" else g.adj[v] | (1 << v if kind == "true twin" else 0)
+        g = g.add_vertex(nb)
+    return g
+
+
+def complete_multipartite(*parts: int) -> Graph:
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]])
 
 
 @st.composite
@@ -64,6 +91,20 @@ class TestCanonicalForm:
             g = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             h = random_graph(rng, n, rng.choice([0.2, 0.5, 0.8]))
             assert are_isomorphic(g, h) == nx_isomorphic(g, h)
+        # duplicated and pendant vertices, where twin pruning skips branches
+        outcomes = set()
+        for _ in range(300):
+            base = random_graph(rng, rng.randint(1, 6), rng.choice([0.3, 0.6]))
+            extra = rng.randint(1, 4)
+            g = add_twins_and_pendants(rng, base, extra)
+            h = add_twins_and_pendants(rng, base, extra)
+            perm = list(range(h.n))
+            rng.shuffle(perm)
+            h = h.relabel(perm)
+            same = nx_isomorphic(g, h)
+            assert are_isomorphic(g, h) == same
+            outcomes.add(same)
+        assert outcomes == {True, False}
 
     def test_canonical_graph_is_fixed_point(self, rng):
         for _ in range(50):
@@ -80,15 +121,85 @@ class TestCanonicalForm:
 
     def test_highly_symmetric(self):
         # automorphism-rich graphs must still canonicalize (and fast)
+        z5 = generate_Z(5)
         for g in (
             complete_graph(12),
             Graph(12),
             disjoint_union(*[cycle_graph(3)] * 6),
             disjoint_union(*[cycle_graph(5)] * 3),
+            complete_multipartite(1, 12),  # K_{1,12}
+            complete_multipartite(3, 7),  # K_{3,7}
+            disjoint_union(*[path_graph(2)] * 6, Graph(4)),  # 6K2 + 4K1
+            complete_multipartite(2, 2, 2, 2),  # K_{2,2,2,2}
+            z5[0].graph,
+            z5[-1].graph,
         ):
             perm = list(range(g.n))
             random.Random(1).shuffle(perm)
             assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
+class TestRefine:
+    """The fresh-cell refinement gives the all-cells reference's ordered partition."""
+
+    @staticmethod
+    def pool(rng: random.Random) -> list[Graph]:
+        randoms = [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(150)]
+        return randoms + [b.graph for b in generate_Z(4)]
+
+    def test_unit_partition(self, rng):
+        for g in self.pool(rng):
+            unit = [list(range(g.n))]
+            assert _refine(g.adj, unit, [0]) == reference_refine(g.adj, unit)
+
+    def test_one_vertex_individualized(self, rng):
+        # every equitable partition on the search path that always branches
+        # on the first vertex, with each vertex of its first non-singleton
+        # cell individualized in turn
+        checked = 0
+        for g in self.pool(rng):
+            cells = reference_refine(g.adj, [list(range(g.n))])
+            while any(len(c) > 1 for c in cells):
+                t = next(i for i, c in enumerate(cells) if len(c) > 1)
+                children = [
+                    cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
+                    for v in cells[t]
+                ]
+                for child in children:
+                    assert _refine(g.adj, child, [t]) == reference_refine(g.adj, child)
+                    checked += 1
+                cells = reference_refine(g.adj, children[0])
+        assert checked > 1000
+
+
+class TestPinnedOutput:
+    def test_forms_and_labelings_unchanged(self):
+        # sha256 of every (form, labeling) over a fixed pool, as computed by
+        # the search that refined against all cells and pruned no twins: the
+        # order of enumerate_graphs and generate_Z and the search's record
+        # names depend on these bytes
+        pool = [
+            g.add_vertex(nb)
+            for n in range(6)
+            for g in enumerate_graphs(n)
+            for nb in range(1 << n)
+        ]
+        pool += [
+            _attach_butterfly(b, v).graph
+            for k in range(1, 5)
+            for b in generate_Z(k)
+            for v in range(b.graph.n)
+            if v not in b.central_vertices
+        ]
+        rng = random.Random(8)
+        pool += [random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(200)]
+        assert len(pool) == 1307 + 132 + 200
+        digest = hashlib.sha256()
+        for g in pool:
+            digest.update(canonical_form(g) + bytes(canonical_labeling(g)))
+        assert digest.hexdigest() == (
+            "ac38ec0456fda0139014a039e701291e5ad81316df043ba098ce181cfd417601"
+        )
 
 
 class TestEnumeration:
