@@ -20,8 +20,9 @@ computes with the minor-obstructions of these classes at desk scale:
     butterfly-cacti: the connected cactus obstructions at every level,
     and the disconnected ones built from them.
 ``series``
-    exact truncated power series; the functional-equation system whose
-    solution counts butterfly-cacti (T) and their multisets (G).
+    int-only truncated power series, ``mset`` as the checked Euler
+    transform, and the functional-equation system whose solution counts
+    butterfly-cacti (T) and their multisets (G).
 ``asymptotics``
     saddle-point location of the singularity, square-root expansion
     coefficients, and asymptotic growth constants.
@@ -91,11 +92,8 @@ from .series import (
     PowerSeries,
     SeriesSystemSolution,
     mset,
-    mset2,
-    series_exp,
     solve_T_diamond,
     solve_system,
-    substitute_power,
 )
 from .asymptotics import (
     AsymptoticEstimate,
@@ -154,18 +152,15 @@ __all__ = [
     "make_named",
     "min_apex_size",
     "mset",
-    "mset2",
     "one_step_minors",
     "path_graph",
     "peripheral_blocks",
     "read_graph6_file",
     "search_obstructions",
-    "series_exp",
     "solve_T_diamond",
     "solve_saddle",
     "solve_system",
     "structural_filters",
-    "substitute_power",
     "to_edgelist",
     "to_graph6",
     "verify_catalog",

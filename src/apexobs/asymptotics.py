@@ -20,15 +20,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import PowerSeries, Rational, SeriesSystemSolution
+from .series import PowerSeries, SeriesSystemSolution
 
 DEFAULT_TAIL_K = 40
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
 TAIL_TERM_TOL = 1e-18
-
-
-def _log_abs(q: Rational) -> float:
-    return math.log(abs(q.numerator)) - math.log(q.denominator)
+SERIES_SUM_TOL = 1e-30  # relative size of the term that ends a series sum
+SADDLE_START = (0.15, 0.4)  # (x, y) where the saddle Newton starts
+SADDLE_MAX_ITER = 200
+BACKSUB_EPS = (0.05, 0.02)  # eps of the q1 gate's points x = rho(1 - eps^2)
+RICHARDSON_LEVELS = 3
 
 
 # (n, log|a_n|, a_n < 0) for every non-zero a_n with n >= 1
@@ -37,13 +38,13 @@ LogTerms = list[tuple[int, float, bool]]
 
 def _log_terms(series: PowerSeries) -> LogTerms:
     return [
-        (n, _log_abs(c), c < 0)
+        (n, math.log(abs(c)), c < 0)
         for n, c in enumerate(series.coeffs)
         if n and c
     ]
 
 
-def _sum_log_terms(a0: float, terms: LogTerms, z: float, tol: float = 1e-30) -> float:
+def _sum_log_terms(a0: float, terms: LogTerms, z: float) -> float:
     """a0 + sum a_n z^n over the precomputed log-coefficients, for z > 0."""
     lz = math.log(z)
     exp = math.exp
@@ -51,18 +52,18 @@ def _sum_log_terms(a0: float, terms: LogTerms, z: float, tol: float = 1e-30) -> 
     for n, la, negative in terms:
         term = -exp(la + n * lz) if negative else exp(la + n * lz)
         total += term
-        if n > 30 and abs(term) < tol * max(1.0, abs(total)):
+        if n > 30 and abs(term) < SERIES_SUM_TOL * max(1.0, abs(total)):
             break
     return total
 
 
-def eval_series(series: PowerSeries, z: float, tol: float = 1e-30) -> float:
+def eval_series(series: PowerSeries, z: float) -> float:
     """sum a_n z^n in doubles, robust to coefficients beyond float range."""
     if z == 0.0:
         return float(series.coeffs[0])
     if z < 0:
         raise ValueError("only non-negative arguments are supported")
-    return _sum_log_terms(float(series.coeffs[0]), _log_terms(series), z, tol)
+    return _sum_log_terms(float(series.coeffs[0]), _log_terms(series), z)
 
 
 def _tails(d: PowerSeries, x: float, tail_k: int) -> tuple[float, ...]:
@@ -193,15 +194,13 @@ class NewtonDivergence(RuntimeError):
 def solve_saddle(
     sol: SeriesSystemSolution,
     tol: float = 1e-13,
-    start: tuple[float, float] = (0.15, 0.4),
     tail_k: int = DEFAULT_TAIL_K,
-    max_iter: int = 200,
     min_truncation: int = MIN_SADDLE_TRUNCATION,
 ) -> SaddlePoint:
     """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point."""
     if sol.truncation < min_truncation:
         raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
-    x, y = start
+    x, y = SADDLE_START
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
         return (yy - p.F, 1.0 - p.Fy)
@@ -209,7 +208,7 @@ def solve_saddle(
     p = eval_F(x, y, sol, tail_k)
     r1, r2 = residuals(p, y)
     norm = abs(r1) + abs(r2)
-    for it in range(1, max_iter + 1):
+    for it in range(1, SADDLE_MAX_ITER + 1):
         if norm < tol:
             return SaddlePoint(x, y, tail_k, (r1, r2), it - 1)
         # Jacobian of (y - F, 1 - F_y)
@@ -234,8 +233,8 @@ def solve_saddle(
         x, y, p, r1, r2 = nx, ny, pn, nr1, nr2
         norm = abs(r1) + abs(r2)
     if norm < tol:
-        return SaddlePoint(x, y, tail_k, (r1, r2), max_iter)
-    raise NewtonDivergence(f"no convergence after {max_iter} iterations", (x, y))
+        return SaddlePoint(x, y, tail_k, (r1, r2), SADDLE_MAX_ITER)
+    raise NewtonDivergence(f"no convergence after {SADDLE_MAX_ITER} iterations", (x, y))
 
 
 # -- square-root expansion coefficients ----------------------------------------
@@ -283,7 +282,6 @@ def solve_y_at(sol: SeriesSystemSolution, x: float, tail_k: int = DEFAULT_TAIL_K
 def expansion_coeffs(
     sp: SaddlePoint,
     sol: SeriesSystemSolution,
-    eps_values: tuple[float, ...] = (0.05, 0.02),
     tail_k: int | None = None,
 ) -> ExpansionCoefficients:
     """Evaluate the closed-form expansion coefficients and gate q1.
@@ -309,7 +307,7 @@ def expansion_coeffs(
     )
     # back-substitution: residual r(eps) = y(rho(1-eps^2)) - (y0 - h0*eps)
     pairs = []
-    for eps in eps_values:
+    for eps in BACKSUB_EPS:
         xx = rho * (1.0 - eps * eps)
         r = solve_y_at(sol, xx, tail_k) - (y0 - h0 * eps)
         pairs.append((eps, r))
@@ -352,10 +350,10 @@ class AsymptoticEstimate:
         return self.c_fit * n ** (-self.alpha - 1.0) * self.rho ** (-n)
 
 
-def _richardson(points: list[tuple[int, float]], levels: int = 3) -> float:
+def _richardson(points: list[tuple[int, float]]) -> float:
     """Eliminate 1/n, 1/n^2, ... corrections from a sequence c_n -> c."""
     rows = points
-    for level in range(1, levels + 1):
+    for level in range(1, RICHARDSON_LEVELS + 1):
         nxt = []
         for (n1, c1), (n2, c2) in zip(rows, rows[1:]):
             f1, f2 = n1 ** -level, n2 ** -level
@@ -488,8 +486,8 @@ def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
     sp = solve_saddle(sol, tol=tol)
     ec = expansion_coeffs(sp, sol)
     n = sol.truncation
-    est_T = estimate_constant(sol.T, sp.x0, 1.5, (max(1, n // 2), n))
-    est_G = estimate_constant(sol.G, sp.x0, 1.5, (max(1, n // 2), n))
+    est_T = estimate_constant(sol.T, sp.x0)
+    est_G = estimate_constant(sol.G, sp.x0)
     z1 = check_Z1_vanishes(
         sol, truncations=tuple(t for t in (64, 96, 128) if t <= n), tol=tol, saddle=sp
     )

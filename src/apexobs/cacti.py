@@ -23,6 +23,7 @@ from .graphs import (
     butterfly_graph,
     _count_forest_sets,
     complete_graph,
+    cycle_graph,
     disjoint_union,
     has_apex_set_within,
     is_connected,
@@ -231,7 +232,6 @@ def connected_cacti_up_to(max_n: int) -> list[Graph]:
     this way); used as an independent candidate pool when re-checking that the
     butterfly-cacti are the only connected cactus obstructions.
     """
-    from .graphs import cycle_graph
 
     def glue_cycle(g: Graph, v: int, length: int) -> Graph:
         n = g.n

@@ -20,6 +20,7 @@ from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import _NAME_RE, ClassId, Graph, is_in_class, make_named, min_apex_size
 from .minors import is_minor
 from .obstructions import (
+    is_obstruction,
     load_catalog,
     search_obstructions,
     verify_catalog,
@@ -145,8 +146,6 @@ def cmd_gen_cacti(args) -> int:
             )
         lines.append(f"k={k}: {len(members)} butterfly-cacti")
         if args.verify:
-            from .obstructions import is_obstruction
-
             bad = [b for b in members if not is_obstruction(b.graph, k - 1)]
             lines[-1] += "  (all verified)" if not bad else f"  ({len(bad)} FAILED)"
             if bad:

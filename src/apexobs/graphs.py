@@ -635,15 +635,6 @@ class BlockDecomposition:
     cut_vertices: frozenset[int]
     bc_tree: dict[BcNode, tuple[BcNode, ...]]
 
-    def block_masks(self) -> list[int]:
-        out = []
-        for b in self.blocks:
-            mask = 0
-            for v in b:
-                mask |= 1 << v
-            out.append(mask)
-        return out
-
 
 def decompose(g: Graph) -> BlockDecomposition:
     """Standard biconnected decomposition plus the block-cut-vertex tree."""

@@ -12,34 +12,29 @@ dissymmetry relation (unrooted = vertex-rooted + edge-rooted - oriented-
 edge-rooted) yields the unrooted count series T(x); the full (possibly
 disconnected) count is G(x) = MSET(T).
 
-`PowerSeries` and its operators (`mset`, `series_exp`, `mset2`) work on
-exact rational coefficients.  The system itself (`solve_T_diamond`,
-`solve_system`) runs on Python ints: every division in it (the /2 of
-T_diamond, the /m of the Euler transform, the /8, /4, /2 of the rooted
-pieces) is checked to be exact, so integrality is proved while the series
-are computed.  T and G come out with non-negative integer coefficients
-(checked), growing like 6.279^n.
+All series are int-only.  `PowerSeries` carries a tuple of Python ints,
+and `mset` is the multiset operator as the Euler transform (Flajolet-
+Sedgewick, *Analytic Combinatorics*, 2009, §I.2) with its /m checked exact.
+The system (`solve_T_diamond`, `solve_system`) checks every other division
+too (the /2 of T_diamond, the /8, /4, /2 of the rooted pieces), so
+integrality is proved while the series are computed.  T and G come out
+with non-negative integer coefficients (checked), growing like 6.279^n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from operator import mul
-from typing import Iterable, Union
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """A formal power series truncated at a fixed order.
+    """A formal power series with int coefficients, truncated at a fixed order.
 
     coeffs[i] is the coefficient of x^i; len(coeffs) == truncation + 1.
-    Binary operations require equal truncation orders.
     """
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -49,131 +44,19 @@ class PowerSeries:
     def truncation(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def from_coeffs(values: Iterable[Rational], truncation: int | None = None) -> PowerSeries:
-        cs = [Fraction(v) for v in values]
-        if truncation is not None:
-            cs = (cs + [Fraction(0)] * (truncation + 1))[: truncation + 1]
-        return PowerSeries(tuple(cs))
-
-    @staticmethod
-    def zero(truncation: int) -> PowerSeries:
-        return PowerSeries((Fraction(0),) * (truncation + 1))
-
-    @staticmethod
-    def one(truncation: int) -> PowerSeries:
-        return PowerSeries((Fraction(1),) + (Fraction(0),) * truncation)
-
-    @staticmethod
-    def x(truncation: int) -> PowerSeries:
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1 for the atom series")
-        return PowerSeries.from_coeffs([0, 1], truncation)
-
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
-
-    def _check(self, other: PowerSeries) -> None:
-        if self.truncation != other.truncation:
-            raise ValueError(
-                f"truncation mismatch: {self.truncation} vs {other.truncation}"
-            )
-
-    def __add__(self, other: PowerSeries) -> PowerSeries:
-        self._check(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: PowerSeries) -> PowerSeries:
-        self._check(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: PowerSeries) -> PowerSeries:
-        self._check(other)
-        n = self.truncation
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return PowerSeries(tuple(out))
-
-    def scale(self, factor: Rational) -> PowerSeries:
-        f = Fraction(factor)
-        return PowerSeries(tuple(f * a for a in self.coeffs))
-
-    def shift(self, k: int = 1) -> PowerSeries:
-        """Multiply by x^k (truncated)."""
-        if k < 0:
-            raise ValueError("negative shift")
-        return PowerSeries((Fraction(0),) * k + self.coeffs[: self.truncation + 1 - k])
 
     def truncate(self, truncation: int) -> PowerSeries:
         if truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")
         return PowerSeries(self.coeffs[: truncation + 1])
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def integer_coeffs(self) -> tuple[int, ...]:
-        if not self.is_integral():
-            bad = next(i for i, c in enumerate(self.coeffs) if c.denominator != 1)
-            raise ValueError(f"coefficient of x^{bad} is not an integer: {self.coeffs[bad]}")
-        return tuple(int(c) for c in self.coeffs)
-
-
-def substitute_power(a: PowerSeries, k: int) -> PowerSeries:
-    """A(x^k): coefficient j of the input lands at exponent j*k."""
-    if k < 1:
-        raise ValueError("substitution power must be >= 1")
-    n = a.truncation
-    out = [Fraction(0)] * (n + 1)
-    for j in range(n // k + 1):
-        out[j * k] = a.coeffs[j]
-    return PowerSeries(tuple(out))
-
-
-def series_exp(a: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, by the B' = A'B recurrence."""
-    if a.coeffs[0] != 0:
-        raise ValueError("series_exp needs zero constant term")
-    n = a.truncation
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            if a.coeffs[j]:
-                acc += j * a.coeffs[j] * out[m - j]
-        out[m] = acc / m
-    return PowerSeries(tuple(out))
-
-
-def _mset_log(a: PowerSeries) -> PowerSeries:
-    """sum_{k>=1} A(x^k)/k, the exponent of the multiset operator."""
-    n = a.truncation
-    out = [Fraction(0)] * (n + 1)
-    for m in range(1, n + 1):
-        acc = Fraction(0)
-        for d in range(1, m + 1):
-            if m % d == 0 and a.coeffs[d]:
-                acc += Fraction(a.coeffs[d], m // d)
-        out[m] = acc
-    return PowerSeries(tuple(out))
-
-
-def mset(a: PowerSeries) -> PowerSeries:
-    """Multiset construction: exp(sum_{k>=1} A(x^k)/k)."""
-    if a.coeffs[0] != 0:
-        raise ValueError("mset needs zero constant term")
-    return series_exp(_mset_log(a))
-
-
-def mset2(a: PowerSeries) -> PowerSeries:
-    """Unordered pairs: (A(x)^2 + A(x^2))/2."""
-    return (a * a + substitute_power(a, 2)).scale(Fraction(1, 2))
+        for i, c in enumerate(self.coeffs):
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient of x^{i} is not an integer: {c}")
+        return tuple(self.coeffs)
 
 
 # -- the functional-equation system -------------------------------------------
@@ -199,9 +82,10 @@ def _add_divisor_terms(s: list[int], q: int, b_q: int) -> None:
             s[m] += q * b_q
 
 
-def _int_mset(b: list[int]) -> list[int]:
-    """MSET of an integer series by the Euler transform
-    m*M_m = sum_{j=1..m} (sum_{q|j} q*b_q) * M_{m-j}, each /m checked exact."""
+def mset(a: PowerSeries) -> PowerSeries:
+    """MSET(A) = exp(sum_{k>=1} A(x^k)/k) by the Euler transform
+    m*M_m = sum_{j=1..m} (sum_{q|j} q*a_q) * M_{m-j}, each /m checked exact."""
+    b = a.coeffs
     if b[0]:
         raise ValueError("mset needs zero constant term")
     n = len(b) - 1
@@ -211,7 +95,7 @@ def _int_mset(b: list[int]) -> list[int]:
     out = [1] + [0] * n
     for m in range(1, n + 1):
         out[m] = _exact_div(sum(map(mul, s[1 : m + 1], out[m - 1 :: -1])), m, "MSET", m)
-    return out
+    return PowerSeries(tuple(out))
 
 
 def solve_T_diamond(truncation: int) -> tuple[PowerSeries, PowerSeries]:
@@ -309,10 +193,12 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
                       8, "T_square")
     t_triangle = rooted([w + 2 * y + z for w, y, z in zip(a4, a2c, c2)], 4, "T_triangle")
     t_tri_to_circ = rooted([w + y for w, y in zip(a4, a2c)], 2, "T_tri_to_circ")
-    t = [ci + sq - tc for ci, sq, tc in zip(t_circ, t_square, t_tri_to_circ)]
-    g = _int_mset(t)
-    for name, ints in (("T", t), ("G", g)):
-        if any(v < 0 for v in ints):
+    t = PowerSeries(
+        tuple(ci + sq - tc for ci, sq, tc in zip(t_circ, t_square, t_tri_to_circ))
+    )
+    g = mset(t)
+    for name, series in (("T", t), ("G", g)):
+        if any(v < 0 for v in series.coeffs):
             raise AssertionError(f"{name} has a negative coefficient")
     return SeriesSystemSolution(
         T_diamond=d,
@@ -321,8 +207,8 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
         T_square=PowerSeries(tuple(t_square)),
         T_triangle=PowerSeries(tuple(t_triangle)),
         T_tri_to_circ=PowerSeries(tuple(t_tri_to_circ)),
-        T=PowerSeries(tuple(t)),
-        G=PowerSeries(tuple(g)),
+        T=t,
+        G=g,
     )
 
 

@@ -1,16 +1,21 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here deliberately avoids the code paths under test: minor
-containment is decided by enumerating partition models, class membership and
-connectivity go through networkx, isomorphism through networkx VF2, the
-tree census through an AHU certificate, and partition refinement counts
-neighbors into every cell on every pass.  Slow is fine; these run on small
-graphs only.
+containment is decided by enumerating partition models (branch sets are
+bitmasks, connected by their own BFS), class membership and connectivity go
+through networkx, isomorphism through networkx VF2, the tree census through
+an AHU certificate, partition refinement counts neighbors into every cell on
+every pass, and power series are Fraction-valued with exp and MSET taken by
+the exp-log formulas.  Slow is fine; these run on small graphs and orders
+only.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
 import networkx as nx
 
@@ -104,40 +109,50 @@ def oracle_min_apex(g: Graph, cls: str) -> int:
 
 def oracle_is_minor(h: Graph, g: Graph) -> bool:
     """h <= g iff g has disjoint connected branch sets, one per h-vertex,
-    with an edge between every pair that is adjacent in h."""
+    with an edge between every pair that is adjacent in h.
+
+    A branch set is a bitmask over g's vertices: it is connected if a BFS
+    along g.adj from its lowest vertex, kept inside the set, reaches all of
+    it, and two sets touch if one meets the other's neighbourhood.
+    """
     if h.n == 0:
         return True
     if h.n > g.n or h.num_edges() > g.num_edges():
         return False
-    G = to_nx(g)
-    hv = list(range(h.n))
+    adj = g.adj
 
-    def connected(vs: tuple[int, ...]) -> bool:
-        return nx.is_connected(G.subgraph(vs))
+    def neighbourhood(vs: Iterable[int]) -> int:
+        out = 0
+        for v in vs:
+            out |= adj[v]
+        return out
 
-    def touch(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return any(G.has_edge(x, y) for x in a for y in b)
+    def connected(mask: int) -> bool:
+        seen = frontier = mask & -mask
+        while frontier:
+            reach = neighbourhood(v for v in range(g.n) if frontier >> v & 1)
+            frontier = reach & mask & ~seen
+            seen |= frontier
+        return seen == mask
 
-    def place(i: int, used: frozenset[int], sets: list[tuple[int, ...]]) -> bool:
-        if i == len(hv):
+    def place(i: int, used: int, touched: list[int]) -> bool:
+        # touched[j]: neighbourhood of the branch set of h-vertex j
+        if i == h.n:
             return True
-        free = [v for v in range(g.n) if v not in used]
+        free = [v for v in range(g.n) if not used >> v & 1]
         # branch sets of size 1..(remaining room)
-        room = len(free) - (len(hv) - i - 1)
+        room = len(free) - (h.n - i - 1)
         for size in range(1, room + 1):
             for cand in combinations(free, size):
-                if not connected(cand):
+                mask = sum(1 << v for v in cand)
+                if not connected(mask):
                     continue
-                ok = True
-                for j in range(i):
-                    if h.has_edge(hv[j], hv[i]) and not touch(sets[j], cand):
-                        ok = False
-                        break
-                if ok and place(i + 1, used | frozenset(cand), sets + [cand]):
-                    return True
+                if all(touched[j] & mask for j in range(i) if h.has_edge(j, i)):
+                    if place(i + 1, used | mask, touched + [neighbourhood(cand)]):
+                        return True
         return False
 
-    return place(0, frozenset(), [])
+    return place(0, 0, [])
 
 
 # -- brute-force cycle census -------------------------------------------------------
@@ -276,3 +291,157 @@ def find_butterfly_buckets(g: Graph) -> list[tuple[int, list[frozenset[int]]]]:
         if all(g.degree(v) == 2 for v in mids):
             buckets.setdefault(w, []).append(far | near)
     return [(w, bs) for w, bs in buckets.items()]
+
+
+# -- Fraction power series: the reference for the integer series -----------------
+
+
+@dataclass(frozen=True)
+class FracSeries:
+    """A power series truncated at x^truncation, on exact Fraction coefficients.
+
+    The reference algebra for `apexobs.series`: products and scales are
+    written out term by term, exp and MSET go through the exp-log formulas
+    with rational division, and nothing is checked integral on the way.
+    """
+
+    coeffs: tuple[Fraction, ...]
+
+    @staticmethod
+    def of(values: Iterable[int | Fraction], truncation: int) -> FracSeries:
+        """The series with the given leading coefficients, zero-padded or cut."""
+        cs = [Fraction(v) for v in values][: truncation + 1]
+        return FracSeries(tuple(cs + [Fraction(0)] * (truncation + 1 - len(cs))))
+
+    @staticmethod
+    def zero(truncation: int) -> FracSeries:
+        return FracSeries.of([], truncation)
+
+    @staticmethod
+    def one(truncation: int) -> FracSeries:
+        return FracSeries.of([1], truncation)
+
+    @staticmethod
+    def x(truncation: int) -> FracSeries:
+        return FracSeries.of([0, 1], truncation)
+
+    @property
+    def truncation(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, n: int) -> Fraction:
+        return self.coeffs[n]
+
+    def _check(self, other: FracSeries) -> None:
+        if self.truncation != other.truncation:
+            raise ValueError(f"truncation mismatch: {self.truncation} vs {other.truncation}")
+
+    def __add__(self, other: FracSeries) -> FracSeries:
+        self._check(other)
+        return FracSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: FracSeries) -> FracSeries:
+        self._check(other)
+        return FracSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __mul__(self, other: FracSeries) -> FracSeries:
+        self._check(other)
+        n = self.truncation
+        out = [Fraction(0)] * (n + 1)
+        for i, a in enumerate(self.coeffs):
+            for j in range(n + 1 - i):
+                out[i + j] += a * other.coeffs[j]
+        return FracSeries(tuple(out))
+
+    def scale(self, factor: int | Fraction) -> FracSeries:
+        return FracSeries(tuple(factor * a for a in self.coeffs))
+
+    def shift(self) -> FracSeries:
+        """Multiply by x (truncated)."""
+        return FracSeries((Fraction(0),) + self.coeffs[:-1])
+
+    def integer_coeffs(self) -> tuple[int, ...]:
+        assert all(c.denominator == 1 for c in self.coeffs), self.coeffs
+        return tuple(int(c) for c in self.coeffs)
+
+
+def substitute_power(a: FracSeries, k: int) -> FracSeries:
+    """A(x^k): coefficient j of the input lands at exponent j*k."""
+    if k < 1:
+        raise ValueError("substitution power must be >= 1")
+    out = [Fraction(0)] * (a.truncation + 1)
+    out[::k] = a.coeffs[: a.truncation // k + 1]
+    return FracSeries(tuple(out))
+
+
+def series_exp(a: FracSeries) -> FracSeries:
+    """exp of a series with zero constant term, by the B' = A'B recurrence."""
+    if a[0]:
+        raise ValueError("series_exp needs zero constant term")
+    n = a.truncation
+    out = [Fraction(1)] + [Fraction(0)] * n
+    for m in range(1, n + 1):
+        out[m] = sum(j * a[j] * out[m - j] for j in range(1, m + 1)) / m
+    return FracSeries(tuple(out))
+
+
+def exp_log_mset(a: FracSeries) -> FracSeries:
+    """Multiset construction as exp(sum_{k>=1} A(x^k)/k)."""
+    if a[0]:
+        raise ValueError("mset needs zero constant term")
+    n = a.truncation
+    log = FracSeries.zero(n)
+    for k in range(1, n + 1):
+        log += substitute_power(a, k).scale(Fraction(1, k))
+    return series_exp(log)
+
+
+def mset2(a: FracSeries) -> FracSeries:
+    """Unordered pairs: (A(x)^2 + A(x^2))/2."""
+    return (a * a + substitute_power(a, 2)).scale(Fraction(1, 2))
+
+
+def fraction_system(n: int) -> dict[str, FracSeries]:
+    """The counting system on Fraction series, keyed by the field names of
+    `apexobs.series.SeriesSystemSolution`.
+
+    T_diamond comes from plain fixed-point iteration of its equation from 0
+    (one more exact order per round), and every rooted piece and the
+    dissymmetry sum are written out term by term with rational scales.
+    """
+    d = FracSeries.zero(n)
+    for _ in range(n + 1):
+        a = exp_log_mset(d)
+        d = ((a * a * a) + (a * substitute_power(a, 2))).scale(Fraction(1, 2)).shift()
+    a = exp_log_mset(d)
+    c = substitute_power(a, 2)
+    q = substitute_power(a, 4)
+    a2 = a * a
+    a4 = a2 * a2
+    a2c = a2 * c
+    c2 = c * c
+    t_circ = a - FracSeries.one(n)
+    t_square = (
+        a4.scale(Fraction(1, 8))
+        + a2c.scale(Fraction(1, 4))
+        + c2.scale(Fraction(3, 8))
+        + q.scale(Fraction(1, 4))
+    ).shift()
+    t_triangle = (
+        a4.scale(Fraction(1, 4)) + a2c.scale(Fraction(1, 2)) + c2.scale(Fraction(1, 4))
+    ).shift()
+    t_sq_to_tri = (
+        a4.scale(Fraction(1, 4)) + a2c.scale(Fraction(1, 2)) + c2.scale(Fraction(1, 4))
+    ).shift()
+    t_tri_to_circ = (a4.scale(Fraction(1, 2)) + a2c.scale(Fraction(1, 2))).shift()
+    t = t_square + t_triangle + t_circ - t_sq_to_tri - t_tri_to_circ
+    return {
+        "T_diamond": d,
+        "T_star": a,
+        "T_circ": t_circ,
+        "T_square": t_square,
+        "T_triangle": t_triangle,
+        "T_tri_to_circ": t_tri_to_circ,
+        "T": t,
+        "G": exp_log_mset(t),
+    }

@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used in it."""
+"""Source hygiene: every name a module of the package imports is used in it,
+`apexobs.__all__` lists exactly what `__init__.py` imports, and every
+module-level private function or class is referenced somewhere."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import apexobs
 
 PACKAGE = Path(apexobs.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +37,75 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(apexobs.__all__) == imported
+    assert len(apexobs.__all__) == len(imported)
+
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level functions and classes named _x (dunders excepted)."""
+    return [
+        node.name
+        for node in tree.body
+        if isinstance(node, DEFINITIONS)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, imported or taken as attributes anywhere in a module,
+    except a top-level definition's references to itself."""
+    refs = set()
+    for top in tree.body:
+        own = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name != own:
+                refs.add(name)
+    return refs
+
+
+def unreferenced_privates(sources: dict[str, str], scanned: list[str]) -> list[str]:
+    """Private definitions of the `scanned` sources that no source references."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = set().union(*(referenced_names(tree) for tree in trees.values()))
+    return [
+        f"{name}: {fn}"
+        for name in scanned
+        for fn in private_definitions(trees[name])
+        if fn not in refs
+    ]
+
+
+def test_scanner_flags_an_unreferenced_private():
+    lib = "def _loop(n):\n    return _loop(n - 1)\n\ndef _used():\n    pass\n\nclass _Dead:\n    pass\n"
+    other = "from lib import _used\n"
+    got = unreferenced_privates({"lib": lib, "other": other}, ["lib"])
+    assert got == ["lib: _loop", "lib: _Dead"]
+
+
+def test_no_unreferenced_private_definitions():
+    files = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    sources = {str(p): p.read_text() for p in files}
+    package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
+    assert unreferenced_privates(sources, package) == []
