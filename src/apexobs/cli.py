@@ -17,7 +17,15 @@ from . import __version__
 from .asymptotics import MIN_SADDLE_TRUNCATION, asymptotics_report
 from .cacti import MAX_LEVEL, disconnected_obstructions, generate_Z
 from .graphio import from_graph6, load_graph, to_graph6
-from .graphs import _NAME_RE, ClassId, Graph, is_in_class, make_named, min_apex_size
+from .graphs import (
+    _NAME_RE,
+    MAX_VERTICES,
+    ClassId,
+    Graph,
+    is_in_class,
+    make_named,
+    min_apex_size,
+)
 from .minors import is_minor
 from .obstructions import (
     is_obstruction,
@@ -107,11 +115,14 @@ def cmd_verify_catalog(args) -> int:
 def cmd_search(args) -> int:
     if args.k < 0:
         raise SystemExit(f"error: --k must be non-negative, got {args.k}")
+    if not 0 <= args.max_n <= MAX_VERTICES:
+        raise SystemExit(f"error: --max-n must be in 0..{MAX_VERTICES}, got {args.max_n}")
     cat = search_obstructions(args.k, args.max_n, connected_only=args.connected_only)
     payload = {
         "k": cat.k,
         "max_n": args.max_n,
         "complete": cat.claimed_complete,
+        "candidates": cat.candidates,
         "found": [rec.to_dict() for rec in cat.records],
     }
     lines = [f"obstruction search: k={cat.k}, n <= {args.max_n}"]

@@ -146,12 +146,22 @@ class Graph:
         return tmp.delete_vertices([v])
 
     def add_vertex(self, neighborhood: int = 0) -> Graph:
-        """Append a new vertex adjacent to the bitmask ``neighborhood``."""
-        adj = list(self.adj)
-        for u in bits(neighborhood):
-            adj[u] |= 1 << self.n
-        adj.append(neighborhood)
-        return Graph.from_adj(adj)
+        """Append a new vertex adjacent to the bitmask ``neighborhood``.
+
+        Only the arguments are checked: the rows built from a valid graph
+        and an in-range mask are symmetric and loop-free by construction.
+        """
+        n = self.n
+        if n >= MAX_VERTICES:
+            raise ValueError(f"vertex count {n + 1} exceeds {MAX_VERTICES}")
+        if not 0 <= neighborhood < 1 << n:
+            raise ValueError(f"neighborhood {neighborhood:#x} mentions vertices outside 0..{n - 1}")
+        new = 1 << n
+        adj = tuple(row | new if neighborhood >> v & 1 else row for v, row in enumerate(self.adj))
+        g = Graph.__new__(Graph)
+        object.__setattr__(g, "n", n + 1)
+        object.__setattr__(g, "adj", adj + (neighborhood,))
+        return g
 
     def relabel(self, perm: Iterable[int]) -> Graph:
         """Relabel: vertex v becomes perm[v]."""

@@ -14,18 +14,24 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
-from typing import Iterable
+from itertools import combinations
+from typing import Iterable, Iterator
 
-from .canonical import canonical_form, graphs_up_to
+from .canonical import canonical_form, canonical_graph
 from .graphio import from_graph6, to_graph6
 from .graphs import (
     ClassId,
     Graph,
     _one_step_children,
+    bits,
     bridges,
+    component_masks,
+    cyclomatic,
     has_apex_set_within,
     is_connected,
+    popcount,
 )
 
 DATA_ENV_VAR = "APEXOBS_DATA"
@@ -72,6 +78,7 @@ class Catalog:
     records: list[ObstructionRecord]
     claimed_complete: bool = False
     source_note: str = ""
+    candidates: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         forms = {}
@@ -129,28 +136,40 @@ def is_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) -> bo
 
 @dataclass(frozen=True)
 class FilterReport:
-    """The three necessary conditions every obstruction satisfies."""
+    """The three necessary conditions every obstruction satisfies.
 
-    min_degree_two: bool
-    bridgeless: bool
-    degree_two_neighbors_adjacent: bool
+    Each condition is evaluated on first use, and ``passed`` tries them
+    cheapest first, so a graph that fails a degree test never pays for the
+    bridge search.
+    """
+
+    graph: Graph
+
+    @cached_property
+    def min_degree_two(self) -> bool:
+        return all(popcount(row) >= 2 for row in self.graph.adj)
+
+    @cached_property
+    def degree_two_neighbors_adjacent(self) -> bool:
+        adj = self.graph.adj
+        for row in adj:
+            if popcount(row) == 2:
+                a = row & -row
+                if not adj[a.bit_length() - 1] & (row ^ a):
+                    return False
+        return True
+
+    @cached_property
+    def bridgeless(self) -> bool:
+        return not bridges(self.graph)
 
     @property
     def passed(self) -> bool:
-        return self.min_degree_two and self.bridgeless and self.degree_two_neighbors_adjacent
+        return self.min_degree_two and self.degree_two_neighbors_adjacent and self.bridgeless
 
 
 def structural_filters(g: Graph) -> FilterReport:
-    min_deg = all(g.degree(v) >= 2 for v in range(g.n))
-    no_bridge = not bridges(g)
-    deg2_ok = True
-    for v in range(g.n):
-        if g.degree(v) == 2:
-            a, b = g.neighbors(v)
-            if not g.has_edge(a, b):
-                deg2_ok = False
-                break
-    return FilterReport(min_deg, no_bridge, deg2_ok)
+    return FilterReport(g)
 
 
 # -- catalog I/O ---------------------------------------------------------------
@@ -280,6 +299,93 @@ def verify_catalog(cat: Catalog) -> VerificationReport:
 # -- exhaustive search ----------------------------------------------------------
 
 
+def _core_extensions(core: Graph) -> Iterator[Graph]:
+    """One-vertex extensions of ``core`` whose cyclomatic number stays <= 2.
+
+    A new vertex joined to |N| vertices spread over c components raises the
+    cyclomatic number by |N| - c, so each touched component gives 1..3
+    vertices and the excess sum(|N & C| - 1) is kept within 2 - cyc(core).
+    """
+    budget = 2 - cyclomatic(core)
+    choices = [(0, 0)]  # (neighbourhood so far, its excess)
+    for comp in component_masks(core):
+        vs = list(bits(comp))
+        grown = []
+        for mask, excess in choices:
+            grown.append((mask, excess))
+            for size in range(1, min(len(vs), budget - excess + 1) + 1):
+                for pick in combinations(vs, size):
+                    grown.append((mask | sum(1 << v for v in pick), excess + size - 1))
+        choices = grown
+    for mask, _ in choices:
+        yield core.add_vertex(mask)
+
+
+def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
+    """g plus one apex vertex, with ``after`` apices still to come after it.
+
+    The final graph has minimum degree 2 and a vertex gains at most one edge
+    per apex, so a vertex that reaches degree 1 without this apex must join
+    it, and one that reaches degree 0 leaves no extension at all.
+    """
+    forced = free = 0
+    for v, row in enumerate(g.adj):
+        reach = popcount(row) + after  # v's largest degree without this apex
+        if reach == 0:
+            return
+        if reach == 1:
+            forced |= 1 << v
+        else:
+            free |= 1 << v
+    need = 2 - after  # the apex's own degree
+    sub = free
+    while True:
+        nb = forced | sub
+        if popcount(nb) >= need:
+            yield g.add_vertex(nb)
+        if not sub:
+            return
+        sub = (sub - 1) & free
+
+
+def _dedup(graphs: Iterable[Graph]) -> list[Graph]:
+    """One graph per isomorphism class, the first met."""
+    out: dict[bytes, Graph] = {}
+    for g in graphs:
+        out.setdefault(canonical_form(g), g)
+    return list(out.values())
+
+
+def _candidates(k: int, max_n: int) -> Iterator[Graph]:
+    """Raw search candidates: a superset of the k-obstructions on <= max_n vertices.
+
+    Every k-obstruction g has a k-set U with cyclomatic(g - U) = 2.  Take an
+    edge e: g - e is k-apex, so g - e - U is sub-unicyclic for some U, padded
+    to k vertices; putting e back raises the cycle rank by at most one, and
+    g is not k-apex, so cyc(g - U) = 2.  So g is a core H (cyc(H) = 2) plus
+    k apex vertices, each joined to any subset of the vertices before it.
+
+    Cores grow by one-vertex extension: the class cyc <= 2 is closed under
+    vertex deletion, so every core on m vertices extends one on m - 1.  Each
+    core level and each apex layer but the last is deduplicated by canonical
+    form; the last layer is yielded raw, repeats included (with k = 0 the
+    last core extension is that raw layer).
+    """
+    top = max_n - k  # largest core size
+    level = [Graph(0)]
+    for m in range(1, top + 1):
+        raw = (ext for core in level for ext in _core_extensions(core))
+        if m == top and k == 0:
+            yield from (g for g in raw if cyclomatic(g) == 2)
+            return
+        level = _dedup(raw)
+        graphs = [g for g in level if cyclomatic(g) == 2]
+        for after in range(k - 1, 0, -1):
+            graphs = _dedup(ext for g in graphs for ext in _apex_extensions(g, after))
+        for g in graphs:
+            yield from (_apex_extensions(g, 0) if k else [g])
+
+
 def search_obstructions(
     k: int,
     max_n: int,
@@ -288,25 +394,35 @@ def search_obstructions(
 ) -> Catalog:
     """Find all k-apex sub-unicyclic obstructions with at most max_n vertices.
 
-    Candidates are every graph up to max_n vertices up to isomorphism, pruned
-    by the three structural necessary conditions (min degree 2, bridgeless,
-    degree-2 vertices with adjacent neighbors) before the full test.  The
-    filters are applied at the final size only; they are not hereditary.
+    Candidates are the graphs of ``_candidates``: a core of cyclomatic
+    number 2 plus k apex vertices, which every k-obstruction is.  Each raw
+    candidate must pass the structural necessary conditions (min degree 2,
+    degree-2 vertices with adjacent neighbors, bridgeless; cheapest first)
+    and is deduplicated by canonical form before the full test.  The
+    ``candidates`` counts of the catalog say how many were generated, passed
+    the filters, were checked and were found.
     """
     t0 = time.perf_counter()
-    candidates = [
-        g
-        for g in graphs_up_to(max_n)
-        if (not connected_only or is_connected(g)) and structural_filters(g).passed
-    ]
+    counts = dict.fromkeys(("generated", "passed_filters", "checked", "found"), 0)
     complete = True
+    seen: set[bytes] = set()
     found: list[Graph] = []
-    for g in candidates:
+    for g in _candidates(k, max_n):
+        counts["generated"] += 1
+        if (connected_only and not is_connected(g)) or not structural_filters(g).passed:
+            continue
+        counts["passed_filters"] += 1
+        form = canonical_form(g)
+        if form in seen:
+            continue
+        seen.add(form)
         if budget_seconds is not None and time.perf_counter() - t0 > budget_seconds:
             complete = False
             break
+        counts["checked"] += 1
         if is_obstruction(g, k):
-            found.append(g)
+            found.append(canonical_graph(g))
+    counts["found"] = len(found)
     found.sort(key=canonical_form)
     records = [
         ObstructionRecord(
@@ -322,8 +438,11 @@ def search_obstructions(
         k=k,
         records=records,
         claimed_complete=complete,
-        source_note=f"exhaustive search over all graphs with <= {max_n} vertices"
+        source_note=f"search over the graphs with <= {max_n} vertices that are a core of "
+        f"cyclomatic number 2 plus {k} apex vertices (every {k}-obstruction g has a "
+        f"{k}-set U with cyclomatic(g - U) = 2)"
         + (" (connected only)" if connected_only else ""),
+        candidates=counts,
     )
 
 

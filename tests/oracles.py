@@ -5,9 +5,10 @@ containment is decided by enumerating partition models (branch sets are
 bitmasks, connected by their own BFS), class membership and connectivity go
 through networkx, isomorphism through networkx VF2, the tree census through
 an AHU certificate, partition refinement counts neighbors into every cell on
-every pass, and power series are Fraction-valued with exp and MSET taken by
-the exp-log formulas.  Slow is fine; these run on small graphs and orders
-only.
+every pass, power series are Fraction-valued with exp and MSET taken by
+the exp-log formulas, and the obstruction search takes its candidates from
+every graph up to isomorphism.  Slow is fine; these run on small graphs and
+orders only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from typing import Iterable
 
 import networkx as nx
 
-from apexobs.graphs import Graph
+from apexobs.canonical import canonical_form, graphs_up_to
+from apexobs.graphs import Graph, is_connected
+from apexobs.obstructions import is_obstruction, structural_filters
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -104,6 +107,28 @@ def oracle_min_apex(g: Graph, cls: str) -> int:
     return best
 
 
+# -- obstruction search over every graph ----------------------------------------
+
+
+def reference_search(k: int, max_n: int, connected_only: bool = False) -> list[Graph]:
+    """The k-obstructions on <= max_n vertices, in the order of the search's records.
+
+    Candidates are every graph of ``graphs_up_to(max_n)`` (canonical
+    representatives) that passes the structural filters, each tested by
+    ``is_obstruction``; the result is sorted by canonical form.  The
+    library's search draws its candidates from cores of cyclomatic number
+    2 plus k apex vertices instead, and must give the same graphs.
+    """
+    found = [
+        g
+        for g in graphs_up_to(max_n)
+        if (not connected_only or is_connected(g))
+        and structural_filters(g).passed
+        and is_obstruction(g, k)
+    ]
+    return sorted(found, key=canonical_form)
+
+
 # -- minors by partition models ---------------------------------------------------
 
 
@@ -113,7 +138,9 @@ def oracle_is_minor(h: Graph, g: Graph) -> bool:
 
     A branch set is a bitmask over g's vertices: it is connected if a BFS
     along g.adj from its lowest vertex, kept inside the set, reaches all of
-    it, and two sets touch if one meets the other's neighbourhood.
+    it, and two sets touch if one meets the other's neighbourhood.  The
+    h-vertices are placed in BFS order, so each one after the first of its
+    component must touch a placed branch set, and a refutation fails early.
     """
     if h.n == 0:
         return True
@@ -135,8 +162,21 @@ def oracle_is_minor(h: Graph, g: Graph) -> bool:
             seen |= frontier
         return seen == mask
 
+    order: list[int] = []
+    for root in range(h.n):
+        if root in order:
+            continue
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
+            head += 1
+            order.extend(u for u in range(h.n) if h.has_edge(v, u) and u not in order)
+    # earlier[i]: positions before i of the h-neighbours of order[i]
+    earlier = [[j for j in range(i) if h.has_edge(order[j], order[i])] for i in range(h.n)]
+
     def place(i: int, used: int, touched: list[int]) -> bool:
-        # touched[j]: neighbourhood of the branch set of h-vertex j
+        # touched[j]: neighbourhood of the branch set of h-vertex order[j]
         if i == h.n:
             return True
         free = [v for v in range(g.n) if not used >> v & 1]
@@ -147,7 +187,7 @@ def oracle_is_minor(h: Graph, g: Graph) -> bool:
                 mask = sum(1 << v for v in cand)
                 if not connected(mask):
                     continue
-                if all(touched[j] & mask for j in range(i) if h.has_edge(j, i)):
+                if all(touched[j] & mask for j in earlier[i]):
                     if place(i + 1, used | mask, touched + [neighbourhood(cand)]):
                         return True
         return False

@@ -134,6 +134,17 @@ class TestSubcommands:
         payload = json.loads(out)
         assert [rec["n"] for rec in payload["found"]] == [4]  # K4- only
 
+    @pytest.mark.parametrize("k,extra", [(0, ()), (1, ()), (1, ("--connected-only",)), (2, ())])
+    def test_search_counts_its_candidates(self, capsys, k, extra):
+        code, out = invoke(capsys, "search", "--k", str(k), "--max-n", "6", "--json", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        c = payload["candidates"]
+        assert set(c) == {"generated", "passed_filters", "checked", "found"}
+        assert c["generated"] >= c["passed_filters"] >= c["checked"] >= c["found"]
+        assert c["found"] == len(payload["found"]) > 0
+        assert c["generated"] > c["checked"]  # the filters and the deduplication cut
+
     def test_enumerate_row_ten(self, capsys):
         code, out = invoke(capsys, "enumerate", "--n", "10")
         assert code == 0
@@ -163,6 +174,8 @@ class TestSubcommands:
             ("gen-cacti", "--k", "0", "--verify"),
             ("gen-cacti", "--k", "5", "--disconnected"),
             ("search", "--k", "-1", "--max-n", "4"),
+            ("search", "--k", "0", "--max-n", "-1"),
+            ("search", "--k", "0", "--max-n", "33"),
         ],
     )
     def test_out_of_range_level_exit_2(self, capsys, argv):

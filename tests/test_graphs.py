@@ -69,6 +69,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
 
+    def test_add_vertex_checks_its_arguments(self, rng):
+        g = cycle_graph(4)
+        for bad in (1 << 4, 1 << 9 | 1, -1):
+            with pytest.raises(ValueError):
+                g.add_vertex(bad)
+        with pytest.raises(ValueError):
+            Graph(32).add_vertex(0)
+        assert Graph(31).add_vertex(1 << 30).n == 32
+        for _ in range(50):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            nb = rng.getrandbits(g.n)
+            h = g.add_vertex(nb)
+            assert h == Graph.from_adj(h.adj)  # symmetric and loop-free
+            assert h.subgraph((1 << g.n) - 1) == g and h.adj[g.n] == nb
+
     def test_symmetry_invariant(self, rng):
         for _ in range(50):
             g = random_graph(rng, rng.randint(0, 12), rng.random())

@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 
 import pytest
 
 import apexobs.canonical
-from apexobs.cacti import generate_Z
+from apexobs.cacti import disconnected_obstructions, generate_Z
 from apexobs.canonical import canonical_form
 from apexobs.graphio import from_graph6
 from apexobs.graphs import (
@@ -15,6 +16,7 @@ from apexobs.graphs import (
     butterfly_graph,
     complete_graph,
     cycle_graph,
+    cyclomatic,
     disjoint_union,
     has_apex_set_within,
     is_connected,
@@ -38,7 +40,7 @@ from apexobs.obstructions import (
 )
 
 from conftest import random_graph
-from oracles import oracle_min_apex
+from oracles import oracle_min_apex, reference_search
 
 
 class TestIsObstruction:
@@ -285,12 +287,61 @@ class TestSearch:
             canonical_form(r.graph) for r in b.records
         ]
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("connected_only", [False, True])
+    def test_same_records_as_search_over_every_graph(self, k, connected_only):
+        every = reference_search(k, 7, connected_only)
+        assert every  # each of the six searches finds something by n = 7
+        for max_n in range(8):
+            cat = search_obstructions(k, max_n, connected_only=connected_only)
+            want = [g for g in every if g.n <= max_n]
+            assert [r.name for r in cat.records] == [
+                f"S{g.n}_{i + 1:02d}" for i, g in enumerate(want)
+            ]
+            assert [r.graph for r in cat.records] == want  # same adjacency, same order
+            assert cat.candidates["found"] == len(want)
+
+    def test_k1_up_to_10_is_the_catalog(self):
+        # the k=1 catalog's completeness, re-derived up to 10 vertices
+        found = search_obstructions(1, 10)
+        assert found.claimed_complete and len(found) == 29
+        assert same_graph_sets(
+            [r.graph for r in found.records], [r.graph for r in load_catalog(1).records]
+        )
+
     def test_k1_up_to_7_matches_catalog_subset(self):
         # the level-1 search must find exactly the catalog members that fit
         found = search_obstructions(1, 7)
         small = [r.graph for r in load_catalog(1).records if r.graph.n <= 7]
         assert len(small) == 14
         assert same_graph_sets([r.graph for r in found.records], small)
+
+
+class TestCandidateLemma:
+    """Every k-obstruction g has a k-set U with cyclomatic(g - U) = 2: the
+    lemma the search's candidate source rests on, checked by brute force
+    over the k-subsets of every obstruction the package knows."""
+
+    @staticmethod
+    def has_core(g: Graph, k: int) -> bool:
+        return any(
+            cyclomatic(g.delete_vertices(u)) == 2 for u in combinations(range(g.n), k)
+        )
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_shipped_catalogs(self, k):
+        for rec in load_catalog(k).records:
+            assert self.has_core(rec.graph, k), rec.name
+
+    @pytest.mark.parametrize("j", [2, 3, 4, 5])
+    def test_butterfly_cacti(self, j):
+        for b in generate_Z(j):
+            assert self.has_core(b.graph, j - 1)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_disconnected_obstructions(self, k):
+        for g in disconnected_obstructions(k):
+            assert self.has_core(g, k)
 
 
 class TestCatalogInvariants:
