@@ -8,7 +8,7 @@ computes with the minor-obstructions of these classes at desk scale:
     exact computations on simple graphs with at most 32 vertices
     (bitset adjacency): recognition, blocks and bc-trees, apex numbers.
 ``canonical``
-    canonical forms, isomorphism, exhaustive enumeration.
+    canonical forms, automorphism orbits, isomorphism, exhaustive enumeration.
 ``minors``
     exact minor containment for small graphs.
 ``graphio``
@@ -34,6 +34,7 @@ __version__ = "1.0.0"
 
 from .canonical import (
     are_isomorphic,
+    automorphism_orbits,
     canonical_form,
     canonical_graph,
     canonical_labeling,
@@ -122,6 +123,7 @@ __all__ = [
     "SeriesSystemSolution",
     "apex_forest_bound_check",
     "are_isomorphic",
+    "automorphism_orbits",
     "butterfly_graph",
     "canonical_form",
     "canonical_graph",

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .canonical import canonical_form, enumerate_graphs
+from .canonical import automorphism_orbits, canonical_form, enumerate_graphs
 from .graphs import (
     ClassId,
     Graph,
@@ -72,23 +72,36 @@ def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     """
     if not 1 <= k <= MAX_LEVEL:
         raise ValueError(f"k must be in 1..{MAX_LEVEL}")
+    return _z_levels(k)[-1]
+
+
+def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
+    """generate_Z(1), ..., generate_Z(k), each level built once from the last.
+
+    A butterfly is attached only at the smallest vertex of each automorphism
+    orbit: a vertex in the same orbit gives an isomorphic child, whose form
+    the smaller vertex has already put in the level.
+    """
     level: dict[bytes, ButterflyCactus] = {
         canonical_form(butterfly_graph()): ButterflyCactus(
             butterfly_graph(), frozenset({0}), 1
         )
     }
+    levels = [tuple(level[key] for key in sorted(level))]
     for _ in range(k - 1):
         nxt: dict[bytes, ButterflyCactus] = {}
         for b in level.values():
+            orbits = automorphism_orbits(b.graph)
             for v in range(b.graph.n):
-                if v in b.central_vertices:
+                if v in b.central_vertices or orbits[v] != v:
                     continue
                 child = _attach_butterfly(b, v)
                 key = canonical_form(child.graph)
                 if key not in nxt:
                     nxt[key] = child
         level = nxt
-    return tuple(level[key] for key in sorted(level))
+        levels.append(tuple(level[key] for key in sorted(level)))
+    return levels
 
 
 def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
@@ -96,8 +109,11 @@ def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
 
     verify="forest" re-checks that removing the set leaves a forest;
     verify="unique" additionally counts the k-subsets that leave a forest
-    and demands exactly one; verify="none" skips both.
+    and demands exactly one; verify="none" skips both.  Any other value
+    raises ValueError.
     """
+    if verify not in ("forest", "unique", "none"):
+        raise ValueError(f"verify must be 'forest', 'unique' or 'none', got {verify!r}")
     g, k = b.graph, b.k
     mask = 0
     for v in b.central_vertices:
@@ -152,7 +168,7 @@ def _cacti_unions(k: int) -> dict[bytes, Graph]:
     by canonical form."""
     if not 1 <= k <= 4:
         raise ValueError("k must be in 1..4 (largest member has 5(k+1) vertices)")
-    zs = {j: [b.graph for b in generate_Z(j)] for j in range(1, k + 1)}
+    zs = {j: [b.graph for b in members] for j, members in enumerate(_z_levels(k), 1)}
     out: dict[bytes, Graph] = {}
     for part in _partitions(k + 1):
         if len(part) < 2:

@@ -11,15 +11,24 @@ each cell, so counting against it could split nothing and would not change
 the order of the sub-cells.  At the root the fresh cell is the unit cell;
 below a branch it is the individualized vertex ``[v]``.
 
-Two prunes skip branch vertices whose subtrees are images of an explored
-sibling's subtree under an automorphism fixing the branch prefix, so they
-hold no leaf that the sibling's subtree does not hold earlier: a *twin* v of
-an explored sibling u (N(v) - {u} = N(u) - {v}, so the transposition (u v) is
-an automorphism), and a vertex that automorphisms found from two leaves with
-the same matrix map onto an explored sibling.  The first smallest leaf in
-search order is never pruned, so the form and the labeling do not depend on
-either prune.  This keeps the search tree near-linear on the highly
-symmetric cactus graphs this package generates.
+Three prunes skip subtrees that are images of an explored subtree under an
+automorphism fixing the branch prefix.  The search skips a branch vertex v
+that is a *twin* of an explored sibling u (N(v) - {u} = N(u) - {v}, so the
+transposition (u v) is an automorphism) or that automorphisms found so far
+map onto an explored sibling.  A leaf with the best leaf's matrix yields
+the automorphism from the best leaf to it; it fixes the branch prefix the
+two leaves share and maps the best leaf's next branch vertex onto the
+leaf's, so what is left of the branch the leaf took at that level is the
+image of an explored branch, and the search *backjumps* to that level's
+next sibling (McKay and Piperno, "Practical graph isomorphism II").  The first smallest
+leaf in search order is never pruned, so the form and the labeling do not
+depend on any prune.
+
+The found automorphisms and the skipped twin transpositions generate the
+automorphism group: a vertex in the orbit of a branch vertex on the path to
+the first smallest leaf is either skipped by them or searched, and its
+search meets a leaf equal to the best.  ``automorphism_orbits`` returns
+their union-find orbits, cached with the form.
 
 Two graphs have equal canonical forms iff they are isomorphic.
 """
@@ -107,14 +116,17 @@ def _certificate(adj: tuple[int, ...], order: list[int]) -> int:
     return cert
 
 
-def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
-    """Individualization-refinement with twin and orbit pruning (see module docstring)."""
+def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...]]:
+    """Individualization-refinement with twin, orbit and backjump pruning (see
+    module docstring); also returns the orbit minimum of every vertex."""
     n, adj = g.n, g.adj
     if n == 0:
-        return b"", []
+        return b"", [], ()
     best = -1
     best_order: list[int] = []
+    best_fixed: tuple[int, ...] = ()
     gens: list[tuple[int, ...]] = []
+    twins: list[tuple[int, int]] = []
 
     def find(parent: list[int], x: int) -> int:
         while parent[x] != x:
@@ -122,21 +134,30 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
             x = parent[x]
         return x
 
-    def descend(cells: list[list[int]], fresh: list[int], fixed: tuple[int, ...]) -> None:
-        nonlocal best, best_order
+    def descend(cells: list[list[int]], fresh: list[int], fixed: tuple[int, ...]) -> int:
+        """Search the subtree; return the depth to resume at (len(fixed) if none)."""
+        nonlocal best, best_order, best_fixed
         cells = _refine(adj, cells, fresh)
         target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        depth = len(fixed)
         if target is None:
             order = [c[0] for c in cells]
             s = _certificate(adj, order)
             if best < 0 or s < best:
-                best, best_order = s, order
+                best, best_order, best_fixed = s, order, fixed
             elif s == best:
                 sigma = [0] * n
                 for i in range(n):
                     sigma[best_order[i]] = order[i]
                 gens.append(tuple(sigma))
-            return
+                # sigma maps best_fixed onto fixed, so both are equally long;
+                # they differ, since equal prefixes reach the same leaf
+                for level in range(depth):
+                    if fixed[level] != best_fixed[level]:
+                        # sigma fixes the common prefix, so what is left of the
+                        # subtree at `level` is the image of an explored one
+                        return level
+            return depth
         cell = cells[target]
         explored: list[int] = []
         parent = list(range(n))
@@ -146,7 +167,9 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
                 # skip v if it is a twin of an explored sibling u: the
                 # transposition (u v) is an automorphism fixing `fixed`
                 av = adj[v]
-                if any(av & ~(1 << u) == adj[u] & ~(1 << v) for u in explored):
+                u = next((u for u in explored if av & ~(1 << u) == adj[u] & ~(1 << v)), None)
+                if u is not None:
+                    twins.append((u, v))
                     continue
                 # fold in automorphisms (old and newly found) fixing `fixed`;
                 # skip v if one maps an explored sibling onto it
@@ -163,16 +186,26 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int]]:
                     continue
             explored.append(v)
             rest = [u for u in cell if u != v]
-            descend(cells[:target] + [[v], rest] + cells[target + 1:], [target], fixed + (v,))
+            resume = descend(cells[:target] + [[v], rest] + cells[target + 1:], [target], fixed + (v,))
+            if resume < depth:
+                return resume
+        return depth
 
     descend([list(range(n))], [0], ())
-    return best.to_bytes(4 * n, "big"), best_order
+    parent = list(range(n))
+    pairs = [(w, s[w]) for s in gens for w in range(n)] + twins
+    for x, y in pairs:
+        a, b = find(parent, x), find(parent, y)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    orbits = tuple(find(parent, w) for w in range(n))
+    return best.to_bytes(4 * n, "big"), best_order, orbits
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _canonical(g: Graph) -> tuple[bytes, tuple[int, ...]]:
-    form, order = _canonical_search_pruned(g)
-    return bytes([g.n]) + form, tuple(order)
+def _canonical(g: Graph) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
+    form, order, orbits = _canonical_search_pruned(g)
+    return bytes([g.n]) + form, tuple(order), orbits
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -183,6 +216,11 @@ def canonical_form(g: Graph) -> bytes:
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Vertex order realizing the canonical form (position i holds order[i])."""
     return _canonical(g)[1]
+
+
+def automorphism_orbits(g: Graph) -> tuple[int, ...]:
+    """The smallest vertex in the automorphism orbit of each vertex of g."""
+    return _canonical(g)[2]
 
 
 def canonical_graph(g: Graph) -> Graph:

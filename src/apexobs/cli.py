@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .asymptotics import MIN_SADDLE_TRUNCATION, asymptotics_report
-from .cacti import MAX_LEVEL, disconnected_obstructions, generate_Z
+from .cacti import MAX_LEVEL, _z_levels, disconnected_obstructions
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
     _NAME_RE,
@@ -144,8 +144,7 @@ def cmd_gen_cacti(args) -> int:
         raise SystemExit(f"error: --disconnected: {exc}") from None
     rows = []
     lines = []
-    for k in range(1, args.k + 1):
-        members = generate_Z(k)
+    for k, members in enumerate(_z_levels(args.k), 1):
         for b in members:
             rows.append(
                 {

@@ -5,10 +5,11 @@ containment is decided by enumerating partition models (branch sets are
 bitmasks, connected by their own BFS), class membership and connectivity go
 through networkx, isomorphism through networkx VF2, the tree census through
 an AHU certificate, partition refinement counts neighbors into every cell on
-every pass, power series are Fraction-valued with exp and MSET taken by
-the exp-log formulas, and the obstruction search takes its candidates from
-every graph up to isomorphism.  Slow is fine; these run on small graphs and
-orders only.
+every pass, automorphism orbits come from VF2 matches with one vertex marked
+on each side, the butterfly-cacti attach at every non-central vertex, power
+series are Fraction-valued with exp and MSET taken by the exp-log formulas,
+and the obstruction search takes its candidates from every graph up to
+isomorphism.  Slow is fine; these run on small graphs and orders only.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from typing import Iterable
 
 import networkx as nx
 
+from apexobs.cacti import ButterflyCactus, _attach_butterfly
 from apexobs.canonical import canonical_form, graphs_up_to
-from apexobs.graphs import Graph, is_connected
+from apexobs.graphs import Graph, butterfly_graph, complete_graph, disjoint_union, is_connected
 from apexobs.obstructions import is_obstruction, structural_filters
 
 
@@ -56,6 +58,82 @@ def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
         if len(new_cells) == len(cells):
             return cells
         cells = new_cells
+
+
+def nx_automorphism_orbits(g: Graph) -> tuple[int, ...]:
+    """The smallest vertex of each vertex's automorphism orbit.
+
+    v joins the orbit of a smaller orbit minimum u iff VF2 finds an
+    isomorphism of g with u marked onto g with v marked.
+    """
+    G = to_nx(g)
+    orbits = list(range(g.n))
+    for v in range(g.n):
+        for u in sorted(set(orbits[:v])):
+            if G.degree[u] != G.degree[v]:
+                continue
+            marked_u, marked_v = G.copy(), G.copy()
+            marked_u.nodes[u]["mark"] = marked_v.nodes[v]["mark"] = True
+            matcher = nx.algorithms.isomorphism.GraphMatcher(
+                marked_u, marked_v, node_match=lambda a, b: a.get("mark") == b.get("mark")
+            )
+            if next(matcher.isomorphisms_iter(), None) is not None:
+                orbits[v] = u
+                break
+    return tuple(orbits)
+
+
+# -- butterfly-cacti without automorphism pruning -------------------------------
+
+
+def reference_generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
+    """The k-butterfly-cacti, attaching a butterfly at every non-central vertex.
+
+    Each level keeps the first child of every isomorphism class, parents in
+    the order they entered the level and vertices ascending, and the result
+    is sorted by canonical form.  The library attaches only at the smallest
+    vertex of each automorphism orbit and must give the same members.
+    """
+    first = ButterflyCactus(butterfly_graph(), frozenset({0}), 1)
+    level = {canonical_form(first.graph): first}
+    for _ in range(k - 1):
+        nxt: dict[bytes, ButterflyCactus] = {}
+        for b in level.values():
+            for v in range(b.graph.n):
+                if v not in b.central_vertices:
+                    child = _attach_butterfly(b, v)
+                    nxt.setdefault(canonical_form(child.graph), child)
+        level = nxt
+    return tuple(level[key] for key in sorted(level))
+
+
+def reference_disconnected_obstructions(k: int) -> tuple[Graph, ...]:
+    """(k+2)K3 and the disjoint unions of >= 2 butterfly-cacti with levels
+    summing to k+1, from `reference_generate_Z`, sorted by canonical form.
+
+    A multiset of members is one non-decreasing sequence of (level, index)
+    pairs, and its union takes the members in that order.
+    """
+    zs = {j: reference_generate_Z(j) for j in range(1, k + 1)}
+    out = {}
+
+    def extend(rest: int, seq: list[tuple[int, int]]) -> None:
+        if rest == 0:
+            if len(seq) >= 2:
+                g = disjoint_union(*[zs[j][i].graph for j, i in seq])
+                key = canonical_form(g)
+                assert key not in out, "two multisets gave isomorphic unions"
+                out[key] = g
+            return
+        for j in range(seq[-1][0] if seq else 1, min(rest, k) + 1):
+            start = seq[-1][1] if seq and seq[-1][0] == j else 0
+            for i in range(start, len(zs[j])):
+                extend(rest - j, seq + [(j, i)])
+
+    extend(k + 1, [])
+    triangles = disjoint_union(*([complete_graph(3)] * (k + 2)))
+    out[canonical_form(triangles)] = triangles
+    return tuple(out[key] for key in sorted(out))
 
 
 # -- class membership ----------------------------------------------------------

@@ -30,12 +30,24 @@ from apexobs.graphs import (
 from apexobs.obstructions import check_obstruction, is_obstruction, load_catalog
 
 from conftest import random_graph
-from oracles import find_butterfly_buckets
+from oracles import (
+    find_butterfly_buckets,
+    reference_disconnected_obstructions,
+    reference_generate_Z,
+)
 
 
 class TestGenerateZ:
     def test_level_counts(self):
         assert [len(generate_Z(k)) for k in range(1, 7)] == [1, 1, 3, 7, 25, 88]
+
+    def test_matches_unpruned_reference(self):
+        # attaching only at orbit minima keeps every member, its order, its
+        # labelling and its central vertices
+        for k in range(1, 7):
+            got = [(b.graph.adj, b.central_vertices) for b in generate_Z(k)]
+            want = [(b.graph.adj, b.central_vertices) for b in reference_generate_Z(k)]
+            assert got == want
 
     def test_level_one_is_butterfly(self):
         (b,) = generate_Z(1)
@@ -98,6 +110,11 @@ class TestCentralSet:
         wrong = ButterflyCactus(g, frozenset({1}), 1)  # not the central vertex
         with pytest.raises(AssertionError):
             central_set(wrong)
+
+    def test_unknown_verify_rejected(self):
+        (b,) = generate_Z(1)
+        with pytest.raises(ValueError, match="'forest', 'unique' or 'none'.*'uniq'"):
+            central_set(b, verify="uniq")
 
 
 class TestForestApexCount:
@@ -177,6 +194,11 @@ class TestDisconnected:
             for g in disconnected_obstructions(k):
                 assert len(component_masks(g)) >= 2
                 assert is_in_class(g, ClassId.CACTUS)
+
+    def test_matches_reference(self):
+        for k in range(1, 5):
+            got = [g.adj for g in disconnected_obstructions(k)]
+            assert got == [g.adj for g in reference_disconnected_obstructions(k)]
 
     def test_exceptional(self):
         assert are_isomorphic(exceptional_obstruction(1), make_named("3K3"))

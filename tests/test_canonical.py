@@ -6,10 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apexobs.cacti import _attach_butterfly, generate_Z
+import apexobs.canonical
+from apexobs.cacti import _attach_butterfly, exceptional_obstruction, generate_Z
 from apexobs.canonical import (
+    _canonical_search_pruned,
     _refine,
     are_isomorphic,
+    automorphism_orbits,
     canonical_form,
     canonical_graph,
     canonical_labeling,
@@ -26,7 +29,7 @@ from apexobs.graphs import (
 )
 
 from conftest import random_graph
-from oracles import nx_isomorphic, reference_refine
+from oracles import nx_automorphism_orbits, nx_isomorphic, reference_refine
 
 
 def add_twins_and_pendants(rng: random.Random, g: Graph, extra: int) -> Graph:
@@ -137,6 +140,38 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             random.Random(1).shuffle(perm)
             assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
+class TestAutomorphismOrbits:
+    """Orbits from the search's automorphisms and skipped twins are the full
+    automorphism group's orbits."""
+
+    def test_random_graphs(self, rng):
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(0, 10), rng.choice([0.3, 0.5, 0.7]))
+            assert automorphism_orbits(g) == nx_automorphism_orbits(g)
+
+    def test_cacti_and_unions(self):
+        z = [b.graph for k in range(1, 5) for b in generate_Z(k)]
+        pool = z + [exceptional_obstruction(k) for k in range(3)]
+        pool.append(disjoint_union(z[1], cycle_graph(3), z[1]))
+        pool.append(disjoint_union(z[0], z[0], path_graph(3)))
+        for g in pool:
+            assert automorphism_orbits(g) == nx_automorphism_orbits(g)
+
+    def test_backjump_bounds_the_search(self, monkeypatch):
+        # 7K3: the search without the backjump refines 751 times
+        calls = []
+
+        def counting(adj, cells, fresh):
+            calls.append(fresh)
+            return _refine(adj, cells, fresh)
+
+        monkeypatch.setattr(apexobs.canonical, "_refine", counting)
+        g = disjoint_union(*[complete_graph(3)] * 7)
+        _, _, orbits = _canonical_search_pruned(g)
+        assert orbits == (0,) * 21
+        assert len(calls) <= 150
 
 
 class TestRefine:
