@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 
 from . import __version__
-from .asymptotics import MIN_SADDLE_TRUNCATION, asymptotics_report
+from .asymptotics import MIN_SADDLE_TRUNCATION, NewtonDivergence, asymptotics_report
 from .cacti import MAX_LEVEL, _z_levels, disconnected_obstructions
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
@@ -170,6 +171,10 @@ def cmd_gen_cacti(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.n < 0:
+        raise SystemExit(f"error: --n must be non-negative, got {args.n}")
+    if args.N < 1:
+        raise SystemExit(f"error: --N must be at least 1, got {args.N}")
     sol = solve_system(max(args.N, args.n))
     table = coefficient_table(sol, args.n)
     if args.json:
@@ -189,8 +194,15 @@ def cmd_asymptotics(args) -> int:
         raise SystemExit(
             f"error: --N must be at least {MIN_SADDLE_TRUNCATION} for the saddle-point analysis, got {args.N}"
         )
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SystemExit(f"error: --tol must be finite and positive, got {args.tol}")
     sol = solve_system(args.N)
-    report = asymptotics_report(sol, tol=args.tol)
+    try:
+        report = asymptotics_report(sol, tol=args.tol)
+    except NewtonDivergence as exc:
+        raise SystemExit(
+            f"error: the saddle-point solve failed at --tol {args.tol}: {exc}"
+        ) from None
     text = (
         f"rho      = {report['rho']:.6f}   (1/rho = {report['rho_inv']:.5f})\n"
         f"y0       = {report['y0']:.6f}\n"

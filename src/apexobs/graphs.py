@@ -104,13 +104,7 @@ class Graph:
 
     def subgraph(self, keep: int) -> Graph:
         """Induced subgraph on the vertex bitmask ``keep``, relabelled."""
-        old = list(bits(keep))
-        pos = {v: i for i, v in enumerate(old)}
-        adj = [0] * len(old)
-        for v in old:
-            for u in bits(self.adj[v] & keep):
-                adj[pos[v]] |= 1 << pos[u]
-        return Graph.from_adj(adj)
+        return _induced(self.adj, keep)
 
     def delete_vertices(self, drop: Iterable[int]) -> Graph:
         mask = 0
@@ -121,10 +115,7 @@ class Graph:
     def delete_edge(self, u: int, v: int) -> Graph:
         if not self.has_edge(u, v):
             raise ValueError(f"no edge ({u},{v})")
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph.from_adj(adj)
+        return Graph.from_adj(_deletion_rows(self.adj, u, v))
 
     def contract_edge(self, u: int, v: int) -> Graph:
         """Contract edge uv; the merged vertex keeps u's label slot.
@@ -134,16 +125,7 @@ class Graph:
         """
         if not self.has_edge(u, v):
             raise ValueError(f"no edge ({u},{v})")
-        adj = list(self.adj)
-        merged = (adj[u] | adj[v]) & ~(1 << u) & ~(1 << v)
-        adj[u] = merged
-        for w in bits(adj[v] & ~(1 << u)):
-            adj[w] |= 1 << u
-        # adj is momentarily asymmetric around v; subgraph() drops v anyway
-        tmp = Graph.__new__(Graph)
-        object.__setattr__(tmp, "n", self.n)
-        object.__setattr__(tmp, "adj", tuple(adj))
-        return tmp.delete_vertices([v])
+        return _induced(_contraction_rows(self.adj, u, v), ((1 << self.n) - 1) & ~(1 << v))
 
     def add_vertex(self, neighborhood: int = 0) -> Graph:
         """Append a new vertex adjacent to the bitmask ``neighborhood``.
@@ -184,6 +166,44 @@ def bits(mask: int) -> Iterator[int]:
 
 
 popcount = int.bit_count  # number of set bits of a mask
+
+
+# -- rows: a graph as bitset rows over a fixed labelling plus a mask of the
+# vertices alive in it.  Every search below masks each row with the alive
+# set, so a child of g can be searched in g's own labels, stale bits and all.
+
+
+def _induced(adj: tuple[int, ...], keep: int) -> Graph:
+    """The graph the rows ``adj`` induce on ``keep``, relabelled ``0..|keep|-1``."""
+    rows = [adj[v] & keep for v in bits(keep)]
+    drop = ((1 << len(adj)) - 1) & ~keep
+    while drop:  # close the gap of each dropped vertex, highest first
+        r = drop.bit_length() - 1
+        low = (1 << r) - 1
+        rows = [row & low | row >> 1 & ~low for row in rows]
+        drop ^= 1 << r
+    return Graph.from_adj(rows)
+
+
+def _contraction_rows(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """The rows of edge uv contracted into u, for a mask without v.
+
+    u's row is the union of both rows minus the endpoints, so the result
+    stays simple; v's neighbours gain u.  Rows still mention v.
+    """
+    rows = list(adj)
+    rows[u] = (adj[u] | adj[v]) & ~(1 << u | 1 << v)
+    for w in bits(adj[v] & ~(1 << u)):
+        rows[w] |= 1 << u
+    return tuple(rows)
+
+
+def _deletion_rows(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """The rows without edge uv."""
+    rows = list(adj)
+    rows[u] &= ~(1 << v)
+    rows[v] &= ~(1 << u)
+    return tuple(rows)
 
 
 # -- named constructions ----------------------------------------------------
@@ -476,31 +496,35 @@ def _core_in_class(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> 
 
 def _apex_search(
     adj: tuple[int, ...], alive: int, cls: ClassId, k: int, failed: dict[int, int]
-) -> bool:
-    """True iff deleting at most k vertices of ``alive`` lands it in ``cls``.
+) -> int | None:
+    """A set of at most k vertices of ``alive`` whose deletion lands it in ``cls``, or None.
 
-    ``failed`` maps a core to the largest budget it was refuted with.  The
-    packing bound is skipped at k <= 1, where branching is as cheap.
+    The set is the branch path that succeeded: the cycle classes are decided
+    by the 2-core alone, and deleting a set from ``alive`` leaves the 2-core
+    that deleting it from the 2-core of ``alive`` leaves.  ``failed`` maps a
+    core to the largest budget it was refuted with.  The packing bound is
+    skipped at k <= 1, where branching is as cheap.
     """
     core, high = _strip(adj, alive)
     if _core_in_class(adj, core, high, cls):
-        return True
+        return 0
     if k == 0 or failed.get(core, -1) >= k:
-        return False
+        return None
     if k >= 2 and cls is not ClassId.PSEUDOFOREST:
         need = k + 1 if cls is ClassId.FOREST else k + 2
         if _cycle_packing(adj, core, need) >= need:
             failed[core] = k
-            return False
+            return None
     branch = sorted(
         bits(_branch_vertices(adj, core, high, cls)),
         key=lambda v: -(adj[v] & core).bit_count(),
     )
     for v in branch:
-        if _apex_search(adj, core & ~(1 << v), cls, k - 1, failed):
-            return True
+        found = _apex_search(adj, core & ~(1 << v), cls, k - 1, failed)
+        if found is not None:
+            return found | 1 << v
     failed[core] = k
-    return False
+    return None
 
 
 def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> int:
@@ -524,13 +548,32 @@ def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> i
     return total
 
 
-def _cactus_deletions(g: Graph, limit: int) -> int | None:
-    """Fewest deletions (at most ``limit``) into CACTUS, by trying every subset."""
-    for s in range(min(limit, g.n) + 1):
-        for drop in combinations(range(g.n), s):
-            if is_in_class(g.delete_vertices(drop), ClassId.CACTUS):
-                return s
+def _cactus_set(adj: tuple[int, ...], alive: int, limit: int) -> int | None:
+    """A smallest set of at most ``limit`` vertices of ``alive`` leaving a cactus.
+
+    Found by trying every subset, smallest first.
+    """
+    vs = list(bits(alive))
+    for s in range(min(limit, len(vs)) + 1):
+        for drop in combinations(vs, s):
+            mask = sum(1 << v for v in drop)
+            if is_in_class(_induced(adj, alive & ~mask), ClassId.CACTUS):
+                return mask
     return None
+
+
+def _deletion_set(adj: tuple[int, ...], alive: int, cls: ClassId, k: int) -> int | None:
+    """A set of at most k vertices of ``alive`` whose deletion lands it in ``cls``, or None."""
+    if cls is ClassId.CACTUS:
+        return _cactus_set(adj, alive, k)
+    return _apex_search(adj, alive, cls, k, {})
+
+
+def _lands_in(adj: tuple[int, ...], alive: int, cls: ClassId) -> bool:
+    """True iff the graph the rows ``adj`` induce on ``alive`` is in ``cls``."""
+    if cls is ClassId.CACTUS:
+        return is_in_class(_induced(adj, alive), cls)
+    return _core_in_class(adj, *_strip(adj, alive), cls)
 
 
 def min_apex_size(g: Graph, cls: ClassId) -> int:
@@ -538,23 +581,19 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
 
     Iterative deepening over the bounded search: budgets 0, 1, 2, ...
     """
-    if cls is ClassId.CACTUS:
-        return _cactus_deletions(g, g.n)
     full = (1 << g.n) - 1
+    if cls is ClassId.CACTUS:
+        return popcount(_cactus_set(g.adj, full, g.n))
     failed: dict[int, int] = {}
     k = 0
-    while not _apex_search(g.adj, full, cls, k, failed):
+    while _apex_search(g.adj, full, cls, k, failed) is None:
         k += 1
     return k
 
 
 def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
     """True iff some deletion set of size <= k lands g in the class."""
-    if k < 0:
-        return False
-    if cls is ClassId.CACTUS:
-        return _cactus_deletions(g, k) is not None
-    return _apex_search(g.adj, (1 << g.n) - 1, cls, k, {})
+    return k >= 0 and _deletion_set(g.adj, (1 << g.n) - 1, cls, k) is not None
 
 
 # -- blocks, cut vertices, bc-tree ------------------------------------------
@@ -715,21 +754,30 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
 # -- one-step minors ---------------------------------------------------------
 
 
-def _one_step_children(g: Graph) -> Iterator[Graph]:
-    """The one-step minors of g lazily, repeats included.
+def _child_rows(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The one-step minors of g as (rows, alive) pairs in g's labels, repeats included.
 
-    The contraction of every edge of ``g.edges()``, then the deletion of
-    every edge, then one isolated-vertex deletion if g has an isolated vertex
-    (all such deletions give the same child).  Contractions come first
-    because each drops a vertex, and a minor test has to drop ``g.n - h.n``.
+    The contraction of every edge of ``g.edges()`` (u's rows merged, v not
+    alive), then the deletion of every edge (the full mask), then one
+    isolated-vertex deletion if g has an isolated vertex (all such
+    deletions give the same child).  Contractions come first because each
+    drops a vertex, and a minor test has to drop ``g.n - h.n``.
     """
-    for u, v in g.edges():
-        yield g.contract_edge(u, v)
-    for u, v in g.edges():
-        yield g.delete_edge(u, v)
-    iso = next((v for v in range(g.n) if g.adj[v] == 0), None)
+    adj, full = g.adj, (1 << g.n) - 1
+    edges = list(g.edges())
+    for u, v in edges:
+        yield _contraction_rows(adj, u, v), full & ~(1 << v)
+    for u, v in edges:
+        yield _deletion_rows(adj, u, v), full
+    iso = next((v for v in range(g.n) if adj[v] == 0), None)
     if iso is not None:
-        yield g.delete_vertices([iso])
+        yield adj, full & ~(1 << iso)
+
+
+def _one_step_children(g: Graph) -> Iterator[Graph]:
+    """The children of ``_child_rows`` as graphs, lazily and in the same order."""
+    for rows, alive in _child_rows(g):
+        yield _induced(rows, alive)
 
 
 def one_step_minors(g: Graph) -> tuple[Graph, ...]:

@@ -24,7 +24,10 @@ from .graphio import from_graph6, to_graph6
 from .graphs import (
     ClassId,
     Graph,
-    _one_step_children,
+    _child_rows,
+    _deletion_set,
+    _induced,
+    _lands_in,
     bits,
     bridges,
     component_masks,
@@ -105,6 +108,7 @@ class ObstructionCheck:
     is_obstruction: bool
     failed_step: str | None = None  # "membership" | "minimality" | None
     witness: Graph | None = None    # offending one-step minor, if minimality failed
+    children_searched: int = 0      # children that needed an apex search of their own
 
 
 def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) -> ObstructionCheck:
@@ -112,18 +116,34 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
 
     membership step: g must NOT be k-apex (min_apex_size > k);
     minimality step: every one-step minor must be k-apex.  The raw children
-    are tested in generation order, with no canonical form: isomorphic
-    children get the same verdict, so repeats cost a test but change no
-    outcome, and the witness is the first child that is not k-apex.
+    of ``_child_rows`` are tested in generation order, in g's own labels
+    and with no canonical form.  Each child first tries the deletion sets
+    found for its siblings, most recently useful first: a set has at most k
+    vertices, so one that lands the child in the class proves it k-apex.
+    Only a child that no set settles gets an apex search, and the first
+    child that search refutes is built as the witness, the first child
+    that is not k-apex.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if has_apex_set_within(g, cls, k):
         return ObstructionCheck(False, failed_step="membership")
-    for child in _one_step_children(g):
-        if not has_apex_set_within(child, cls, k):
-            return ObstructionCheck(False, failed_step="minimality", witness=child)
-    return ObstructionCheck(True)
+    sets: list[int] = []
+    searched = 0
+    for rows, alive in _child_rows(g):
+        for i, s in enumerate(sets):
+            if _lands_in(rows, alive & ~s, cls):
+                if i:
+                    sets.insert(0, sets.pop(i))
+                break
+        else:
+            searched += 1
+            s = _deletion_set(rows, alive, cls, k)
+            if s is None:
+                witness = _induced(rows, alive)
+                return ObstructionCheck(False, "minimality", witness, children_searched=searched)
+            sets.insert(0, s)
+    return ObstructionCheck(True, children_searched=searched)
 
 
 def is_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) -> bool:
@@ -286,6 +306,7 @@ def verify_record(rec: ObstructionRecord) -> dict:
         "failed_step": outcome.failed_step,
         "witness": None if outcome.witness is None else to_graph6(outcome.witness),
         "seconds": time.perf_counter() - t0,
+        "children_searched": outcome.children_searched,
     }
 
 

@@ -8,7 +8,8 @@ an AHU certificate, partition refinement counts neighbors into every cell on
 every pass, automorphism orbits come from VF2 matches with one vertex marked
 on each side, the butterfly-cacti attach at every non-central vertex, power
 series are Fraction-valued with exp and MSET taken by the exp-log formulas,
-and the obstruction search takes its candidates from every graph up to
+the obstruction check runs a fresh apex search on every child, and the
+obstruction search takes its candidates from every graph up to
 isomorphism.  Slow is fine; these run on small graphs and orders only.
 """
 
@@ -23,7 +24,16 @@ import networkx as nx
 
 from apexobs.cacti import ButterflyCactus, _attach_butterfly
 from apexobs.canonical import canonical_form, graphs_up_to
-from apexobs.graphs import Graph, butterfly_graph, complete_graph, disjoint_union, is_connected
+from apexobs.graphs import (
+    ClassId,
+    Graph,
+    _one_step_children,
+    butterfly_graph,
+    complete_graph,
+    disjoint_union,
+    has_apex_set_within,
+    is_connected,
+)
 from apexobs.obstructions import is_obstruction, structural_filters
 
 
@@ -183,6 +193,28 @@ def oracle_min_apex(g: Graph, cls: str) -> int:
         if best <= size:
             break
     return best
+
+
+# -- the obstruction check, one search per child -----------------------------------
+
+
+def reference_check_obstruction(
+    g: Graph, k: int, cls: ClassId
+) -> tuple[bool, str | None, Graph | None]:
+    """(is_obstruction, failed_step, witness) with a fresh apex search per child.
+
+    ``has_apex_set_within`` on g, then on every child of
+    ``_one_step_children`` in order; the first child that fails is the
+    witness.  The library's check settles most children by a deletion set
+    found for a sibling and must give the same triple, the same witness
+    bytes included.
+    """
+    if has_apex_set_within(g, cls, k):
+        return False, "membership", None
+    for child in _one_step_children(g):
+        if not has_apex_set_within(child, cls, k):
+            return False, "minimality", child
+    return True, None, None
 
 
 # -- obstruction search over every graph ----------------------------------------

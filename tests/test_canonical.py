@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -234,6 +235,30 @@ class TestPinnedOutput:
             digest.update(canonical_form(g) + bytes(canonical_labeling(g)))
         assert digest.hexdigest() == (
             "ac38ec0456fda0139014a039e701291e5ad81316df043ba098ce181cfd417601"
+        )
+
+    def test_unions_with_repeated_parts_unchanged(self):
+        # sha256 over shuffled unions of two to four parts with a repeated
+        # part (2K3+K4-, Z+Z+K3, ...), where the backjump returns furthest:
+        # a backjump one level too far changes 36 of these 462 entries
+        parts = ["K3", "K4-", "Z", "C4", "P3", "K4", "C5"]
+        rng = random.Random(12)
+        pool = []
+        for size in (2, 3, 4):
+            for combo in combinations_with_replacement(parts, size):
+                if len(set(combo)) == size:
+                    continue
+                g = disjoint_union(*map(make_named, combo))
+                for _ in range(2):
+                    perm = list(range(g.n))
+                    rng.shuffle(perm)
+                    pool.append(g.relabel(perm))
+        assert len(pool) == 462
+        digest = hashlib.sha256()
+        for g in pool:
+            digest.update(canonical_form(g) + bytes(canonical_labeling(g)))
+        assert digest.hexdigest() == (
+            "d53169542f8f3e2a249c856706dd041df9c70890ba7f18b7fba87328830eba4a"
         )
 
 

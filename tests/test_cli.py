@@ -127,6 +127,8 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["verified"] == 3 and payload["refuted"] == []
+        # at k = 0 the empty set found for the first child settles the rest
+        assert [rec["children_searched"] for rec in payload["records"]] == [1, 1, 1]
 
     def test_search_small(self, capsys):
         code, out = invoke(capsys, "search", "--k", "0", "--max-n", "4", "--json")
@@ -179,6 +181,24 @@ class TestSubcommands:
         ],
     )
     def test_out_of_range_level_exit_2(self, capsys, argv):
+        assert run(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("enumerate", "--n", "-1"),
+            ("enumerate", "--N", "-3"),
+            ("asymptotics", "--N", "64", "--tol", "0"),
+            ("asymptotics", "--N", "64", "--tol", "nan"),
+            ("asymptotics", "--N", "64", "--tol", "inf"),
+            ("asymptotics", "--N", "64", "--tol", "-0.5"),
+            ("asymptotics", "--N", "64", "--tol", "1e-300"),  # Newton cannot reach it
+        ],
+    )
+    def test_bad_series_argument_exit_2(self, capsys, argv):
         assert run(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -7,6 +7,9 @@ import pytest
 from apexobs.graphs import (
     ClassId,
     Graph,
+    _apex_search,
+    _child_rows,
+    _induced,
     _one_step_children,
     butterfly_graph,
     bridges,
@@ -23,6 +26,7 @@ from apexobs.graphs import (
     one_step_minors,
     path_graph,
     peripheral_blocks,
+    popcount,
 )
 from apexobs.canonical import are_isomorphic, canonical_form
 
@@ -91,6 +95,20 @@ class TestConstruction:
                 for u in g.neighbors(v):
                     assert g.has_edge(u, v)
                 assert not g.has_edge(v, v)
+
+    def test_subgraph_and_contraction_against_edge_lists(self, rng):
+        # the rows relabelled from the edge list: kept vertices in order;
+        # contracting uv, v merges into u and the vertices above v move down
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12), rng.random())
+            keep = rng.getrandbits(g.n)
+            pos = {v: i for i, v in enumerate(v for v in range(g.n) if keep >> v & 1)}
+            sub = [(pos[a], pos[b]) for a, b in g.edges() if a in pos and b in pos]
+            assert g.subgraph(keep) == Graph(len(pos), sub)
+            for u, v in g.edges():
+                f = [u if x == v else x - (x > v) for x in range(g.n)]
+                merged = {(f[a], f[b]) for a, b in g.edges() if f[a] != f[b]}
+                assert g.contract_edge(u, v) == Graph(g.n - 1, merged)
 
     def test_contraction_simplifies(self):
         # contracting a triangle edge must not create a doubled edge
@@ -269,6 +287,27 @@ class TestApexSearch:
                     outcomes.add((cls, k, got))
         # every class and budget saw both answers
         assert len(outcomes) == 2 * 4 * len(ClassId)
+
+    @pytest.mark.parametrize("cls", [ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST])
+    def test_found_sets_land_in_the_class(self, rng, cls):
+        # on g and on every child in g's labels (rows that still mention
+        # the vertex a contraction dropped): a found set is at most k alive
+        # vertices whose deletion lands the graph in the class
+        found = refuted = 0
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.7))
+            for rows, alive in [(g.adj, (1 << g.n) - 1), *_child_rows(g)]:
+                need = min_apex_size(_induced(rows, alive), cls)
+                for k in range(4):
+                    s = _apex_search(rows, alive, cls, k, {})
+                    assert (s is None) == (k < need)
+                    if s is None:
+                        refuted += 1
+                        continue
+                    found += 1
+                    assert s & ~alive == 0 and popcount(s) <= k
+                    assert is_in_class(_induced(rows, alive & ~s), cls)
+        assert found and refuted
 
     def test_negative_budget(self):
         assert not has_apex_set_within(Graph(0), ClassId.FOREST, -1)

@@ -13,6 +13,7 @@ from apexobs.graphio import from_graph6
 from apexobs.graphs import (
     ClassId,
     Graph,
+    _child_rows,
     butterfly_graph,
     complete_graph,
     cycle_graph,
@@ -40,7 +41,9 @@ from apexobs.obstructions import (
 )
 
 from conftest import random_graph
-from oracles import oracle_min_apex, reference_search
+from oracles import oracle_min_apex, reference_check_obstruction, reference_search
+
+CYCLE_CLASSES = (ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST)
 
 
 class TestIsObstruction:
@@ -151,6 +154,65 @@ class TestRawChildren:
         monkeypatch.setattr(apexobs.canonical, "_canonical", counting)
         assert check_obstruction(g, 4).is_obstruction
         assert calls == []
+
+
+def assert_matches_search_per_child(g: Graph, k: int, cls: ClassId) -> str | None:
+    check = check_obstruction(g, k, cls)
+    want = reference_check_obstruction(g, k, cls)
+    assert (check.is_obstruction, check.failed_step, check.witness) == want, (g, k, cls)
+    return check.failed_step
+
+
+class TestSiblingSets:
+    """Children settled by a sibling's deletion set: the outcome and the
+    witness (compared by ==, not up to isomorphism) equal those of a fresh
+    apex search on every child."""
+
+    @pytest.mark.parametrize("cls", CYCLE_CLASSES)
+    def test_catalog_records_around_their_level(self, cls):
+        steps = set()
+        for cat_k in (0, 1):
+            for rec in load_catalog(cat_k).records:
+                for k in (rec.k - 1, rec.k, rec.k + 1):
+                    if k >= 0:
+                        steps.add(assert_matches_search_per_child(rec.graph, k, cls))
+        assert {"membership", "minimality"} <= steps
+
+    @pytest.mark.parametrize("cls", CYCLE_CLASSES)
+    def test_butterfly_cacti(self, cls):
+        steps = set()
+        for level in (2, 3, 4, 5):
+            for b in generate_Z(level):
+                for k in (level - 2, level - 1):
+                    steps.add(assert_matches_search_per_child(b.graph, k, cls))
+        assert "minimality" in steps
+
+    @pytest.mark.parametrize("cls", CYCLE_CLASSES)
+    def test_random_graphs(self, cls):
+        rng = random.Random(1212)
+        steps = set()
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.7))
+            for k in (0, 1, 2):
+                steps.add(assert_matches_search_per_child(g, k, cls))
+        assert {"membership", "minimality"} <= steps
+
+    def test_cactus_small_graphs(self):
+        # CACTUS has no bounded search: its sets come from trying every subset
+        rng = random.Random(1213)
+        steps = set()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.8))
+            for k in (0, 1):
+                steps.add(assert_matches_search_per_child(g, k, ClassId.CACTUS))
+        assert {"membership", "minimality"} <= steps
+
+    def test_siblings_settle_most_children(self):
+        g = generate_Z(4)[0].graph
+        check = check_obstruction(g, 3)
+        children = sum(1 for _ in _child_rows(g))
+        assert check.is_obstruction and 0 < check.children_searched < children
+        assert check_obstruction(g, 4).children_searched == 0  # fails membership
 
 
 class TestStructuralFilters:
