@@ -11,6 +11,13 @@ come from the stated closed forms in the partial derivatives of F, and the
 asymptotic constants of T and G are recovered from their exact coefficients
 by Richardson extrapolation of a_n * n^(alpha+1) * rho^n.
 
+The tails are evaluated as two power series of the truncation order N of
+T_diamond: t(x) = sum_{m<=N} c_m x^m and u(x) = v(x^2) with
+v(z) = sum_{m<=N} w_m z^m, where m*c_m and m*w_m collect n*d_n over the
+divisors n of m with m/n in [2, tail_k] and [1, tail_k] (the Euler-
+transform weights of T_star = MSET(T_diamond)).  So t is cut at x^N and u
+at x^(2N), whatever k; k itself stays bounded by tail_k.
+
 All reals are double precision.  Series coefficients can exceed the float
 range, so series evaluation goes through logarithms of the exact integers.
 """
@@ -19,42 +26,45 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add
 
 from .series import PowerSeries, SeriesSystemSolution
 
 DEFAULT_TAIL_K = 40
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
-TAIL_TERM_TOL = 1e-18
-SERIES_SUM_TOL = 1e-30  # relative size of the term that ends a series sum
 SADDLE_START = (0.15, 0.4)  # (x, y) where the saddle Newton starts
 SADDLE_MAX_ITER = 200
 BACKSUB_EPS = (0.05, 0.02)  # eps of the q1 gate's points x = rho(1 - eps^2)
 RICHARDSON_LEVELS = 3
 
 
-# (n, log|a_n|, a_n < 0) for every non-zero a_n with n >= 1
-LogTerms = list[tuple[int, float, bool]]
+# (m, log|a_m|, sign, sign*m, sign*m*(m-1)) for every non-zero a_m, m >= 1:
+# one pass gives f, z*f' and z^2*f'' of f(z) = sum a_m z^m
+LogTerms = list[tuple[int, float, float, float, float]]
 
 
-def _log_terms(series: PowerSeries) -> LogTerms:
-    return [
-        (n, math.log(abs(c)), c < 0)
-        for n, c in enumerate(series.coeffs)
-        if n and c
-    ]
+def _log_terms(numerators: list[int]) -> LogTerms:
+    """The terms of sum_m (numerators[m]/m) z^m, logarithms taken from the ints."""
+    terms = []
+    for m, a in enumerate(numerators):
+        if m and a:
+            sign = 1.0 if a > 0 else -1.0
+            terms.append((m, math.log(abs(a)) - math.log(m), sign, sign * m, sign * m * (m - 1)))
+    return terms
 
 
-def _sum_log_terms(a0: float, terms: LogTerms, z: float) -> float:
-    """a0 + sum a_n z^n over the precomputed log-coefficients, for z > 0."""
-    lz = math.log(z)
+def _moments(terms: LogTerms, lz: float) -> tuple[float, float, float]:
+    """(f, z*f', z^2*f'') at z = exp(lz).  Every term is summed: the
+    coefficients are not monotone in m, so one small term proves nothing
+    about the rest, and a term whose exp underflows adds 0."""
     exp = math.exp
-    total = a0
-    for n, la, negative in terms:
-        term = -exp(la + n * lz) if negative else exp(la + n * lz)
-        total += term
-        if n > 30 and abs(term) < SERIES_SUM_TOL * max(1.0, abs(total)):
-            break
-    return total
+    f = f1 = f2 = 0.0
+    for m, la, s0, s1, s2 in terms:
+        e = exp(la + m * lz)
+        f += s0 * e
+        f1 += s1 * e
+        f2 += s2 * e
+    return f, f1, f2
 
 
 def eval_series(series: PowerSeries, z: float) -> float:
@@ -63,52 +73,37 @@ def eval_series(series: PowerSeries, z: float) -> float:
         return float(series.coeffs[0])
     if z < 0:
         raise ValueError("only non-negative arguments are supported")
-    return _sum_log_terms(float(series.coeffs[0]), _log_terms(series), z)
+    terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
+    return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]
 
 
-def _tails(d: PowerSeries, x: float, tail_k: int) -> tuple[float, ...]:
-    """(t, t', t'', u, u', u'') at x: t, u and their first two x-derivatives
-    (arguments x^k, k >= 2).
+def _tail_series(d: PowerSeries, tail_k: int) -> tuple[LogTerms, LogTerms]:
+    """t and u as two series of the order N of d = T_diamond (d_0 = 0):
 
-    log|coefficient| of d is taken once here; the derived series n*d_n and
-    n*(n-1)*d_n add log n and log(n-1) to it, and all three are reused for
-    every argument x^k.
+        t(x) = sum_{m<=N} c_m x^m,  m*c_m = sum_{n|m, 2 <= m/n <= tail_k} n*d_n,
+        u(x) = v(x^2),  v(z) = sum_{m<=N} w_m z^m,  m*w_m = m*c_m + m*d_m.
+
+    Built once per public entry point and reused for every x it evaluates.
     """
-    d0 = float(d.coeffs[0])
-    terms = _log_terms(d)
-    terms1 = [(n, la + math.log(n), neg) for n, la, neg in terms]
-    terms2 = [(n, la + math.log(n - 1), neg) for n, la, neg in terms1 if n > 1]
+    nd = [n * a for n, a in enumerate(d.coeffs)]
+    n = len(nd) - 1
+    t_num = [0] * (n + 1)
+    for k in range(2, min(tail_k, n) + 1):
+        for q in range(1, n // k + 1):
+            t_num[q * k] += nd[q]
+    u_num = list(map(add, t_num, nd)) if tail_k >= 1 else t_num
+    return _log_terms(t_num), _log_terms(u_num)
 
-    def f(z: float) -> float:
-        return _sum_log_terms(d0, terms, z) if z else d0
 
-    def fp(z: float) -> float:
-        return _sum_log_terms(0.0, terms1, z) / z if z else float(d.coeffs[1])
-
-    def fpp(z: float) -> float:
-        return _sum_log_terms(0.0, terms2, z) / (z * z) if z else 2.0 * float(d.coeffs[2])
-
-    t = t1 = t2 = 0.0
-    for k in range(2, tail_k + 1):
-        xk = x ** k
-        v = f(xk) / k
-        g1 = fp(xk)
-        t += v
-        t1 += x ** (k - 1) * g1
-        t2 += (k - 1) * x ** (k - 2) * g1 + k * x ** (2 * k - 2) * fpp(xk)
-        if v < TAIL_TERM_TOL and k > 4:
-            break
-    u = u1 = u2 = 0.0
-    for k in range(1, tail_k + 1):
-        x2k = x ** (2 * k)
-        v = f(x2k) / k
-        g1 = fp(x2k)
-        u += v
-        u1 += 2 * x ** (2 * k - 1) * g1
-        u2 += 2 * (2 * k - 1) * x ** (2 * k - 2) * g1 + 4 * k * x ** (4 * k - 2) * fpp(x2k)
-        if v < TAIL_TERM_TOL and k > 2:
-            break
-    return t, t1, t2, u, u1, u2
+def _tails(tails: tuple[LogTerms, LogTerms], x: float) -> tuple[float, ...]:
+    """(t, t', t'', u, u', u'') at x > 0: the two series of `_tail_series`
+    and their first two x-derivatives, by the chain rule through z = x^2 for u."""
+    t_terms, u_terms = tails
+    lx = math.log(x)
+    t, t1, t2 = _moments(t_terms, lx)
+    u, u1, u2 = _moments(u_terms, 2.0 * lx)
+    z = x * x
+    return t, t1 / x, t2 / z, u, 2.0 * u1 / x, (4.0 * u2 + 2.0 * u1) / z
 
 
 @dataclass(frozen=True)
@@ -134,9 +129,14 @@ def eval_F(x: float, y: float, sol: SeriesSystemSolution, tail_k: int = DEFAULT_
     y-derivatives are exact in form: every pure y-derivative of order m is
     (x/2)(3^m E^3 + E W).  x-derivatives differentiate the tails analytically.
     """
+    return _F(x, y, _tail_series(sol.T_diamond, tail_k))
+
+
+def _F(x: float, y: float, tails: tuple[LogTerms, LogTerms]) -> FDerivatives:
+    """`eval_F` on tail series already built."""
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    t, tp, tpp, u, up, upp = _tails(sol.T_diamond, x, tail_k)
+    t, tp, tpp, u, up, upp = _tails(tails, x)
     E = math.exp(y + t)
     W = math.exp(u)
     E3 = E ** 3
@@ -201,11 +201,12 @@ def solve_saddle(
     if sol.truncation < min_truncation:
         raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
     x, y = SADDLE_START
+    tails = _tail_series(sol.T_diamond, tail_k)
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
         return (yy - p.F, 1.0 - p.Fy)
 
-    p = eval_F(x, y, sol, tail_k)
+    p = _F(x, y, tails)
     r1, r2 = residuals(p, y)
     norm = abs(r1) + abs(r2)
     for it in range(1, SADDLE_MAX_ITER + 1):
@@ -223,7 +224,7 @@ def solve_saddle(
         while True:
             nx, ny = x - step * dx, y - step * dy
             if 0.0 < nx < 1.0:
-                pn = eval_F(nx, ny, sol, tail_k)
+                pn = _F(nx, ny, tails)
                 nr1, nr2 = residuals(pn, ny)
                 if abs(nr1) + abs(nr2) <= norm or step < 1e-6:
                     break
@@ -270,9 +271,14 @@ def solve_y_at(sol: SeriesSystemSolution, x: float, tail_k: int = DEFAULT_TAIL_K
     onto the root.  A step that does not shrink is float noise: the
     iterate is returned without it.
     """
+    return _solve_y_at(x, _tail_series(sol.T_diamond, tail_k))
+
+
+def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
+    """`solve_y_at` on tail series already built."""
     y, step = 0.0, math.inf
     while True:
-        p = eval_F(x, y, sol, tail_k)
+        p = _F(x, y, tails)
         new_step = (p.F - y) / (1.0 - p.Fy)
         if not abs(new_step) < abs(step):
             return y
@@ -293,7 +299,8 @@ def expansion_coeffs(
     """
     tail_k = sp.tail_truncation if tail_k is None else tail_k
     rho, y0 = sp.x0, sp.y0
-    p = eval_F(rho, y0, sol, tail_k)
+    tails = _tail_series(sol.T_diamond, tail_k)
+    p = _F(rho, y0, tails)
     if abs(p.Fyy) < 1e-9:
         raise ArithmeticError("degenerate saddle: F_yy vanishes")
     h0 = math.sqrt(2.0 * rho * p.Fx / p.Fyy)
@@ -309,7 +316,7 @@ def expansion_coeffs(
     pairs = []
     for eps in BACKSUB_EPS:
         xx = rho * (1.0 - eps * eps)
-        r = solve_y_at(sol, xx, tail_k) - (y0 - h0 * eps)
+        r = _solve_y_at(xx, tails) - (y0 - h0 * eps)
         pairs.append((eps, r))
     # fit r = A2 eps^2 + A3 eps^3 through the two smallest eps
     (e1, r1), (e2, r2) = sorted(pairs)[:2]
@@ -436,14 +443,16 @@ class Z1Report:
         return self.residuals[max(self.residuals)]
 
 
+def _z1_residual(x: float, p: FDerivatives) -> float:
+    return 1.5 * x * p.E ** 3 + 0.5 * x * p.E * p.W - 1.0
+
+
 def z1_identity_residual(
     sol: SeriesSystemSolution, sp: SaddlePoint, rho: float | None = None
 ) -> float:
     """The identity residual at the saddle (or at a perturbed rho)."""
     x = sp.x0 if rho is None else rho
-    p = eval_F(x, sp.y0, sol, sp.tail_truncation)
-    a0, c0 = p.E, p.W
-    return 1.5 * x * a0 ** 3 + 0.5 * x * a0 * c0 - 1.0
+    return _z1_residual(x, eval_F(x, sp.y0, sol, sp.tail_truncation))
 
 
 def check_Z1_vanishes(
@@ -455,25 +464,34 @@ def check_Z1_vanishes(
     """Solve the saddle at each truncation; evaluate the identity against
     the reference (full-truncation) series.  ``saddle``, if given, is the
     saddle already solved on ``sol`` itself at ``tol`` and stands for the
-    truncation ``sol.truncation``.
+    truncation ``sol.truncation``.  A truncation above ``sol.truncation``
+    raises ValueError.
 
     The residual then measures how far truncation displaces the saddle from
-    the true identity.  The tails converge geometrically (ratio rho ~ 0.16),
-    so past N ~ 20 the effect sits below double precision and the residual
-    bottoms out at the Newton tolerance; improvement with N is monotone up
-    to float noise (genuinely visible for N below ~16).
+    the true identity.  At truncation N the tails are cut at x^N (t) and
+    x^(2N) (u); the cut terms of t shrink like sqrt(rho)^N ~ 0.4^N, so past
+    N ~ 32 the effect sits below double precision and the residual bottoms
+    out at the Newton tolerance; improvement with N is monotone up to float
+    noise (genuinely visible for N below ~30).
     """
+    for n in truncations:
+        if n > sol.truncation:
+            raise ValueError(
+                f"truncation {n} exceeds the series truncation {sol.truncation}"
+            )
+    ref_tails = {}  # tail_k -> tail series of sol, for this call only
     residuals = {}
     values = {}
     for n in truncations:
         if saddle is not None and n == sol.truncation:
             sp = saddle
         else:
-            sub = sol.truncated(n) if n < sol.truncation else sol
-            sp = solve_saddle(sub, tol=tol, min_truncation=4)
-        r = z1_identity_residual(sol, sp)
-        residuals[n] = abs(r)
-        p = eval_F(sp.x0, sp.y0, sol, sp.tail_truncation)
+            sp = solve_saddle(sol.truncated(n), tol=tol, min_truncation=4)
+        k = sp.tail_truncation
+        if k not in ref_tails:
+            ref_tails[k] = _tail_series(sol.T_diamond, k)
+        p = _F(sp.x0, sp.y0, ref_tails[k])
+        residuals[n] = abs(_z1_residual(sp.x0, p))
         values[n] = (sp.x0, p.E, p.W)
     return Z1Report(residuals=residuals, values=values)
 
@@ -497,6 +515,7 @@ def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
         "rho_inv": 1.0 / sp.x0,
         "y0": sp.y0,
         "residuals": list(sp.residuals),
+        "saddle_iterations": sp.iterations,
         "h0": ec.h0,
         "h1": ec.h1,
         "q1": ec.q1,

@@ -110,13 +110,20 @@ def solve_T_diamond(truncation: int) -> tuple[PowerSeries, PowerSeries]:
     round.  A is extended by the Euler transform as each coefficient of
     T_diamond appears; both come out as ints.
     """
+    d, a, _ = _solve_T_diamond(truncation)
+    return PowerSeries(tuple(d)), PowerSeries(tuple(a))
+
+
+def _solve_T_diamond(truncation: int) -> tuple[list[int], list[int], list[int]]:
+    """`solve_T_diamond` as coefficient lists, with the A^2 its recurrence
+    builds (to x^(truncation-1))."""
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     n = truncation
     d = [0] * (n + 1)   # T_diamond
     a = [0] * (n + 1)   # T_star
     a[0] = 1
-    a2 = [0] * (n + 1)  # running A^2
+    a2 = [0] * n        # running A^2
     s = [0] * (n + 1)   # s[m] = sum_{q|m} q*d[q], the Euler transform's weights
     for m in range(1, n + 1):
         p = m - 1
@@ -127,7 +134,7 @@ def solve_T_diamond(truncation: int) -> tuple[PowerSeries, PowerSeries]:
         d[m] = _exact_div(a3 + aax2, 2, "T_diamond", m)
         _add_divisor_terms(s, m, d[m])
         a[m] = _exact_div(sum(map(mul, s[1 : m + 1], rev)), m, "T_star", m)
-    return PowerSeries(tuple(d)), PowerSeries(tuple(a))
+    return d, a, a2
 
 
 @dataclass(frozen=True)
@@ -172,21 +179,20 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
     coefficients (they count graphs); a failure of either raises, nothing
     is rounded.
     """
-    d, star = solve_T_diamond(truncation)
+    d, a, a2 = _solve_T_diamond(truncation)
     n = truncation
-    a = list(star.coeffs)
-    c = [0] * (n + 1)
-    c[::2] = a[: n // 2 + 1]   # A(x^2)
-    q = [0] * (n + 1)
-    q[::4] = a[: n // 4 + 1]   # A(x^4)
-    a2 = _int_mul(a, a)
+    # the rooted pieces are x * (...), so every numerator stops at x^(n-1)
+    q = [0] * n
+    q[::4] = a[: (n - 1) // 4 + 1]   # A(x^4)
+    c2 = [0] * n
+    c2[::2] = a2[: (n - 1) // 2 + 1]  # A(x^2)^2 is A^2 at x^2
     a4 = _int_mul(a2, a2)
-    a2c = _int_mul(a2, c)
-    c2 = _int_mul(c, c)
+    # [x^m] A^2 A(x^2) = sum_j a2[m - 2j] a[j]
+    a2c = [sum(map(mul, a[: m // 2 + 1], a2[m::-2])) for m in range(n)]
 
     def rooted(numerator: list[int], den: int, what: str) -> list[int]:
-        # x * numerator / den, truncated
-        return [0] + [_exact_div(v, den, what, i + 1) for i, v in enumerate(numerator[:n])]
+        # x * numerator / den
+        return [0] + [_exact_div(v, den, what, i + 1) for i, v in enumerate(numerator)]
 
     t_circ = [0] + a[1:]
     t_square = rooted([w + 2 * y + 3 * z + 2 * u for w, y, z, u in zip(a4, a2c, c2, q)],
@@ -201,8 +207,8 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
         if any(v < 0 for v in series.coeffs):
             raise AssertionError(f"{name} has a negative coefficient")
     return SeriesSystemSolution(
-        T_diamond=d,
-        T_star=star,
+        T_diamond=PowerSeries(tuple(d)),
+        T_star=PowerSeries(tuple(a)),
         T_circ=PowerSeries(tuple(t_circ)),
         T_square=PowerSeries(tuple(t_square)),
         T_triangle=PowerSeries(tuple(t_triangle)),

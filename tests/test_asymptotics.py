@@ -1,11 +1,17 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 
 import apexobs.asymptotics
 from apexobs.asymptotics import (
+    DEFAULT_TAIL_K,
+    SADDLE_MAX_ITER,
+    _F,
+    _tail_series,
+    _tails,
     asymptotics_report,
     check_Z1_vanishes,
     estimate_constant,
@@ -65,6 +71,77 @@ class TestEvalF:
         assert p.Fyy == pytest.approx(fd2, rel=1e-7)
         fd_xyyy = (eval_F(x + h, y, sol).Fyyy - eval_F(x - h, y, sol).Fyyy) / (2 * h)
         assert p.Fxyyy == pytest.approx(fd_xyyy, rel=1e-6)
+
+
+def exact_tails(d: tuple[int, ...], x: float, tail_k: int) -> tuple[float, ...]:
+    """(t, t', t'', u, u', u'') of the order-N tail series, in exact Fractions.
+
+    t = sum_{k=2..tail_k} T_diamond(x^k)/k cut at x^N, and
+    u = sum_{k=1..tail_k} T_diamond(x^(2k))/k cut at x^(2N), both
+    differentiated term by term in x itself.
+    """
+    n = len(d) - 1
+    t_coef = [Fraction(0)] * (n + 1)     # of x^m
+    u_coef = [Fraction(0)] * (2 * n + 1)  # of x^m
+    for k in range(1, tail_k + 1):
+        for q in range(1, n // k + 1):
+            if k >= 2:
+                t_coef[q * k] += Fraction(d[q], k)
+            u_coef[2 * q * k] += Fraction(d[q], k)
+    xf = Fraction(x)
+
+    def derivs(coef):
+        f = f1 = f2 = Fraction(0)
+        for m, c in enumerate(coef):
+            if c:
+                f += c * xf ** m
+                f1 += m * c * xf ** (m - 1)
+                f2 += m * (m - 1) * c * xf ** (m - 2)
+        return f, f1, f2
+
+    return tuple(float(v) for v in derivs(t_coef) + derivs(u_coef))
+
+
+RHO = 0.15926382314075604
+
+
+class TestTails:
+    @pytest.mark.parametrize("n", (14, 64))
+    @pytest.mark.parametrize("x", (0.05, 0.15, RHO))
+    def test_match_exact_order_n_series(self, n, x):
+        d = solve_system(n).T_diamond
+        got = _tails(_tail_series(d, DEFAULT_TAIL_K), x)
+        want = exact_tails(d.coeffs, x, DEFAULT_TAIL_K)
+        for name, g, w in zip(("t", "t'", "t''", "u", "u'", "u''"), got, want):
+            assert g == pytest.approx(w, rel=1e-13), name
+
+    def test_tail_k_bounds_k(self):
+        d = solve_system(14).T_diamond
+        for tail_k in (1, 2, 3):
+            got = _tails(_tail_series(d, tail_k), 0.15)
+            assert got == pytest.approx(exact_tails(d.coeffs, 0.15, tail_k), rel=1e-13)
+
+    def test_built_once_per_entry_point_call(self, monkeypatch):
+        builds, evaluations = [], []
+
+        def counted_build(*args):
+            builds.append(args)
+            return _tail_series(*args)
+
+        def counted_F(*args):
+            evaluations.append(args)
+            return _F(*args)
+
+        monkeypatch.setattr(apexobs.asymptotics, "_tail_series", counted_build)
+        monkeypatch.setattr(apexobs.asymptotics, "_F", counted_F)
+        sol = solve_system(64)
+        asymptotics_report(sol)
+        # solve_saddle, expansion_coeffs and check_Z1_vanishes build one each
+        assert len(builds) == 3
+        assert len(evaluations) > 5 * len(builds)  # 30 evaluations at N = 64
+        # nothing outlives a call: a second report builds them again
+        asymptotics_report(sol)
+        assert len(builds) == 6
 
 
 class TestSaddle:
@@ -222,6 +299,14 @@ class TestZ1Identity:
         monkeypatch.undo()
         assert reused == check_Z1_vanishes(sol, truncations=(128, N))
 
+    def test_truncation_above_the_series_refused(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the truncations were checked")
+
+        monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", never)
+        with pytest.raises(ValueError, match="truncation 96 exceeds the series truncation 64"):
+            check_Z1_vanishes(solve_system(64))
+
     def test_perturbed_rho_has_power(self, sol):
         sp = solve_saddle(sol)
         assert abs(z1_identity_residual(sol, sp)) < 1e-12
@@ -243,9 +328,9 @@ class TestScalarSolve:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return eval_F(*args, **kwargs)
+            return _F(*args, **kwargs)
 
-        monkeypatch.setattr(apexobs.asymptotics, "eval_F", counted)
+        monkeypatch.setattr(apexobs.asymptotics, "_F", counted)
         y = solve_y_at(sol, x)
         assert len(calls) < 30
         assert abs(eval_F(x, y, sol).F - y) <= 1e-14
@@ -274,6 +359,10 @@ class TestReportRegression:
         assert report["c_T"] == pytest.approx(0.27160778986849554, rel=1e-12)
         assert report["c_G"] == pytest.approx(0.33997646454813896, rel=1e-12)
         assert report["x2_coefficient_fit"] == pytest.approx(0.23820064532403082, rel=1e-9)
+
+    def test_saddle_iterations_reported(self, report):
+        assert type(report["saddle_iterations"]) is int
+        assert 1 <= report["saddle_iterations"] <= SADDLE_MAX_ITER
 
     def test_one_saddle_solve(self, monkeypatch):
         calls = []

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import apexobs
+from apexobs.asymptotics import SADDLE_MAX_ITER
 from apexobs.cli import run
 from apexobs.graphio import to_edgelist, to_graph6
 from apexobs.graphs import make_named
@@ -157,6 +158,14 @@ class TestSubcommands:
         code, out = invoke(capsys, "enumerate", "--n", "10", "--json")
         rows = json.loads(out)["rows"]
         assert rows[-1] == {"n": 10, "t_n": "34982", "g_n": "49397"}
+
+    def test_asymptotics_json_reports_saddle_iterations(self, capsys):
+        code, out = invoke(capsys, "asymptotics", "--N", "64", "--json")
+        assert code == 0
+        assert 1 <= json.loads(out)["saddle_iterations"] <= SADDLE_MAX_ITER
+        code, text = invoke(capsys, "asymptotics", "--N", "64")
+        assert code == 0 and "iteration" not in text
+        assert text.splitlines()[0].startswith("rho      = 0.159264")
 
     def test_gen_cacti(self, capsys):
         code, out = invoke(capsys, "gen-cacti", "--k", "3", "--json")

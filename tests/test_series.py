@@ -240,6 +240,13 @@ class TestIntegerSystem:
         for name in SYSTEM_FIELDS:
             assert getattr(got, name).coeffs == want[name].coeffs, name
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_fraction_reference_at_small_orders(self, n):
+        # the stretched A(x^2)^2 and the sparse A^2 A(x^2) at their edge cases
+        got, want = solve_system(n), fraction_system(n)
+        for name in SYSTEM_FIELDS:
+            assert getattr(got, name).coeffs == want[name].coeffs, name
+
     def test_coefficients_are_ints(self):
         sol = solve_system(64)
         for name in SYSTEM_FIELDS:
