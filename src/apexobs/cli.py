@@ -27,7 +27,7 @@ from .graphs import (
     make_named,
     min_apex_size,
 )
-from .minors import is_minor
+from .minors import _memo, is_minor
 from .obstructions import (
     is_obstruction,
     load_catalog,
@@ -87,8 +87,15 @@ def cmd_check(args) -> int:
 def cmd_minor(args) -> int:
     h = _read_graph(args.h, args.format)
     g = _read_graph(args.g, args.format)
+    before = len(_memo)
     ok = is_minor(h, g)
-    _emit(args, {"h": to_graph6(h), "g": to_graph6(g), "is_minor": ok}, str(ok).lower())
+    payload = {
+        "h": to_graph6(h),
+        "g": to_graph6(g),
+        "is_minor": ok,
+        "graphs_searched": len(_memo) - before,  # hosts the descent added to the memo
+    }
+    _emit(args, payload, str(ok).lower())
     return EXIT_OK
 
 

@@ -3,30 +3,47 @@
 The test is recursive descent over the proper-minor order: h is a minor of g
 iff h is isomorphic to g or h is a minor of some one-step minor of g (single
 edge deletion, single edge contraction, single isolated-vertex deletion).
-The children of g are built and tested one at a time, repeats included.
 Results are memoized on canonical-form pairs, so repeated queries against the
 same family of graphs stay cheap.
 
-Two exact prunes run before any canonical form is taken:
+h's vertex count, edge count, cycle rank (m - n + c: edges - vertices +
+components) and minimum degree are computed once per query, and its
+canonical form at the first memo lookup.  The descent walks each host's
+one-step children as bitset rows (``graphs._child_rows``) and derives every
+child's counts from its parent's (see ``_counted_children``), so a child is
+refuted before it is built:
 
-- cycle rank: m - n + c (edges - vertices + components) never rises under
-  edge deletion, edge contraction or isolated-vertex deletion, so h is no
-  minor of g when its cycle rank is larger;
-- 2-core host: when h has minimum degree >= 2, g may be replaced by its
-  2-core, because a vertex of degree <= 1 of g is either unused by a model
-  of h or a leaf of a branch set of >= 2 vertices, whose only edge stays
-  inside that set (see ``is_minor``).
+- counts: none of the three rises under edge deletion, edge contraction or
+  isolated-vertex deletion, so h is no minor of a child that falls below h
+  in any of them;
+- 2-core host: when h has minimum degree >= 2, a child is cut to its 2-core
+  on the rows, because a vertex of degree <= 1 of g is either unused by a
+  model of h or a leaf of a branch set of >= 2 vertices, whose only edge
+  stays inside that set (see ``is_minor``); the cut keeps the cycle rank.
 
-So the cost depends on the 2-core of g and on the gap between the cycle
-ranks of h and g, not on the vertex count alone: pendant trees and forests
-cost nothing, and the descent stops at every one-step minor whose cycle
-rank falls below h's.
+A child that survives is built as a graph once, to key the memo by its
+canonical form.  So the cost depends on the 2-core of g and on the gap
+between the counts of h and g, not on the vertex count alone: pendant trees
+and forests cost nothing, and the descent stops at every one-step minor
+whose counts fall below h's.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .canonical import canonical_form
-from .graphs import Graph, _block_masks, _one_step_children, _strip, cyclomatic, popcount
+from .graphs import (
+    Graph,
+    _block_masks,
+    _child_rows,
+    _component,
+    _induced,
+    _strip,
+    bits,
+    component_masks,
+    popcount,
+)
 
 # (canonical_form(h), canonical_form(g)) -> bool.
 _memo: dict[tuple[bytes, bytes], bool] = {}
@@ -49,44 +66,115 @@ def is_minor(h: Graph, g: Graph) -> bool:
     """
     if h.n == 0:
         return True
-    if h.num_edges() == 0:
+    m = h.num_edges()
+    if m == 0:
         # edgeless graphs embed iff there is room for their vertices
         return h.n <= g.n
-    if h.n > g.n or h.num_edges() > g.num_edges():
+    if h.n > g.n or m > g.num_edges():  # refuted before h's other invariants
         return False
-    if cyclomatic(h) > cyclomatic(g):
+    return _holds(_Pattern(h, m), g)
+
+
+class _Pattern:
+    """The graph h of one query with the invariants the descent tests."""
+
+    __slots__ = ("graph", "n", "m", "rank", "min_degree_two", "rest", "_form")
+
+    def __init__(self, h: Graph, m: int):
+        self.graph = h
+        self.n, self.m, self.rank = h.n, m, _rank(h, m)
+        self.min_degree_two = min(map(popcount, h.adj)) >= 2
+        # h without one of its isolated vertices, if it has one
+        iso = h.adj.index(0) if 0 in h.adj else None
+        self.rest = None if iso is None else _Pattern(h.delete_vertices([iso]), m)
+        self._form: bytes | None = None
+
+    @property
+    def form(self) -> bytes:
+        if self._form is None:
+            self._form = canonical_form(self.graph)
+        return self._form
+
+
+def _rank(g: Graph, m: int) -> int:
+    """The cycle rank of g, which has m edges."""
+    return m - g.n + len(component_masks(g))
+
+
+def _holds(p: _Pattern, g: Graph) -> bool:
+    """Is p's graph a minor of g?"""
+    m = g.num_edges()
+    if p.n > g.n or p.m > m:
         return False
-    if min(map(popcount, h.adj)) >= 2:
-        full = (1 << g.n) - 1
-        core, _ = _strip(g.adj, full)
-        if core != full:
-            return is_minor(h, g.subgraph(core))
-    key = (canonical_form(h), canonical_form(g))
+    rank = _rank(g, m)
+    return p.rank <= rank and _descend(p, g.adj, (1 << g.n) - 1, m, rank)
+
+
+def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) -> bool:
+    """Is p's graph a minor of the graph the rows induce on ``alive``?
+
+    That graph has m edges and cycle rank ``rank``, and p does not exceed
+    any of its counts.
+    """
+    if p.min_degree_two:
+        core = _strip(rows, alive)[0]
+        if core != alive:
+            alive = core
+            m = sum(popcount(rows[v] & core) for v in bits(core)) // 2
+            if p.n > popcount(core) or p.m > m:
+                return False
+    g = _induced(rows, alive)
+    key = (p.form, canonical_form(g))
     cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    result = _is_minor_uncached(h, g, key)
-    _memo[key] = result
-    return result
+    if cached is None:
+        cached = _memo[key] = key[0] == key[1] or _search(p, g, m, rank)
+    return cached
 
 
-def _is_minor_uncached(h: Graph, g: Graph, key: tuple[bytes, bytes]) -> bool:
-    if key[0] == key[1]:
-        return True
-    iso = next((v for v in range(h.n) if h.adj[v] == 0), None)
-    if iso is not None:
+def _search(p: _Pattern, g: Graph, m: int, rank: int) -> bool:
+    """Is p's graph, not isomorphic to g, a minor of g (m edges, cycle rank ``rank``)?"""
+    if p.rest is not None:
         # an isolated vertex of h occupies one vertex of g; try each host
-        hh = h.delete_vertices([iso])
         seen: set[bytes] = set()
         for u in range(g.n):
             gg = g.delete_vertices([u])
             c = canonical_form(gg)
             if c not in seen:
                 seen.add(c)
-                if is_minor(hh, gg):
+                if _holds(p.rest, gg):
                     return True
         return False
-    return any(is_minor(h, child) for child in _one_step_children(g))
+    return any(
+        p.n <= cn and p.m <= cm and p.rank <= crank and _descend(p, rows, alive, cm, crank)
+        for rows, alive, cn, cm, crank in _counted_children(g, m, rank)
+    )
+
+
+def _counted_children(
+    g: Graph, m: int, rank: int
+) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    """``_child_rows(g)`` with each child's vertex count, edge count and cycle
+    rank, derived from g's m edges and cycle rank ``rank``.
+
+    Contracting uv merges the edges from u and v to each common neighbour,
+    so it loses 1 + |N(u) & N(v)| edges, one vertex and |N(u) & N(v)| of the
+    rank.  Deleting uv loses one edge, and one of the rank unless uv is a
+    bridge (then a component is gained).  Deleting an isolated vertex loses
+    a vertex and a component.
+    """
+    adj, n = g.adj, g.n
+    edges = list(g.edges())
+    children = _child_rows(g)  # contractions, deletions, isolated vertex
+    for u, v in edges:
+        rows, alive = next(children)
+        common = popcount(adj[u] & adj[v])
+        yield rows, alive, n - 1, m - 1 - common, rank - common
+    for u, v in edges:
+        rows, alive = next(children)
+        on_cycle = adj[u] & adj[v] or _component(rows, 1 << u, alive) >> v & 1
+        yield rows, alive, n, m - 1, rank - 1 if on_cycle else rank
+    for rows, alive in children:
+        yield rows, alive, n - 1, m, rank
 
 
 def max_triangle_packing_in_cactus(g: Graph) -> int:

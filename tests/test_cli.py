@@ -12,6 +12,7 @@ from apexobs.asymptotics import SADDLE_MAX_ITER
 from apexobs.cli import run
 from apexobs.graphio import to_edgelist, to_graph6
 from apexobs.graphs import make_named
+from apexobs.minors import clear_minor_cache
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -118,6 +119,16 @@ class TestSubcommands:
     def test_minor(self, capsys):
         code, out = invoke(capsys, "minor", "K3", "C5")
         assert code == 0 and out.strip() == "true"
+
+    def test_minor_json_counts_graphs_searched(self, capsys):
+        clear_minor_cache()
+        # refuted by cycle rank before any canonical form: nothing searched
+        code, out = invoke(capsys, "minor", "K4-", "C8", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["is_minor"] is False and payload["graphs_searched"] == 0
+        code, out = invoke(capsys, "minor", "K3", "C5", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["is_minor"] is True and payload["graphs_searched"] >= 1
 
     def test_apex(self, capsys):
         code, out = invoke(capsys, "apex", "--class", "subunicyclic", "3K3")

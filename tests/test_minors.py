@@ -1,24 +1,35 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 
+from apexobs.cacti import generate_Z
 from apexobs.canonical import canonical_form, enumerate_graphs
 from apexobs.graphs import (
     Graph,
+    _induced,
     butterfly_graph,
     complete_graph,
     cycle_graph,
+    cyclomatic,
     disjoint_union,
     make_named,
     path_graph,
     popcount,
 )
 import apexobs.minors
-from apexobs.minors import is_minor, max_triangle_packing_in_cactus
+from apexobs.minors import (
+    _counted_children,
+    clear_minor_cache,
+    is_minor,
+    max_triangle_packing_in_cactus,
+)
 from apexobs.obstructions import load_catalog
 
 from conftest import random_graph
-from oracles import oracle_is_minor
+from oracles import oracle_is_minor, oracle_min_apex
 
 
 class TestIsMinor:
@@ -32,8 +43,6 @@ class TestIsMinor:
         assert is_minor(make_named("K4-"), complete_graph(4))
 
     def test_butterfly_in_butterfly_chain(self):
-        from apexobs.cacti import generate_Z
-
         (chain,) = generate_Z(2)  # the 9-vertex chain of four triangles
         assert is_minor(butterfly_graph(), chain.graph)
         assert oracle_is_minor(butterfly_graph(), chain.graph)
@@ -169,6 +178,98 @@ class TestPrunes:
         assert calls == []
 
 
+def counted(g: Graph) -> list[tuple[str, tuple[int, int, int], tuple[int, int, int]]]:
+    """Each child of ``_counted_children(g)`` as (kind, derived counts, counts
+    of the built child); the kind is a contraction, a deletion of a bridge
+    or of a cycle edge, or an isolated-vertex deletion."""
+    m, rank = g.num_edges(), cyclomatic(g)
+    out = []
+    for rows, alive, n, cm, crank in _counted_children(g, m, rank):
+        child = _induced(rows, alive)
+        if alive != (1 << g.n) - 1:
+            kind = "contraction" if cm < m else "isolated"
+        else:
+            kind = "deletion-bridge" if crank == rank else "deletion-cycle"
+        out.append((kind, (n, cm, crank), (child.n, child.num_edges(), cyclomatic(child))))
+    return out
+
+
+class TestDerivedCounts:
+    """The counts the descent refutes children by, against the built children."""
+
+    def test_random_graphs_cyclic_members_and_catalog(self):
+        rng = random.Random(1407)
+        graphs = [random_graph(rng, rng.randint(1, 10), rng.random()) for _ in range(200)]
+        graphs += [b.graph for k in (2, 3) for b in generate_Z(k)]
+        graphs += [rec.graph for rec in load_catalog(1).records]
+        kinds = Counter()
+        for g in graphs:
+            for kind, derived, built in counted(g):
+                assert derived == built, (g, kind)
+                kinds[kind] += 1
+        assert set(kinds) == {"contraction", "isolated", "deletion-bridge", "deletion-cycle"}
+
+    def test_bridge_deletion_and_triangle_contraction(self):
+        # two triangles joined by the bridge 2-3, with the pendant edge 5-6
+        g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)])
+        children = counted(g)
+        by_edge = dict(zip(g.edges(), children))  # the contractions, in edge order
+        # contracting a triangle edge merges its other two edges: -2 edges, -1 cycle
+        assert by_edge[(0, 1)][1:] == ((6, 6, 1),) * 2
+        # contracting the bridge or the pendant edge keeps both cycles
+        assert by_edge[(2, 3)][1:] == by_edge[(5, 6)][1:] == ((6, 7, 2),) * 2
+        deletions = dict(zip(g.edges(), children[g.num_edges():]))
+        for e in [(2, 3), (5, 6)]:
+            assert deletions[e] == ("deletion-bridge", (7, 7, 2), (7, 7, 2))
+        for e in [(0, 1), (3, 4)]:
+            assert deletions[e] == ("deletion-cycle", (7, 7, 1), (7, 7, 1))
+        assert len(children) == 2 * g.num_edges()  # no isolated vertex
+
+
+class TestBuildsOnlyWhatItCanonicalises:
+    def test_every_built_host_is_canonicalised(self, monkeypatch):
+        # the k=0 catalog against the wheel with 8 spokes: 2K3 is refuted after
+        # a descent (a triangle model without the hub takes the whole rim, and
+        # one with the hub leaves a path), K4- and the butterfly are found
+        wheel = Graph(9, [(0, v) for v in range(1, 9)] + [(v, v % 8 + 1) for v in range(1, 9)])
+        built, formed = [], []
+
+        def counted_induced(rows, alive):
+            built.append(_induced(rows, alive))
+            return built[-1]
+
+        def counted_form(graph):
+            formed.append(graph)
+            return canonical_form(graph)
+
+        monkeypatch.setattr(apexobs.minors, "_induced", counted_induced)
+        monkeypatch.setattr(apexobs.minors, "canonical_form", counted_form)
+        answers = {}
+        for rec in load_catalog(0).records:
+            clear_minor_cache()
+            built.clear()
+            formed.clear()
+            answers[rec.graph.n] = is_minor(rec.graph, wheel)
+            hosts = [f for f in formed if f is not rec.graph]
+            assert built and [id(f) for f in hosts] == [id(b) for b in built]
+        assert answers == {6: False, 4: True, 5: True}  # 2K3, K4-, butterfly
+
+
+@pytest.mark.parametrize("k,sizes", [(0, (8, 9)), (1, (6, 7, 8))])
+def test_catalog_membership_matches_apex_number(k, sizes):
+    # the query of the minor-membership benchmark: g has a minor in the
+    # obstruction set of level k iff g is not k-apex sub-unicyclic; denser
+    # hosts than the benchmark's, whose k=1 hosts are all 1-apex
+    catalog = [rec.graph for rec in load_catalog(k).records]
+    rng = random.Random(1400 + k)
+    answers = []
+    for _ in range(20):
+        g = random_graph(rng, rng.choice(sizes), rng.uniform(0.15, 0.6))
+        answers.append(any(is_minor(h, g) for h in catalog))
+        assert answers[-1] == (oracle_min_apex(g, "subunicyclic") > k), g
+    assert any(answers) and not all(answers)
+
+
 class TestCactusCharacterization:
     def test_cactus_iff_no_k4_minus_minor_up_to_8(self):
         # the defining equivalence, exhaustively over every graph with
@@ -192,8 +293,6 @@ class TestTrianglePacking:
         assert max_triangle_packing_in_cactus(path_graph(5)) == 0
 
     def test_matches_minor_test(self):
-        from apexobs.cacti import generate_Z
-
         for k in (1, 2, 3):
             for b in generate_Z(k):
                 r = max_triangle_packing_in_cactus(b.graph)
