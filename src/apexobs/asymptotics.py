@@ -13,10 +13,10 @@ by Richardson extrapolation of a_n * n^(alpha+1) * rho^n.
 
 The tails are evaluated as two power series of the truncation order N of
 T_diamond: t(x) = sum_{m<=N} c_m x^m and u(x) = v(x^2) with
-v(z) = sum_{m<=N} w_m z^m, where m*c_m and m*w_m collect n*d_n over the
-divisors n of m with m/n in [2, tail_k] and [1, tail_k] (the Euler-
-transform weights of T_star = MSET(T_diamond)).  So t is cut at x^N and u
-at x^(2N), whatever k; k itself stays bounded by tail_k.
+v(z) = sum_{m<=N} w_m z^m, where m*c_m collects n*d_n over the proper
+divisors n of m and m*w_m over all of them (the Euler-transform weights of
+T_star = MSET(T_diamond)).  N is the one truncation: t is cut at x^N and u
+at x^(2N), which bounds k too, since T_diamond(x^k) starts at x^k.
 
 All reals are double precision.  Series coefficients can exceed the float
 range, so series evaluation goes through logarithms of the exact integers.
@@ -30,7 +30,6 @@ from operator import add
 
 from .series import PowerSeries, SeriesSystemSolution
 
-DEFAULT_TAIL_K = 40
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
 SADDLE_START = (0.15, 0.4)  # (x, y) where the saddle Newton starts
 SADDLE_MAX_ITER = 200
@@ -77,10 +76,10 @@ def eval_series(series: PowerSeries, z: float) -> float:
     return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]
 
 
-def _tail_series(d: PowerSeries, tail_k: int) -> tuple[LogTerms, LogTerms]:
+def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
     """t and u as two series of the order N of d = T_diamond (d_0 = 0):
 
-        t(x) = sum_{m<=N} c_m x^m,  m*c_m = sum_{n|m, 2 <= m/n <= tail_k} n*d_n,
+        t(x) = sum_{m<=N} c_m x^m,  m*c_m = sum_{n|m, m/n >= 2} n*d_n,
         u(x) = v(x^2),  v(z) = sum_{m<=N} w_m z^m,  m*w_m = m*c_m + m*d_m.
 
     Built once per public entry point and reused for every x it evaluates.
@@ -88,10 +87,10 @@ def _tail_series(d: PowerSeries, tail_k: int) -> tuple[LogTerms, LogTerms]:
     nd = [n * a for n, a in enumerate(d.coeffs)]
     n = len(nd) - 1
     t_num = [0] * (n + 1)
-    for k in range(2, min(tail_k, n) + 1):
+    for k in range(2, n + 1):
         for q in range(1, n // k + 1):
             t_num[q * k] += nd[q]
-    u_num = list(map(add, t_num, nd)) if tail_k >= 1 else t_num
+    u_num = list(map(add, t_num, nd))
     return _log_terms(t_num), _log_terms(u_num)
 
 
@@ -123,13 +122,13 @@ class FDerivatives:
     W: float  # exp(u(x))      (= T_star(x^2))
 
 
-def eval_F(x: float, y: float, sol: SeriesSystemSolution, tail_k: int = DEFAULT_TAIL_K) -> FDerivatives:
+def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
     """Evaluate F(x, y) and its partials at a point with 0 < x < 1.
 
     y-derivatives are exact in form: every pure y-derivative of order m is
     (x/2)(3^m E^3 + E W).  x-derivatives differentiate the tails analytically.
     """
-    return _F(x, y, _tail_series(sol.T_diamond, tail_k))
+    return _F(x, y, _tail_series(sol.T_diamond))
 
 
 def _F(x: float, y: float, tails: tuple[LogTerms, LogTerms]) -> FDerivatives:
@@ -172,7 +171,6 @@ class SaddlePoint:
 
     x0: float
     y0: float
-    tail_truncation: int
     residuals: tuple[float, float]
     iterations: int
 
@@ -194,14 +192,13 @@ class NewtonDivergence(RuntimeError):
 def solve_saddle(
     sol: SeriesSystemSolution,
     tol: float = 1e-13,
-    tail_k: int = DEFAULT_TAIL_K,
     min_truncation: int = MIN_SADDLE_TRUNCATION,
 ) -> SaddlePoint:
     """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point."""
     if sol.truncation < min_truncation:
         raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
     x, y = SADDLE_START
-    tails = _tail_series(sol.T_diamond, tail_k)
+    tails = _tail_series(sol.T_diamond)
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
         return (yy - p.F, 1.0 - p.Fy)
@@ -211,7 +208,7 @@ def solve_saddle(
     norm = abs(r1) + abs(r2)
     for it in range(1, SADDLE_MAX_ITER + 1):
         if norm < tol:
-            return SaddlePoint(x, y, tail_k, (r1, r2), it - 1)
+            return SaddlePoint(x, y, (r1, r2), it - 1)
         # Jacobian of (y - F, 1 - F_y)
         a11, a12 = -p.Fx, 1.0 - p.Fy
         a21, a22 = -p.Fxy, -p.Fyy
@@ -234,7 +231,7 @@ def solve_saddle(
         x, y, p, r1, r2 = nx, ny, pn, nr1, nr2
         norm = abs(r1) + abs(r2)
     if norm < tol:
-        return SaddlePoint(x, y, tail_k, (r1, r2), SADDLE_MAX_ITER)
+        return SaddlePoint(x, y, (r1, r2), SADDLE_MAX_ITER)
     raise NewtonDivergence(f"no convergence after {SADDLE_MAX_ITER} iterations", (x, y))
 
 
@@ -261,7 +258,7 @@ class ExpansionCoefficients:
     backsub_residuals: tuple[tuple[float, float], ...]  # (eps, residual)
 
 
-def solve_y_at(sol: SeriesSystemSolution, x: float, tail_k: int = DEFAULT_TAIL_K) -> float:
+def solve_y_at(sol: SeriesSystemSolution, x: float) -> float:
     """y(x) for 0 < x <= rho, by scalar Newton on y = F(x, y).
 
     Direct summation of the T_diamond series is useless near rho (the terms
@@ -271,7 +268,7 @@ def solve_y_at(sol: SeriesSystemSolution, x: float, tail_k: int = DEFAULT_TAIL_K
     onto the root.  A step that does not shrink is float noise: the
     iterate is returned without it.
     """
-    return _solve_y_at(x, _tail_series(sol.T_diamond, tail_k))
+    return _solve_y_at(x, _tail_series(sol.T_diamond))
 
 
 def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
@@ -285,11 +282,7 @@ def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
         y, step = y + new_step, new_step
 
 
-def expansion_coeffs(
-    sp: SaddlePoint,
-    sol: SeriesSystemSolution,
-    tail_k: int | None = None,
-) -> ExpansionCoefficients:
+def expansion_coeffs(sp: SaddlePoint, sol: SeriesSystemSolution) -> ExpansionCoefficients:
     """Evaluate the closed-form expansion coefficients and gate q1.
 
     h0 = sqrt(2 rho F_x / F_yy); h1 = (1/6)(-F_yyy h0^2 + 6 F_xy rho)/(2 F_yy);
@@ -297,9 +290,8 @@ def expansion_coeffs(
     x = rho(1 - eps^2), subtracts the first-order expansion y0 - h0*eps and
     fits the X^2 coefficient; a mismatch is reported, never corrected.
     """
-    tail_k = sp.tail_truncation if tail_k is None else tail_k
     rho, y0 = sp.x0, sp.y0
-    tails = _tail_series(sol.T_diamond, tail_k)
+    tails = _tail_series(sol.T_diamond)
     p = _F(rho, y0, tails)
     if abs(p.Fyy) < 1e-9:
         raise ArithmeticError("degenerate saddle: F_yy vanishes")
@@ -452,7 +444,7 @@ def z1_identity_residual(
 ) -> float:
     """The identity residual at the saddle (or at a perturbed rho)."""
     x = sp.x0 if rho is None else rho
-    return _z1_residual(x, eval_F(x, sp.y0, sol, sp.tail_truncation))
+    return _z1_residual(x, eval_F(x, sp.y0, sol))
 
 
 def check_Z1_vanishes(
@@ -479,7 +471,7 @@ def check_Z1_vanishes(
             raise ValueError(
                 f"truncation {n} exceeds the series truncation {sol.truncation}"
             )
-    ref_tails = {}  # tail_k -> tail series of sol, for this call only
+    ref_tails = _tail_series(sol.T_diamond)
     residuals = {}
     values = {}
     for n in truncations:
@@ -487,10 +479,7 @@ def check_Z1_vanishes(
             sp = saddle
         else:
             sp = solve_saddle(sol.truncated(n), tol=tol, min_truncation=4)
-        k = sp.tail_truncation
-        if k not in ref_tails:
-            ref_tails[k] = _tail_series(sol.T_diamond, k)
-        p = _F(sp.x0, sp.y0, ref_tails[k])
+        p = _F(sp.x0, sp.y0, ref_tails)
         residuals[n] = abs(_z1_residual(sp.x0, p))
         values[n] = (sp.x0, p.E, p.W)
     return Z1Report(residuals=residuals, values=values)

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 from typing import Iterator
 
-from .canonical import automorphism_orbits, canonical_form, enumerate_graphs
+from .canonical import _iso_classes, automorphism_orbits, canonical_form, enumerate_graphs
 from .graphs import (
     ClassId,
     Graph,
@@ -30,7 +30,7 @@ from .graphs import (
     is_in_class,
 )
 from .minors import max_triangle_packing_in_cactus
-from .obstructions import is_obstruction
+from .obstructions import is_obstruction, same_graph_sets
 
 MAX_LEVEL = 7  # 5 + 4(k-1) vertices; k=7 gives 29 <= 32, k=8 would give 33
 
@@ -82,25 +82,21 @@ def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
     orbit: a vertex in the same orbit gives an isomorphic child, whose form
     the smaller vertex has already put in the level.
     """
-    level: dict[bytes, ButterflyCactus] = {
-        canonical_form(butterfly_graph()): ButterflyCactus(
-            butterfly_graph(), frozenset({0}), 1
-        )
-    }
-    levels = [tuple(level[key] for key in sorted(level))]
+    level = (ButterflyCactus(butterfly_graph(), frozenset({0}), 1),)
+    levels = [level]
     for _ in range(k - 1):
-        nxt: dict[bytes, ButterflyCactus] = {}
-        for b in level.values():
-            orbits = automorphism_orbits(b.graph)
-            for v in range(b.graph.n):
-                if v in b.central_vertices or orbits[v] != v:
-                    continue
-                child = _attach_butterfly(b, v)
-                key = canonical_form(child.graph)
-                if key not in nxt:
-                    nxt[key] = child
-        level = nxt
-        levels.append(tuple(level[key] for key in sorted(level)))
+        classes = _iso_classes(
+            (
+                _attach_butterfly(b, v)
+                for b in level
+                for v, orbit in enumerate(automorphism_orbits(b.graph))
+                if v == orbit and v not in b.central_vertices
+            ),
+            lambda b: b.graph,
+        )
+        # the next level grows from the classes in the order first met
+        level = classes.values()
+        levels.append(tuple(classes[key] for key in sorted(classes)))
     return levels
 
 
@@ -150,6 +146,11 @@ def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, 
             yield (first,) + rest
 
 
+def _check_union_level(k: int) -> None:
+    if not 1 <= k <= 4:
+        raise ValueError("k must be in 1..4 (largest member has 5(k+1) vertices)")
+
+
 def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
     """Disconnected cactus obstructions at level k, up to isomorphism.
 
@@ -157,38 +158,34 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
     G_i a k_i-butterfly-cactus and sum k_i = k+1, plus the exceptional
     (k+2) disjoint triangles.
     """
-    out = _cacti_unions(k)
-    exceptional = exceptional_obstruction(k)
-    out[canonical_form(exceptional)] = exceptional
-    return tuple(out[key] for key in sorted(out))
+    _check_union_level(k)
+    return _disconnected(_z_levels(k))
 
 
-def _cacti_unions(k: int) -> dict[bytes, Graph]:
-    """The disconnected obstructions at level k other than (k+2)K3, keyed
-    by canonical form."""
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4 (largest member has 5(k+1) vertices)")
-    zs = {j: [b.graph for b in members] for j, members in enumerate(_z_levels(k), 1)}
-    out: dict[bytes, Graph] = {}
-    for part in _partitions(k + 1):
+def _disconnected(levels: list[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
+    """``disconnected_obstructions(k)`` from ``levels``, the k levels of
+    ``_z_levels(k)``."""
+    exceptional = exceptional_obstruction(len(levels))
+    classes = _iso_classes(chain(_cacti_unions(levels), [exceptional]))
+    return tuple(classes[key] for key in sorted(classes))
+
+
+def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
+    """The disjoint unions of r >= 2 butterfly-cacti whose levels sum to
+    k + 1, one per multiset of members of ``levels`` (``levels[j - 1]`` is
+    ``generate_Z(j)``, k = len(levels)); each union takes its members in
+    non-decreasing level order."""
+    zs = [[b.graph for b in members] for members in levels]
+    for part in _partitions(len(levels) + 1):
         if len(part) < 2:
             continue
-        # choose a multiset of graphs for every repeated part size
-        choices: list[list[list[Graph]]] = []
-        for size in sorted(set(part)):
-            reps = part.count(size)
-            choices.append(
-                [list(c) for c in combinations_with_replacement(zs[size], reps)]
-            )
-        def expand(i: int, acc: list[Graph]) -> None:
-            if i == len(choices):
-                g = disjoint_union(*acc)
-                out.setdefault(canonical_form(g), g)
-                return
-            for combo in choices[i]:
-                expand(i + 1, acc + combo)
-        expand(0, [])
-    return out
+        # a multiset of graphs for every repeated part size
+        choices = [
+            combinations_with_replacement(zs[size - 1], part.count(size))
+            for size in sorted(set(part))
+        ]
+        for combo in product(*choices):
+            yield disjoint_union(*chain.from_iterable(combo))
 
 
 def exceptional_obstruction(k: int) -> Graph:
@@ -209,8 +206,7 @@ class CactusObstructionFamily:
 
     def __post_init__(self) -> None:
         members = self.all_graphs()
-        forms = [canonical_form(g) for g in members]
-        if len(set(forms)) != len(forms):
+        if len(_iso_classes(members)) != len(members):
             raise ValueError("family members must be pairwise non-isomorphic")
         for g in members:
             if not is_in_class(g, ClassId.CACTUS):
@@ -228,11 +224,14 @@ class CactusObstructionFamily:
 
 
 def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
-    """The full cactus-obstruction family at level k (1 <= k <= 4)."""
-    unions = _cacti_unions(k)
+    """The full cactus-obstruction family at level k (1 <= k <= 4), from
+    one pass over the butterfly-cactus levels 1..k+1."""
+    _check_union_level(k)
+    levels = _z_levels(k + 1)
+    unions = _iso_classes(_cacti_unions(levels[:k]))
     return CactusObstructionFamily(
         k=k,
-        connected=generate_Z(k + 1),
+        connected=levels[k],
         disconnected=tuple(unions[key] for key in sorted(unions)),
         exceptional=exceptional_obstruction(k),
     )
@@ -257,17 +256,15 @@ def connected_cacti_up_to(max_n: int) -> list[Graph]:
         ]
         return Graph(n + length - 1, edges)
 
-    frontier: dict[bytes, Graph] = {}
-    for r in range(3, max_n + 1):
-        c = cycle_graph(r)
-        frontier[canonical_form(c)] = c
+    frontier = _iso_classes(cycle_graph(r) for r in range(3, max_n + 1))
     all_out = dict(frontier)
     while frontier:
+        # a round keeps the last graph met of each new class, in the place
+        # the first one took; the representatives (pinned by a test) depend
+        # on it, so this is not the first-met rule of _iso_classes
         nxt: dict[bytes, Graph] = {}
         for g in frontier.values():
-            for length in range(3, max_n - g.n + 1 + 1):
-                if g.n + length - 1 > max_n:
-                    continue
+            for length in range(3, max_n - g.n + 2):
                 for v in range(g.n):
                     h = glue_cycle(g, v, length)
                     key = canonical_form(h)
@@ -275,7 +272,7 @@ def connected_cacti_up_to(max_n: int) -> list[Graph]:
                         nxt[key] = h
         all_out.update(nxt)
         frontier = nxt
-    return sorted(all_out.values(), key=canonical_form)
+    return [all_out[key] for key in sorted(all_out)]
 
 
 @dataclass
@@ -319,13 +316,8 @@ def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessRepo
             # connected bridgeless cacti up to the size of the Z_{k+1} members
             pool = connected_cacti_up_to(5 + 4 * k)
         space = len(pool)
-        found = {
-            canonical_form(g)
-            for g in pool
-            if is_connected(g) and is_obstruction(g, k)
-        }
-        expected = {canonical_form(b.graph) for b in members}
-        matches = found == expected
+        found = [g for g in pool if is_connected(g) and is_obstruction(g, k)]
+        matches = same_graph_sets(found, [b.graph for b in members])
     return HolinessReport(
         k=k,
         members=len(members),

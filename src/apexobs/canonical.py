@@ -36,8 +36,11 @@ Two graphs have equal canonical forms iff they are isomorphic.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable, Iterable, TypeVar
 
 from .graphs import Graph, popcount
+
+T = TypeVar("T")
 
 _CACHE_SIZE = 1 << 18
 
@@ -236,6 +239,18 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
+def _iso_classes(
+    items: Iterable[T], graph: Callable[[T], Graph] | None = None
+) -> dict[bytes, T]:
+    """The first item met of each isomorphism class, keyed by canonical form,
+    in the order first met.  ``graph`` gives an item's graph (default: the
+    item is the graph).  Sorting the keys lists the classes in form order."""
+    out: dict[bytes, T] = {}
+    for item in items:
+        out.setdefault(canonical_form(item if graph is None else graph(item)), item)
+    return out
+
+
 @lru_cache(maxsize=64)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical representative each.
@@ -246,14 +261,10 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """
     if n == 0:
         return (Graph(0),)
-    out: dict[bytes, Graph] = {}
-    for g in enumerate_graphs(n - 1):
-        for nb in range(1 << (n - 1)):
-            h = g.add_vertex(nb)
-            key = canonical_form(h)
-            if key not in out:
-                out[key] = canonical_graph(h)
-    return tuple(out[k] for k in sorted(out))
+    classes = _iso_classes(
+        g.add_vertex(nb) for g in enumerate_graphs(n - 1) for nb in range(1 << (n - 1))
+    )
+    return tuple(canonical_graph(classes[key]) for key in sorted(classes))
 
 
 def graphs_up_to(n: int) -> tuple[Graph, ...]:

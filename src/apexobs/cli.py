@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .asymptotics import MIN_SADDLE_TRUNCATION, NewtonDivergence, asymptotics_report
-from .cacti import MAX_LEVEL, _z_levels, disconnected_obstructions
+from .cacti import MAX_LEVEL, _check_union_level, _disconnected, _z_levels
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
     _NAME_RE,
@@ -146,13 +146,15 @@ def cmd_search(args) -> int:
 def cmd_gen_cacti(args) -> int:
     if not 1 <= args.k <= MAX_LEVEL:
         raise SystemExit(f"error: --k must be in 1..{MAX_LEVEL}, got {args.k}")
-    try:
-        dis = disconnected_obstructions(args.k) if args.disconnected else None
-    except ValueError as exc:
-        raise SystemExit(f"error: --disconnected: {exc}") from None
+    if args.disconnected:
+        try:
+            _check_union_level(args.k)
+        except ValueError as exc:
+            raise SystemExit(f"error: --disconnected: {exc}") from None
+    levels = _z_levels(args.k)
     rows = []
     lines = []
-    for k, members in enumerate(_z_levels(args.k), 1):
+    for k, members in enumerate(levels, 1):
         for b in members:
             rows.append(
                 {
@@ -169,7 +171,8 @@ def cmd_gen_cacti(args) -> int:
             if bad:
                 _emit(args, {"error": "verification failed"}, "\n".join(lines))
                 return EXIT_VERIFICATION_FAILED
-    if dis is not None:
+    if args.disconnected:
+        dis = _disconnected(levels)
         for g in dis:
             rows.append({"k": args.k, "graph6": to_graph6(g), "n": g.n, "disconnected": True})
         lines.append(f"k={args.k}: {len(dis)} disconnected cactus obstructions")

@@ -787,9 +787,7 @@ def one_step_minors(g: Graph) -> tuple[Graph, ...]:
     single isolated-vertex deletion.  Deduplicated by canonical form and
     returned in canonical order.
     """
-    from .canonical import canonical_form
+    from .canonical import _iso_classes
 
-    seen: dict[bytes, Graph] = {}
-    for child in _one_step_children(g):
-        seen.setdefault(canonical_form(child), child)
-    return tuple(seen[k] for k in sorted(seen))
+    classes = _iso_classes(_one_step_children(g))
+    return tuple(classes[key] for key in sorted(classes))

@@ -17,9 +17,10 @@ from enum import Enum
 from functools import cached_property
 from importlib import resources
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Iterator
 
-from .canonical import canonical_form, canonical_graph
+from .canonical import _iso_classes, canonical_form, canonical_graph
 from .graphio import from_graph6, to_graph6
 from .graphs import (
     ClassId,
@@ -195,34 +196,21 @@ def structural_filters(g: Graph) -> FilterReport:
 # -- catalog I/O ---------------------------------------------------------------
 
 
-def _data_dir() -> str | None:
-    return os.environ.get(DATA_ENV_VAR)
-
-
 def load_catalog(k: int = 1) -> Catalog:
-    """Load the shipped obstruction catalog for the k-apex sub-unicyclic class.
+    """Load the obstruction catalog for the k-apex sub-unicyclic class.
 
-    The data directory can be overridden with the APEXOBS_DATA environment
-    variable (expects obs_k{k}.g6 plus obs_k{k}.json).
+    A catalog is obs_k{k}.g6 plus obs_k{k}.json, read from the directory
+    named by the APEXOBS_DATA environment variable, else from the package
+    data; a level without obs_k{k}.g6 raises FileNotFoundError, and a
+    manifest whose "k" is not k raises ValueError.
     """
-    if k not in (0, 1) and _data_dir() is None:
-        raise FileNotFoundError(f"no shipped catalog for k={k}")
-    base = _data_dir()
-    if base is not None:
-        g6_path = os.path.join(base, f"obs_k{k}.g6")
-        json_path = os.path.join(base, f"obs_k{k}.json")
-        with open(g6_path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        with open(json_path) as fh:
-            manifest = json.load(fh)
-    else:
-        pkg = resources.files("apexobs.data")
-        lines = [
-            ln.strip()
-            for ln in (pkg / f"obs_k{k}.g6").read_text().splitlines()
-            if ln.strip()
-        ]
-        manifest = json.loads((pkg / f"obs_k{k}.json").read_text())
+    base = os.environ.get(DATA_ENV_VAR)
+    data = Path(base) if base is not None else resources.files("apexobs.data")
+    g6 = (data / f"obs_k{k}.g6").read_text()
+    lines = [ln.strip() for ln in g6.splitlines() if ln.strip()]
+    manifest = json.loads((data / f"obs_k{k}.json").read_text())
+    if manifest["k"] != k:
+        raise ValueError(f"catalog corrupt: obs_k{k}.json holds the k={manifest['k']} manifest")
     metas = manifest["records"]
     if len(metas) != len(lines):
         raise ValueError(
@@ -235,12 +223,12 @@ def load_catalog(k: int = 1) -> Catalog:
             ObstructionRecord(
                 name=meta["name"],
                 graph=from_graph6(line),
-                k=manifest["k"],
+                k=k,
                 figure=fig,
             )
         )
     return Catalog(
-        k=manifest["k"],
+        k=k,
         records=records,
         claimed_complete=manifest.get("claimed_complete", False),
         source_note=manifest.get("source_note", ""),
@@ -369,14 +357,6 @@ def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
         sub = (sub - 1) & free
 
 
-def _dedup(graphs: Iterable[Graph]) -> list[Graph]:
-    """One graph per isomorphism class, the first met."""
-    out: dict[bytes, Graph] = {}
-    for g in graphs:
-        out.setdefault(canonical_form(g), g)
-    return list(out.values())
-
-
 def _candidates(k: int, max_n: int) -> Iterator[Graph]:
     """Raw search candidates: a superset of the k-obstructions on <= max_n vertices.
 
@@ -399,10 +379,11 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
         if m == top and k == 0:
             yield from (g for g in raw if cyclomatic(g) == 2)
             return
-        level = _dedup(raw)
+        level = _iso_classes(raw).values()
         graphs = [g for g in level if cyclomatic(g) == 2]
         for after in range(k - 1, 0, -1):
-            graphs = _dedup(ext for g in graphs for ext in _apex_extensions(g, after))
+            layer = (ext for g in graphs for ext in _apex_extensions(g, after))
+            graphs = _iso_classes(layer).values()
         for g in graphs:
             yield from (_apex_extensions(g, 0) if k else [g])
 
@@ -427,7 +408,7 @@ def search_obstructions(
     counts = dict.fromkeys(("generated", "passed_filters", "checked", "found"), 0)
     complete = True
     seen: set[bytes] = set()
-    found: list[Graph] = []
+    found: dict[bytes, Graph] = {}
     for g in _candidates(k, max_n):
         counts["generated"] += 1
         if (connected_only and not is_connected(g)) or not structural_filters(g).passed:
@@ -442,9 +423,8 @@ def search_obstructions(
             break
         counts["checked"] += 1
         if is_obstruction(g, k):
-            found.append(canonical_graph(g))
+            found[form] = canonical_graph(g)
     counts["found"] = len(found)
-    found.sort(key=canonical_form)
     records = [
         ObstructionRecord(
             name=f"S{g.n}_{i+1:02d}",
@@ -453,7 +433,7 @@ def search_obstructions(
             status=Status.VERIFIED,
             provenance=Provenance.SEARCH,
         )
-        for i, g in enumerate(found)
+        for i, g in enumerate(found[form] for form in sorted(found))
     ]
     return Catalog(
         k=k,

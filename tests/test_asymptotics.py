@@ -7,7 +7,6 @@ import pytest
 
 import apexobs.asymptotics
 from apexobs.asymptotics import (
-    DEFAULT_TAIL_K,
     SADDLE_MAX_ITER,
     _F,
     _tail_series,
@@ -73,17 +72,17 @@ class TestEvalF:
         assert p.Fxyyy == pytest.approx(fd_xyyy, rel=1e-6)
 
 
-def exact_tails(d: tuple[int, ...], x: float, tail_k: int) -> tuple[float, ...]:
+def exact_tails(d: tuple[int, ...], x: float) -> tuple[float, ...]:
     """(t, t', t'', u, u', u'') of the order-N tail series, in exact Fractions.
 
-    t = sum_{k=2..tail_k} T_diamond(x^k)/k cut at x^N, and
-    u = sum_{k=1..tail_k} T_diamond(x^(2k))/k cut at x^(2N), both
+    t = sum_{k>=2} T_diamond(x^k)/k cut at x^N, and
+    u = sum_{k>=1} T_diamond(x^(2k))/k cut at x^(2N), both
     differentiated term by term in x itself.
     """
     n = len(d) - 1
     t_coef = [Fraction(0)] * (n + 1)     # of x^m
     u_coef = [Fraction(0)] * (2 * n + 1)  # of x^m
-    for k in range(1, tail_k + 1):
+    for k in range(1, n + 1):
         for q in range(1, n // k + 1):
             if k >= 2:
                 t_coef[q * k] += Fraction(d[q], k)
@@ -110,16 +109,10 @@ class TestTails:
     @pytest.mark.parametrize("x", (0.05, 0.15, RHO))
     def test_match_exact_order_n_series(self, n, x):
         d = solve_system(n).T_diamond
-        got = _tails(_tail_series(d, DEFAULT_TAIL_K), x)
-        want = exact_tails(d.coeffs, x, DEFAULT_TAIL_K)
+        got = _tails(_tail_series(d), x)
+        want = exact_tails(d.coeffs, x)
         for name, g, w in zip(("t", "t'", "t''", "u", "u'", "u''"), got, want):
             assert g == pytest.approx(w, rel=1e-13), name
-
-    def test_tail_k_bounds_k(self):
-        d = solve_system(14).T_diamond
-        for tail_k in (1, 2, 3):
-            got = _tails(_tail_series(d, tail_k), 0.15)
-            assert got == pytest.approx(exact_tails(d.coeffs, 0.15, tail_k), rel=1e-13)
 
     def test_built_once_per_entry_point_call(self, monkeypatch):
         builds, evaluations = [], []
@@ -168,11 +161,6 @@ class TestExpansion:
     def test_h0_positive(self, sol, sp):
         ec = expansion_coeffs(sp, sol)
         assert ec.h0 > 0
-
-    def test_tail_truncation_insensitive(self, sol, sp):
-        a = expansion_coeffs(sp, sol, tail_k=sp.tail_truncation)
-        b = expansion_coeffs(sp, sol, tail_k=sp.tail_truncation + 10)
-        assert abs(a.h0 - b.h0) < 1e-8
 
     def test_back_substitution_order(self, sol, sp):
         # |y(rho(1-eps^2)) - (y0 - h0 eps)| = O(eps^2), checked at the gate's

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import json
 from itertools import combinations
 
 import pytest
 
+import apexobs.cacti
+import apexobs.cli
 from apexobs.cacti import (
     MAX_LEVEL,
     ButterflyCactus,
+    _z_levels,
     apex_forest_bound_check,
+    cactus_obstruction_family,
     central_set,
     connected_cacti_up_to,
     count_forest_apex_sets,
@@ -17,6 +22,7 @@ from apexobs.cacti import (
     verify_holiness,
 )
 from apexobs.canonical import are_isomorphic, canonical_form
+from apexobs.cli import run
 from apexobs.graphs import (
     ClassId,
     Graph,
@@ -285,6 +291,41 @@ class TestFamily:
                 disconnected=(butterfly_graph(),),
                 exceptional=make_named("3K3"),
             )
+
+    def test_family_out_of_range(self):
+        for k in (0, 5):
+            with pytest.raises(ValueError):
+                cactus_obstruction_family(k)
+
+
+class TestOneLevelPass:
+    """Each family builds the butterfly-cactus levels once."""
+
+    @pytest.fixture
+    def level_passes(self, monkeypatch):
+        calls = []
+
+        def counted(k):
+            calls.append(k)
+            return _z_levels(k)
+
+        # the CLI imports its own binding of _z_levels
+        monkeypatch.setattr(apexobs.cacti, "_z_levels", counted)
+        monkeypatch.setattr(apexobs.cli, "_z_levels", counted)
+        return calls
+
+    def test_cactus_obstruction_family(self, level_passes):
+        fam = cactus_obstruction_family(3)
+        assert level_passes == [4]
+        assert fam.connected == generate_Z(4)
+
+    def test_gen_cacti_disconnected(self, level_passes, capsys):
+        assert run(["gen-cacti", "--k", "4", "--disconnected", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["families"]
+        assert level_passes == [4]
+        assert sum(row.get("disconnected", False) for row in rows) == len(
+            disconnected_obstructions(4)
+        )
 
 
 class TestCountCrossCheck:

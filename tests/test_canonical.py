@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from itertools import combinations_with_replacement
 
@@ -8,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import apexobs.canonical
-from apexobs.cacti import _attach_butterfly, exceptional_obstruction, generate_Z
+from apexobs.cacti import (
+    _attach_butterfly,
+    cactus_obstruction_family,
+    connected_cacti_up_to,
+    disconnected_obstructions,
+    exceptional_obstruction,
+    generate_Z,
+)
 from apexobs.canonical import (
     _canonical_search_pruned,
     _refine,
@@ -20,14 +28,17 @@ from apexobs.canonical import (
     enumerate_graphs,
     graphs_up_to,
 )
+from apexobs.graphio import to_graph6
 from apexobs.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
     make_named,
+    one_step_minors,
     path_graph,
 )
+from apexobs.obstructions import search_obstructions
 
 from conftest import random_graph
 from oracles import nx_automorphism_orbits, nx_isomorphic, reference_refine
@@ -259,6 +270,30 @@ class TestPinnedOutput:
             digest.update(canonical_form(g) + bytes(canonical_labeling(g)))
         assert digest.hexdigest() == (
             "d53169542f8f3e2a249c856706dd041df9c70890ba7f18b7fba87328830eba4a"
+        )
+
+    def test_generator_outputs_unchanged(self):
+        # sha256 over the graph6 and adjacency rows of what every generator
+        # returns, in order: which graph of a class is kept, and the order of
+        # the classes, are both part of the digest
+        families = [enumerate_graphs(n) for n in range(8)]
+        families += [disconnected_obstructions(k) for k in range(1, 5)]
+        for k in range(1, 5):
+            family = cactus_obstruction_family(k)
+            families += [[b.graph for b in family.connected], family.disconnected]
+        families.append(connected_cacti_up_to(11))
+        families += [one_step_minors(g) for g in enumerate_graphs(6)]
+        digest = hashlib.sha256()
+        for graphs in families:
+            for g in graphs:
+                digest.update(f"{to_graph6(g)} {g.adj}\n".encode())
+            digest.update(b"--\n")
+        for k, max_n in ((0, 7), (1, 8), (2, 8)):
+            cat = search_obstructions(k, max_n)
+            records = [rec.to_dict() for rec in cat.records]
+            digest.update(json.dumps([cat.candidates, records]).encode())
+        assert digest.hexdigest() == (
+            "8d2b969651b5dcc5ceb5a82ec8845370a385b7270a8fdc0fe0eaa1e164faba7b"
         )
 
 

@@ -319,3 +319,16 @@ class TestProcessEntry:
         assert run(["verify-catalog", "--k", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_manifest_of_another_level_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the k=0 catalog under the k=1 file names: bad input -> exit 2
+        from apexobs.obstructions import load_catalog
+
+        graphs = [to_graph6(r.graph) for r in load_catalog(0).records]
+        (tmp_path / "obs_k1.g6").write_text("\n".join(graphs) + "\n")
+        manifest = {"k": 0, "records": [{"name": n} for n in ["2K3", "K4-", "Z"]]}
+        (tmp_path / "obs_k1.json").write_text(json.dumps(manifest))
+        monkeypatch.setenv("APEXOBS_DATA", str(tmp_path))
+        assert run(["verify-catalog", "--k", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from importlib import resources
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import apexobs.canonical
 from apexobs.cacti import disconnected_obstructions, generate_Z
 from apexobs.canonical import canonical_form
-from apexobs.graphio import from_graph6
+from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     ClassId,
     Graph,
@@ -298,6 +299,25 @@ class TestCatalog:
     def test_missing_catalog(self):
         with pytest.raises(FileNotFoundError):
             load_catalog(7)
+
+    def test_manifest_of_another_level_rejected(self, tmp_path, monkeypatch):
+        # the k=0 files renamed to k=1 must not load as a Catalog(k=0)
+        pkg = resources.files("apexobs.data")
+        (tmp_path / "obs_k1.g6").write_text((pkg / "obs_k0.g6").read_text())
+        (tmp_path / "obs_k1.json").write_text((pkg / "obs_k0.json").read_text())
+        monkeypatch.setenv("APEXOBS_DATA", str(tmp_path))
+        with pytest.raises(ValueError, match="k=0"):
+            load_catalog(1)
+
+    def test_any_level_with_files_loads(self, tmp_path, monkeypatch):
+        # a level is whatever obs_k{k}.g6 exists for, not a fixed list
+        (tmp_path / "obs_k2.g6").write_text(to_graph6(make_named("4K3")) + "\n")
+        manifest = {"k": 2, "records": [{"name": "4K3"}]}
+        (tmp_path / "obs_k2.json").write_text(json.dumps(manifest))
+        monkeypatch.setenv("APEXOBS_DATA", str(tmp_path))
+        cat = load_catalog(2)
+        assert cat.k == 2 and [r.k for r in cat.records] == [2]
+        assert verify_catalog(cat).all_verified
 
 
 class TestVerifyCatalog:
