@@ -18,6 +18,7 @@ from typing import Iterator
 
 from .canonical import _iso_classes, automorphism_orbits, canonical_form, enumerate_graphs
 from .graphs import (
+    MAX_VERTICES,
     ClassId,
     Graph,
     butterfly_graph,
@@ -147,8 +148,9 @@ def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, 
 
 
 def _check_union_level(k: int) -> None:
-    if not 1 <= k <= 4:
-        raise ValueError("k must be in 1..4 (largest member has 5(k+1) vertices)")
+    top = MAX_VERTICES // 5 - 1
+    if not 1 <= k <= top:
+        raise ValueError(f"k must be in 1..{top} (largest member has 5(k+1) vertices)")
 
 
 def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
@@ -224,7 +226,7 @@ class CactusObstructionFamily:
 
 
 def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
-    """The full cactus-obstruction family at level k (1 <= k <= 4), from
+    """The full cactus-obstruction family at level k (1 <= k <= 5), from
     one pass over the butterfly-cactus levels 1..k+1."""
     _check_union_level(k)
     levels = _z_levels(k + 1)

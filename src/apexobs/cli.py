@@ -154,6 +154,14 @@ def cmd_gen_cacti(args) -> int:
     levels = _z_levels(args.k)
     rows = []
     lines = []
+
+    def verified(graphs, level: int) -> bool:
+        bad = sum(not is_obstruction(g, level) for g in graphs)
+        lines[-1] += "  (all verified)" if not bad else f"  ({bad} FAILED)"
+        if bad:
+            _emit(args, {"error": "verification failed"}, "\n".join(lines))
+        return not bad
+
     for k, members in enumerate(levels, 1):
         for b in members:
             rows.append(
@@ -165,17 +173,15 @@ def cmd_gen_cacti(args) -> int:
                 }
             )
         lines.append(f"k={k}: {len(members)} butterfly-cacti")
-        if args.verify:
-            bad = [b for b in members if not is_obstruction(b.graph, k - 1)]
-            lines[-1] += "  (all verified)" if not bad else f"  ({len(bad)} FAILED)"
-            if bad:
-                _emit(args, {"error": "verification failed"}, "\n".join(lines))
-                return EXIT_VERIFICATION_FAILED
+        if args.verify and not verified([b.graph for b in members], k - 1):
+            return EXIT_VERIFICATION_FAILED
     if args.disconnected:
         dis = _disconnected(levels)
         for g in dis:
             rows.append({"k": args.k, "graph6": to_graph6(g), "n": g.n, "disconnected": True})
         lines.append(f"k={args.k}: {len(dis)} disconnected cactus obstructions")
+        if args.verify and not verified(dis, args.k):
+            return EXIT_VERIFICATION_FAILED
     _emit(args, {"families": rows}, "\n".join(lines + [r["graph6"] for r in rows]))
     return EXIT_OK
 

@@ -433,23 +433,20 @@ def _cycle_packing(adj: tuple[int, ...], core: int, limit: int) -> int:
     return count
 
 
-def _second_cycle(adj: tuple[int, ...], within: int, cycle: int, high: int) -> int:
-    """A shortest cycle of ``within`` other than ``cycle``, avoiding one of its edges.
+def _second_cycle(adj: tuple[int, ...], within: int, cycle: int) -> int:
+    """A shortest cycle of ``within`` avoiding the lowest edge of ``cycle``.
 
-    Of the choices of edge, the one giving the fewest branch vertices wins.
-    ``within`` has cyclomatic number >= 2, so every choice finds a cycle.
+    ``within`` has cyclomatic number >= 2, so it keeps a cycle after any one
+    edge is cut, and that cycle is not ``cycle``: a shortest cycle has no
+    chord, so no other cycle runs through its vertices alone.
     """
-    best, best_cost = 0, MAX_VERTICES + 1
-    for v in bits(cycle):
-        for u in bits(adj[v] & cycle & ~((2 << v) - 1)):
-            cut = list(adj)
-            cut[v] &= ~(1 << u)
-            cut[u] &= ~(1 << v)
-            other = _shortest_cycle(cut, within)
-            cost = ((cycle | other) & high).bit_count()
-            if cost < best_cost:
-                best, best_cost = other, cost
-    return best
+    v = (cycle & -cycle).bit_length() - 1
+    nbrs = adj[v] & cycle  # both lie above v
+    u = (nbrs & -nbrs).bit_length() - 1
+    cut = list(adj)
+    cut[v] &= ~(1 << u)
+    cut[u] &= ~(1 << v)
+    return _shortest_cycle(cut, within)
 
 
 def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> int:
@@ -466,7 +463,7 @@ def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -
     first = _shortest_cycle(adj, core)
     if cls is ClassId.FOREST:
         return first & high or first & -first
-    second = _second_cycle(adj, core, first, high)
+    second = _second_cycle(adj, core, first)
     out = (first & high or first & -first) | (second & high or second & -second)
     if cls is ClassId.PSEUDOFOREST and not first & second:
         # join the two cycles by a shortest path inside the component

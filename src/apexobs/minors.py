@@ -20,6 +20,9 @@ refuted before it is built:
   on the rows, because a vertex of degree <= 1 of g is either unused by a
   model of h or a leaf of a branch set of >= 2 vertices, whose only edge
   stays inside that set (see ``is_minor``); the cut keeps the cycle rank.
+  A pattern with a vertex of degree <= 1, an isolated one included, takes
+  the same descent without the cut: the one-step minors include
+  isolated-vertex deletion, so the descent alone reaches every minor.
 
 A child that survives is built as a graph once, to key the memo by its
 canonical form.  So the cost depends on the 2-core of g and on the gap
@@ -70,23 +73,21 @@ def is_minor(h: Graph, g: Graph) -> bool:
     if m == 0:
         # edgeless graphs embed iff there is room for their vertices
         return h.n <= g.n
-    if h.n > g.n or m > g.num_edges():  # refuted before h's other invariants
+    if h.n > g.n or m > (gm := g.num_edges()):  # refuted before h's other invariants
         return False
-    return _holds(_Pattern(h, m), g)
+    p, rank = _Pattern(h, m), _rank(g, gm)
+    return p.rank <= rank and _descend(p, g.adj, (1 << g.n) - 1, gm, rank)
 
 
 class _Pattern:
     """The graph h of one query with the invariants the descent tests."""
 
-    __slots__ = ("graph", "n", "m", "rank", "min_degree_two", "rest", "_form")
+    __slots__ = ("graph", "n", "m", "rank", "min_degree_two", "_form")
 
     def __init__(self, h: Graph, m: int):
         self.graph = h
         self.n, self.m, self.rank = h.n, m, _rank(h, m)
         self.min_degree_two = min(map(popcount, h.adj)) >= 2
-        # h without one of its isolated vertices, if it has one
-        iso = h.adj.index(0) if 0 in h.adj else None
-        self.rest = None if iso is None else _Pattern(h.delete_vertices([iso]), m)
         self._form: bytes | None = None
 
     @property
@@ -99,15 +100,6 @@ class _Pattern:
 def _rank(g: Graph, m: int) -> int:
     """The cycle rank of g, which has m edges."""
     return m - g.n + len(component_masks(g))
-
-
-def _holds(p: _Pattern, g: Graph) -> bool:
-    """Is p's graph a minor of g?"""
-    m = g.num_edges()
-    if p.n > g.n or p.m > m:
-        return False
-    rank = _rank(g, m)
-    return p.rank <= rank and _descend(p, g.adj, (1 << g.n) - 1, m, rank)
 
 
 def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) -> bool:
@@ -127,27 +119,11 @@ def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) 
     key = (p.form, canonical_form(g))
     cached = _memo.get(key)
     if cached is None:
-        cached = _memo[key] = key[0] == key[1] or _search(p, g, m, rank)
+        cached = _memo[key] = key[0] == key[1] or any(
+            p.n <= cn and p.m <= cm and p.rank <= crank and _descend(p, crows, calive, cm, crank)
+            for crows, calive, cn, cm, crank in _counted_children(g, m, rank)
+        )
     return cached
-
-
-def _search(p: _Pattern, g: Graph, m: int, rank: int) -> bool:
-    """Is p's graph, not isomorphic to g, a minor of g (m edges, cycle rank ``rank``)?"""
-    if p.rest is not None:
-        # an isolated vertex of h occupies one vertex of g; try each host
-        seen: set[bytes] = set()
-        for u in range(g.n):
-            gg = g.delete_vertices([u])
-            c = canonical_form(gg)
-            if c not in seen:
-                seen.add(c)
-                if _holds(p.rest, gg):
-                    return True
-        return False
-    return any(
-        p.n <= cn and p.m <= cm and p.rank <= crank and _descend(p, rows, alive, cm, crank)
-        for rows, alive, cn, cm, crank in _counted_children(g, m, rank)
-    )
 
 
 def _counted_children(

@@ -213,7 +213,7 @@ class TestDisconnected:
         with pytest.raises(ValueError):
             disconnected_obstructions(0)
         with pytest.raises(ValueError):
-            disconnected_obstructions(5)
+            disconnected_obstructions(6)
 
 
 class TestHoliness:
@@ -293,7 +293,7 @@ class TestFamily:
             )
 
     def test_family_out_of_range(self):
-        for k in (0, 5):
+        for k in (0, 6):
             with pytest.raises(ValueError):
                 cactus_obstruction_family(k)
 
@@ -338,12 +338,12 @@ class TestCountCrossCheck:
 
         g = solve_system(8).G.integer_coeffs()
         sizes = []
-        for k in (1, 2, 3, 4):
+        for k in (1, 2, 3, 4, 5):
             total = len(generate_Z(k + 1)) + len(disconnected_obstructions(k))
             assert total == g[k + 1] + 1
             assert len(cactus_obstruction_family(k)) == total
             sizes.append(total)
-        assert sizes == [3, 6, 14, 42]
+        assert sizes == [3, 6, 14, 42, 144]
 
     def test_abstract_lower_bound_exact(self):
         # the abstract: at least 0.34 * k^-2.5 * 6.278^k obstructions at

@@ -9,6 +9,8 @@ import pytest
 
 import apexobs
 from apexobs.asymptotics import SADDLE_MAX_ITER
+from apexobs.cacti import exceptional_obstruction
+from apexobs.canonical import canonical_form
 from apexobs.cli import run
 from apexobs.graphio import to_edgelist, to_graph6
 from apexobs.graphs import make_named
@@ -189,12 +191,34 @@ class TestSubcommands:
         assert code == 0
         assert "k=5: 25 butterfly-cacti  (all verified)" in out.splitlines()
 
+    @pytest.mark.parametrize("k,unions", [(2, 3), (5, 56)])
+    def test_gen_cacti_verify_disconnected(self, capsys, k, unions):
+        code, out = invoke(capsys, "gen-cacti", "--k", str(k), "--verify", "--disconnected")
+        assert code == 0
+        verdicts = [line for line in out.splitlines() if line.startswith("k=")]
+        assert len(verdicts) == k + 1
+        assert all(line.endswith("  (all verified)") for line in verdicts)
+        assert verdicts[-1] == f"k={k}: {unions} disconnected cactus obstructions  (all verified)"
+
+    def test_gen_cacti_disconnected_failure_exit_1(self, capsys, monkeypatch):
+        # refute only the exceptional 4K3, which is no union of butterfly-cacti
+        exceptional = canonical_form(exceptional_obstruction(2))
+        real = apexobs.cli.is_obstruction
+        monkeypatch.setattr(
+            apexobs.cli,
+            "is_obstruction",
+            lambda g, k: canonical_form(g) != exceptional and real(g, k),
+        )
+        code, out = invoke(capsys, "gen-cacti", "--k", "2", "--verify", "--disconnected")
+        assert code == 1
+        assert out.splitlines()[-1] == "k=2: 3 disconnected cactus obstructions  (1 FAILED)"
+
     @pytest.mark.parametrize(
         "argv",
         [
             ("gen-cacti", "--k", "9"),
             ("gen-cacti", "--k", "0", "--verify"),
-            ("gen-cacti", "--k", "5", "--disconnected"),
+            ("gen-cacti", "--k", "6", "--disconnected"),
             ("search", "--k", "-1", "--max-n", "4"),
             ("search", "--k", "0", "--max-n", "-1"),
             ("search", "--k", "0", "--max-n", "33"),

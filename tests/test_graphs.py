@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -264,6 +265,26 @@ class TestMinApex:
             g = random_graph(rng, rng.randint(1, 7), rng.random())
             for cls in ClassId:
                 assert min_apex_size(g, cls) == oracle_min_apex(g, cls.value)
+
+    def test_long_cycle_with_chords_against_oracle(self):
+        # a Hamiltonian cycle plus a few chords: which edge of the first
+        # cycle the branching cuts decides the second cycle it finds; the
+        # oracle tests above stop at 8 vertices
+        rng = random.Random(1602)
+        answers = set()
+        for _ in range(30):
+            n = rng.randint(9, 11)
+            ring = rng.sample(range(n), n)
+            edges = {frozenset((ring[i - 1], ring[i])) for i in range(n)}
+            chords = rng.randint(2, 4)
+            while len(edges) < n + chords:
+                edges.add(frozenset(rng.sample(range(n), 2)))
+            g = Graph(n, [tuple(e) for e in edges])
+            for cls in (ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST):
+                got = min_apex_size(g, cls)
+                assert got == oracle_min_apex(g, cls.value), (g, cls)
+                answers.add(got)
+        assert max(answers) >= 2  # some searches branch below the root
 
 
 def subset_loop_within(g: Graph, cls: ClassId, k: int) -> bool:

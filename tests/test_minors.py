@@ -91,6 +91,22 @@ class TestIsMinor:
             h = random_graph(rng, rng.randint(2, 5), rng.random())
             assert is_minor(h, g) == oracle_is_minor(h, g), (h, g)
 
+    def test_isolated_vertex_patterns_against_oracle(self):
+        # a pattern with an isolated vertex takes the plain descent; the
+        # hosts go past the 6 vertices of acceptance criterion 10
+        rng = random.Random(1601)
+        patterns = [
+            h for n in range(2, 6) for h in enumerate_graphs(n) if 0 in h.adj and h.num_edges()
+        ]
+        answers = set()
+        for _ in range(80):
+            h = rng.choice(patterns)
+            g = random_graph(rng, rng.randint(7, 8), rng.uniform(0.15, 0.5))
+            got = is_minor(h, g)
+            assert got == oracle_is_minor(h, g), (h, g)
+            answers.add(got)
+        assert answers == {True, False}
+
 
 def with_trees(rng, core: Graph, extra: int) -> Graph:
     """core plus ``extra`` new vertices, each isolated or hung on an earlier
