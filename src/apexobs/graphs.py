@@ -90,7 +90,7 @@ class Graph:
         return tuple(bits(self.adj[v]))
 
     def num_edges(self) -> int:
-        return sum(popcount(row) for row in self.adj) // 2
+        return sum(map(popcount, self.adj)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for v in range(self.n):
