@@ -29,7 +29,7 @@ from .graphs import (
 )
 from .minors import _memo, is_minor
 from .obstructions import (
-    is_obstruction,
+    check_obstruction,
     load_catalog,
     search_obstructions,
     verify_catalog,
@@ -69,16 +69,9 @@ def _emit(args, payload: dict, text: str) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _cls(name: str) -> ClassId:
-    try:
-        return ClassId(name)
-    except ValueError:
-        raise SystemExit(f"error: unknown class {name!r}") from None
-
-
 def cmd_check(args) -> int:
     g = _read_graph(args.graph, args.format)
-    cls = _cls(args.cls)
+    cls = ClassId(args.cls)
     ok = is_in_class(g, cls)
     _emit(args, {"graph6": to_graph6(g), "class": cls.value, "member": ok}, str(ok).lower())
     return EXIT_OK
@@ -101,7 +94,7 @@ def cmd_minor(args) -> int:
 
 def cmd_apex(args) -> int:
     g = _read_graph(args.graph, args.format)
-    cls = _cls(args.cls)
+    cls = ClassId(args.cls)
     size = min_apex_size(g, cls)
     _emit(args, {"graph6": to_graph6(g), "class": cls.value, "min_apex_size": size}, str(size))
     return EXIT_OK
@@ -155,12 +148,25 @@ def cmd_gen_cacti(args) -> int:
     rows = []
     lines = []
 
-    def verified(graphs, level: int) -> bool:
-        bad = sum(not is_obstruction(g, level) for g in graphs)
-        lines[-1] += "  (all verified)" if not bad else f"  ({bad} FAILED)"
-        if bad:
-            _emit(args, {"error": "verification failed"}, "\n".join(lines))
-        return not bad
+    def verified(graphs, level: int, k: int) -> bool:
+        """Check every member of family ``level`` as a k-obstruction; name the first failure."""
+        checks = [(g, check_obstruction(g, k)) for g in graphs]
+        failed = [(g, c) for g, c in checks if not c.is_obstruction]
+        if not failed:
+            lines[-1] += "  (all verified)"
+            return True
+        g, check = failed[0]
+        lines[-1] += f"  ({len(failed)} FAILED)"
+        lines.append(f"first failure: {to_graph6(g)}  [{check.failed_step}]")
+        payload = {
+            "error": "verification failed",
+            "level": level,
+            "graph6": to_graph6(g),
+            "failed_step": check.failed_step,
+            "witness": None if check.witness is None else to_graph6(check.witness),
+        }
+        _emit(args, payload, "\n".join(lines))
+        return False
 
     for k, members in enumerate(levels, 1):
         for b in members:
@@ -173,14 +179,14 @@ def cmd_gen_cacti(args) -> int:
                 }
             )
         lines.append(f"k={k}: {len(members)} butterfly-cacti")
-        if args.verify and not verified([b.graph for b in members], k - 1):
+        if args.verify and not verified([b.graph for b in members], k, k - 1):
             return EXIT_VERIFICATION_FAILED
     if args.disconnected:
         dis = _disconnected(levels)
         for g in dis:
             rows.append({"k": args.k, "graph6": to_graph6(g), "n": g.n, "disconnected": True})
         lines.append(f"k={args.k}: {len(dis)} disconnected cactus obstructions")
-        if args.verify and not verified(dis, args.k):
+        if args.verify and not verified(dis, args.k, args.k):
             return EXIT_VERIFICATION_FAILED
     _emit(args, {"families": rows}, "\n".join(lines + [r["graph6"] for r in rows]))
     return EXIT_OK

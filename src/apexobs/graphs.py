@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
 
@@ -282,9 +282,9 @@ def make_named(name: str) -> Graph:
 # -- connectivity and cycle structure ---------------------------------------
 
 
-def component_masks(g: Graph, within: int | None = None) -> list[int]:
-    """Vertex bitmasks of the connected components (restricted to ``within``)."""
-    todo = ((1 << g.n) - 1) if within is None else within
+def component_masks(g: Graph) -> list[int]:
+    """Vertex bitmasks of the connected components."""
+    todo = (1 << g.n) - 1
     comps = []
     while todo:
         comp = _component(g.adj, todo & -todo, todo)
@@ -328,22 +328,17 @@ def _edges_within(g: Graph, mask: int) -> int:
 
 
 def is_in_class(g: Graph, cls: ClassId) -> bool:
-    if cls is ClassId.SUB_UNICYCLIC:
-        return cyclomatic(g) <= 1
-    if cls is ClassId.FOREST:
-        return cyclomatic(g) == 0
-    if cls is ClassId.PSEUDOFOREST:
-        return all(
-            _edges_within(g, comp) <= popcount(comp) for comp in component_masks(g)
-        )
+    """True iff g is in ``cls``.
+
+    In a cactus every block of three or more vertices has as many edges as
+    vertices, so it is a cycle; the other classes are decided on the 2-core,
+    as the apex search decides them.
+    """
+    if not isinstance(cls, ClassId):
+        raise TypeError(f"not a ClassId: {cls!r}")
     if cls is ClassId.CACTUS:
-        return all(
-            _edges_within(g, b) == popcount(b)
-            or (popcount(b) == 2 and _edges_within(g, b) == 1)
-            or popcount(b) == 1
-            for b in _block_masks(g)
-        )
-    raise TypeError(f"not a ClassId: {cls!r}")
+        return all(popcount(b) < 3 or _edges_within(g, b) == popcount(b) for b in _block_masks(g))
+    return _core_in_class(g.adj, *_strip(g.adj, (1 << g.n) - 1), cls)
 
 
 # -- apex sets: a bounded search tree over vertex bitmasks ------------------
@@ -602,66 +597,50 @@ def _block_masks(g: Graph) -> list[int]:
 
 
 def _blocks_and_cuts(g: Graph) -> tuple[list[int], int]:
-    """Blocks as vertex masks plus the cut-vertex bitmask (Hopcroft-Tarjan)."""
-    n = g.n
-    disc = [0] * n          # discovery times, 0 = unvisited
-    low = [0] * n
-    stack: list[tuple[int, int]] = []  # edge stack
+    """Blocks as vertex masks plus the cut-vertex bitmask (Hopcroft-Tarjan).
+
+    A recursive lowpoint DFS, neighbours in ascending order; its depth is at
+    most ``MAX_VERTICES``.  When child v of u ends with ``low[v] >= disc[u]``,
+    the vertices above v on the vertex stack, v and u form a block.  The
+    parent edge is not skipped: it lowers ``low[v]`` at most to ``disc[u]``,
+    which that test cannot tell from a higher value.  A non-root closing a block is a cut vertex; a
+    root closes one block per DFS child, so it is one with a second child.
+    """
+    adj = g.adj
+    disc = [0] * g.n  # discovery times from 1, 0 = unvisited
+    low = [0] * g.n
+    clock = count(1)
+    stack: list[int] = []
     blocks: list[int] = []
     cuts = 0
-    timer = 1
 
-    def emit(u: int, v: int) -> None:
-        mask = 0
-        while stack:
-            a, b = stack.pop()
-            mask |= (1 << a) | (1 << b)
-            if (a, b) == (u, v):
-                break
-        blocks.append(mask)
-
-    def dfs(root: int) -> None:
-        nonlocal timer, cuts
-        # iterative DFS: (vertex, parent, iterator over neighbors)
-        work = [(root, -1, iter(list(bits(g.adj[root]))))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while work:
-            v, parent, it = work[-1]
-            advanced = False
-            for u in it:
-                if disc[u] == 0:
-                    stack.append((v, u))
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    work.append((u, v, iter(list(bits(g.adj[u])))))
-                    advanced = True
-                    break
-                if u != parent and disc[u] < disc[v]:
-                    stack.append((v, u))
-                    low[v] = min(low[v], disc[u])
-            if advanced:
+    def visit(u: int, root: bool) -> None:
+        nonlocal cuts
+        disc[u] = low[u] = next(clock)
+        stack.append(u)
+        closed = 0
+        for v in bits(adj[u]):
+            if disc[v]:
+                if disc[v] < low[u]:
+                    low[u] = disc[v]
                 continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= disc[pv]:
-                    emit(pv, v)
-                    if pv != root:
-                        cuts |= 1 << pv
-        if root_children >= 2:
-            cuts |= 1 << root
+            visit(v, False)
+            if low[v] < low[u]:
+                low[u] = low[v]
+            if low[v] >= disc[u]:
+                block = 1 << u
+                while (w := stack.pop()) != v:
+                    block |= 1 << w
+                blocks.append(block | 1 << v)
+                closed += 1
+        if closed > root:
+            cuts |= 1 << u
 
-    for v in range(n):
-        if disc[v] == 0:
-            if g.adj[v] == 0:
-                blocks.append(1 << v)  # isolated vertex: trivial block
-            else:
-                dfs(v)
+    for r in range(g.n):
+        if not adj[r]:
+            blocks.append(1 << r)  # isolated vertex: trivial block
+        elif not disc[r]:
+            visit(r, True)
     return blocks, cuts
 
 
@@ -698,54 +677,50 @@ def decompose(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(blocks, cut_vertices, frozen)
 
 
+def _bfs_distances(tree: dict[BcNode, tuple[BcNode, ...]], source: BcNode) -> dict[BcNode, int]:
+    dist = {source: 0}
+    order = [source]
+    for x in order:
+        for y in tree[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                order.append(y)
+    return dist
+
+
 def peripheral_blocks(g: Graph, dec: BlockDecomposition | None = None) -> tuple[frozenset[int], ...]:
     """Leaf-blocks that are an endpoint of some diameter-realizing pair of the bc-tree.
 
     For a biconnected graph (no cut-vertices) the result is empty -- that is a
     signal, not an error.  Ties are not broken: all blocks participating in any
     maximum-distance pair are returned.
+
+    A double sweep finds them: the farthest node a from any node, then the
+    farthest node b from a, are the ends of a diameter, and in a tree every
+    node x has eccentricity max(d(a, x), d(b, x)).  So the blocks whose
+    distance from a or from b equals the diameter d(a, b) are the ones that
+    end a diameter.
     """
     if not is_connected(g):
         raise ValueError("peripheral blocks need a connected graph")
     dec = dec or decompose(g)
     if not dec.cut_vertices:
         return ()
-    # BFS distances between all bc-tree nodes; max distance pairs are
-    # realized between leaves, and every bc-tree leaf is a block.
-    nodes = list(dec.bc_tree)
-    dist: dict[BcNode, dict[BcNode, int]] = {}
-    for s in nodes:
-        d = {s: 0}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in dec.bc_tree[x]:
-                    if y not in d:
-                        d[y] = d[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        dist[s] = d
-    diameter = max(dist[a][b] for a in nodes for b in nodes)
-    chosen = set()
-    for a in nodes:
-        for b in nodes:
-            if dist[a][b] == diameter:
-                for e in (a, b):
-                    if e[0] == "block":
-                        chosen.add(e[1])
-    return tuple(dec.blocks[i] for i in sorted(chosen))
+    tree = dec.bc_tree
+    start = _bfs_distances(tree, ("block", 0))
+    from_a = _bfs_distances(tree, max(start, key=start.get))
+    b = max(from_a, key=from_a.get)
+    from_b = _bfs_distances(tree, b)
+    return tuple(
+        block
+        for i, block in enumerate(dec.blocks)
+        if max(from_a[("block", i)], from_b[("block", i)]) == from_a[b]
+    )
 
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose removal disconnects their component (= 2-vertex blocks)."""
-    out = []
-    for mask in _block_masks(g):
-        if popcount(mask) == 2:
-            u, v = bits(mask)
-            if g.has_edge(u, v):
-                out.append((u, v))
-    return out
+    return [tuple(bits(b)) for b in _block_masks(g) if popcount(b) == 2]
 
 
 # -- one-step minors ---------------------------------------------------------

@@ -12,8 +12,8 @@ from apexobs.asymptotics import SADDLE_MAX_ITER
 from apexobs.cacti import exceptional_obstruction
 from apexobs.canonical import canonical_form
 from apexobs.cli import run
-from apexobs.graphio import to_edgelist, to_graph6
-from apexobs.graphs import make_named
+from apexobs.graphio import from_graph6, to_edgelist, to_graph6
+from apexobs.graphs import ClassId, has_apex_set_within, make_named, one_step_minors
 from apexobs.minors import clear_minor_cache
 
 
@@ -69,6 +69,11 @@ class TestCheck:
 
     def test_unknown_graph_is_usage_error(self, capsys):
         assert run(["check", "--class", "forest", "NOPE@@@"]) == 2
+
+    def test_unknown_class_is_usage_error(self, capsys):
+        assert run(["check", "--class", "bogus", "K4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'bogus'" in captured.err
 
     @pytest.mark.parametrize(
         "fmt,text",
@@ -200,18 +205,41 @@ class TestSubcommands:
         assert all(line.endswith("  (all verified)") for line in verdicts)
         assert verdicts[-1] == f"k={k}: {unions} disconnected cactus obstructions  (all verified)"
 
-    def test_gen_cacti_disconnected_failure_exit_1(self, capsys, monkeypatch):
-        # refute only the exceptional 4K3, which is no union of butterfly-cacti
+    @staticmethod
+    def refute_4k3(monkeypatch):
+        """Check the exceptional 4K3 one level too low, where a one-step minor refutes it."""
         exceptional = canonical_form(exceptional_obstruction(2))
-        real = apexobs.cli.is_obstruction
+        real = apexobs.cli.check_obstruction
         monkeypatch.setattr(
             apexobs.cli,
-            "is_obstruction",
-            lambda g, k: canonical_form(g) != exceptional and real(g, k),
+            "check_obstruction",
+            lambda g, k: real(g, k - 1 if canonical_form(g) == exceptional else k),
         )
+        return exceptional
+
+    def test_gen_cacti_disconnected_failure_exit_1(self, capsys, monkeypatch):
+        # refute only the exceptional 4K3, which is no union of butterfly-cacti
+        exceptional = self.refute_4k3(monkeypatch)
         code, out = invoke(capsys, "gen-cacti", "--k", "2", "--verify", "--disconnected")
         assert code == 1
-        assert out.splitlines()[-1] == "k=2: 3 disconnected cactus obstructions  (1 FAILED)"
+        verdict, failure = out.splitlines()[-2:]
+        assert verdict == "k=2: 3 disconnected cactus obstructions  (1 FAILED)"
+        assert failure.startswith("first failure: ") and failure.endswith("  [minimality]")
+        assert canonical_form(from_graph6(failure.split()[2])) == exceptional
+
+    def test_gen_cacti_failure_json_names_member_and_witness(self, capsys, monkeypatch):
+        exceptional = self.refute_4k3(monkeypatch)
+        code, out = invoke(capsys, "gen-cacti", "--k", "2", "--verify", "--disconnected", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"] == "verification failed" and payload["level"] == 2
+        assert canonical_form(from_graph6(payload["graph6"])) == exceptional
+        assert payload["failed_step"] == "minimality"
+        # the witness is a one-step minor of 4K3 that is not 1-apex
+        witness = from_graph6(payload["witness"])
+        minors = {canonical_form(c) for c in one_step_minors(make_named("4K3"))}
+        assert canonical_form(witness) in minors
+        assert not has_apex_set_within(witness, ClassId.SUB_UNICYCLIC, 1)
 
     @pytest.mark.parametrize(
         "argv",

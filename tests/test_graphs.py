@@ -37,6 +37,7 @@ from oracles import (
     oracle_in_class,
     oracle_min_apex,
     oracle_peripheral_blocks,
+    to_nx,
 )
 
 
@@ -157,6 +158,15 @@ class TestClassMembership:
                     cls,
                 )
 
+    def test_rejects_non_class_id(self):
+        with pytest.raises(TypeError):
+            is_in_class(make_named("K3"), "forest")
+
+    def test_against_oracle_up_to_32_vertices(self, rng):
+        for g in wide_pool(rng):
+            for cls in ClassId:
+                assert is_in_class(g, cls) == oracle_in_class(g, cls.value), (g, cls)
+
     def test_cactus_iff_k4minus_free(self):
         # checked exhaustively on <= 8 vertices in test_acceptance; spot here
         from apexobs.minors import is_minor
@@ -164,6 +174,32 @@ class TestClassMembership:
         k4m = make_named("K4-")
         for g in (make_named("Z"), cycle_graph(5), complete_graph(4), make_named("2K3")):
             assert is_in_class(g, ClassId.CACTUS) == (not is_minor(k4m, g))
+
+
+def random_cactus(rng: random.Random, n: int) -> Graph:
+    """A connected cactus on n vertices: pendant edges and cycles hung one at a time."""
+    edges, size = [], 1
+    while size < n:
+        at, extra = rng.randrange(size), min(rng.choice((1, 1, 2, 3, 4, 6)), n - size)
+        ring = [at, *range(size, size + extra)]
+        edges += zip(ring, ring[1:] + ring[:1]) if extra > 1 else [(at, size)]
+        size += extra
+    perm = rng.sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def wide_pool(rng: random.Random) -> list[Graph]:
+    """Graphs on 1..32 vertices: random ones from sparse to dense, some with
+    isolated vertices, random cacti, and P32 and C32."""
+    pool = [path_graph(32), cycle_graph(32)]
+    for _ in range(150):
+        n = rng.randint(1, 32)
+        pool.append(random_graph(rng, n, rng.choice((0.5, 1, 1.5, 2, 4)) / n))
+    for _ in range(30):
+        n = rng.randint(1, 28)
+        pool.append(disjoint_union(random_graph(rng, n, 2 / n), Graph(rng.randint(1, 32 - n))))
+    pool.extend(random_cactus(rng, rng.randint(1, 32)) for _ in range(80))
+    return pool
 
 
 class TestBlocks:
@@ -209,6 +245,20 @@ class TestBlocks:
             for node in T.nodes:
                 if T.degree(node) <= 1 and len(T) > 1:
                     assert node[0] == "block"  # every bc-tree leaf is a block
+
+    def test_against_networkx_up_to_32_vertices(self, rng):
+        import networkx as nx
+
+        for g in wide_pool(rng):
+            G = to_nx(g)
+            dec = decompose(g)
+            singletons = {frozenset([v]) for v in range(g.n) if not g.adj[v]}
+            expected = {frozenset(b) for b in nx.biconnected_components(G)} | singletons
+            assert set(dec.blocks) == expected and len(dec.blocks) == len(expected), g
+            assert dec.cut_vertices == set(nx.articulation_points(G)), g
+            assert set(bridges(g)) == {tuple(sorted(e)) for e in nx.bridges(G)}, g
+            if is_connected(g):
+                assert set(peripheral_blocks(g, dec)) == oracle_peripheral_blocks(g), g
 
     def test_bridges(self):
         g = path_graph(4)
