@@ -5,7 +5,7 @@ triangle in column-major order).  Only the short form is needed since all
 graphs here have at most 32 vertices.
 
 The edge-list format is a header line ``n m`` followed by m lines ``u v``
-with 0-indexed endpoints.
+with 0-indexed endpoints, each edge on one line only.
 """
 
 from __future__ import annotations
@@ -100,7 +100,13 @@ def from_edgelist(text: str) -> Graph:
     n, m = _int_pair(*lines[0], "n m")
     if len(lines) - 1 != m:
         raise ValueError(f"edge-list header promises {m} edges, found {len(lines)-1}")
-    return Graph(n, [_int_pair(i, ln, "u v") for i, ln in lines[1:]])
+    first: dict[tuple[int, int], int] = {}  # edge, either orientation -> its line
+    for i, ln in lines[1:]:
+        u, v = _int_pair(i, ln, "u v")
+        j = first.setdefault((min(u, v), max(u, v)), i)
+        if j != i:
+            raise ValueError(f"edge list lines {j} and {i}: edge {u} {v} repeated")
+    return Graph(n, first)
 
 
 def load_graph(path: str, fmt: str = "g6") -> Graph:

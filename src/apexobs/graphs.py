@@ -568,6 +568,62 @@ def _lands_in(adj: tuple[int, ...], alive: int, cls: ClassId) -> bool:
     return _core_in_class(adj, *_strip(adj, alive), cls)
 
 
+_RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle rank in the class
+
+
+def _child_lands_in(
+    adj: tuple[int, ...],
+    rows: tuple[int, ...],
+    alive: int,
+    edge: tuple[int, int] | None,
+    s: int,
+    rank: int,
+    cls: ClassId,
+) -> bool:
+    """``_lands_in(rows, alive & ~s, cls)`` for a child (rows, alive, edge) of
+    ``_child_rows`` of the graph g with rows ``adj``, where rank = cyc(g - s)
+    exceeds the class's limit t, so g - s is outside the class.
+
+    A FOREST or SUB_UNICYCLIC graph is one of cycle rank at most t, and the
+    rank of the child minus s follows from the edge it came from:
+
+    - deleting an isolated vertex, or uv with u or v in s, leaves g - s up
+      to an isolated vertex: rank;
+    - deleting uv otherwise: rank - 1 if uv lies on a cycle of g - s (a
+      common neighbour outside s, or v reachable from u without uv), else
+      rank;
+    - contracting uv with u, v outside s merges the edges to each common
+      neighbour outside s: rank - |N(u) & N(v) - s|.
+
+    A contraction with an end in s, and the other classes, take the 2-core
+    test of ``_lands_in``.
+    """
+    t = _RANK_LIMIT.get(cls)
+    if t is None:
+        return _lands_in(rows, alive & ~s, cls)
+    if edge is None:
+        return False
+    u, v = edge
+    ends = 1 << u | 1 << v
+    if alive >> v & 1:  # uv deleted
+        if s & ends or rank > t + 1:
+            return False
+        return bool(adj[u] & adj[v] & ~s) or _component(rows, 1 << u, alive & ~s) >> v & 1 == 1
+    if s & ends:
+        return _lands_in(rows, alive & ~s, cls)
+    return rank - popcount(adj[u] & adj[v] & ~s) <= t
+
+
+def _cycle_rank(adj: tuple[int, ...], alive: int) -> int:
+    """|E| - |V| + components of the graph the rows ``adj`` induce on ``alive``."""
+    edges = sum(popcount(adj[v] & alive) for v in bits(alive)) // 2
+    comps, todo = 0, alive
+    while todo:
+        todo &= ~_component(adj, todo & -todo, todo)
+        comps += 1
+    return edges - popcount(alive) + comps
+
+
 def min_apex_size(g: Graph, cls: ClassId) -> int:
     """Smallest number of vertex deletions landing g in the class.
 
@@ -726,29 +782,30 @@ def bridges(g: Graph) -> list[tuple[int, int]]:
 # -- one-step minors ---------------------------------------------------------
 
 
-def _child_rows(g: Graph) -> Iterator[tuple[tuple[int, ...], int]]:
-    """The one-step minors of g as (rows, alive) pairs in g's labels, repeats included.
+def _child_rows(g: Graph) -> Iterator[tuple[tuple[int, ...], int, tuple[int, int] | None]]:
+    """The one-step minors of g as (rows, alive, edge) in g's labels, repeats included.
 
-    The contraction of every edge of ``g.edges()`` (u's rows merged, v not
-    alive), then the deletion of every edge (the full mask), then one
+    The contraction of every edge uv of ``g.edges()`` (u's rows merged, v
+    not alive), then the deletion of every edge (the full mask), then one
     isolated-vertex deletion if g has an isolated vertex (all such
-    deletions give the same child).  Contractions come first because each
-    drops a vertex, and a minor test has to drop ``g.n - h.n``.
+    deletions give the same child; its edge is None).  So a child with an
+    edge is a contraction iff v is not alive.  Contractions come first
+    because each drops a vertex, and a minor test has to drop ``g.n - h.n``.
     """
     adj, full = g.adj, (1 << g.n) - 1
     edges = list(g.edges())
     for u, v in edges:
-        yield _contraction_rows(adj, u, v), full & ~(1 << v)
+        yield _contraction_rows(adj, u, v), full & ~(1 << v), (u, v)
     for u, v in edges:
-        yield _deletion_rows(adj, u, v), full
+        yield _deletion_rows(adj, u, v), full, (u, v)
     iso = next((v for v in range(g.n) if adj[v] == 0), None)
     if iso is not None:
-        yield adj, full & ~(1 << iso)
+        yield adj, full & ~(1 << iso), None
 
 
 def _one_step_children(g: Graph) -> Iterator[Graph]:
     """The children of ``_child_rows`` as graphs, lazily and in the same order."""
-    for rows, alive in _child_rows(g):
+    for rows, alive, _ in _child_rows(g):
         yield _induced(rows, alive)
 
 

@@ -139,18 +139,17 @@ def _counted_children(
     a vertex and a component.
     """
     adj, n = g.adj, g.n
-    edges = list(g.edges())
-    children = _child_rows(g)  # contractions, deletions, isolated vertex
-    for u, v in edges:
-        rows, alive = next(children)
-        common = popcount(adj[u] & adj[v])
-        yield rows, alive, n - 1, m - 1 - common, rank - common
-    for u, v in edges:
-        rows, alive = next(children)
-        on_cycle = adj[u] & adj[v] or _component(rows, 1 << u, alive) >> v & 1
-        yield rows, alive, n, m - 1, rank - 1 if on_cycle else rank
-    for rows, alive in children:
-        yield rows, alive, n - 1, m, rank
+    for rows, alive, edge in _child_rows(g):
+        if edge is None:
+            yield rows, alive, n - 1, m, rank
+            continue
+        u, v = edge
+        if alive >> v & 1:  # uv deleted
+            on_cycle = adj[u] & adj[v] or _component(rows, 1 << u, alive) >> v & 1
+            yield rows, alive, n, m - 1, rank - 1 if on_cycle else rank
+        else:
+            common = popcount(adj[u] & adj[v])
+            yield rows, alive, n - 1, m - 1 - common, rank - common
 
 
 def max_triangle_packing_in_cactus(g: Graph) -> int:

@@ -25,10 +25,11 @@ from .graphio import from_graph6, to_graph6
 from .graphs import (
     ClassId,
     Graph,
+    _child_lands_in,
     _child_rows,
+    _cycle_rank,
     _deletion_set,
     _induced,
-    _lands_in,
     bits,
     bridges,
     component_masks,
@@ -124,16 +125,28 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     Only a child that no set settles gets an apex search, and the first
     child that search refutes is built as the witness, the first child
     that is not k-apex.
+
+    Each set s is stored with r = cyc(g - s), computed once on g's rows,
+    and ``_child_lands_in`` tests it.  The minimality step runs only when
+    g is not k-apex, and |s| <= k, so g - s is outside the class: r > t,
+    where t, the largest cycle rank in the class, is 0 for FOREST and 1 for
+    SUB_UNICYCLIC.  For those two classes the test is by rank alone:
+    deleting an isolated vertex, or an edge with an end in s, never lands;
+    deleting another edge uv lands iff r = t + 1 and uv lies on a cycle of
+    g - s; contracting uv with both ends outside s lands iff
+    r - |N(u) & N(v) - s| <= t.  A contraction with an end in s, and the
+    other classes, strip the child's 2-core as ``_lands_in`` does.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if has_apex_set_within(g, cls, k):
         return ObstructionCheck(False, failed_step="membership")
-    sets: list[int] = []
+    adj, full = g.adj, (1 << g.n) - 1
+    sets: list[tuple[int, int]] = []  # (s, cyc(g - s))
     searched = 0
-    for rows, alive in _child_rows(g):
-        for i, s in enumerate(sets):
-            if _lands_in(rows, alive & ~s, cls):
+    for rows, alive, edge in _child_rows(g):
+        for i, (s, rank) in enumerate(sets):
+            if _child_lands_in(adj, rows, alive, edge, s, rank, cls):
                 if i:
                     sets.insert(0, sets.pop(i))
                 break
@@ -143,7 +156,7 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
             if s is None:
                 witness = _induced(rows, alive)
                 return ObstructionCheck(False, "minimality", witness, children_searched=searched)
-            sets.insert(0, s)
+            sets.insert(0, (s, _cycle_rank(adj, full & ~s)))
     return ObstructionCheck(True, children_searched=searched)
 
 

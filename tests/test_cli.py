@@ -82,6 +82,7 @@ class TestCheck:
             ("g6", "\n  \n"),
             ("edgelist", "2 1\n1 1\n"),  # a loop
             ("edgelist", "2 1\n0 x\n"),  # not a vertex number
+            ("edgelist", "3 3\n0 1\n1 0\n1 2\n"),  # an edge twice: not a 2-edge path
         ],
     )
     def test_bad_graph_file_is_usage_error(self, tmp_path, capsys, fmt, text):

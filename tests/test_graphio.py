@@ -76,3 +76,14 @@ class TestEdgeList:
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             from_edgelist("2 2\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "text,lines",
+        [
+            ("3 3\n0 1\n1 0\n1 2\n", (2, 3)),    # reversed: the header's 3 edges are 2
+            ("3 3\n0 1\n1 2\n\n0 1\n", (2, 5)),  # same orientation, after a blank line
+        ],
+    )
+    def test_repeated_edge_rejected(self, text, lines):
+        with pytest.raises(ValueError, match=f"lines {lines[0]} and {lines[1]}: .* repeated"):
+            from_edgelist(text)

@@ -367,7 +367,7 @@ class TestApexSearch:
         found = refuted = 0
         for _ in range(60):
             g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.7))
-            for rows, alive in [(g.adj, (1 << g.n) - 1), *_child_rows(g)]:
+            for rows, alive, _ in [(g.adj, (1 << g.n) - 1, None), *_child_rows(g)]:
                 need = min_apex_size(_induced(rows, alive), cls)
                 for k in range(4):
                     s = _apex_search(rows, alive, cls, k, {})
@@ -452,6 +452,14 @@ class TestOneStepMinors:
                 assert kids[-1].n == g.n - 1 and kids[-1].num_edges() == g.num_edges()
                 kids = kids[:-1]
             assert kids == expected
+            # each child carries its edge; v is dropped by the contractions only
+            edges = list(g.edges())
+            rows = list(_child_rows(g))
+            assert [e for _, _, e in rows] == edges + edges + [None] * (0 in g.adj)
+            full = (1 << g.n) - 1
+            assert [a for _, a, _ in rows[: 2 * len(edges)]] == [
+                full & ~(1 << v) for _, v in edges
+            ] + [full] * len(edges)
             assert {canonical_form(k) for k in _one_step_children(g)} == {
                 canonical_form(k) for k in one_step_minors(g)
             }

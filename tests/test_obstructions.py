@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from importlib import resources
 from itertools import combinations
 
@@ -14,7 +15,10 @@ from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     ClassId,
     Graph,
+    _child_lands_in,
     _child_rows,
+    _cycle_rank,
+    _lands_in,
     butterfly_graph,
     complete_graph,
     cycle_graph,
@@ -207,6 +211,55 @@ class TestSiblingSets:
             for k in (0, 1):
                 steps.add(assert_matches_search_per_child(g, k, ClassId.CACTUS))
         assert {"membership", "minimality"} <= steps
+
+    @pytest.mark.parametrize("cls", [ClassId.FOREST, ClassId.SUB_UNICYCLIC])
+    def test_rank_rule_matches_the_core_test(self, cls):
+        # every child against every set s with |s| <= k that leaves g outside
+        # the class, sets holding an end of the child's edge included
+        rng = random.Random(1818)
+        graphs = [(rec.graph, rec.k) for k in (0, 1) for rec in load_catalog(k).records]
+        graphs += [(b.graph, j - 1) for j in (2, 3) for b in generate_Z(j)]
+        graphs += [
+            (random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.7)), rng.randint(0, 2))
+            for _ in range(150)
+        ]
+        seen = Counter()
+        for g, k in graphs:
+            full = (1 << g.n) - 1
+            sets = [
+                sum(1 << v for v in drop)
+                for size in range(k + 1)
+                for drop in combinations(range(g.n), size)
+            ]
+            sets = [(s, _cycle_rank(g.adj, full & ~s)) for s in sets
+                    if not _lands_in(g.adj, full & ~s, cls)]
+            for rows, alive, edge in _child_rows(g):
+                for s, rank in sets:
+                    want = _lands_in(rows, alive & ~s, cls)
+                    got = _child_lands_in(g.adj, rows, alive, edge, s, rank, cls)
+                    assert got == want, (g, edge, s)
+                    kind = "isolated" if edge is None else (
+                        "deletion" if alive >> edge[1] & 1 else "contraction"
+                    )
+                    ends = 0 if edge is None else 1 << edge[0] | 1 << edge[1]
+                    seen[kind, bool(s & ends), want] += 1
+        assert {key for key in seen if key[0] != "isolated"} == {
+            (kind, in_s, want)
+            for kind in ("deletion", "contraction")
+            for in_s in (False, True)
+            for want in (False, True)
+            if not (kind == "deletion" and in_s and want)
+        }
+        assert ("isolated", False, False) in seen
+
+    def test_children_searched_pinned(self):
+        # which children get an apex search depends only on each set test's
+        # answer, so these sums pin the answers and the most-recent-first order
+        searched = [
+            sum(check_obstruction(b.graph, j - 1).children_searched for b in generate_Z(j))
+            for j in (2, 3, 4, 5)
+        ]
+        assert searched == [2, 11, 36, 163]
 
     def test_siblings_settle_most_children(self):
         g = generate_Z(4)[0].graph
