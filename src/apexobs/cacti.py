@@ -106,22 +106,15 @@ def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
 
     verify="forest" re-checks that removing the set leaves a forest;
     verify="unique" additionally counts the k-subsets that leave a forest
-    and demands exactly one; verify="none" skips both.  Any other value
-    raises ValueError.
+    and demands exactly one.  Any other value raises ValueError.
     """
-    if verify not in ("forest", "unique", "none"):
-        raise ValueError(f"verify must be 'forest', 'unique' or 'none', got {verify!r}")
+    if verify not in ("forest", "unique"):
+        raise ValueError(f"verify must be 'forest' or 'unique', got {verify!r}")
     g, k = b.graph, b.k
-    mask = 0
-    for v in b.central_vertices:
-        mask |= 1 << v
-    keep = ((1 << g.n) - 1) & ~mask
-    if verify in ("forest", "unique"):
-        if not is_in_class(g.subgraph(keep), ClassId.FOREST):
-            raise AssertionError("construction bug: central set is not an apex-forest set")
-    if verify == "unique":
-        if count_forest_apex_sets(g, k) != 1:
-            raise AssertionError("construction bug: apex-forest set not unique")
+    if not is_in_class(g.delete_vertices(b.central_vertices), ClassId.FOREST):
+        raise AssertionError("construction bug: central set is not an apex-forest set")
+    if verify == "unique" and count_forest_apex_sets(g, k) != 1:
+        raise AssertionError("construction bug: apex-forest set not unique")
     return b.central_vertices
 
 

@@ -323,8 +323,10 @@ class ClassId(Enum):
     FOREST = "forest"               # no cycle
 
 
-def _edges_within(g: Graph, mask: int) -> int:
-    return sum(popcount(g.adj[v] & mask) for v in bits(mask)) // 2
+def _require_class(cls: ClassId) -> None:
+    """Reject a ``cls`` that is not a :class:`ClassId`, such as its string value."""
+    if not isinstance(cls, ClassId):
+        raise TypeError(f"not a ClassId: {cls!r}")
 
 
 def is_in_class(g: Graph, cls: ClassId) -> bool:
@@ -334,10 +336,9 @@ def is_in_class(g: Graph, cls: ClassId) -> bool:
     vertices, so it is a cycle; the other classes are decided on the 2-core,
     as the apex search decides them.
     """
-    if not isinstance(cls, ClassId):
-        raise TypeError(f"not a ClassId: {cls!r}")
+    _require_class(cls)
     if cls is ClassId.CACTUS:
-        return all(popcount(b) < 3 or _edges_within(g, b) == popcount(b) for b in _block_masks(g))
+        return all(popcount(b) < 3 or _edge_count(g.adj, b) == popcount(b) for b in _block_masks(g))
     return _core_in_class(g.adj, *_strip(g.adj, (1 << g.n) - 1), cls)
 
 
@@ -571,6 +572,32 @@ def _lands_in(adj: tuple[int, ...], alive: int, cls: ClassId) -> bool:
 _RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle rank in the class
 
 
+def _rank_drop(
+    adj: tuple[int, ...], rows: tuple[int, ...], alive: int, edge: tuple[int, int] | None, s: int
+) -> int | None:
+    """How far cyc(child - s) falls below cyc(g - s), for a child (rows,
+    alive, edge) of ``_child_rows`` of the graph g with rows ``adj`` and a
+    vertex mask s; None for a contraction with an end in s.
+
+    - deleting an isolated vertex, or uv with u or v in s, leaves g - s up
+      to an isolated vertex: 0;
+    - deleting uv otherwise: 1 if uv lies on a cycle of g - s (a common
+      neighbour outside s, or v reachable from u without uv), else 0, as
+      the bridge's deletion gains a component;
+    - contracting uv with u, v outside s keeps the components and merges
+      the edges to each common neighbour outside s: |N(u) & N(v) - s|.
+    """
+    if edge is None:
+        return 0
+    u, v = edge
+    deleted = alive >> v & 1  # else contracted: v is not alive
+    if s & (1 << u | 1 << v):
+        return 0 if deleted else None
+    if deleted:
+        return 1 if adj[u] & adj[v] & ~s else _component(rows, 1 << u, alive & ~s) >> v & 1
+    return popcount(adj[u] & adj[v] & ~s)
+
+
 def _child_lands_in(
     adj: tuple[int, ...],
     rows: tuple[int, ...],
@@ -581,47 +608,32 @@ def _child_lands_in(
     cls: ClassId,
 ) -> bool:
     """``_lands_in(rows, alive & ~s, cls)`` for a child (rows, alive, edge) of
-    ``_child_rows`` of the graph g with rows ``adj``, where rank = cyc(g - s)
-    exceeds the class's limit t, so g - s is outside the class.
+    ``_child_rows`` of the graph g with rows ``adj``, where rank = cyc(g - s).
 
-    A FOREST or SUB_UNICYCLIC graph is one of cycle rank at most t, and the
-    rank of the child minus s follows from the edge it came from:
-
-    - deleting an isolated vertex, or uv with u or v in s, leaves g - s up
-      to an isolated vertex: rank;
-    - deleting uv otherwise: rank - 1 if uv lies on a cycle of g - s (a
-      common neighbour outside s, or v reachable from u without uv), else
-      rank;
-    - contracting uv with u, v outside s merges the edges to each common
-      neighbour outside s: rank - |N(u) & N(v) - s|.
-
-    A contraction with an end in s, and the other classes, take the 2-core
+    A FOREST or SUB_UNICYCLIC graph is one of cycle rank at most t, so the
+    child minus s lands iff rank minus ``_rank_drop`` is at most t.  A
+    contraction with an end in s, and the other classes, take the 2-core
     test of ``_lands_in``.
     """
     t = _RANK_LIMIT.get(cls)
-    if t is None:
+    drop = None if t is None else _rank_drop(adj, rows, alive, edge, s)
+    if drop is None:
         return _lands_in(rows, alive & ~s, cls)
-    if edge is None:
-        return False
-    u, v = edge
-    ends = 1 << u | 1 << v
-    if alive >> v & 1:  # uv deleted
-        if s & ends or rank > t + 1:
-            return False
-        return bool(adj[u] & adj[v] & ~s) or _component(rows, 1 << u, alive & ~s) >> v & 1 == 1
-    if s & ends:
-        return _lands_in(rows, alive & ~s, cls)
-    return rank - popcount(adj[u] & adj[v] & ~s) <= t
+    return rank - drop <= t
+
+
+def _edge_count(adj: tuple[int, ...], alive: int) -> int:
+    """Number of edges of the graph the rows ``adj`` induce on ``alive``."""
+    return sum(popcount(adj[v] & alive) for v in bits(alive)) // 2
 
 
 def _cycle_rank(adj: tuple[int, ...], alive: int) -> int:
     """|E| - |V| + components of the graph the rows ``adj`` induce on ``alive``."""
-    edges = sum(popcount(adj[v] & alive) for v in bits(alive)) // 2
     comps, todo = 0, alive
     while todo:
         todo &= ~_component(adj, todo & -todo, todo)
         comps += 1
-    return edges - popcount(alive) + comps
+    return _edge_count(adj, alive) - popcount(alive) + comps
 
 
 def min_apex_size(g: Graph, cls: ClassId) -> int:
@@ -629,6 +641,7 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
 
     Iterative deepening over the bounded search: budgets 0, 1, 2, ...
     """
+    _require_class(cls)
     full = (1 << g.n) - 1
     if cls is ClassId.CACTUS:
         return popcount(_cactus_set(g.adj, full, g.n))
@@ -641,6 +654,7 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
 
 def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
     """True iff some deletion set of size <= k lands g in the class."""
+    _require_class(cls)
     return k >= 0 and _deletion_set(g.adj, (1 << g.n) - 1, cls, k) is not None
 
 

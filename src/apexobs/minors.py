@@ -10,8 +10,8 @@ h's vertex count, edge count, cycle rank (m - n + c: edges - vertices +
 components) and minimum degree are computed once per query, and its
 canonical form at the first memo lookup.  The descent walks each host's
 one-step children as bitset rows (``graphs._child_rows``) and derives every
-child's counts from its parent's (see ``_counted_children``), so a child is
-refuted before it is built:
+child's counts from its parent's, its cycle rank by ``graphs._rank_drop``
+(see ``_counted_children``), so a child is refuted before it is built:
 
 - counts: none of the three rises under edge deletion, edge contraction or
   isolated-vertex deletion, so h is no minor of a child that falls below h
@@ -40,11 +40,11 @@ from .graphs import (
     Graph,
     _block_masks,
     _child_rows,
-    _component,
+    _edge_count,
     _induced,
+    _rank_drop,
     _strip,
-    bits,
-    component_masks,
+    cyclomatic,
     popcount,
 )
 
@@ -66,6 +66,10 @@ def is_minor(h: Graph, g: Graph) -> bool:
     which contradicts the condition.  Otherwise x is a leaf of a larger
     branch set and can be dropped: its only edge stays inside that branch
     set, so no model edge is lost.  Repeating this reaches the 2-core.
+
+    Each child's counts are derived from its parent's, the cycle rank by
+    ``graphs._rank_drop``, and a child whose counts fall below h's is
+    refuted before it is built.
     """
     if h.n == 0:
         return True
@@ -75,7 +79,7 @@ def is_minor(h: Graph, g: Graph) -> bool:
         return h.n <= g.n
     if h.n > g.n or m > (gm := g.num_edges()):  # refuted before h's other invariants
         return False
-    p, rank = _Pattern(h, m), _rank(g, gm)
+    p, rank = _Pattern(h, m), cyclomatic(g)
     return p.rank <= rank and _descend(p, g.adj, (1 << g.n) - 1, gm, rank)
 
 
@@ -86,7 +90,7 @@ class _Pattern:
 
     def __init__(self, h: Graph, m: int):
         self.graph = h
-        self.n, self.m, self.rank = h.n, m, _rank(h, m)
+        self.n, self.m, self.rank = h.n, m, cyclomatic(h)
         self.min_degree_two = min(map(popcount, h.adj)) >= 2
         self._form: bytes | None = None
 
@@ -95,11 +99,6 @@ class _Pattern:
         if self._form is None:
             self._form = canonical_form(self.graph)
         return self._form
-
-
-def _rank(g: Graph, m: int) -> int:
-    """The cycle rank of g, which has m edges."""
-    return m - g.n + len(component_masks(g))
 
 
 def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) -> bool:
@@ -112,7 +111,7 @@ def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) 
         core = _strip(rows, alive)[0]
         if core != alive:
             alive = core
-            m = sum(popcount(rows[v] & core) for v in bits(core)) // 2
+            m = _edge_count(rows, core)
             if p.n > popcount(core) or p.m > m:
                 return False
     g = _induced(rows, alive)
@@ -132,24 +131,20 @@ def _counted_children(
     """``_child_rows(g)`` with each child's vertex count, edge count and cycle
     rank, derived from g's m edges and cycle rank ``rank``.
 
-    Contracting uv merges the edges from u and v to each common neighbour,
-    so it loses 1 + |N(u) & N(v)| edges, one vertex and |N(u) & N(v)| of the
-    rank.  Deleting uv loses one edge, and one of the rank unless uv is a
-    bridge (then a component is gained).  Deleting an isolated vertex loses
-    a vertex and a component.
+    The rank falls by ``graphs._rank_drop`` with no deletion set.  Deleting
+    an edge loses that edge, and deleting an isolated vertex no edge.  A
+    contraction loses a vertex and keeps the components, so by m - n + c
+    its edge count falls by one more than its rank.
     """
     adj, n = g.adj, g.n
     for rows, alive, edge in _child_rows(g):
+        drop = _rank_drop(adj, rows, alive, edge, 0)
         if edge is None:
-            yield rows, alive, n - 1, m, rank
-            continue
-        u, v = edge
-        if alive >> v & 1:  # uv deleted
-            on_cycle = adj[u] & adj[v] or _component(rows, 1 << u, alive) >> v & 1
-            yield rows, alive, n, m - 1, rank - 1 if on_cycle else rank
+            yield rows, alive, n - 1, m, rank - drop
+        elif alive >> edge[1] & 1:  # uv deleted
+            yield rows, alive, n, m - 1, rank - drop
         else:
-            common = popcount(adj[u] & adj[v])
-            yield rows, alive, n - 1, m - 1 - common, rank - common
+            yield rows, alive, n - 1, m - 1 - drop, rank - drop
 
 
 def max_triangle_packing_in_cactus(g: Graph) -> int:

@@ -126,16 +126,10 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     child that search refutes is built as the witness, the first child
     that is not k-apex.
 
-    Each set s is stored with r = cyc(g - s), computed once on g's rows,
-    and ``_child_lands_in`` tests it.  The minimality step runs only when
-    g is not k-apex, and |s| <= k, so g - s is outside the class: r > t,
-    where t, the largest cycle rank in the class, is 0 for FOREST and 1 for
-    SUB_UNICYCLIC.  For those two classes the test is by rank alone:
-    deleting an isolated vertex, or an edge with an end in s, never lands;
-    deleting another edge uv lands iff r = t + 1 and uv lies on a cycle of
-    g - s; contracting uv with both ends outside s lands iff
-    r - |N(u) & N(v) - s| <= t.  A contraction with an end in s, and the
-    other classes, strip the child's 2-core as ``_lands_in`` does.
+    Each set s is stored with cyc(g - s), computed once on g's rows, and
+    ``_child_lands_in`` tests it.  For FOREST and SUB_UNICYCLIC that test is
+    by cycle rank (``graphs._rank_drop``); a contraction with an end in s,
+    and the other classes, take the child's 2-core.
     """
     if k < 0:
         raise ValueError("k must be non-negative")

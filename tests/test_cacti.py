@@ -119,7 +119,7 @@ class TestCentralSet:
 
     def test_unknown_verify_rejected(self):
         (b,) = generate_Z(1)
-        with pytest.raises(ValueError, match="'forest', 'unique' or 'none'.*'uniq'"):
+        with pytest.raises(ValueError, match="'forest' or 'unique'.*'uniq'"):
             central_set(b, verify="uniq")
 
 

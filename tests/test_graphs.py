@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -10,8 +11,10 @@ from apexobs.graphs import (
     Graph,
     _apex_search,
     _child_rows,
+    _cycle_rank,
     _induced,
     _one_step_children,
+    _rank_drop,
     butterfly_graph,
     bridges,
     complete_graph,
@@ -29,7 +32,9 @@ from apexobs.graphs import (
     peripheral_blocks,
     popcount,
 )
+from apexobs.cacti import generate_Z
 from apexobs.canonical import are_isomorphic, canonical_form
+from apexobs.obstructions import check_obstruction, is_obstruction, load_catalog
 
 from conftest import random_graph
 from oracles import (
@@ -159,8 +164,18 @@ class TestClassMembership:
                 )
 
     def test_rejects_non_class_id(self):
-        with pytest.raises(TypeError):
-            is_in_class(make_named("K3"), "forest")
+        # a class's string value is no ClassId: each entry point taking a class
+        # raises rather than answer for another class (K4 needs 2 deletions)
+        k4 = make_named("K4")
+        for call in (
+            lambda: is_in_class(k4, "forest"),
+            lambda: min_apex_size(k4, "forest"),
+            lambda: has_apex_set_within(k4, "forest", 1),
+            lambda: check_obstruction(make_named("K3"), 0, "forest"),
+            lambda: is_obstruction(make_named("K3"), 0, "forest"),
+        ):
+            with pytest.raises(TypeError, match="not a ClassId: 'forest'"):
+                call()
 
     def test_against_oracle_up_to_32_vertices(self, rng):
         for g in wide_pool(rng):
@@ -464,3 +479,39 @@ class TestOneStepMinors:
                 canonical_form(k) for k in one_step_minors(g)
             }
         assert isolated_seen
+
+
+class TestRankDrop:
+    def test_matches_the_cycle_rank(self):
+        # every child of _child_rows against every set s of at most two
+        # vertices, sets holding an end of the child's edge included
+        rng = random.Random(1919)
+        graphs = [rec.graph for k in (0, 1) for rec in load_catalog(k).records]
+        graphs += [b.graph for j in (2, 3) for b in generate_Z(j)]
+        graphs += [random_graph(rng, rng.randint(1, 9), rng.uniform(0.1, 0.7)) for _ in range(150)]
+        seen = Counter()
+        for g in graphs:
+            full = (1 << g.n) - 1
+            ranks = {
+                s: _cycle_rank(g.adj, full & ~s)
+                for size in range(3)
+                for s in (sum(1 << v for v in drop) for drop in combinations(range(g.n), size))
+            }
+            for rows, alive, edge in _child_rows(g):
+                ends = 0 if edge is None else 1 << edge[0] | 1 << edge[1]
+                kind = "isolated" if edge is None else (
+                    "deletion" if alive >> edge[1] & 1 else "contraction"
+                )
+                for s, rank in ranks.items():
+                    got = _rank_drop(g.adj, rows, alive, edge, s)
+                    if kind == "contraction" and s & ends:
+                        assert got is None, (g, edge, s)
+                        seen[kind, None] += 1
+                        continue
+                    assert got == rank - _cycle_rank(rows, alive & ~s), (g, edge, s)
+                    seen[kind, min(got, 2)] += 1
+        assert set(seen) == {
+            ("isolated", 0),
+            ("deletion", 0), ("deletion", 1),
+            ("contraction", None), ("contraction", 0), ("contraction", 1), ("contraction", 2),
+        }

@@ -1,10 +1,12 @@
 """Source hygiene: every name a module of the package imports is used in it,
-`apexobs.__all__` lists exactly what `__init__.py` imports, and every
-module-level private function or class is referenced somewhere."""
+`apexobs.__all__` lists exactly what `__init__.py` imports, every
+module-level private function or class is referenced somewhere, and every
+name the benchmark harness hooks into exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -109,3 +111,32 @@ def test_no_unreferenced_private_definitions():
     sources = {str(p): p.read_text() for p in files}
     package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_privates(sources, package) == []
+
+
+def test_benchmark_hooks_exist():
+    """Every entry point the benchmark traces, and every cache and memo it
+    clears, exists: a refactor that drops one fails here, not as a failed
+    benchmark run."""
+    tree = ast.parse((TESTS.parent / "perfbench" / "tracing.py").read_text())
+    (entry_points,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ENTRY_POINTS"
+    ]
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in entry_points.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"apexobs.{layer}"), name)
+    ]
+    assert missing == []
+    from apexobs import canonical, minors
+
+    hooks = [
+        canonical._canonical.cache_info,
+        canonical._canonical.cache_clear,
+        canonical.enumerate_graphs.cache_clear,
+        minors.clear_minor_cache,
+    ]
+    assert all(map(callable, hooks))
+    assert isinstance(minors._memo, dict)
