@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, count
+from itertools import count
 from math import comb
 from typing import Iterable, Iterator
 
@@ -207,27 +207,28 @@ def _deletion_rows(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
 
 
 # -- named constructions ----------------------------------------------------
+# Edges come from generators, so Graph rejects r > MAX_VERTICES before any is built.
 
 
 def complete_graph(r: int) -> Graph:
-    return Graph(r, combinations(range(r), 2))
+    return Graph(r, ((u, v) for v in range(r) for u in range(v)))
 
 
 def complete_minus_edge(r: int) -> Graph:
     """K_r with one edge removed."""
     if r < 2:
         raise ValueError("K_r minus an edge needs r >= 2")
-    return Graph(r, (e for e in combinations(range(r), 2) if e != (0, 1)))
+    return Graph(r, ((u, v) for v in range(2, r) for u in range(v)))
 
 
 def cycle_graph(r: int) -> Graph:
     if r < 3:
         raise ValueError("cycles need at least 3 vertices")
-    return Graph(r, [(i, (i + 1) % r) for i in range(r)])
+    return Graph(r, ((i, (i + 1) % r) for i in range(r)))
 
 
 def path_graph(r: int) -> Graph:
-    return Graph(r, [(i, i + 1) for i in range(r - 1)])
+    return Graph(r, ((i, i + 1) for i in range(r - 1)))
 
 
 def butterfly_graph() -> Graph:
@@ -276,7 +277,9 @@ def make_named(name: str) -> Graph:
     copies = int(m.group("copies") or 1)
     if copies < 1:
         raise ValueError(f"bad multiplier in {name!r}")
-    return disjoint_union(*([g] * copies))
+    if copies * g.n > MAX_VERTICES:
+        raise ValueError(f"{copies} copies of {g.n} vertices exceed the {MAX_VERTICES}-vertex limit")
+    return disjoint_union(*([g] * copies)) if g.n else g  # copies of K0 are K0
 
 
 # -- connectivity and cycle structure ---------------------------------------
@@ -330,28 +333,22 @@ def _require_class(cls: ClassId) -> None:
 
 
 def is_in_class(g: Graph, cls: ClassId) -> bool:
-    """True iff g is in ``cls``.
-
-    In a cactus every block of three or more vertices has as many edges as
-    vertices, so it is a cycle; the other classes are decided on the 2-core,
-    as the apex search decides them.
-    """
+    """True iff g is in ``cls``, decided on its 2-core as the apex search decides it."""
     _require_class(cls)
-    if cls is ClassId.CACTUS:
-        return all(popcount(b) < 3 or _edge_count(g.adj, b) == popcount(b) for b in _block_masks(g))
-    return _core_in_class(g.adj, *_strip(g.adj, (1 << g.n) - 1), cls)
+    return _lands_in(g.adj, (1 << g.n) - 1, cls)
 
 
 # -- apex sets: a bounded search tree over vertex bitmasks ------------------
 #
-# FOREST, SUB_UNICYCLIC and PSEUDOFOREST are decided by cycles alone, so the
-# search works on the 2-core of the surviving vertices: a vertex of degree
-# <= 1 lies on no cycle and never needs deleting.  Every node picks a witness
-# subgraph that any solution must hit, and branches on its vertices of degree
-# >= 3.  That is enough: a degree-2 vertex v sits on a chain whose end a has
-# degree >= 3 and lies in the witness too; every cycle through v passes a, so
-# deleting a instead of v leaves a subgraph of what deleting v leaves, plus a
-# pendant path.  The cost is |witness|^k search nodes, not C(n, <=k).
+# Every class is decided on the 2-core of the surviving vertices: a vertex
+# of degree <= 1 lies on no cycle and in no block of three or more vertices,
+# so it never needs deleting.  Every node picks a witness subgraph that any
+# solution must hit, and branches on its vertices of degree >= 3.  That is
+# enough: a degree-2 witness vertex v has both edges in the witness, so it
+# sits on a chain whose end a has degree >= 3 and lies in the witness too;
+# deleting a instead of v leaves a subgraph of what deleting v leaves, plus
+# a pendant path, which keeps a graph in every class (it adds no cycle, and
+# no block but an edge).  The cost is |witness|^k nodes, not C(n, <=k).
 
 
 def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
@@ -372,7 +369,7 @@ def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
         alive ^= low
 
 
-def _shortest_cycle(adj: tuple[int, ...] | list[int], alive: int) -> int:
+def _shortest_cycle(adj: tuple[int, ...], alive: int) -> int:
     """Vertex mask of one shortest cycle induced by ``alive``; 0 if acyclic."""
     m = alive
     while m:  # triangles: one AND per edge
@@ -439,10 +436,32 @@ def _second_cycle(adj: tuple[int, ...], within: int, cycle: int) -> int:
     v = (cycle & -cycle).bit_length() - 1
     nbrs = adj[v] & cycle  # both lie above v
     u = (nbrs & -nbrs).bit_length() - 1
-    cut = list(adj)
-    cut[v] &= ~(1 << u)
-    cut[u] &= ~(1 << v)
-    return _shortest_cycle(cut, within)
+    return _shortest_cycle(_deletion_rows(adj, v, u), within)
+
+
+def _shortest_path(adj: tuple[int, ...], src: int, dst: int, within: int) -> int:
+    """Vertex mask of a shortest path from ``src`` to ``dst`` (one must
+    exist), all of it but its first vertex in ``within``."""
+    reach, layers = src, [src]
+    while not reach & dst:
+        grown = reach
+        for v in bits(layers[-1]):
+            grown |= adj[v] & within
+        layers.append(grown & ~reach)
+        reach = grown
+    tip = reach & dst
+    path = tip = tip & -tip
+    for layer in reversed(layers[:-1]):  # step back one layer at a time
+        step = adj[tip.bit_length() - 1] & layer
+        tip = step & -step
+        path |= tip
+    return path
+
+
+def _thick_block(adj: tuple[int, ...], core: int) -> int:
+    """The first block of ``core`` that is not an edge or a cycle; 0 if ``core`` is a cactus."""
+    blocks = _blocks_and_cuts(adj, core)[0]
+    return next((b for b in blocks if _edge_count(adj, b) > popcount(b)), 0)
 
 
 def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> int:
@@ -451,8 +470,19 @@ def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -
     FOREST: a shortest cycle.  SUB_UNICYCLIC: two distinct cycles.
     PSEUDOFOREST: two distinct cycles in one component and a path joining
     them.  A cycle with no vertex of degree >= 3 is a whole component; any
-    one of its vertices stands for all of them.
+    one of its vertices stands for all of them.  CACTUS: a shortest cycle C
+    of a block that is not a cycle, and an ear: a shortest path in the block
+    from a vertex of C, through vertices outside C, to another one (the
+    block is 2-connected and C has no chord).  C plus the ear subdivides the
+    diamond K4 - e, a minor no cactus has.
     """
+    if cls is ClassId.CACTUS:
+        block = _thick_block(adj, core)
+        cycle = _shortest_cycle(adj, block)
+        outside = block & ~cycle
+        a = next(v for v in bits(cycle) if adj[v] & outside)
+        ear = _shortest_path(adj, adj[a] & outside, cycle & ~(1 << a), block & ~(1 << a))
+        return (cycle | ear) & high
     if cls is ClassId.PSEUDOFOREST:
         # a component that is not a bare cycle has a vertex of degree >= 3
         core = _component(adj, high & -high, core)
@@ -463,28 +493,22 @@ def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -
     out = (first & high or first & -first) | (second & high or second & -second)
     if cls is ClassId.PSEUDOFOREST and not first & second:
         # join the two cycles by a shortest path inside the component
-        reach, layers = first, []
-        while not reach & second:
-            grown = reach
-            for v in bits(reach):
-                grown |= adj[v] & core
-            layers.append(grown & ~reach)
-            reach = grown
-        tip = reach & second
-        for layer in reversed(layers[:-1]):
-            step = adj[(tip & -tip).bit_length() - 1] & layer
-            tip = step & -step
-            out |= tip & high
+        out |= _shortest_path(adj, first, second, core) & high
     return out
 
 
 def _core_in_class(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> bool:
     if cls is ClassId.FOREST:
         return not core
+    if cls is ClassId.CACTUS:
+        return not high or not _thick_block(adj, core)
     if high:
         return False
     # a union of bare cycles: a pseudoforest, sub-unicyclic if it is one cycle
     return cls is ClassId.PSEUDOFOREST or not core or _component(adj, core & -core, core) == core
+
+
+_RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle rank in the class
 
 
 def _apex_search(
@@ -492,19 +516,20 @@ def _apex_search(
 ) -> int | None:
     """A set of at most k vertices of ``alive`` whose deletion lands it in ``cls``, or None.
 
-    The set is the branch path that succeeded: the cycle classes are decided
-    by the 2-core alone, and deleting a set from ``alive`` leaves the 2-core
+    The set is the branch path that succeeded: every class is decided by
+    the 2-core alone, and deleting a set from ``alive`` leaves the 2-core
     that deleting it from the 2-core of ``alive`` leaves.  ``failed`` maps a
-    core to the largest budget it was refuted with.  The packing bound is
-    skipped at k <= 1, where branching is as cheap.
+    core to the largest budget it was refuted with.  The packing bound needs
+    a cycle-rank cap t, so it skips PSEUDOFOREST, CACTUS and k <= 1.
     """
     core, high = _strip(adj, alive)
     if _core_in_class(adj, core, high, cls):
         return 0
     if k == 0 or failed.get(core, -1) >= k:
         return None
-    if k >= 2 and cls is not ClassId.PSEUDOFOREST:
-        need = k + 1 if cls is ClassId.FOREST else k + 2
+    t = _RANK_LIMIT.get(cls)
+    if k >= 2 and t is not None:
+        need = k + 1 + t
         if _cycle_packing(adj, core, need) >= need:
             failed[core] = k
             return None
@@ -541,35 +566,9 @@ def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> i
     return total
 
 
-def _cactus_set(adj: tuple[int, ...], alive: int, limit: int) -> int | None:
-    """A smallest set of at most ``limit`` vertices of ``alive`` leaving a cactus.
-
-    Found by trying every subset, smallest first.
-    """
-    vs = list(bits(alive))
-    for s in range(min(limit, len(vs)) + 1):
-        for drop in combinations(vs, s):
-            mask = sum(1 << v for v in drop)
-            if is_in_class(_induced(adj, alive & ~mask), ClassId.CACTUS):
-                return mask
-    return None
-
-
-def _deletion_set(adj: tuple[int, ...], alive: int, cls: ClassId, k: int) -> int | None:
-    """A set of at most k vertices of ``alive`` whose deletion lands it in ``cls``, or None."""
-    if cls is ClassId.CACTUS:
-        return _cactus_set(adj, alive, k)
-    return _apex_search(adj, alive, cls, k, {})
-
-
 def _lands_in(adj: tuple[int, ...], alive: int, cls: ClassId) -> bool:
     """True iff the graph the rows ``adj`` induce on ``alive`` is in ``cls``."""
-    if cls is ClassId.CACTUS:
-        return is_in_class(_induced(adj, alive), cls)
     return _core_in_class(adj, *_strip(adj, alive), cls)
-
-
-_RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle rank in the class
 
 
 def _rank_drop(
@@ -643,8 +642,6 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
     """
     _require_class(cls)
     full = (1 << g.n) - 1
-    if cls is ClassId.CACTUS:
-        return popcount(_cactus_set(g.adj, full, g.n))
     failed: dict[int, int] = {}
     k = 0
     while _apex_search(g.adj, full, cls, k, failed) is None:
@@ -655,7 +652,7 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
 def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
     """True iff some deletion set of size <= k lands g in the class."""
     _require_class(cls)
-    return k >= 0 and _deletion_set(g.adj, (1 << g.n) - 1, cls, k) is not None
+    return k >= 0 and _apex_search(g.adj, (1 << g.n) - 1, cls, k, {}) is not None
 
 
 # -- blocks, cut vertices, bc-tree ------------------------------------------
@@ -663,22 +660,22 @@ def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
 
 def _block_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the blocks (isolated vertices give singleton blocks)."""
-    return _blocks_and_cuts(g)[0]
+    return _blocks_and_cuts(g.adj, (1 << g.n) - 1)[0]
 
 
-def _blocks_and_cuts(g: Graph) -> tuple[list[int], int]:
-    """Blocks as vertex masks plus the cut-vertex bitmask (Hopcroft-Tarjan).
+def _blocks_and_cuts(adj: tuple[int, ...], alive: int) -> tuple[list[int], int]:
+    """Blocks as vertex masks plus the cut-vertex bitmask (Hopcroft-Tarjan) of
+    the graph the rows ``adj`` induce on ``alive``.
 
     A recursive lowpoint DFS, neighbours in ascending order; its depth is at
     most ``MAX_VERTICES``.  When child v of u ends with ``low[v] >= disc[u]``,
     the vertices above v on the vertex stack, v and u form a block.  The
     parent edge is not skipped: it lowers ``low[v]`` at most to ``disc[u]``,
-    which that test cannot tell from a higher value.  A non-root closing a block is a cut vertex; a
-    root closes one block per DFS child, so it is one with a second child.
+    which that test cannot tell from a higher value.  A non-root that closes
+    a block is a cut vertex; a root closes one per DFS child, so needs two.
     """
-    adj = g.adj
-    disc = [0] * g.n  # discovery times from 1, 0 = unvisited
-    low = [0] * g.n
+    disc = [0] * len(adj)  # discovery times from 1, 0 = unvisited
+    low = [0] * len(adj)
     clock = count(1)
     stack: list[int] = []
     blocks: list[int] = []
@@ -689,7 +686,7 @@ def _blocks_and_cuts(g: Graph) -> tuple[list[int], int]:
         disc[u] = low[u] = next(clock)
         stack.append(u)
         closed = 0
-        for v in bits(adj[u]):
+        for v in bits(adj[u] & alive):
             if disc[v]:
                 if disc[v] < low[u]:
                     low[u] = disc[v]
@@ -706,11 +703,12 @@ def _blocks_and_cuts(g: Graph) -> tuple[list[int], int]:
         if closed > root:
             cuts |= 1 << u
 
-    for r in range(g.n):
-        if not adj[r]:
-            blocks.append(1 << r)  # isolated vertex: trivial block
-        elif not disc[r]:
-            visit(r, True)
+    for r in range(len(adj)):  # cheaper than bits(alive) for the full mask of bridges()
+        if alive >> r & 1 and not disc[r]:
+            if adj[r] & alive:
+                visit(r, True)
+            else:
+                blocks.append(1 << r)  # isolated vertex: trivial block
     return blocks, cuts
 
 
@@ -733,7 +731,7 @@ class BlockDecomposition:
 
 def decompose(g: Graph) -> BlockDecomposition:
     """Standard biconnected decomposition plus the block-cut-vertex tree."""
-    block_masks, cut_mask = _blocks_and_cuts(g)
+    block_masks, cut_mask = _blocks_and_cuts(g.adj, (1 << g.n) - 1)
     blocks = tuple(frozenset(bits(b)) for b in block_masks)
     cut_vertices = frozenset(bits(cut_mask))
     tree: dict[BcNode, list[BcNode]] = {("block", i): [] for i in range(len(blocks))}

@@ -25,10 +25,10 @@ from .graphio import from_graph6, to_graph6
 from .graphs import (
     ClassId,
     Graph,
+    _apex_search,
     _child_lands_in,
     _child_rows,
     _cycle_rank,
-    _deletion_set,
     _induced,
     bits,
     bridges,
@@ -122,14 +122,14 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     and with no canonical form.  Each child first tries the deletion sets
     found for its siblings, most recently useful first: a set has at most k
     vertices, so one that lands the child in the class proves it k-apex.
-    Only a child that no set settles gets an apex search, and the first
-    child that search refutes is built as the witness, the first child
-    that is not k-apex.
+    Only a child that no set settles gets an apex search (``_apex_search``,
+    for every class), and the first child that search refutes is built as
+    the witness, the first child that is not k-apex.
 
     Each set s is stored with cyc(g - s), computed once on g's rows, and
     ``_child_lands_in`` tests it.  For FOREST and SUB_UNICYCLIC that test is
     by cycle rank (``graphs._rank_drop``); a contraction with an end in s,
-    and the other classes, take the child's 2-core.
+    PSEUDOFOREST and CACTUS take the child's 2-core.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
@@ -146,7 +146,7 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
                 break
         else:
             searched += 1
-            s = _deletion_set(rows, alive, cls, k)
+            s = _apex_search(rows, alive, cls, k, {})
             if s is None:
                 witness = _induced(rows, alive)
                 return ObstructionCheck(False, "minimality", witness, children_searched=searched)

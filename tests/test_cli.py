@@ -122,6 +122,13 @@ class TestCheck:
         assert err.startswith("error: 'K40'") and err.count("\n") == 1
         assert "32" in err and "limit" in err
 
+    def test_huge_graph_name_exits_before_building(self, capsys):
+        # rejected from the name alone: its 10^8 edge tuples would take about 13 GB
+        assert run(["check", "--class", "forest", "C100000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 'C100000000'") and captured.err.count("\n") == 1
+        assert "32" in captured.err and captured.out == ""
+
 
 class TestSubcommands:
     def test_minor(self, capsys):
@@ -141,6 +148,18 @@ class TestSubcommands:
     def test_apex(self, capsys):
         code, out = invoke(capsys, "apex", "--class", "subunicyclic", "3K3")
         assert code == 0 and out.strip() == "2"
+
+    @pytest.mark.parametrize("graph,size", [
+        ("K5", 2),
+        ("2K3", 0),
+        # a 20-cycle with the chords 0-5, 2-7, 10-15, 12-17: two diamonds
+        # that share no vertex, so two deletions
+        ("ShEGHC@?G?_@?@??_?G?P??C?AG??K??C", 2),
+    ])
+    def test_apex_cactus(self, capsys, graph, size):
+        code, out = invoke(capsys, "apex", "--class", "cactus", graph, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["class"] == "cactus" and payload["min_apex_size"] == size
 
     def test_verify_catalog_k0(self, capsys):
         code, out = invoke(capsys, "verify-catalog", "--k", "0", "--json")

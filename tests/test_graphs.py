@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -46,6 +47,16 @@ from oracles import (
 )
 
 
+def traced_peak(fn) -> int:
+    """The peak of the memory traced while ``fn()`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestConstruction:
     def test_named_butterfly(self):
         z = make_named("Z")
@@ -71,6 +82,20 @@ class TestConstruction:
         for bad in ("Q5", "K", "0K3", "C2", "K1-"):
             with pytest.raises(ValueError):
                 make_named(bad)
+
+    @pytest.mark.parametrize("name", ["C1000000", "P1000000", "K1000000", "K1000000-", "1000000K3"])
+    def test_oversize_name_fails_before_building(self, name):
+        # the vertex limit is checked before any edge list or copy is built
+        def build():
+            with pytest.raises(ValueError, match="32"):
+                make_named(name)
+
+        assert traced_peak(build) < 1 << 20
+
+    def test_copies_of_the_empty_graph(self):
+        # no list of a million copies is built for them
+        assert traced_peak(lambda: make_named("1000000K0")) < 1 << 20
+        assert make_named("1000000K0") == Graph(0)
 
     def test_rejects_loops_and_oversize(self):
         with pytest.raises(ValueError):
@@ -345,7 +370,7 @@ class TestMinApex:
             while len(edges) < n + chords:
                 edges.add(frozenset(rng.sample(range(n), 2)))
             g = Graph(n, [tuple(e) for e in edges])
-            for cls in (ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST):
+            for cls in ClassId:
                 got = min_apex_size(g, cls)
                 assert got == oracle_min_apex(g, cls.value), (g, cls)
                 answers.add(got)
@@ -374,7 +399,7 @@ class TestApexSearch:
         # every class and budget saw both answers
         assert len(outcomes) == 2 * 4 * len(ClassId)
 
-    @pytest.mark.parametrize("cls", [ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST])
+    @pytest.mark.parametrize("cls", list(ClassId))
     def test_found_sets_land_in_the_class(self, rng, cls):
         # on g and on every child in g's labels (rows that still mention
         # the vertex a contraction dropped): a found set is at most k alive
@@ -394,6 +419,29 @@ class TestApexSearch:
                     assert s & ~alive == 0 and popcount(s) <= k
                     assert is_in_class(_induced(rows, alive & ~s), cls)
         assert found and refuted
+
+    def test_cactus_on_two_connected_graphs_against_subset_loop(self):
+        # 2-connected graphs of 10-14 vertices grown from a cycle by random
+        # ears, past the oracle tests' 8 vertices: none is a cactus, so each
+        # search with k >= 1 branches on a cycle plus an ear
+        rng = random.Random(2001)
+        answers = Counter()
+        for _ in range(40):
+            n = rng.randint(10, 14)
+            v = rng.randint(3, 6)
+            edges = {(i, (i + 1) % v) for i in range(v)}
+            while v < n or rng.random() < 0.3:  # an ear through `inner` new vertices
+                inner = rng.randint(0, min(3, n - v))
+                path = [rng.randrange(v), *range(v, v + inner), rng.randrange(v)]
+                if path[0] != path[-1]:
+                    edges |= set(zip(path, path[1:]))
+                    v += inner
+            g = Graph(n, edges)
+            for k in range(3):
+                got = has_apex_set_within(g, ClassId.CACTUS, k)
+                assert got == subset_loop_within(g, ClassId.CACTUS, k), (g, k)
+                answers[k, got] += 1
+        assert answers[1, True] and answers[1, False] and answers[2, True] and answers[2, False]
 
     def test_negative_budget(self):
         assert not has_apex_set_within(Graph(0), ClassId.FOREST, -1)

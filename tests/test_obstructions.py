@@ -203,12 +203,13 @@ class TestSiblingSets:
         assert {"membership", "minimality"} <= steps
 
     def test_cactus_small_graphs(self):
-        # CACTUS has no bounded search: its sets come from trying every subset
+        # CACTUS sets come from the bounded search of the cycle classes, and
+        # a stored set settles a sibling by the sibling's 2-core
         rng = random.Random(1213)
         steps = set()
         for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.8))
-            for k in (0, 1):
+            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+            for k in (0, 1, 2):
                 steps.add(assert_matches_search_per_child(g, k, ClassId.CACTUS))
         assert {"membership", "minimality"} <= steps
 
