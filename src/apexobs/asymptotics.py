@@ -82,7 +82,8 @@ def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
         t(x) = sum_{m<=N} c_m x^m,  m*c_m = sum_{n|m, m/n >= 2} n*d_n,
         u(x) = v(x^2),  v(z) = sum_{m<=N} w_m z^m,  m*w_m = m*c_m + m*d_m.
 
-    Built once per public entry point and reused for every x it evaluates.
+    Built once per public entry point, or once per ``asymptotics_report``,
+    and reused for every x it evaluates.
     """
     nd = [n * a for n, a in enumerate(d.coeffs)]
     n = len(nd) - 1
@@ -193,12 +194,17 @@ def solve_saddle(
     sol: SeriesSystemSolution,
     tol: float = 1e-13,
     min_truncation: int = MIN_SADDLE_TRUNCATION,
+    *,
+    _tails: tuple[LogTerms, LogTerms] | None = None,
 ) -> SaddlePoint:
-    """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point."""
+    """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point.
+
+    ``_tails``, if given, is ``_tail_series(sol.T_diamond)`` already built.
+    """
     if sol.truncation < min_truncation:
         raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
     x, y = SADDLE_START
-    tails = _tail_series(sol.T_diamond)
+    tails = _tail_series(sol.T_diamond) if _tails is None else _tails
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
         return (yy - p.F, 1.0 - p.Fy)
@@ -282,16 +288,22 @@ def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
         y, step = y + new_step, new_step
 
 
-def expansion_coeffs(sp: SaddlePoint, sol: SeriesSystemSolution) -> ExpansionCoefficients:
+def expansion_coeffs(
+    sp: SaddlePoint,
+    sol: SeriesSystemSolution,
+    *,
+    _tails: tuple[LogTerms, LogTerms] | None = None,
+) -> ExpansionCoefficients:
     """Evaluate the closed-form expansion coefficients and gate q1.
 
     h0 = sqrt(2 rho F_x / F_yy); h1 = (1/6)(-F_yyy h0^2 + 6 F_xy rho)/(2 F_yy);
     q1 is the two-line display taken literally.  The gate solves y(x) at
     x = rho(1 - eps^2), subtracts the first-order expansion y0 - h0*eps and
     fits the X^2 coefficient; a mismatch is reported, never corrected.
+    ``_tails``, if given, is ``_tail_series(sol.T_diamond)`` already built.
     """
     rho, y0 = sp.x0, sp.y0
-    tails = _tail_series(sol.T_diamond)
+    tails = _tail_series(sol.T_diamond) if _tails is None else _tails
     p = _F(rho, y0, tails)
     if abs(p.Fyy) < 1e-9:
         raise ArithmeticError("degenerate saddle: F_yy vanishes")
@@ -452,12 +464,15 @@ def check_Z1_vanishes(
     truncations: tuple[int, ...] = (64, 96, 128),
     tol: float = 1e-13,
     saddle: SaddlePoint | None = None,
+    *,
+    _tails: tuple[LogTerms, LogTerms] | None = None,
 ) -> Z1Report:
     """Solve the saddle at each truncation; evaluate the identity against
     the reference (full-truncation) series.  ``saddle``, if given, is the
     saddle already solved on ``sol`` itself at ``tol`` and stands for the
-    truncation ``sol.truncation``.  A truncation above ``sol.truncation``
-    raises ValueError.
+    truncation ``sol.truncation``, and ``_tails``, if given, is
+    ``_tail_series(sol.T_diamond)`` already built.  A truncation above
+    ``sol.truncation`` raises ValueError.
 
     The residual then measures how far truncation displaces the saddle from
     the true identity.  At truncation N the tails are cut at x^N (t) and
@@ -471,7 +486,7 @@ def check_Z1_vanishes(
             raise ValueError(
                 f"truncation {n} exceeds the series truncation {sol.truncation}"
             )
-    ref_tails = _tail_series(sol.T_diamond)
+    ref_tails = _tail_series(sol.T_diamond) if _tails is None else _tails
     residuals = {}
     values = {}
     for n in truncations:
@@ -490,13 +505,18 @@ def check_Z1_vanishes(
 
 def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
     """The full numeric pipeline as one JSON-ready dictionary."""
-    sp = solve_saddle(sol, tol=tol)
-    ec = expansion_coeffs(sp, sol)
+    tails = _tail_series(sol.T_diamond)  # shared by the saddle, the expansion and Z1
+    sp = solve_saddle(sol, tol=tol, _tails=tails)
+    ec = expansion_coeffs(sp, sol, _tails=tails)
     n = sol.truncation
     est_T = estimate_constant(sol.T, sp.x0)
     est_G = estimate_constant(sol.G, sp.x0)
     z1 = check_Z1_vanishes(
-        sol, truncations=tuple(t for t in (64, 96, 128) if t <= n), tol=tol, saddle=sp
+        sol,
+        truncations=tuple(t for t in (64, 96, 128) if t <= n),
+        tol=tol,
+        saddle=sp,
+        _tails=tails,
     )
     return {
         "N": n,

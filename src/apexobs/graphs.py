@@ -464,20 +464,21 @@ def _thick_block(adj: tuple[int, ...], core: int) -> int:
     return next((b for b in blocks if _edge_count(adj, b) > popcount(b)), 0)
 
 
-def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> int:
+def _branch_vertices(
+    adj: tuple[int, ...], core: int, high: int, block: int, cls: ClassId
+) -> int:
     """Mask of vertices to branch on: the degree >= 3 vertices of a witness.
 
     FOREST: a shortest cycle.  SUB_UNICYCLIC: two distinct cycles.
     PSEUDOFOREST: two distinct cycles in one component and a path joining
     them.  A cycle with no vertex of degree >= 3 is a whole component; any
     one of its vertices stands for all of them.  CACTUS: a shortest cycle C
-    of a block that is not a cycle, and an ear: a shortest path in the block
-    from a vertex of C, through vertices outside C, to another one (the
-    block is 2-connected and C has no chord).  C plus the ear subdivides the
-    diamond K4 - e, a minor no cactus has.
+    of ``block``, a block that is not a cycle, and an ear: a shortest path
+    in the block from a vertex of C, through vertices outside C, to another
+    one (the block is 2-connected and C has no chord).  C plus the ear
+    subdivides the diamond K4 - e, a minor no cactus has.
     """
     if cls is ClassId.CACTUS:
-        block = _thick_block(adj, core)
         cycle = _shortest_cycle(adj, block)
         outside = block & ~cycle
         a = next(v for v in bits(cycle) if adj[v] & outside)
@@ -497,11 +498,16 @@ def _branch_vertices(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -
     return out
 
 
-def _core_in_class(adj: tuple[int, ...], core: int, high: int, cls: ClassId) -> bool:
+def _core_in_class(
+    adj: tuple[int, ...], core: int, high: int, block: int, cls: ClassId
+) -> bool:
+    """Is the graph on ``core``, a 2-core with the vertices ``high`` of degree
+    >= 3, in ``cls``?  For CACTUS, ``block`` is its ``_thick_block``, taken
+    only when ``high`` is not empty (else 0), once per search node."""
     if cls is ClassId.FOREST:
         return not core
     if cls is ClassId.CACTUS:
-        return not high or not _thick_block(adj, core)
+        return not block
     if high:
         return False
     # a union of bare cycles: a pseudoforest, sub-unicyclic if it is one cycle
@@ -523,7 +529,8 @@ def _apex_search(
     a cycle-rank cap t, so it skips PSEUDOFOREST, CACTUS and k <= 1.
     """
     core, high = _strip(adj, alive)
-    if _core_in_class(adj, core, high, cls):
+    block = _thick_block(adj, core) if high and cls is ClassId.CACTUS else 0
+    if _core_in_class(adj, core, high, block, cls):
         return 0
     if k == 0 or failed.get(core, -1) >= k:
         return None
@@ -534,7 +541,7 @@ def _apex_search(
             failed[core] = k
             return None
     branch = sorted(
-        bits(_branch_vertices(adj, core, high, cls)),
+        bits(_branch_vertices(adj, core, high, block, cls)),
         key=lambda v: -(adj[v] & core).bit_count(),
     )
     for v in branch:
@@ -568,7 +575,9 @@ def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> i
 
 def _lands_in(adj: tuple[int, ...], alive: int, cls: ClassId) -> bool:
     """True iff the graph the rows ``adj`` induce on ``alive`` is in ``cls``."""
-    return _core_in_class(adj, *_strip(adj, alive), cls)
+    core, high = _strip(adj, alive)
+    block = _thick_block(adj, core) if high and cls is ClassId.CACTUS else 0
+    return _core_in_class(adj, core, high, block, cls)
 
 
 def _rank_drop(
@@ -801,8 +810,8 @@ def _child_rows(g: Graph) -> Iterator[tuple[tuple[int, ...], int, tuple[int, int
     not alive), then the deletion of every edge (the full mask), then one
     isolated-vertex deletion if g has an isolated vertex (all such
     deletions give the same child; its edge is None).  So a child with an
-    edge is a contraction iff v is not alive.  Contractions come first
-    because each drops a vertex, and a minor test has to drop ``g.n - h.n``.
+    edge is a contraction iff v is not alive.  ``check_obstruction`` takes
+    its witness in this order.
     """
     adj, full = g.adj, (1 << g.n) - 1
     edges = list(g.edges())

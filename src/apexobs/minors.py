@@ -1,49 +1,29 @@
 """Exact minor containment for small graphs.
 
-The test is recursive descent over the proper-minor order: h is a minor of g
-iff h is isomorphic to g or h is a minor of some one-step minor of g (single
-edge deletion, single edge contraction, single isolated-vertex deletion).
-Results are memoized on canonical-form pairs, so repeated queries against the
-same family of graphs stay cheap.
-
-h's vertex count, edge count, cycle rank (m - n + c: edges - vertices +
-components) and minimum degree are computed once per query, and its
-canonical form at the first memo lookup.  The descent walks each host's
-one-step children as bitset rows (``graphs._child_rows``) and derives every
-child's counts from its parent's, its cycle rank by ``graphs._rank_drop``
-(see ``_counted_children``), so a child is refuted before it is built:
-
-- counts: none of the three rises under edge deletion, edge contraction or
-  isolated-vertex deletion, so h is no minor of a child that falls below h
-  in any of them;
-- 2-core host: when h has minimum degree >= 2, a child is cut to its 2-core
-  on the rows, because a vertex of degree <= 1 of g is either unused by a
-  model of h or a leaf of a branch set of >= 2 vertices, whose only edge
-  stays inside that set (see ``is_minor``); the cut keeps the cycle rank.
-  A pattern with a vertex of degree <= 1, an isolated one included, takes
-  the same descent without the cut: the one-step minors include
-  isolated-vertex deletion, so the descent alone reaches every minor.
-
-A child that survives is built as a graph once, to key the memo by its
-canonical form.  So the cost depends on the 2-core of g and on the gap
-between the counts of h and g, not on the vertex count alone: pendant trees
-and forests cost nothing, and the descent stops at every one-step minor
-whose counts fall below h's.
+The descent drops one vertex per level, by an edge contraction or a vertex
+deletion, and at |h| vertices matches h as a spanning subgraph on the bitset
+rows (``is_minor`` proves that this decides h <= g).  Above that level,
+results are memoized on canonical-form pairs.  A child whose edge count or
+cycle rank (m - n + c), derived from its parent's, falls below h's is
+refuted before it is built, and for h of minimum degree >= 2 each host is
+cut to its 2-core.  So the cost grows with the vertex gap, not the edge gap.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 from .canonical import canonical_form
 from .graphs import (
     Graph,
     _block_masks,
-    _child_rows,
+    _component,
+    _contraction_rows,
     _edge_count,
     _induced,
-    _rank_drop,
     _strip,
+    bits,
     cyclomatic,
     popcount,
 )
@@ -59,23 +39,18 @@ def clear_minor_cache() -> None:
 def is_minor(h: Graph, g: Graph) -> bool:
     """True iff h is a minor of g (up to isomorphism of h).
 
-    When every vertex of h has degree >= 2, g is first cut down to its
-    2-core.  Take a model of h in g (disjoint connected branch sets, an edge
-    of g between the sets of adjacent h-vertices) and a vertex x of g of
-    degree <= 1.  If x is a whole branch set, its h-vertex has degree <= 1,
-    which contradicts the condition.  Otherwise x is a leaf of a larger
-    branch set and can be dropped: its only edge stays inside that branch
-    set, so no model edge is lost.  Repeating this reaches the 2-core.
+    h <= g iff vertex deletions and edge contractions alone turn g into a
+    graph on |h| vertices with h as a spanning subgraph.  Proof: contract each
+    branch set of a minor model of h and delete every vertex outside it; the
+    converse holds as h is that graph less some edges.
 
-    Each child's counts are derived from its parent's, the cycle rank by
-    ``graphs._rank_drop``, and a child whose counts fall below h's is
-    refuted before it is built.
+    When every vertex of h has degree >= 2, g is first cut to its 2-core: a
+    vertex of g of degree <= 1 is then no whole branch set, and as a leaf of a
+    larger one it can be dropped, since its only edge stays inside that set.
     """
-    if h.n == 0:
-        return True
     m = h.num_edges()
     if m == 0:
-        # edgeless graphs embed iff there is room for their vertices
+        # edgeless graphs (K0 included) embed iff there is room for their vertices
         return h.n <= g.n
     if h.n > g.n or m > (gm := g.num_edges()):  # refuted before h's other invariants
         return False
@@ -86,65 +61,89 @@ def is_minor(h: Graph, g: Graph) -> bool:
 class _Pattern:
     """The graph h of one query with the invariants the descent tests."""
 
-    __slots__ = ("graph", "n", "m", "rank", "min_degree_two", "_form")
-
     def __init__(self, h: Graph, m: int):
         self.graph = h
         self.n, self.m, self.rank = h.n, m, cyclomatic(h)
         self.min_degree_two = min(map(popcount, h.adj)) >= 2
-        self._form: bytes | None = None
 
-    @property
-    def form(self) -> bytes:
-        if self._form is None:
-            self._form = canonical_form(self.graph)
-        return self._form
+    @cached_property
+    def order(self) -> list[tuple[int, int, list[int]]]:
+        """h's vertices as (vertex, degree, neighbours placed before it), each
+        next one with the most placed neighbours, then the highest degree."""
+        adj, order, placed = self.graph.adj, [], 0
+        for _ in range(self.n):
+            v = max(
+                bits(~placed & (1 << self.n) - 1),
+                key=lambda v: (popcount(adj[v] & placed), popcount(adj[v])),
+            )
+            order.append((v, popcount(adj[v]), list(bits(adj[v] & placed))))
+            placed |= 1 << v
+        return order
 
 
 def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) -> bool:
-    """Is p's graph a minor of the graph the rows induce on ``alive``?
-
-    That graph has m edges and cycle rank ``rank``, and p does not exceed
-    any of its counts.
-    """
-    if p.min_degree_two:
-        core = _strip(rows, alive)[0]
-        if core != alive:
-            alive = core
-            m = _edge_count(rows, core)
-            if p.n > popcount(core) or p.m > m:
-                return False
+    """Is p's graph a minor of the graph the rows induce on ``alive``, which
+    has m edges and cycle rank ``rank``, none of them below p's?"""
+    if p.min_degree_two and (core := _strip(rows, alive)[0]) != alive:
+        alive, m = core, _edge_count(rows, core)
+        if p.n > popcount(core) or p.m > m:
+            return False
+    if popcount(alive) == p.n:
+        return _spans(p, rows, alive)
     g = _induced(rows, alive)
-    key = (p.form, canonical_form(g))
+    key = (canonical_form(p.graph), canonical_form(g))
     cached = _memo.get(key)
     if cached is None:
-        cached = _memo[key] = key[0] == key[1] or any(
-            p.n <= cn and p.m <= cm and p.rank <= crank and _descend(p, crows, calive, cm, crank)
-            for crows, calive, cn, cm, crank in _counted_children(g, m, rank)
+        cached = _memo[key] = any(
+            p.m <= cm and p.rank <= crank and _descend(p, crows, calive, cm, crank)
+            for crows, calive, cm, crank in _children(g, m, rank)
         )
     return cached
 
 
-def _counted_children(
-    g: Graph, m: int, rank: int
-) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
-    """``_child_rows(g)`` with each child's vertex count, edge count and cycle
-    rank, derived from g's m edges and cycle rank ``rank``.
+def _children(g: Graph, m: int, rank: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
+    """(rows, alive, edge count, cycle rank) in g's labels of each edge uv
+    of ``g.edges()`` contracted into u, then of each vertex deleted.  A
+    contraction loses the common neighbours of u and v from the rank, and one
+    more edge; deleting a vertex of degree d that touches p components of the
+    rest loses d edges and d - p from the rank (p = 0 if d = 0)."""
+    adj, full = g.adj, (1 << g.n) - 1
+    for u, v in g.edges():
+        common = popcount(adj[u] & adj[v])
+        yield _contraction_rows(adj, u, v), full & ~(1 << v), m - 1 - common, rank - common
+    for v in range(g.n):
+        rest, todo, pieces = full & ~(1 << v), adj[v], 0
+        while todo:
+            todo &= ~_component(adj, todo & -todo, rest)
+            pieces += 1
+        yield adj, rest, m - popcount(adj[v]), rank - popcount(adj[v]) + pieces
 
-    The rank falls by ``graphs._rank_drop`` with no deletion set.  Deleting
-    an edge loses that edge, and deleting an isolated vertex no edge.  A
-    contraction loses a vertex and keeps the components, so by m - n + c
-    its edge count falls by one more than its rank.
-    """
-    adj, n = g.adj, g.n
-    for rows, alive, edge in _child_rows(g):
-        drop = _rank_drop(adj, rows, alive, edge, 0)
-        if edge is None:
-            yield rows, alive, n - 1, m, rank - drop
-        elif alive >> edge[1] & 1:  # uv deleted
-            yield rows, alive, n, m - 1, rank - drop
-        else:
-            yield rows, alive, n - 1, m - 1 - drop, rank - drop
+
+def _spans(p: _Pattern, rows: tuple[int, ...], alive: int) -> bool:
+    """Is p's graph a spanning subgraph of the graph the rows induce on
+    ``alive`` (p.n vertices)?  Each vertex of h, in match order, goes on an
+    unused vertex of at least its degree adjacent to its neighbours' images."""
+    order = p.order
+    degree = {v: popcount(rows[v] & alive) for v in bits(alive)}
+    fits = {need: sum(1 << v for v, d in degree.items() if d >= need) for _, need, _ in order}
+    image = [0] * p.n  # image[x]: the row of the vertex h's vertex x went on
+
+    def place(i: int, free: int) -> bool:
+        if i == p.n:
+            return True
+        x, need, back = order[i]
+        cand = fits[need] & free
+        for y in back:
+            cand &= image[y]
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            image[x] = rows[b.bit_length() - 1]
+            if place(i + 1, free ^ b):
+                return True
+        return False
+
+    return place(0, alive)
 
 
 def max_triangle_packing_in_cactus(g: Graph) -> int:

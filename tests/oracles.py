@@ -8,9 +8,10 @@ an AHU certificate, partition refinement counts neighbors into every cell on
 every pass, automorphism orbits come from VF2 matches with one vertex marked
 on each side, the butterfly-cacti attach at every non-central vertex, power
 series are Fraction-valued with exp and MSET taken by the exp-log formulas,
-the obstruction check runs a fresh apex search on every child, and the
-obstruction search takes its candidates from every graph up to
-isomorphism.  Slow is fine; these run on small graphs and orders only.
+the obstruction check runs a fresh apex test on every child (a subset loop
+on graphs small enough for one), and the obstruction search takes its
+candidates from every graph up to isomorphism.  Slow is fine; these run on
+small graphs and orders only.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 import networkx as nx
@@ -198,21 +200,44 @@ def oracle_min_apex(g: Graph, cls: str) -> int:
 # -- the obstruction check, one search per child -----------------------------------
 
 
+SUBSET_REACH = 70  # the most deletion sets the subset loop tries on one graph
+
+
+def oracle_apex_within(g: Graph, cls: str, k: int) -> bool:
+    """Some set of at most k vertices leaves g in the class: every such set
+    deleted in turn, each result tested by ``oracle_in_class``."""
+    return any(
+        oracle_in_class(g.delete_vertices(drop), cls)
+        for size in range(k + 1)
+        for drop in combinations(range(g.n), size)
+    )
+
+
 def reference_check_obstruction(
     g: Graph, k: int, cls: ClassId
 ) -> tuple[bool, str | None, Graph | None]:
-    """(is_obstruction, failed_step, witness) with a fresh apex search per child.
+    """(is_obstruction, failed_step, witness) with a fresh apex test per child.
 
-    ``has_apex_set_within`` on g, then on every child of
-    ``_one_step_children`` in order; the first child that fails is the
-    witness.  The library's check settles most children by a deletion set
-    found for a sibling and must give the same triple, the same witness
-    bytes included.
+    The apex test on g, then on every child of ``_one_step_children`` in
+    order; the first child that fails is the witness.  The library's check
+    settles most children by a deletion set found for a sibling and must
+    give the same triple, the same witness bytes included.
+
+    The apex test is the subset loop ``oracle_apex_within`` while a graph
+    has at most ``SUBSET_REACH`` sets of <= k vertices: every graph at
+    k <= 1, and graphs of <= 11 vertices at k = 2, <= 7 at k = 3 and <= 6 at
+    k >= 4.  Above that reach it is the library's own ``has_apex_set_within``.
     """
-    if has_apex_set_within(g, cls, k):
+
+    def apex_within(x: Graph) -> bool:
+        if sum(comb(x.n, size) for size in range(k + 1)) <= SUBSET_REACH:
+            return oracle_apex_within(x, cls.value, k)
+        return has_apex_set_within(x, cls, k)
+
+    if apex_within(g):
         return False, "membership", None
     for child in _one_step_children(g):
-        if not has_apex_set_within(child, cls, k):
+        if not apex_within(child):
             return False, "minimality", child
     return True, None, None
 

@@ -128,13 +128,22 @@ class TestTails:
         monkeypatch.setattr(apexobs.asymptotics, "_tail_series", counted_build)
         monkeypatch.setattr(apexobs.asymptotics, "_F", counted_F)
         sol = solve_system(64)
-        asymptotics_report(sol)
-        # solve_saddle, expansion_coeffs and check_Z1_vanishes build one each
-        assert len(builds) == 3
+        report = asymptotics_report(sol)
+        # solve_saddle, expansion_coeffs and check_Z1_vanishes share one
+        assert len(builds) == 1
         assert len(evaluations) > 5 * len(builds)  # 30 evaluations at N = 64
         # nothing outlives a call: a second report builds them again
-        asymptotics_report(sol)
-        assert len(builds) == 6
+        assert asymptotics_report(sol) == report
+        assert len(builds) == 2
+        # each entry point called alone builds its own and gives the report's floats
+        sp = solve_saddle(sol)
+        ec = expansion_coeffs(sp, sol)
+        z1 = check_Z1_vanishes(sol, truncations=(64,), saddle=sp)
+        assert len(builds) == 5
+        assert (report["rho"], report["y0"]) == (sp.x0, sp.y0)
+        assert report["residuals"] == list(sp.residuals)
+        assert (report["h0"], report["h1"], report["q1"]) == (ec.h0, ec.h1, ec.q1)
+        assert report["z1_residuals"] == {"64": z1.residuals[64]}
 
 
 class TestSaddle:

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import apexobs.graphs
 from apexobs.graphs import (
     ClassId,
     Graph,
@@ -442,6 +443,28 @@ class TestApexSearch:
                 assert got == subset_loop_within(g, ClassId.CACTUS, k), (g, k)
                 answers[k, got] += 1
         assert answers[1, True] and answers[1, False] and answers[2, True] and answers[2, False]
+
+    def test_cactus_runs_one_blocks_dfs_per_node(self, monkeypatch):
+        # the thick block found for the class test of a node is the one its
+        # branch set is taken from
+        rng = random.Random(2102)
+        graphs = [random_graph(rng, rng.randint(8, 14), rng.uniform(0.2, 0.6)) for _ in range(60)]
+        nodes, dfs_calls = [], []
+        search, blocks = apexobs.graphs._apex_search, apexobs.graphs._blocks_and_cuts
+
+        def counted_search(*args):
+            nodes.append(args[1])
+            return search(*args)
+
+        def counted_blocks(*args):
+            dfs_calls.append(args[1])
+            return blocks(*args)
+
+        monkeypatch.setattr(apexobs.graphs, "_apex_search", counted_search)
+        monkeypatch.setattr(apexobs.graphs, "_blocks_and_cuts", counted_blocks)
+        sizes = [min_apex_size(g, ClassId.CACTUS) for g in graphs]
+        assert max(sizes) >= 3 and len(nodes) > 1000
+        assert len(dfs_calls) <= len(nodes)
 
     def test_negative_budget(self):
         assert not has_apex_set_within(Graph(0), ClassId.FOREST, -1)

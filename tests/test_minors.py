@@ -3,15 +3,18 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import networkx as nx
 import pytest
 
 from apexobs.cacti import generate_Z
 from apexobs.canonical import canonical_form, enumerate_graphs
+from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     Graph,
     _induced,
     butterfly_graph,
     complete_graph,
+    component_masks,
     cycle_graph,
     cyclomatic,
     disjoint_union,
@@ -21,7 +24,7 @@ from apexobs.graphs import (
 )
 import apexobs.minors
 from apexobs.minors import (
-    _counted_children,
+    _children,
     clear_minor_cache,
     is_minor,
     max_triangle_packing_in_cactus,
@@ -68,13 +71,17 @@ class TestIsMinor:
         assert not is_minor(Graph(4), path_graph(3))
         assert is_minor(Graph(0), Graph(0))
 
-    def test_agrees_with_oracle_small_random(self, rng):
-        checked = 0
-        while checked < 60:
-            h = random_graph(rng, rng.randint(1, 5), rng.random())
-            g = random_graph(rng, rng.randint(1, 6), rng.random())
-            assert is_minor(h, g) == oracle_is_minor(h, g), (h, g)
-            checked += 1
+    def test_agrees_with_oracle_small_random(self):
+        # 1,200 seeded pairs, hosts of <= 7 vertices so the oracle stays fast
+        rng = random.Random(2101)
+        answers = Counter()
+        for _ in range(1200):
+            h = random_graph(rng, rng.randint(1, 6), rng.random())
+            g = random_graph(rng, rng.randint(1, 7), rng.random())
+            got = is_minor(h, g)
+            assert got == oracle_is_minor(h, g), (h, g)
+            answers[got] += 1
+        assert min(answers[True], answers[False]) >= 200, answers
 
     def test_agrees_with_oracle_exhaustive_tiny(self):
         # every ordered pair of graphs on <= 4 vertices
@@ -106,6 +113,40 @@ class TestIsMinor:
             assert got == oracle_is_minor(h, g), (h, g)
             answers.add(got)
         assert answers == {True, False}
+
+
+def is_model(h: nx.Graph, g: nx.Graph, sets: list[list[int]]) -> bool:
+    """Are ``sets`` (one per vertex of h) disjoint connected branch sets of g
+    with an edge of g between the sets of every two adjacent vertices of h?"""
+    used = [v for branch in sets for v in branch]
+    return (
+        len(sets) == h.number_of_nodes()
+        and len(used) == len(set(used))
+        and all(nx.is_connected(g.subgraph(branch)) for branch in sets)
+        and all(
+            any(g.has_edge(x, y) for x in sets[a] for y in sets[b]) for a, b in h.edges()
+        )
+    )
+
+
+class TestEdgeGap:
+    """Patterns far below the host in edges: a 10-vertex host with 30 edges,
+    against two k=1 catalog graphs on 9 vertices."""
+
+    @pytest.mark.parametrize("name,h6,sets", [
+        ("O_1^0", "HwCW?CB", [[0], [2], [4], [1], [3], [6], [5], [8], [9]]),
+        ("O_6^0", "H\\[W?CB", [[0], [1], [4], [2], [9], [5], [3], [6], [8]]),
+    ])
+    def test_dense_host_against_a_model(self, name, h6, sets):
+        g6 = "I^xeeB~zW"
+        # the model is checked on graphs decoded by networkx
+        assert is_model(nx.from_graph6_bytes(h6.encode()), nx.from_graph6_bytes(g6.encode()), sets)
+        (h,) = [rec.graph for rec in load_catalog(1).records if rec.name == name]
+        assert to_graph6(h) == h6
+        clear_minor_cache()
+        assert is_minor(h, from_graph6(g6))
+        # one vertex short of the host: no edge deletions to walk
+        assert len(apexobs.minors._memo) <= 10
 
 
 def with_trees(rng, core: Graph, extra: int) -> Graph:
@@ -195,18 +236,21 @@ class TestPrunes:
 
 
 def counted(g: Graph) -> list[tuple[str, tuple[int, int, int], tuple[int, int, int]]]:
-    """Each child of ``_counted_children(g)`` as (kind, derived counts, counts
-    of the built child); the kind is a contraction, a deletion of a bridge
-    or of a cycle edge, or an isolated-vertex deletion."""
-    m, rank = g.num_edges(), cyclomatic(g)
+    """Each child of ``_children(g)`` as (kind, derived counts, counts of the
+    built child); the kind is a contraction, or the deletion of an isolated
+    vertex, of a cut vertex (the child has more components than g) or of
+    another vertex."""
+    m, rank, comps = g.num_edges(), cyclomatic(g), len(component_masks(g))
     out = []
-    for rows, alive, n, cm, crank in _counted_children(g, m, rank):
+    for rows, alive, cm, crank in _children(g, m, rank):
         child = _induced(rows, alive)
-        if alive != (1 << g.n) - 1:
-            kind = "contraction" if cm < m else "isolated"
+        if rows != g.adj:
+            kind = "contraction"
+        elif cm == m:
+            kind = "isolated"
         else:
-            kind = "deletion-bridge" if crank == rank else "deletion-cycle"
-        out.append((kind, (n, cm, crank), (child.n, child.num_edges(), cyclomatic(child))))
+            kind = "cut vertex" if len(component_masks(child)) > comps else "vertex"
+        out.append((kind, (g.n - 1, cm, crank), (child.n, child.num_edges(), cyclomatic(child))))
     return out
 
 
@@ -223,9 +267,9 @@ class TestDerivedCounts:
             for kind, derived, built in counted(g):
                 assert derived == built, (g, kind)
                 kinds[kind] += 1
-        assert set(kinds) == {"contraction", "isolated", "deletion-bridge", "deletion-cycle"}
+        assert set(kinds) == {"contraction", "isolated", "cut vertex", "vertex"}
 
-    def test_bridge_deletion_and_triangle_contraction(self):
+    def test_cut_vertex_deletion_and_triangle_contraction(self):
         # two triangles joined by the bridge 2-3, with the pendant edge 5-6
         g = Graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5), (5, 6)])
         children = counted(g)
@@ -234,12 +278,13 @@ class TestDerivedCounts:
         assert by_edge[(0, 1)][1:] == ((6, 6, 1),) * 2
         # contracting the bridge or the pendant edge keeps both cycles
         assert by_edge[(2, 3)][1:] == by_edge[(5, 6)][1:] == ((6, 7, 2),) * 2
-        deletions = dict(zip(g.edges(), children[g.num_edges():]))
-        for e in [(2, 3), (5, 6)]:
-            assert deletions[e] == ("deletion-bridge", (7, 7, 2), (7, 7, 2))
-        for e in [(0, 1), (3, 4)]:
-            assert deletions[e] == ("deletion-cycle", (7, 7, 1), (7, 7, 1))
-        assert len(children) == 2 * g.num_edges()  # no isolated vertex
+        deletions = children[g.num_edges():]  # then one per vertex, in vertex order
+        assert len(deletions) == g.n
+        # a cut vertex of degree 3 splits its component in two: -3 edges, -1 cycle
+        for v in (2, 3, 5):
+            assert deletions[v] == ("cut vertex", (6, 5, 1), (6, 5, 1))
+        assert deletions[0] == ("vertex", (6, 6, 1), (6, 6, 1))
+        assert deletions[6] == ("vertex", (6, 7, 2), (6, 7, 2))  # the leaf
 
 
 class TestBuildsOnlyWhatItCanonicalises:

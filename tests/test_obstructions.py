@@ -204,11 +204,13 @@ class TestSiblingSets:
 
     def test_cactus_small_graphs(self):
         # CACTUS sets come from the bounded search of the cycle classes, and
-        # a stored set settles a sibling by the sibling's 2-core
+        # a stored set settles a sibling by the sibling's 2-core; the reference
+        # takes its sets from a subset loop at these sizes, and graphs of 6-10
+        # vertices are the smallest on which a witness without its ear fails
         rng = random.Random(1213)
         steps = set()
-        for _ in range(60):
-            g = random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.8))
+        for _ in range(120):
+            g = random_graph(rng, rng.randint(6, 10), rng.uniform(0.2, 0.8))
             for k in (0, 1, 2):
                 steps.add(assert_matches_search_per_child(g, k, ClassId.CACTUS))
         assert {"membership", "minimality"} <= steps
