@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 
-from .series import PowerSeries, SeriesSystemSolution
+from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms
 
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
 SADDLE_START = (0.15, 0.4)  # (x, y) where the saddle Newton starts
@@ -85,13 +84,10 @@ def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
     Built once per public entry point, or once per ``asymptotics_report``,
     and reused for every x it evaluates.
     """
-    nd = [n * a for n, a in enumerate(d.coeffs)]
-    n = len(nd) - 1
-    t_num = [0] * (n + 1)
-    for k in range(2, n + 1):
-        for q in range(1, n // k + 1):
-            t_num[q * k] += nd[q]
-    u_num = list(map(add, t_num, nd))
+    u_num = [0] * len(d.coeffs)  # m*w_m: the Euler weights of MSET(T_diamond)
+    for q in range(1, len(u_num)):
+        _add_divisor_terms(u_num, q, d.coeffs[q])
+    t_num = [w - m * a for m, (w, a) in enumerate(zip(u_num, d.coeffs))]
     return _log_terms(t_num), _log_terms(u_num)
 
 

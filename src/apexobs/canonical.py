@@ -38,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, TypeVar
 
-from .graphs import Graph, popcount
+from .graphs import MAX_VERTICES, Graph, popcount
 
 T = TypeVar("T")
 
@@ -259,6 +259,8 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     every possible subset of the old vertices, deduplicating by canonical
     form.  Counts for n = 0..7: 1, 1, 2, 4, 11, 34, 156, 1044.
     """
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES} (the vertex limit)")
     if n == 0:
         return (Graph(0),)
     classes = _iso_classes(

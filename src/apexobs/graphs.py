@@ -146,8 +146,10 @@ class Graph:
         return g
 
     def relabel(self, perm: Iterable[int]) -> Graph:
-        """Relabel: vertex v becomes perm[v]."""
+        """Relabel: vertex v becomes perm[v]; perm lists each of 0..n-1 once."""
         perm = list(perm)
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"not a permutation of 0..{self.n - 1}: {perm}")
         adj = [0] * self.n
         for v in range(self.n):
             row = 0
@@ -333,9 +335,9 @@ def _require_class(cls: ClassId) -> None:
 
 
 def is_in_class(g: Graph, cls: ClassId) -> bool:
-    """True iff g is in ``cls``, decided on its 2-core as the apex search decides it."""
+    """True iff g is in ``cls``: the apex search at budget 0, on g's 2-core."""
     _require_class(cls)
-    return _lands_in(g.adj, (1 << g.n) - 1, cls)
+    return _apex_search(g.adj, (1 << g.n) - 1, cls, 0, {}) is not None
 
 
 # -- apex sets: a bounded search tree over vertex bitmasks ------------------
@@ -503,7 +505,8 @@ def _core_in_class(
 ) -> bool:
     """Is the graph on ``core``, a 2-core with the vertices ``high`` of degree
     >= 3, in ``cls``?  For CACTUS, ``block`` is its ``_thick_block``, taken
-    only when ``high`` is not empty (else 0), once per search node."""
+    only when ``high`` is not empty (else 0), once per search node.  Class
+    membership is ``_apex_search`` at budget 0: 0 iff this holds, else None."""
     if cls is ClassId.FOREST:
         return not core
     if cls is ClassId.CACTUS:
@@ -573,13 +576,6 @@ def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> i
     return total
 
 
-def _lands_in(adj: tuple[int, ...], alive: int, cls: ClassId) -> bool:
-    """True iff the graph the rows ``adj`` induce on ``alive`` is in ``cls``."""
-    core, high = _strip(adj, alive)
-    block = _thick_block(adj, core) if high and cls is ClassId.CACTUS else 0
-    return _core_in_class(adj, core, high, block, cls)
-
-
 def _rank_drop(
     adj: tuple[int, ...], rows: tuple[int, ...], alive: int, edge: tuple[int, int] | None, s: int
 ) -> int | None:
@@ -604,30 +600,6 @@ def _rank_drop(
     if deleted:
         return 1 if adj[u] & adj[v] & ~s else _component(rows, 1 << u, alive & ~s) >> v & 1
     return popcount(adj[u] & adj[v] & ~s)
-
-
-def _child_lands_in(
-    adj: tuple[int, ...],
-    rows: tuple[int, ...],
-    alive: int,
-    edge: tuple[int, int] | None,
-    s: int,
-    rank: int,
-    cls: ClassId,
-) -> bool:
-    """``_lands_in(rows, alive & ~s, cls)`` for a child (rows, alive, edge) of
-    ``_child_rows`` of the graph g with rows ``adj``, where rank = cyc(g - s).
-
-    A FOREST or SUB_UNICYCLIC graph is one of cycle rank at most t, so the
-    child minus s lands iff rank minus ``_rank_drop`` is at most t.  A
-    contraction with an end in s, and the other classes, take the 2-core
-    test of ``_lands_in``.
-    """
-    t = _RANK_LIMIT.get(cls)
-    drop = None if t is None else _rank_drop(adj, rows, alive, edge, s)
-    if drop is None:
-        return _lands_in(rows, alive & ~s, cls)
-    return rank - drop <= t
 
 
 def _edge_count(adj: tuple[int, ...], alive: int) -> int:

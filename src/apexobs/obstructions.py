@@ -23,13 +23,15 @@ from typing import Iterable, Iterator
 from .canonical import _iso_classes, canonical_form, canonical_graph
 from .graphio import from_graph6, to_graph6
 from .graphs import (
+    MAX_VERTICES,
     ClassId,
     Graph,
+    _RANK_LIMIT,
     _apex_search,
-    _child_lands_in,
     _child_rows,
     _cycle_rank,
     _induced,
+    _rank_drop,
     bits,
     bridges,
     component_masks,
@@ -122,25 +124,29 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     and with no canonical form.  Each child first tries the deletion sets
     found for its siblings, most recently useful first: a set has at most k
     vertices, so one that lands the child in the class proves it k-apex.
-    Only a child that no set settles gets an apex search (``_apex_search``,
-    for every class), and the first child that search refutes is built as
-    the witness, the first child that is not k-apex.
+    Only a child that no set settles gets an apex search of budget k, and
+    the first child it refutes, the first that is not k-apex, is built as
+    the witness.
 
-    Each set s is stored with cyc(g - s), computed once on g's rows, and
-    ``_child_lands_in`` tests it.  For FOREST and SUB_UNICYCLIC that test is
-    by cycle rank (``graphs._rank_drop``); a contraction with an end in s,
-    PSEUDOFOREST and CACTUS take the child's 2-core.
+    A set s is stored with cyc(g - s).  For FOREST and SUB_UNICYCLIC, the
+    classes of cycle rank at most t, the child minus s lands iff that rank
+    minus ``graphs._rank_drop`` is at most t; where the drop has no answer
+    (a contraction with an end in s), and for PSEUDOFOREST and CACTUS, the
+    apex search at budget 0 decides.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
     if has_apex_set_within(g, cls, k):
         return ObstructionCheck(False, failed_step="membership")
     adj, full = g.adj, (1 << g.n) - 1
+    t = _RANK_LIMIT.get(cls)
     sets: list[tuple[int, int]] = []  # (s, cyc(g - s))
     searched = 0
     for rows, alive, edge in _child_rows(g):
         for i, (s, rank) in enumerate(sets):
-            if _child_lands_in(adj, rows, alive, edge, s, rank, cls):
+            drop = None if t is None else _rank_drop(adj, rows, alive, edge, s)
+            if (rank - drop <= t if drop is not None
+                    else _apex_search(rows, alive & ~s, cls, 0, {}) is not None):
                 if i:
                     sets.insert(0, sets.pop(i))
                 break
@@ -411,6 +417,10 @@ def search_obstructions(
     ``candidates`` counts of the catalog say how many were generated, passed
     the filters, were checked and were found.
     """
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    if not 0 <= max_n <= MAX_VERTICES:
+        raise ValueError(f"max_n {max_n} outside 0..{MAX_VERTICES} (the vertex limit)")
     t0 = time.perf_counter()
     counts = dict.fromkeys(("generated", "passed_filters", "checked", "found"), 0)
     complete = True

@@ -304,6 +304,15 @@ class TestEnumeration:
         for n, count in expected.items():
             assert len(enumerate_graphs(n)) == count
 
+    @pytest.mark.parametrize("n", [-1, 33])
+    def test_vertex_count_checked_before_generating(self, n, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("graphs generated before the vertex count was checked")
+
+        monkeypatch.setattr(apexobs.canonical, "_iso_classes", never)
+        with pytest.raises(ValueError, match="outside 0..32"):
+            enumerate_graphs(n)
+
     def test_all_canonical_and_distinct(self):
         forms = [canonical_form(g) for g in enumerate_graphs(5)]
         assert len(set(forms)) == len(forms)

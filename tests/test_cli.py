@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -329,6 +330,16 @@ class TestDeterminism:
         a = invoke(capsys, "search", "--k", "0", "--max-n", "5", "--json")
         b = invoke(capsys, "search", "--k", "0", "--max-n", "5", "--json")
         assert a == b
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_timing_writes_one_stderr_line_only(self, capsys, fmt):
+        argv = ["search", "--k", "0", "--max-n", "5", *fmt]
+        assert run(argv) == 0
+        plain = capsys.readouterr()
+        assert run([*argv, "--timing"]) == 0
+        timed = capsys.readouterr()
+        assert timed.out == plain.out and plain.err == ""
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s\n", timed.err), timed.err
 
 
 class TestProcessEntry:

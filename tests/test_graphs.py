@@ -121,6 +121,14 @@ class TestConstruction:
             assert h == Graph.from_adj(h.adj)  # symmetric and loop-free
             assert h.subgraph((1 << g.n) - 1) == g and h.adj[g.n] == nb
 
+    def test_relabel_checks_its_permutation(self):
+        g = Graph(4, [(0, 1), (2, 3)])
+        for bad in ([0, 1, 1, 0], [2, 3, 0, 1, 5], [0, 1, 2]):
+            with pytest.raises(ValueError, match="not a permutation"):
+                g.relabel(bad)
+        assert g.relabel([2, 3, 0, 1]) == g
+        assert g.relabel([1, 2, 3, 0]) == Graph(4, [(1, 2), (3, 0)])
+
     def test_symmetry_invariant(self, rng):
         for _ in range(50):
             g = random_graph(rng, rng.randint(0, 12), rng.random())

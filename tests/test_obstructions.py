@@ -9,16 +9,18 @@ from itertools import combinations
 import pytest
 
 import apexobs.canonical
+import apexobs.obstructions
 from apexobs.cacti import disconnected_obstructions, generate_Z
 from apexobs.canonical import canonical_form
 from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     ClassId,
     Graph,
-    _child_lands_in,
+    _RANK_LIMIT,
+    _apex_search,
     _child_rows,
     _cycle_rank,
-    _lands_in,
+    _rank_drop,
     butterfly_graph,
     complete_graph,
     cycle_graph,
@@ -218,7 +220,14 @@ class TestSiblingSets:
     @pytest.mark.parametrize("cls", [ClassId.FOREST, ClassId.SUB_UNICYCLIC])
     def test_rank_rule_matches_the_core_test(self, cls):
         # every child against every set s with |s| <= k that leaves g outside
-        # the class, sets holding an end of the child's edge included
+        # the class, sets holding an end of the child's edge included: where
+        # _rank_drop answers, rank - drop <= t iff the budget-0 search lands
+        # the child minus s
+        t = _RANK_LIMIT[cls]
+
+        def lands(adj, alive):
+            return _apex_search(adj, alive, cls, 0, {}) is not None
+
         rng = random.Random(1818)
         graphs = [(rec.graph, rec.k) for k in (0, 1) for rec in load_catalog(k).records]
         graphs += [(b.graph, j - 1) for j in (2, 3) for b in generate_Z(j)]
@@ -235,12 +244,13 @@ class TestSiblingSets:
                 for drop in combinations(range(g.n), size)
             ]
             sets = [(s, _cycle_rank(g.adj, full & ~s)) for s in sets
-                    if not _lands_in(g.adj, full & ~s, cls)]
+                    if not lands(g.adj, full & ~s)]
             for rows, alive, edge in _child_rows(g):
                 for s, rank in sets:
-                    want = _lands_in(rows, alive & ~s, cls)
-                    got = _child_lands_in(g.adj, rows, alive, edge, s, rank, cls)
-                    assert got == want, (g, edge, s)
+                    want = lands(rows, alive & ~s)
+                    drop = _rank_drop(g.adj, rows, alive, edge, s)
+                    if drop is not None:
+                        assert (rank - drop <= t) == want, (g, edge, s)
                     kind = "isolated" if edge is None else (
                         "deletion" if alive >> edge[1] & 1 else "contraction"
                     )
@@ -416,6 +426,15 @@ class TestSearch:
     def test_budget_marks_incomplete(self):
         cat = search_obstructions(0, 6, budget_seconds=0.0)
         assert not cat.claimed_complete
+
+    @pytest.mark.parametrize("k, max_n", [(1, -3), (-1, 1), (0, 33)])
+    def test_sizes_checked_before_generating(self, k, max_n, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("candidates generated before the sizes were checked")
+
+        monkeypatch.setattr(apexobs.obstructions, "_candidates", never)
+        with pytest.raises(ValueError, match="k must be non-negative|max_n"):
+            search_obstructions(k, max_n)
 
     def test_search_is_deterministic(self):
         a = search_obstructions(0, 5)
