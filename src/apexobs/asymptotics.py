@@ -34,6 +34,7 @@ SADDLE_START = (0.15, 0.4)  # (x, y) where the saddle Newton starts
 SADDLE_MAX_ITER = 200
 BACKSUB_EPS = (0.05, 0.02)  # eps of the q1 gate's points x = rho(1 - eps^2)
 RICHARDSON_LEVELS = 3
+Y_AT_TOL = 1e-12  # largest |F(x, y) - y| that solve_y_at accepts as a root
 
 
 # (m, log|a_m|, sign, sign*m, sign*m*(m-1)) for every non-zero a_m, m >= 1:
@@ -268,7 +269,8 @@ def solve_y_at(sol: SeriesSystemSolution, x: float) -> float:
     precision instead.  F(x, y) - y is convex in y, positive at 0 and
     decreasing up to its root, so Newton from y = 0 rises monotonically
     onto the root.  A step that does not shrink is float noise: the
-    iterate is returned without it.
+    iterate is returned without it.  Past rho there is no root, and the
+    solve raises ValueError.
     """
     return _solve_y_at(x, _tail_series(sol.T_diamond))
 
@@ -277,11 +279,17 @@ def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
     """`solve_y_at` on tail series already built."""
     y, step = 0.0, math.inf
     while True:
-        p = _F(x, y, tails)
+        try:
+            p = _F(x, y, tails)
+        except OverflowError:
+            break
         new_step = (p.F - y) / (1.0 - p.Fy)
         if not abs(new_step) < abs(step):
-            return y
+            if abs(p.F - y) <= Y_AT_TOL:
+                return y
+            break
         y, step = y + new_step, new_step
+    raise ValueError(f"y = F(x, y) has no root at x = {x}: x lies past the singularity")
 
 
 def expansion_coeffs(
@@ -380,8 +388,11 @@ def estimate_constant(
     """Extrapolate the asymptotic constant from exact coefficients.
 
     c_n = a_n * n^(alpha+1) * rho^n is Richardson-extrapolated in 1/n over
-    the top half of the window.  Coefficients in the window must be positive.
+    the top half of the window.  rho must be finite and positive, and the
+    coefficients in the window positive.
     """
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"rho must be finite and positive, got {rho}")
     hi = series.truncation if window is None else window[1]
     lo = hi // 2 if window is None else window[0]
     if hi > series.truncation or lo < 1 or lo >= hi:
@@ -467,8 +478,9 @@ def check_Z1_vanishes(
     the reference (full-truncation) series.  ``saddle``, if given, is the
     saddle already solved on ``sol`` itself at ``tol`` and stands for the
     truncation ``sol.truncation``, and ``_tails``, if given, is
-    ``_tail_series(sol.T_diamond)`` already built.  A truncation above
-    ``sol.truncation`` raises ValueError.
+    ``_tail_series(sol.T_diamond)`` already built.  An empty
+    ``truncations``, or a truncation above ``sol.truncation``, raises
+    ValueError.
 
     The residual then measures how far truncation displaces the saddle from
     the true identity.  At truncation N the tails are cut at x^N (t) and
@@ -477,6 +489,8 @@ def check_Z1_vanishes(
     out at the Newton tolerance; improvement with N is monotone up to float
     noise (genuinely visible for N below ~30).
     """
+    if not truncations:
+        raise ValueError("truncations must name at least one truncation")
     for n in truncations:
         if n > sol.truncation:
             raise ValueError(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, product
 from typing import Iterator
 
-from .canonical import _iso_classes, automorphism_orbits, canonical_form, enumerate_graphs
+from .canonical import _iso_classes, automorphism_orbits
 from .graphs import (
     MAX_VERTICES,
     ClassId,
@@ -27,13 +27,12 @@ from .graphs import (
     cycle_graph,
     disjoint_union,
     has_apex_set_within,
-    is_connected,
     is_in_class,
 )
 from .minors import max_triangle_packing_in_cactus
 from .obstructions import is_obstruction, same_graph_sets
 
-MAX_LEVEL = 7  # 5 + 4(k-1) vertices; k=7 gives 29 <= 32, k=8 would give 33
+MAX_LEVEL = (MAX_VERTICES - 1) // 4  # Z_k has 4k + 1 vertices: 29 for k = 7
 
 
 @dataclass(frozen=True)
@@ -239,8 +238,8 @@ def connected_cacti_up_to(max_n: int) -> list[Graph]:
     """All connected bridgeless cacti with <= max_n vertices, up to isomorphism.
 
     Built by gluing cycles at single vertices (every bridgeless cactus arises
-    this way); used as an independent candidate pool when re-checking that the
-    butterfly-cacti are the only connected cactus obstructions.
+    this way), one block more each round, so no class recurs across rounds;
+    the candidate pool of ``verify_holiness``.
     """
 
     def glue_cycle(g: Graph, v: int, length: int) -> Graph:
@@ -251,22 +250,16 @@ def connected_cacti_up_to(max_n: int) -> list[Graph]:
         ]
         return Graph(n + length - 1, edges)
 
-    frontier = _iso_classes(cycle_graph(r) for r in range(3, max_n + 1))
-    all_out = dict(frontier)
-    while frontier:
-        # a round keeps the last graph met of each new class, in the place
-        # the first one took; the representatives (pinned by a test) depend
-        # on it, so this is not the first-met rule of _iso_classes
-        nxt: dict[bytes, Graph] = {}
-        for g in frontier.values():
-            for length in range(3, max_n - g.n + 2):
-                for v in range(g.n):
-                    h = glue_cycle(g, v, length)
-                    key = canonical_form(h)
-                    if key not in all_out:
-                        nxt[key] = h
-        all_out.update(nxt)
-        frontier = nxt
+    level = _iso_classes(cycle_graph(r) for r in range(3, max_n + 1))
+    all_out = dict(level)
+    while level:
+        level = _iso_classes(
+            glue_cycle(g, v, length)
+            for g in level.values()
+            for length in range(3, max_n - g.n + 2)
+            for v in range(g.n)
+        )
+        all_out.update(level)
     return [all_out[key] for key in sorted(all_out)]
 
 
@@ -285,7 +278,8 @@ class HolinessReport:
 
 def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessReport:
     """(a) every (k+1)-butterfly-cactus is a level-k obstruction;
-    (b) for k <= 1, an independent cactus search finds nothing else connected.
+    (b) for k <= 2, a search of every connected bridgeless cactus on at most
+    6 + 4k vertices finds no other connected obstruction.
     """
     t0 = time.perf_counter()
     members = generate_Z(k + 1)
@@ -298,20 +292,14 @@ def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessRepo
         if not is_obstruction(b.graph, k):
             ok = False
     space = matches = None
-    if k <= 1 and complete:
-        if k == 0:
-            # every connected cactus on <= 6 vertices, from the full enumeration
-            pool = [
-                g
-                for n in range(1, 7)
-                for g in enumerate_graphs(n)
-                if is_connected(g) and is_in_class(g, ClassId.CACTUS)
-            ]
-        else:
-            # connected bridgeless cacti up to the size of the Z_{k+1} members
-            pool = connected_cacti_up_to(5 + 4 * k)
+    if k <= 2 and complete:
+        # one vertex past the Z_{k+1} members; bridgeless cacti suffice, as
+        # at k = 0 contracting a bridge or deleting a vertex of degree <= 1
+        # keeps the cycle rank, and at k >= 1 search_obstructions' filter
+        # (min degree 2, bridgeless) holds for every obstruction
+        pool = connected_cacti_up_to(6 + 4 * k)
         space = len(pool)
-        found = [g for g in pool if is_connected(g) and is_obstruction(g, k)]
+        found = [g for g in pool if is_obstruction(g, k)]
         matches = same_graph_sets(found, [b.graph for b in members])
     return HolinessReport(
         k=k,

@@ -19,7 +19,7 @@ def to_graph6(g: Graph) -> str:
     bits: list[int] = []
     for col in range(1, g.n):
         for row in range(col):
-            bits.append(1 if g.has_edge(row, col) else 0)
+            bits.append(g.adj[col] >> row & 1)
     while len(bits) % 6:
         bits.append(0)
     out = [chr(g.n + 63)]

@@ -80,13 +80,19 @@ class Graph:
 
     # -- basic accessors ----------------------------------------------------
 
+    def _check_vertex(self, v: int) -> None:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} outside 0..{self.n - 1}")
+
     def degree(self, v: int) -> int:
+        self._check_vertex(v)
         return popcount(self.adj[v])
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(popcount(row) for row in self.adj))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        self._check_vertex(v)
         return tuple(bits(self.adj[v]))
 
     def num_edges(self) -> int:
@@ -98,17 +104,22 @@ class Graph:
                 yield (v, u + v + 1)
 
     def has_edge(self, u: int, v: int) -> bool:
+        self._check_vertex(u)
+        self._check_vertex(v)
         return bool(self.adj[u] >> v & 1)
 
     # -- derived graphs -----------------------------------------------------
 
     def subgraph(self, keep: int) -> Graph:
         """Induced subgraph on the vertex bitmask ``keep``, relabelled."""
+        if keep >> self.n:  # a negative mask sets every bit from n up
+            self._check_vertex(keep.bit_length() - 1 if keep > 0 else self.n)
         return _induced(self.adj, keep)
 
     def delete_vertices(self, drop: Iterable[int]) -> Graph:
         mask = 0
         for v in drop:
+            self._check_vertex(v)
             mask |= 1 << v
         return self.subgraph(((1 << self.n) - 1) & ~mask)
 

@@ -230,6 +230,11 @@ class TestEstimateConstant:
         with pytest.raises(ValueError):
             estimate_constant(PowerSeries((0, -1, 2, 1)), 0.5)
 
+    @pytest.mark.parametrize("rho", [0.0, -0.1, math.inf, math.nan])
+    def test_rho_must_be_finite_and_positive(self, sol, rho):
+        with pytest.raises(ValueError, match="rho must be finite and positive"):
+            estimate_constant(sol.T, rho)
+
 
 def empirical_radius(series: PowerSeries) -> float:
     """Radius of convergence from coefficient ratios, 1/n-extrapolated.
@@ -304,6 +309,10 @@ class TestZ1Identity:
         with pytest.raises(ValueError, match="truncation 96 exceeds the series truncation 64"):
             check_Z1_vanishes(solve_system(64))
 
+    def test_empty_truncations_refused(self, sol):
+        with pytest.raises(ValueError, match="at least one truncation"):
+            check_Z1_vanishes(sol, truncations=())
+
     def test_perturbed_rho_has_power(self, sol):
         sp = solve_saddle(sol)
         assert abs(z1_identity_residual(sol, sp)) < 1e-12
@@ -331,6 +340,12 @@ class TestScalarSolve:
         y = solve_y_at(sol, x)
         assert len(calls) < 30
         assert abs(eval_F(x, y, sol).F - y) <= 1e-14
+
+    @pytest.mark.parametrize("factor", [1.1, 2.0, 5.0])
+    def test_no_root_past_the_singularity(self, sol, sp, factor):
+        # 1.1 and 2 rho used to return a y with F - y far from 0, 5 rho overflowed
+        with pytest.raises(ValueError, match="past the singularity"):
+            solve_y_at(sol, factor * sp.x0)
 
 
 class TestEvalSeries:

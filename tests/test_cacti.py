@@ -21,19 +21,26 @@ from apexobs.cacti import (
     generate_Z,
     verify_holiness,
 )
-from apexobs.canonical import are_isomorphic, canonical_form
+from apexobs.canonical import are_isomorphic, canonical_form, enumerate_graphs
 from apexobs.cli import run
 from apexobs.graphs import (
     ClassId,
     Graph,
+    bridges,
     butterfly_graph,
     decompose,
+    is_connected,
     is_in_class,
     make_named,
     min_apex_size,
     path_graph,
 )
-from apexobs.obstructions import check_obstruction, is_obstruction, load_catalog
+from apexobs.obstructions import (
+    check_obstruction,
+    is_obstruction,
+    load_catalog,
+    same_graph_sets,
+)
 
 from conftest import random_graph
 from oracles import (
@@ -221,15 +228,19 @@ class TestHoliness:
         rep = verify_holiness(0)
         assert rep.all_members_verified and rep.members == 1
         assert rep.search_matches  # Z is the only connected cactus obstruction <= 6
+        assert rep.search_space == 6
 
     def test_level_one(self):
         rep = verify_holiness(1)
         assert rep.all_members_verified and rep.members == 1
         assert rep.search_matches
+        assert rep.search_space == 62
 
     def test_level_two(self):
         rep = verify_holiness(2)
         assert rep.all_members_verified and rep.members == 3
+        assert rep.search_matches  # the 3 members of Z_3, among cacti <= 14
+        assert rep.search_space == 1230
 
     def test_budget(self):
         rep = verify_holiness(2, budget_seconds=0.0)
@@ -238,12 +249,20 @@ class TestHoliness:
     def test_cactus_pool_is_reasonable(self):
         pool = connected_cacti_up_to(9)
         # every member is a connected bridgeless cactus; the butterfly chain included
-        from apexobs.graphs import bridges, is_connected
-
         assert all(is_connected(g) and not bridges(g) for g in pool)
         assert all(is_in_class(g, ClassId.CACTUS) for g in pool)
         (chain,) = generate_Z(2)
         assert any(are_isomorphic(g, chain.graph) for g in pool)
+
+    def test_cactus_pool_matches_full_enumeration(self):
+        oracle = [
+            g
+            for n in range(3, 8)
+            for g in enumerate_graphs(n)
+            if is_connected(g) and not bridges(g) and is_in_class(g, ClassId.CACTUS)
+        ]
+        assert len(oracle) == 11
+        assert same_graph_sets(connected_cacti_up_to(7), oracle)
 
 
 class TestApexForestBound:

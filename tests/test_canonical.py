@@ -293,7 +293,7 @@ class TestPinnedOutput:
             records = [rec.to_dict() for rec in cat.records]
             digest.update(json.dumps([cat.candidates, records]).encode())
         assert digest.hexdigest() == (
-            "8d2b969651b5dcc5ceb5a82ec8845370a385b7270a8fdc0fe0eaa1e164faba7b"
+            "53d6a4aac5d02cac864c16d0d8fd523ebb15125d6c049afbc9568b2331a9ea14"
         )
 
 

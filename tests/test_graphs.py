@@ -121,6 +121,26 @@ class TestConstruction:
             assert h == Graph.from_adj(h.adj)  # symmetric and loop-free
             assert h.subgraph((1 << g.n) - 1) == g and h.adj[g.n] == nb
 
+    @pytest.mark.parametrize(
+        "method, args, vertex",
+        [
+            ("has_edge", (-1, 0), -1),  # -1 used to wrap to vertex 2
+            ("has_edge", (0, 3), 3),
+            ("degree", (-1,), -1),
+            ("neighbors", (-1,), -1),
+            ("delete_vertices", ([5],), 5),  # used to return K3 unchanged
+            ("delete_vertices", ([-1],), -1),
+            ("contract_edge", (-1, 0), -1),
+            ("delete_edge", (0, 3), 3),
+            ("subgraph", (0b1000,), 3),
+            ("subgraph", (-1,), 3),
+        ],
+        ids=lambda x: str(x).replace(" ", ""),
+    )
+    def test_vertex_arguments_checked(self, method, args, vertex):
+        with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.2"):
+            getattr(complete_graph(3), method)(*args)
+
     def test_relabel_checks_its_permutation(self):
         g = Graph(4, [(0, 1), (2, 3)])
         for bad in ([0, 1, 1, 0], [2, 3, 0, 1, 5], [0, 1, 2]):
