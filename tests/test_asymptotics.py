@@ -343,7 +343,7 @@ class TestScalarSolve:
 
     @pytest.mark.parametrize("factor", [1.1, 2.0, 5.0])
     def test_no_root_past_the_singularity(self, sol, sp, factor):
-        # 1.1 and 2 rho used to return a y with F - y far from 0, 5 rho overflowed
+        # Newton would stop on a y with F - y far from 0, or overflow at 5 rho
         with pytest.raises(ValueError, match="past the singularity"):
             solve_y_at(sol, factor * sp.x0)
 

@@ -124,11 +124,11 @@ class TestConstruction:
     @pytest.mark.parametrize(
         "method, args, vertex",
         [
-            ("has_edge", (-1, 0), -1),  # -1 used to wrap to vertex 2
+            ("has_edge", (-1, 0), -1),  # a negative index would wrap to vertex 2
             ("has_edge", (0, 3), 3),
             ("degree", (-1,), -1),
             ("neighbors", (-1,), -1),
-            ("delete_vertices", ([5],), 5),  # used to return K3 unchanged
+            ("delete_vertices", ([5],), 5),  # a bit past n would drop nothing
             ("delete_vertices", ([-1],), -1),
             ("contract_edge", (-1, 0), -1),
             ("delete_edge", (0, 3), 3),
