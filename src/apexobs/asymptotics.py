@@ -200,6 +200,8 @@ def solve_saddle(
     """
     if sol.truncation < min_truncation:
         raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     x, y = SADDLE_START
     tails = _tail_series(sol.T_diamond) if _tails is None else _tails
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain
 from typing import Iterator
 
 from .canonical import _iso_classes, automorphism_orbits
@@ -128,17 +128,6 @@ def count_forest_apex_sets(g: Graph, k: int) -> int:
 # -- disconnected obstructions --------------------------------------------------
 
 
-def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Integer partitions of `total` as non-increasing tuples."""
-    max_part = total if max_part is None else max_part
-    if total == 0:
-        yield ()
-        return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
 def _check_union_level(k: int) -> None:
     top = MAX_VERTICES // 5 - 1
     if not 1 <= k <= top:
@@ -165,21 +154,25 @@ def _disconnected(levels: list[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...
 
 
 def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
-    """The disjoint unions of r >= 2 butterfly-cacti whose levels sum to
-    k + 1, one per multiset of members of ``levels`` (``levels[j - 1]`` is
-    ``generate_Z(j)``, k = len(levels)); each union takes its members in
-    non-decreasing level order."""
-    zs = [[b.graph for b in members] for members in levels]
-    for part in _partitions(len(levels) + 1):
-        if len(part) < 2:
-            continue
-        # a multiset of graphs for every repeated part size
-        choices = [
-            combinations_with_replacement(zs[size - 1], part.count(size))
-            for size in sorted(set(part))
-        ]
-        for combo in product(*choices):
-            yield disjoint_union(*chain.from_iterable(combo))
+    """The disjoint unions of butterfly-cacti with levels summing to k + 1
+    (``levels[j - 1]`` is ``generate_Z(j)``, k = len(levels)), one per
+    multiset of members: a walk over the members in (level, index) order,
+    each pick at or after the last (no level exceeds k, so >= 2 picks).  No
+    two walks give isomorphic unions (a union's components are its members,
+    one level's members are pairwise non-isomorphic, level j has 4j + 1
+    vertices), so ``_iso_classes`` only orders them and drops none."""
+    members = [(j, b.graph) for j, level in enumerate(levels, 1) for b in level]
+
+    def walk(start: int, rest: int, picked: tuple[Graph, ...]) -> Iterator[Graph]:
+        if rest == 0:
+            yield disjoint_union(*picked)
+        for i in range(start, len(members)):
+            j, g = members[i]
+            if j > rest:
+                break
+            yield from walk(i, rest - j, picked + (g,))
+
+    return walk(0, len(levels) + 1, ())
 
 
 def exceptional_obstruction(k: int) -> Graph:
@@ -281,6 +274,8 @@ def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessRepo
     (b) for k <= 2, a search of every connected bridgeless cactus on at most
     6 + 4k vertices finds no other connected obstruction.
     """
+    if not 0 <= k < MAX_LEVEL:
+        raise ValueError(f"k must be in 0..{MAX_LEVEL - 1}")
     t0 = time.perf_counter()
     members = generate_Z(k + 1)
     ok = True

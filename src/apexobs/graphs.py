@@ -650,11 +650,6 @@ def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
 # -- blocks, cut vertices, bc-tree ------------------------------------------
 
 
-def _block_masks(g: Graph) -> list[int]:
-    """Vertex bitmasks of the blocks (isolated vertices give singleton blocks)."""
-    return _blocks_and_cuts(g.adj, (1 << g.n) - 1)[0]
-
-
 def _blocks_and_cuts(adj: tuple[int, ...], alive: int) -> tuple[list[int], int]:
     """Blocks as vertex masks plus the cut-vertex bitmask (Hopcroft-Tarjan) of
     the graph the rows ``adj`` induce on ``alive``.
@@ -780,7 +775,8 @@ def peripheral_blocks(g: Graph, dec: BlockDecomposition | None = None) -> tuple[
 
 def bridges(g: Graph) -> list[tuple[int, int]]:
     """Edges whose removal disconnects their component (= 2-vertex blocks)."""
-    return [tuple(bits(b)) for b in _block_masks(g) if popcount(b) == 2]
+    blocks = _blocks_and_cuts(g.adj, (1 << g.n) - 1)[0]
+    return [tuple(bits(b)) for b in blocks if popcount(b) == 2]
 
 
 # -- one-step minors ---------------------------------------------------------

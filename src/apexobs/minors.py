@@ -17,7 +17,7 @@ from typing import Iterator
 from .canonical import canonical_form
 from .graphs import (
     Graph,
-    _block_masks,
+    _blocks_and_cuts,
     _component,
     _contraction_rows,
     _edge_count,
@@ -154,7 +154,8 @@ def max_triangle_packing_in_cactus(g: Graph) -> int:
     cut-vertices.  Solved as maximum independent set on the cycle-block
     conflict graph (tiny for the graphs handled here).
     """
-    cycles = [b for b in _block_masks(g) if popcount(b) >= 3]
+    blocks = _blocks_and_cuts(g.adj, (1 << g.n) - 1)[0]
+    cycles = [b for b in blocks if popcount(b) >= 3]
 
     def best(i: int, used: int) -> int:
         if i == len(cycles):

@@ -165,6 +165,17 @@ class TestSaddle:
         with pytest.raises(ValueError):
             solve_saddle(small)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-13])
+    def test_tolerance_finite_and_positive(self, sol, tol):
+        # an infinite tol accepted the start point; tol <= 0 or NaN ran
+        # every iteration into NewtonDivergence
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_saddle(sol, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            asymptotics_report(solve_system(64), tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            check_Z1_vanishes(sol, truncations=(64,), tol=tol)
+
 
 class TestExpansion:
     def test_h0_positive(self, sol, sp):

@@ -10,6 +10,7 @@ import apexobs.cli
 from apexobs.cacti import (
     MAX_LEVEL,
     ButterflyCactus,
+    _cacti_unions,
     _z_levels,
     apex_forest_bound_check,
     cactus_obstruction_family,
@@ -21,7 +22,7 @@ from apexobs.cacti import (
     generate_Z,
     verify_holiness,
 )
-from apexobs.canonical import are_isomorphic, canonical_form, enumerate_graphs
+from apexobs.canonical import _iso_classes, are_isomorphic, canonical_form, enumerate_graphs
 from apexobs.cli import run
 from apexobs.graphs import (
     ClassId,
@@ -209,9 +210,23 @@ class TestDisconnected:
                 assert is_in_class(g, ClassId.CACTUS)
 
     def test_matches_reference(self):
-        for k in range(1, 5):
+        for k in range(1, 6):
             got = [g.adj for g in disconnected_obstructions(k)]
             assert got == [g.adj for g in reference_disconnected_obstructions(k)]
+
+    def test_walk_meets_each_multiset_once(self):
+        # no two walks give isomorphic unions, and there is one union per
+        # multiset: [x^(k+1)]G less the T_(k+1) connected members
+        from apexobs.series import solve_system
+
+        sol = solve_system(8)
+        g, t = sol.G.integer_coeffs(), sol.T.integer_coeffs()
+        counts = []
+        for k in range(1, 6):
+            unions = list(_cacti_unions(_z_levels(k)))
+            assert len(_iso_classes(unions)) == len(unions) == g[k + 1] - t[k + 1]
+            counts.append(len(unions))
+        assert counts == [1, 2, 6, 16, 55]
 
     def test_exceptional(self):
         assert are_isomorphic(exceptional_obstruction(1), make_named("3K3"))
@@ -245,6 +260,13 @@ class TestHoliness:
     def test_budget(self):
         rep = verify_holiness(2, budget_seconds=0.0)
         assert not rep.complete
+
+    def test_level_range(self):
+        for k in (-1, MAX_LEVEL):
+            with pytest.raises(ValueError, match=rf"k must be in 0\.\.{MAX_LEVEL - 1}$"):
+                verify_holiness(k)
+        rep = verify_holiness(MAX_LEVEL - 1, budget_seconds=0.0)
+        assert rep.k == 6 and rep.members == 366 and not rep.complete
 
     def test_cactus_pool_is_reasonable(self):
         pool = connected_cacti_up_to(9)
