@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms
 
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
+Z1_MIN_TRUNCATION = 4  # check_Z1_vanishes's floor on each of its truncations
 SADDLE_START = (0.15, 0.4)  # (x, y) where the saddle Newton starts
 SADDLE_MAX_ITER = 200
 BACKSUB_EPS = (0.05, 0.02)  # eps of the q1 gate's points x = rho(1 - eps^2)
@@ -197,9 +198,11 @@ def solve_saddle(
     """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point.
 
     ``_tails``, if given, is ``_tail_series(sol.T_diamond)`` already built.
+    A ``tol`` the start point already meets raises ValueError: the solve
+    would return the start point unsolved.
     """
     if sol.truncation < min_truncation:
-        raise ValueError(f"solve the series system with truncation >= {min_truncation} first")
+        raise ValueError(f"series truncation {sol.truncation} is below {min_truncation}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     x, y = SADDLE_START
@@ -211,9 +214,9 @@ def solve_saddle(
     p = _F(x, y, tails)
     r1, r2 = residuals(p, y)
     norm = abs(r1) + abs(r2)
+    if norm < tol:
+        raise ValueError(f"tol {tol} is met by the start point (residual {norm:.3g}); use a smaller tol")
     for it in range(1, SADDLE_MAX_ITER + 1):
-        if norm < tol:
-            return SaddlePoint(x, y, (r1, r2), it - 1)
         # Jacobian of (y - F, 1 - F_y)
         a11, a12 = -p.Fx, 1.0 - p.Fy
         a21, a22 = -p.Fxy, -p.Fyy
@@ -235,8 +238,8 @@ def solve_saddle(
                 raise NewtonDivergence("step underflow", (x, y))
         x, y, p, r1, r2 = nx, ny, pn, nr1, nr2
         norm = abs(r1) + abs(r2)
-    if norm < tol:
-        return SaddlePoint(x, y, (r1, r2), SADDLE_MAX_ITER)
+        if norm < tol:
+            return SaddlePoint(x, y, (r1, r2), it)
     raise NewtonDivergence(f"no convergence after {SADDLE_MAX_ITER} iterations", (x, y))
 
 
@@ -390,15 +393,16 @@ def estimate_constant(
     """Extrapolate the asymptotic constant from exact coefficients.
 
     c_n = a_n * n^(alpha+1) * rho^n is Richardson-extrapolated in 1/n over
-    the top half of the window.  rho must be finite and positive, and the
-    coefficients in the window positive.
+    the top half of the window.  rho must be finite and positive, the
+    window must hold at least 3 points (with 2 the half-window fit is the
+    full fit, and the spread a false 0), and its coefficients positive.
     """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be finite and positive, got {rho}")
     hi = series.truncation if window is None else window[1]
     lo = hi // 2 if window is None else window[0]
-    if hi > series.truncation or lo < 1 or lo >= hi:
-        raise ValueError(f"bad fit window ({lo}, {hi})")
+    if hi > series.truncation or lo < 1 or hi - lo < 2:
+        raise ValueError(f"bad fit window ({lo}, {hi}): needs 3 or more points in 1..{series.truncation}")
     # a_n rho^n is an exact quotient of integers rounded once (coefficients
     # overflow floats long before n = 512; rho = num/den exactly); only the
     # n^(alpha+1) factor is floating.  The sequence is normalized by its
@@ -481,8 +485,8 @@ def check_Z1_vanishes(
     saddle already solved on ``sol`` itself at ``tol`` and stands for the
     truncation ``sol.truncation``, and ``_tails``, if given, is
     ``_tail_series(sol.T_diamond)`` already built.  An empty
-    ``truncations``, or a truncation above ``sol.truncation``, raises
-    ValueError.
+    ``truncations``, or a truncation above ``sol.truncation`` or below
+    ``Z1_MIN_TRUNCATION``, raises ValueError before any saddle is solved.
 
     The residual then measures how far truncation displaces the saddle from
     the true identity.  At truncation N the tails are cut at x^N (t) and
@@ -498,6 +502,8 @@ def check_Z1_vanishes(
             raise ValueError(
                 f"truncation {n} exceeds the series truncation {sol.truncation}"
             )
+        if n < Z1_MIN_TRUNCATION:
+            raise ValueError(f"truncation {n} is below {Z1_MIN_TRUNCATION}")
     ref_tails = _tail_series(sol.T_diamond) if _tails is None else _tails
     residuals = {}
     values = {}
@@ -505,7 +511,7 @@ def check_Z1_vanishes(
         if saddle is not None and n == sol.truncation:
             sp = saddle
         else:
-            sp = solve_saddle(sol.truncated(n), tol=tol, min_truncation=4)
+            sp = solve_saddle(sol.truncated(n), tol=tol, min_truncation=Z1_MIN_TRUNCATION)
         p = _F(sp.x0, sp.y0, ref_tails)
         residuals[n] = abs(_z1_residual(sp.x0, p))
         values[n] = (sp.x0, p.E, p.W)

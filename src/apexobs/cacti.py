@@ -70,8 +70,6 @@ def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     Deduplication by canonical form happens at every recursion level to keep
     the frontier small.  Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
     """
-    if not 1 <= k <= MAX_LEVEL:
-        raise ValueError(f"k must be in 1..{MAX_LEVEL}")
     return _z_levels(k)[-1]
 
 
@@ -82,6 +80,8 @@ def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
     orbit: a vertex in the same orbit gives an isomorphic child, whose form
     the smaller vertex has already put in the level.
     """
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"k must be in 1..{MAX_LEVEL}, got {k}")
     level = (ButterflyCactus(butterfly_graph(), frozenset({0}), 1),)
     levels = [level]
     for _ in range(k - 1):
@@ -131,7 +131,7 @@ def count_forest_apex_sets(g: Graph, k: int) -> int:
 def _check_union_level(k: int) -> None:
     top = MAX_VERTICES // 5 - 1
     if not 1 <= k <= top:
-        raise ValueError(f"k must be in 1..{top} (largest member has 5(k+1) vertices)")
+        raise ValueError(f"k must be in 1..{top} (largest member has 5(k+1) vertices), got {k}")
 
 
 def disconnected_obstructions(k: int) -> tuple[Graph, ...]:

@@ -3,24 +3,26 @@
 Subcommands: check, minor, apex, verify-catalog, search, gen-cacti,
 enumerate, asymptotics.  Every subcommand supports --json for machine
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+Past argparse, usage errors are the argument checks of the library
+functions each subcommand calls (``run`` prints their ValueError as one
+``error:`` line), so ``asymptotics`` reports a bad --tol only after
+solving the series.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
 
 from . import __version__
-from .asymptotics import MIN_SADDLE_TRUNCATION, NewtonDivergence, asymptotics_report
-from .cacti import MAX_LEVEL, _check_union_level, _disconnected, _z_levels
+from .asymptotics import NewtonDivergence, asymptotics_report
+from .cacti import _check_union_level, _disconnected, _z_levels
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
     _NAME_RE,
-    MAX_VERTICES,
     ClassId,
     Graph,
     is_in_class,
@@ -114,10 +116,6 @@ def cmd_verify_catalog(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.k < 0:
-        raise SystemExit(f"error: --k must be non-negative, got {args.k}")
-    if not 0 <= args.max_n <= MAX_VERTICES:
-        raise SystemExit(f"error: --max-n must be in 0..{MAX_VERTICES}, got {args.max_n}")
     cat = search_obstructions(args.k, args.max_n, connected_only=args.connected_only)
     payload = {
         "k": cat.k,
@@ -137,13 +135,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen_cacti(args) -> int:
-    if not 1 <= args.k <= MAX_LEVEL:
-        raise SystemExit(f"error: --k must be in 1..{MAX_LEVEL}, got {args.k}")
     if args.disconnected:
-        try:
-            _check_union_level(args.k)
-        except ValueError as exc:
-            raise SystemExit(f"error: --disconnected: {exc}") from None
+        _check_union_level(args.k)  # before any level is built
     levels = _z_levels(args.k)
     rows = []
     lines = []
@@ -193,9 +186,7 @@ def cmd_gen_cacti(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 0:
-        raise SystemExit(f"error: --n must be non-negative, got {args.n}")
-    if args.N < 1:
+    if args.N < 1:  # solved at max(N, n), so solve_system never sees a bad --N
         raise SystemExit(f"error: --N must be at least 1, got {args.N}")
     sol = solve_system(max(args.N, args.n))
     table = coefficient_table(sol, args.n)
@@ -212,12 +203,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
-    if args.N < MIN_SADDLE_TRUNCATION:
-        raise SystemExit(
-            f"error: --N must be at least {MIN_SADDLE_TRUNCATION} for the saddle-point analysis, got {args.N}"
-        )
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise SystemExit(f"error: --tol must be finite and positive, got {args.tol}")
     sol = solve_system(args.N)
     try:
         report = asymptotics_report(sol, tol=args.tol)
@@ -329,7 +314,7 @@ def run(argv: list[str] | None = None) -> int:
             sys.stderr.write(exc.code + "\n")
             return EXIT_USAGE
         return int(exc.code or 0)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # the library's argument checks
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     if getattr(args, "timing", False):

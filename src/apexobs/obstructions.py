@@ -418,7 +418,7 @@ def search_obstructions(
     the filters, were checked and were found.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got {k}")
     if not 0 <= max_n <= MAX_VERTICES:
         raise ValueError(f"max_n {max_n} outside 0..{MAX_VERTICES} (the vertex limit)")
     t0 = time.perf_counter()

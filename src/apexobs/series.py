@@ -118,7 +118,7 @@ def _solve_T_diamond(truncation: int) -> tuple[list[int], list[int], list[int]]:
     """`solve_T_diamond` as coefficient lists, with the A^2 its recurrence
     builds (to x^(truncation-1))."""
     if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
     n = truncation
     d = [0] * (n + 1)   # T_diamond
     a = [0] * (n + 1)   # T_star
@@ -219,7 +219,9 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
 
 
 def coefficient_table(sol: SeriesSystemSolution, up_to: int | None = None) -> list[tuple[int, int, int]]:
-    """Rows (n, t_n, g_n) of exact integers."""
+    """Rows (n, t_n, g_n) of exact integers, n up to ``up_to`` (>= 0)."""
+    if up_to is not None and up_to < 0:
+        raise ValueError(f"up_to must be non-negative, got {up_to}")
     hi = sol.truncation if up_to is None else min(up_to, sol.truncation)
     t = sol.T.integer_coeffs()
     g = sol.G.integer_coeffs()

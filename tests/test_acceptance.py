@@ -15,15 +15,13 @@ import subprocess
 import sys
 import time
 
-import pytest
-
-from apexobs.canonical import canonical_form, enumerate_graphs, graphs_up_to
+from apexobs.canonical import canonical_form, graphs_up_to
 from apexobs.cacti import (
     count_forest_apex_sets,
     disconnected_obstructions,
     generate_Z,
 )
-from apexobs.graphs import ClassId, Graph, make_named, min_apex_size
+from apexobs.graphs import ClassId, make_named, min_apex_size
 from apexobs.graphio import from_graph6
 from apexobs.minors import is_minor
 from apexobs.obstructions import is_obstruction, load_catalog, same_graph_sets
@@ -35,7 +33,7 @@ from apexobs.asymptotics import (
 )
 
 from conftest import random_graph
-from oracles import nx_isomorphic, oracle_is_minor, oracle_min_apex
+from oracles import oracle_is_minor, oracle_min_apex
 
 
 def _cli(*argv: str) -> subprocess.CompletedProcess:

@@ -162,8 +162,17 @@ class TestSaddle:
 
     def test_requires_enough_coefficients(self):
         small = solve_system(32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncation 32 is below 64"):
             solve_saddle(small)
+
+    def test_tolerance_the_start_point_meets_refused(self, sol):
+        # the start point's residual is 0.132: a tol above it returned the
+        # start point unsolved, with 0 iterations, as the saddle
+        with pytest.raises(ValueError, match=r"tol 0\.5 is met by the start point \(residual 0\.132\)"):
+            solve_saddle(sol, tol=0.5)
+        with pytest.raises(ValueError, match=r"tol 0\.5 is met"):
+            asymptotics_report(solve_system(64), tol=0.5)
+        assert solve_saddle(sol, tol=0.1).iterations >= 1
 
     @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-13])
     def test_tolerance_finite_and_positive(self, sol, tol):
@@ -238,6 +247,10 @@ class TestEstimateConstant:
     def test_window_validation(self, sol):
         with pytest.raises(ValueError):
             estimate_constant(sol.T, 0.16, window=(10, 5))
+        # two points fit the half window too, and the spread came out 0.0
+        with pytest.raises(ValueError, match=r"bad fit window \(40, 41\)"):
+            estimate_constant(sol.T, 0.16, window=(40, 41))
+        assert estimate_constant(sol.T, 0.16, window=(40, 42)).spread > 0.0
         with pytest.raises(ValueError):
             estimate_constant(PowerSeries((0, -1, 2, 1)), 0.5)
 
@@ -319,6 +332,14 @@ class TestZ1Identity:
         monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", never)
         with pytest.raises(ValueError, match="truncation 96 exceeds the series truncation 64"):
             check_Z1_vanishes(solve_system(64))
+
+    def test_truncation_below_the_floor_refused(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solved before the truncations were checked")
+
+        monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", never)
+        with pytest.raises(ValueError, match="truncation 3 is below 4"):
+            check_Z1_vanishes(solve_system(64), truncations=(64, 32, 3))
 
     def test_empty_truncations_refused(self, sol):
         with pytest.raises(ValueError, match="at least one truncation"):

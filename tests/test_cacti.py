@@ -26,7 +26,6 @@ from apexobs.canonical import _iso_classes, are_isomorphic, canonical_form, enum
 from apexobs.cli import run
 from apexobs.graphs import (
     ClassId,
-    Graph,
     bridges,
     butterfly_graph,
     decompose,
@@ -75,9 +74,9 @@ class TestGenerateZ:
                 assert b.k == k
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 0$"):
             generate_Z(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"got {MAX_LEVEL + 1}$"):
             generate_Z(MAX_LEVEL + 1)
 
     def test_members_are_cacti_with_triangle_blocks(self):
@@ -335,7 +334,7 @@ class TestFamily:
 
     def test_family_out_of_range(self):
         for k in (0, 6):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"got {k}$"):
                 cactus_obstruction_family(k)
 
 

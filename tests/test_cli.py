@@ -262,40 +262,44 @@ class TestSubcommands:
         assert canonical_form(witness) in minors
         assert not has_apex_set_within(witness, ClassId.SUB_UNICYCLIC, 1)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("gen-cacti", "--k", "9"),
-            ("gen-cacti", "--k", "0", "--verify"),
-            ("gen-cacti", "--k", "6", "--disconnected"),
-            ("search", "--k", "-1", "--max-n", "4"),
-            ("search", "--k", "0", "--max-n", "-1"),
-            ("search", "--k", "0", "--max-n", "33"),
-        ],
-    )
-    def test_out_of_range_level_exit_2(self, capsys, argv):
+    # each bad argv -> the rejected value its error line must name
+    OUT_OF_RANGE_LEVEL = {
+        ("gen-cacti", "--k", "9"): "9",
+        ("gen-cacti", "--k", "0", "--verify"): "0",
+        ("gen-cacti", "--k", "6", "--disconnected"): "6",
+        ("search", "--k", "-1", "--max-n", "4"): "-1",
+        ("search", "--k", "0", "--max-n", "-1"): "-1",
+        ("search", "--k", "0", "--max-n", "33"): "33",
+        ("gen-cacti", "--k", "8"): "8",
+    }
+    BAD_SERIES_ARGUMENT = {
+        ("enumerate", "--n", "-1"): "-1",
+        ("enumerate", "--N", "-3"): "-3",
+        ("asymptotics", "--N", "64", "--tol", "0"): "0.0",
+        ("asymptotics", "--N", "64", "--tol", "nan"): "nan",
+        ("asymptotics", "--N", "64", "--tol", "inf"): "inf",
+        ("asymptotics", "--N", "64", "--tol", "-0.5"): "-0.5",
+        ("asymptotics", "--N", "64", "--tol", "1e-300"): "1e-300",  # Newton cannot reach it
+        ("asymptotics", "--N", "64", "--tol", "0.5"): "0.5",  # the start point meets it
+        ("enumerate", "--n", "-1", "--json"): "-1",
+    }
+
+    @staticmethod
+    def assert_usage_error(capsys, argv, rejected):
+        """Exit 2, nothing on stdout, one ``error:`` line naming ``rejected``."""
         assert run(list(argv)) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert re.search(rf"(?<![\w.-]){re.escape(rejected)}(?![\w.])", captured.err), captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("enumerate", "--n", "-1"),
-            ("enumerate", "--N", "-3"),
-            ("asymptotics", "--N", "64", "--tol", "0"),
-            ("asymptotics", "--N", "64", "--tol", "nan"),
-            ("asymptotics", "--N", "64", "--tol", "inf"),
-            ("asymptotics", "--N", "64", "--tol", "-0.5"),
-            ("asymptotics", "--N", "64", "--tol", "1e-300"),  # Newton cannot reach it
-        ],
-    )
+    @pytest.mark.parametrize("argv", list(OUT_OF_RANGE_LEVEL))
+    def test_out_of_range_level_exit_2(self, capsys, argv):
+        self.assert_usage_error(capsys, argv, self.OUT_OF_RANGE_LEVEL[argv])
+
+    @pytest.mark.parametrize("argv", list(BAD_SERIES_ARGUMENT))
     def test_bad_series_argument_exit_2(self, capsys, argv):
-        assert run(list(argv)) == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert captured.out == ""
+        self.assert_usage_error(capsys, argv, self.BAD_SERIES_ARGUMENT[argv])
 
     def test_removed_flags_rejected(self):
         assert run(["gen-cacti", "--k", "4", "--verify", "--allow-expensive"]) == 2
@@ -323,6 +327,7 @@ class TestSubcommands:
         assert run(["asymptotics", "--N", "32"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "truncation 32 is below 64" in err
 
 
 class TestDeterminism:

@@ -1,8 +1,8 @@
-"""Source hygiene: every name a module of the package imports is used in it,
-`apexobs.__all__` lists exactly what `__init__.py` imports, every
-module-level private function or class is referenced somewhere, every
-name the benchmark harness hooks into exists, and every private name README
-mentions exists."""
+"""Source hygiene: every name a module of the package, a test or a demo
+imports is used in it, `apexobs.__all__` lists exactly what `__init__.py`
+imports, every module-level private function or class is referenced
+somewhere, every name the benchmark harness hooks into exists, and every
+private name README mentions exists."""
 
 from __future__ import annotations
 
@@ -18,6 +18,7 @@ import apexobs
 PACKAGE = Path(apexobs.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TESTS = Path(__file__).parent
+SCRIPTS = sorted(TESTS.glob("*.py")) + sorted((TESTS.parent / "demos").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,7 +39,11 @@ def test_scanner_flags_an_unused_import():
     assert unused_imports(source) == ["Fraction (line 1)", "math (line 2)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    MODULES + SCRIPTS,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}",
+)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -433,7 +433,7 @@ class TestSearch:
             raise AssertionError("candidates generated before the sizes were checked")
 
         monkeypatch.setattr(apexobs.obstructions, "_candidates", never)
-        with pytest.raises(ValueError, match="k must be non-negative|max_n"):
+        with pytest.raises(ValueError, match=f"k must be non-negative, got {k}|max_n {max_n} outside"):
             search_obstructions(k, max_n)
 
     def test_search_is_deterministic(self):

@@ -222,6 +222,11 @@ class TestSystem:
         sol = solve_system(12)
         rows = coefficient_table(sol, 10)
         assert rows[10] == (10, 34982, 49397)
+        assert coefficient_table(sol, 0) == [(0, 0, 1)]
+        with pytest.raises(ValueError, match="up_to must be non-negative, got -1"):
+            coefficient_table(sol, -1)
+        with pytest.raises(ValueError, match="truncation must be >= 1, got 0"):
+            solve_system(0)
 
     def test_truncated_view(self):
         sol = solve_system(20)
