@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms
+from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms, _CheckFailed
 
 MIN_SADDLE_TRUNCATION = 64  # solve_saddle's default floor on the series truncation
 Z1_MIN_TRUNCATION = 4  # check_Z1_vanishes's floor on each of its truncations
@@ -315,7 +315,7 @@ def expansion_coeffs(
     tails = _tail_series(sol.T_diamond) if _tails is None else _tails
     p = _F(rho, y0, tails)
     if abs(p.Fyy) < 1e-9:
-        raise ArithmeticError("degenerate saddle: F_yy vanishes")
+        raise _CheckFailed("degenerate saddle: F_yy vanishes")
     h0 = math.sqrt(2.0 * rho * p.Fx / p.Fyy)
     h1 = (1.0 / 6.0) * (-p.Fyyy * h0 ** 2 + 6.0 * p.Fxy * rho) / (2.0 * p.Fyy)
     q1 = (
@@ -329,7 +329,10 @@ def expansion_coeffs(
     pairs = []
     for eps in BACKSUB_EPS:
         xx = rho * (1.0 - eps * eps)
-        r = _solve_y_at(xx, tails) - (y0 - h0 * eps)
+        try:  # x below the saddle always has a root
+            r = _solve_y_at(xx, tails) - (y0 - h0 * eps)
+        except ValueError as exc:
+            raise _CheckFailed(f"back-substitution at eps = {eps}: {exc}") from None
         pairs.append((eps, r))
     # fit r = A2 eps^2 + A3 eps^3 through the two smallest eps
     (e1, r1), (e2, r2) = sorted(pairs)[:2]
@@ -411,14 +414,14 @@ def estimate_constant(
     num, den = rho.as_integer_ratio()
     a_ref = series.coeffs[lo]
     if a_ref <= 0:
-        raise ValueError(f"non-positive coefficient at n={lo} inside the fit window")
+        raise _CheckFailed(f"non-positive coefficient at n={lo} inside the fit window")
     c_ref = a_ref * num ** lo / den ** lo * lo ** (alpha + 1.0)
     pnum, pden = 1, a_ref  # rho^(n-lo) / a_ref
     pts: list[tuple[int, float]] = []
     for n in range(lo, hi + 1):
         c = series.coeffs[n]
         if c <= 0:
-            raise ValueError(f"non-positive coefficient at n={n} inside the fit window")
+            raise _CheckFailed(f"non-positive coefficient at n={n} inside the fit window")
         pts.append((n, c * pnum / pden * (n / lo) ** (alpha + 1.0)))
         pnum *= num
         pden *= den

@@ -31,6 +31,7 @@ from .graphs import (
 )
 from .minors import max_triangle_packing_in_cactus
 from .obstructions import is_obstruction, same_graph_sets
+from .series import _CheckFailed
 
 MAX_LEVEL = (MAX_VERTICES - 1) // 4  # Z_k has 4k + 1 vertices: 29 for k = 7
 
@@ -111,9 +112,9 @@ def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
         raise ValueError(f"verify must be 'forest' or 'unique', got {verify!r}")
     g, k = b.graph, b.k
     if not is_in_class(g.delete_vertices(b.central_vertices), ClassId.FOREST):
-        raise AssertionError("construction bug: central set is not an apex-forest set")
+        raise _CheckFailed("construction bug: central set is not an apex-forest set")
     if verify == "unique" and count_forest_apex_sets(g, k) != 1:
-        raise AssertionError("construction bug: apex-forest set not unique")
+        raise _CheckFailed("construction bug: apex-forest set not unique")
     return b.central_vertices
 
 

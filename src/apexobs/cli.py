@@ -36,7 +36,7 @@ from .obstructions import (
     search_obstructions,
     verify_catalog,
 )
-from .series import coefficient_table, solve_system
+from .series import _CheckFailed, coefficient_table, solve_system
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -317,6 +317,9 @@ def run(argv: list[str] | None = None) -> int:
     except (FileNotFoundError, ValueError) as exc:  # the library's argument checks
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except _CheckFailed as exc:  # a computed result failed its own check
+        sys.stderr.write(f"FAILED: {exc}\n")
+        return EXIT_VERIFICATION_FAILED
     if getattr(args, "timing", False):
         sys.stderr.write(f"elapsed: {time.perf_counter() - t0:.3f}s\n")
     return code

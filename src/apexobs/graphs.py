@@ -362,6 +362,12 @@ def is_in_class(g: Graph, cls: ClassId) -> bool:
 # deleting a instead of v leaves a subgraph of what deleting v leaves, plus
 # a pendant path, which keeps a graph in every class (it adds no cycle, and
 # no block but an edge).  The cost is |witness|^k nodes, not C(n, <=k).
+#
+# Only the root strips its alive set in full.  A branch hands its child the
+# 2-core and degree >= 3 vertices left by one deletion, from ``_peel``, which
+# counts again only the neighbours of what it removes.  For FOREST and
+# SUB_UNICYCLIC a node first packs disjoint cycles: k + 1 + t of them refute
+# budget k for cycle rank cap t.  The packing takes its triangles in one scan.
 
 
 def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
@@ -380,6 +386,36 @@ def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
         if not low:
             return alive, high
         alive ^= low
+
+
+def _peel(adj: tuple[int, ...], core: int, high: int, drop: int) -> tuple[int, int]:
+    """``_strip(adj, core & ~drop)`` for a 2-core ``core`` whose vertices of
+    degree >= 3 are ``high``.  Only a neighbour of a removed vertex changes
+    degree, so only those are counted again, layer by layer."""
+    alive = core & ~drop
+    touched = 0
+    while drop:
+        nbrs = 0
+        while drop:
+            b = drop & -drop
+            drop ^= b
+            nbrs |= adj[b.bit_length() - 1]
+        nbrs &= alive
+        touched |= nbrs
+        while nbrs:
+            b = nbrs & -nbrs
+            nbrs ^= b
+            if (adj[b.bit_length() - 1] & alive).bit_count() < 2:
+                drop |= b
+        alive ^= drop
+    touched &= alive
+    high &= alive & ~touched
+    while touched:
+        b = touched & -touched
+        touched ^= b
+        if (adj[b.bit_length() - 1] & alive).bit_count() > 2:
+            high |= b
+    return alive, high
 
 
 def _shortest_cycle(adj: tuple[int, ...], alive: int) -> int:
@@ -428,8 +464,32 @@ def _cycle_packing(adj: tuple[int, ...], core: int, limit: int) -> int:
     """Greedy count of vertex-disjoint shortest cycles in ``core``, capped at ``limit``.
 
     A lower bound on the deletions into FOREST; minus one, into SUB_UNICYCLIC.
+    The greedy takes a shortest cycle of what is left, strips, and repeats.
+    Its triangles come from one ascending scan: each untaken vertex v takes
+    its first higher untaken neighbour u that has a common higher untaken
+    neighbour, and the lowest such w.  That is the triangle ``_shortest_cycle``
+    would return next: every triangle lies in the 2-core, and a lower vertex
+    found no triangle among untaken vertices when it was scanned, so finds
+    none now.  Once the triangles are taken, the rest is stripped once and
+    its longer cycles are packed one ``_shortest_cycle`` at a time.
     """
-    count = 0
+    count = taken = 0
+    rest = core  # untaken vertices above the scan
+    while rest and count < limit:
+        b = rest & -rest
+        rest ^= b
+        row = m = adj[b.bit_length() - 1] & rest
+        while m:
+            c = m & -m
+            m ^= c
+            common = row & adj[c.bit_length() - 1]
+            if common:
+                triangle = b | c | (common & -common)
+                taken |= triangle
+                rest &= ~triangle
+                count += 1
+                break
+    core = _strip(adj, core & ~taken)[0] if count < limit else 0
     while core and count < limit:
         cycle = _shortest_cycle(adj, core)
         if not cycle:
@@ -532,17 +592,28 @@ _RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle
 
 
 def _apex_search(
-    adj: tuple[int, ...], alive: int, cls: ClassId, k: int, failed: dict[int, int]
+    adj: tuple[int, ...],
+    alive: int,
+    cls: ClassId,
+    k: int,
+    failed: dict[int, int],
+    high: int | None = None,
 ) -> int | None:
     """A set of at most k vertices of ``alive`` whose deletion lands it in ``cls``, or None.
 
     The set is the branch path that succeeded: every class is decided by
     the 2-core alone, and deleting a set from ``alive`` leaves the 2-core
-    that deleting it from the 2-core of ``alive`` leaves.  ``failed`` maps a
-    core to the largest budget it was refuted with.  The packing bound needs
-    a cycle-rank cap t, so it skips PSEUDOFOREST, CACTUS and k <= 1.
+    that deleting it from the 2-core of ``alive`` leaves.  With ``high``
+    None, ``alive`` is stripped first; otherwise ``alive`` is already a
+    2-core whose vertices of degree >= 3 are ``high``, as each branch hands
+    its child by ``_peel``.  ``failed`` maps a core to the largest budget it
+    was refuted with.  The packing bound needs a cycle-rank cap t, so it
+    skips PSEUDOFOREST, CACTUS and k <= 1.
     """
-    core, high = _strip(adj, alive)
+    if high is None:
+        core, high = _strip(adj, alive)
+    else:
+        core = alive
     block = _thick_block(adj, core) if high and cls is ClassId.CACTUS else 0
     if _core_in_class(adj, core, high, block, cls):
         return 0
@@ -559,30 +630,38 @@ def _apex_search(
         key=lambda v: -(adj[v] & core).bit_count(),
     )
     for v in branch:
-        found = _apex_search(adj, core & ~(1 << v), cls, k - 1, failed)
+        child, child_high = _peel(adj, core, high, 1 << v)
+        found = _apex_search(adj, child, cls, k - 1, failed, child_high)
         if found is not None:
             return found | 1 << v
     failed[core] = k
     return None
 
 
-def _count_forest_sets(adj: tuple[int, ...], alive: int, free: int, k: int) -> int:
+def _count_forest_sets(
+    adj: tuple[int, ...], alive: int, free: int, k: int, high: int | None = None
+) -> int:
     """Number of k-subsets of ``free`` whose deletion leaves ``alive`` a forest.
 
     Ordered exclusion keeps the branches disjoint: branch i deletes the i-th
     free vertex of a shortest cycle and forbids the ones before it.  Once the
-    rest is a forest, any k of the free vertices left will do.
+    rest is a forest, any k of the free vertices left will do.  ``high`` is
+    as in ``_apex_search``: None strips ``alive`` first, and each branch
+    hands its child the ``_peel`` of its 2-core.  More than k disjoint
+    cycles need more than k deletions, so the packing bound ends a branch.
     """
-    core = _strip(adj, alive)[0]
+    if high is None:
+        core, high = _strip(adj, alive)
+    else:
+        core = alive
     if not core:
         return comb(free.bit_count(), k)
-    if k == 0:
-        return 0
-    if k >= 2 and _cycle_packing(adj, core, k + 1) > k:
+    if k == 0 or _cycle_packing(adj, core, k + 1) > k:
         return 0
     total = 0
     for v in bits(_shortest_cycle(adj, core) & free):
-        total += _count_forest_sets(adj, core & ~(1 << v), free & ~(1 << v), k - 1)
+        child, child_high = _peel(adj, core, high, 1 << v)
+        total += _count_forest_sets(adj, child, free & ~(1 << v), k - 1, child_high)
         free &= ~(1 << v)
     return total
 

@@ -27,6 +27,11 @@ from dataclasses import dataclass, fields
 from operator import mul
 
 
+class _CheckFailed(ArithmeticError):
+    """A computed result failed one of its own checks: a wrong result, not bad
+    input.  The CLI exits 1 on it, where a ``ValueError`` exits 2."""
+
+
 @dataclass(frozen=True)
 class PowerSeries:
     """A formal power series with int coefficients, truncated at a fixed order.
@@ -55,7 +60,7 @@ class PowerSeries:
     def integer_coeffs(self) -> tuple[int, ...]:
         for i, c in enumerate(self.coeffs):
             if not isinstance(c, int):
-                raise ValueError(f"coefficient of x^{i} is not an integer: {c}")
+                raise _CheckFailed(f"coefficient of x^{i} is not an integer: {c}")
         return tuple(self.coeffs)
 
 
@@ -66,7 +71,7 @@ def _exact_div(num: int, den: int, what: str, n: int) -> int:
     """num / den, raising if it is not an integer (the system's integrality proof)."""
     quo, rem = divmod(num, den)
     if rem:
-        raise ArithmeticError(f"{what}: coefficient of x^{n} is {num}/{den}, not an integer")
+        raise _CheckFailed(f"{what}: coefficient of x^{n} is {num}/{den}, not an integer")
     return quo
 
 
@@ -205,7 +210,7 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
     g = mset(t)
     for name, series in (("T", t), ("G", g)):
         if any(v < 0 for v in series.coeffs):
-            raise AssertionError(f"{name} has a negative coefficient")
+            raise _CheckFailed(f"{name} has a negative coefficient")
     return SeriesSystemSolution(
         T_diamond=PowerSeries(tuple(d)),
         T_star=PowerSeries(tuple(a)),

@@ -21,7 +21,7 @@ from apexobs.asymptotics import (
     solve_y_at,
     z1_identity_residual,
 )
-from apexobs.series import PowerSeries, solve_system
+from apexobs.series import PowerSeries, _CheckFailed, solve_system
 
 # one system solve shared by the whole module
 N = 192
@@ -251,7 +251,8 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match=r"bad fit window \(40, 41\)"):
             estimate_constant(sol.T, 0.16, window=(40, 41))
         assert estimate_constant(sol.T, 0.16, window=(40, 42)).spread > 0.0
-        with pytest.raises(ValueError):
+        # a non-positive coefficient is a wrong series, not a bad argument
+        with pytest.raises(_CheckFailed, match="non-positive coefficient at n=1"):
             estimate_constant(PowerSeries((0, -1, 2, 1)), 0.5)
 
     @pytest.mark.parametrize("rho", [0.0, -0.1, math.inf, math.nan])

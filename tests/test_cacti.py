@@ -41,6 +41,7 @@ from apexobs.obstructions import (
     load_catalog,
     same_graph_sets,
 )
+from apexobs.series import _CheckFailed
 
 from conftest import random_graph
 from oracles import (
@@ -121,8 +122,15 @@ class TestCentralSet:
     def test_invariant_violation_detected(self):
         g = butterfly_graph()
         wrong = ButterflyCactus(g, frozenset({1}), 1)  # not the central vertex
-        with pytest.raises(AssertionError):
+        with pytest.raises(_CheckFailed, match="not an apex-forest set"):
             central_set(wrong)
+
+    def test_second_apex_forest_set_detected(self, monkeypatch):
+        b = generate_Z(3)[0]
+        monkeypatch.setattr(apexobs.cacti, "count_forest_apex_sets", lambda g, k: 2)
+        assert central_set(b) == b.central_vertices  # the forest check alone passes
+        with pytest.raises(_CheckFailed, match="apex-forest set not unique"):
+            central_set(b, verify="unique")
 
     def test_unknown_verify_rejected(self):
         (b,) = generate_Z(1)

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import apexobs
-from apexobs.asymptotics import SADDLE_MAX_ITER
+import apexobs.asymptotics
+import apexobs.cli
+import apexobs.series
+from apexobs.asymptotics import SADDLE_MAX_ITER, SaddlePoint, expansion_coeffs
 from apexobs.cacti import exceptional_obstruction
 from apexobs.canonical import canonical_form
 from apexobs.cli import run
 from apexobs.graphio import from_graph6, to_edgelist, to_graph6
 from apexobs.graphs import ClassId, has_apex_set_within, make_named, one_step_minors
 from apexobs.minors import clear_minor_cache
+from apexobs.series import PowerSeries, _CheckFailed, solve_system
 
 
 def child_env(**overrides: str) -> dict[str, str]:
@@ -420,3 +426,73 @@ class TestProcessEntry:
         assert run(["verify-catalog", "--k", "1"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def change_T(monkeypatch, change):
+    """Hand the CLI solved systems whose T coefficients pass through ``change``."""
+    real = apexobs.cli.solve_system
+
+    def solve(n):
+        sol = real(n)
+        return dataclasses.replace(sol, T=PowerSeries(tuple(change(list(sol.T.coeffs)))))
+
+    monkeypatch.setattr(apexobs.cli, "solve_system", solve)
+
+
+def non_int_T(monkeypatch):
+    change_T(monkeypatch, lambda t: [*t[:2], Fraction(1, 2), *t[3:]])
+
+
+def zero_top_T(monkeypatch):
+    change_T(monkeypatch, lambda t: [*t[:-1], 0])
+
+
+def perturbed_star(monkeypatch):
+    real = apexobs.series._solve_T_diamond
+
+    def solve(n):
+        d, a, a2 = real(n)
+        a[1] += 1
+        return d, a, a2
+
+    monkeypatch.setattr(apexobs.series, "_solve_T_diamond", solve)
+
+
+def negative_G(monkeypatch):
+    real = apexobs.series.mset
+    monkeypatch.setattr(apexobs.series, "mset", lambda f: PowerSeries((1, -1) + real(f).coeffs[2:]))
+
+
+def no_root(monkeypatch):
+    monkeypatch.setattr(apexobs.asymptotics, "Y_AT_TOL", -1.0)
+
+
+class TestCheckFailures:
+    """A computed result that fails the library's own check exits 1 with
+    one ``FAILED:`` line; each case makes one check fire."""
+
+    # patch -> (argv, what the FAILED line names)
+    CASES = {
+        non_int_T: (("enumerate", "--n", "3"), r"x\^2 is not an integer: 1/2"),
+        perturbed_star: (("enumerate", "--n", "3"), r"T_square: coefficient of x\^\d+ is"),
+        negative_G: (("enumerate", "--n", "3"), "G has a negative coefficient"),
+        zero_top_T: (("asymptotics", "--N", "64"), "non-positive coefficient at n=64"),
+        no_root: (("asymptotics", "--N", "64"), "back-substitution at eps = .* has no root"),
+    }
+
+    @pytest.mark.parametrize("patch", list(CASES), ids=lambda patch: patch.__name__)
+    def test_check_failure_exit_1(self, capsys, monkeypatch, patch):
+        argv, named = self.CASES[patch]
+        patch(monkeypatch)
+        assert run(list(argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAILED: ") and captured.err.count("\n") == 1
+        assert re.search(named, captured.err), captured.err
+        assert captured.out == ""
+
+    def test_degenerate_saddle(self):
+        # at x near 0, F_yy vanishes to well under the check's 1e-9
+        sol = solve_system(64)
+        sp = SaddlePoint(x0=1e-12, y0=0.0, residuals=(0.0, 0.0), iterations=0)
+        with pytest.raises(_CheckFailed, match="degenerate saddle"):
+            expansion_coeffs(sp, sol)

@@ -13,10 +13,15 @@ from apexobs.graphs import (
     Graph,
     _apex_search,
     _child_rows,
+    _cycle_packing,
     _cycle_rank,
     _induced,
     _one_step_children,
+    _peel,
     _rank_drop,
+    _shortest_cycle,
+    _strip,
+    bits,
     butterfly_graph,
     bridges,
     complete_graph,
@@ -34,7 +39,7 @@ from apexobs.graphs import (
     peripheral_blocks,
     popcount,
 )
-from apexobs.cacti import generate_Z
+from apexobs.cacti import count_forest_apex_sets, generate_Z
 from apexobs.canonical import are_isomorphic, canonical_form
 from apexobs.obstructions import check_obstruction, is_obstruction, load_catalog
 
@@ -494,6 +499,45 @@ class TestApexSearch:
         assert max(sizes) >= 3 and len(nodes) > 1000
         assert len(dfs_calls) <= len(nodes)
 
+    # (level, k, step) -> per member of generate_Z(level)[::step], the
+    # _apex_search nodes at budgets 0..k of check_obstruction, as counted
+    # when every node stripped its alive set and repacked it from scratch
+    NODES = {
+        (4, 3, 1): [
+            [32, 10, 10, 6], [33, 10, 10, 7], [31, 8, 9, 7], [38, 12, 10, 6],
+            [36, 11, 10, 6], [30, 10, 11, 6], [28, 10, 9, 5],
+        ],
+        (5, 4, 2): [
+            [37, 11, 12, 12, 8], [42, 12, 15, 11, 7], [42, 12, 12, 12, 9],
+            [49, 12, 10, 11, 9], [49, 16, 18, 11, 7], [48, 12, 12, 12, 9],
+            [40, 11, 13, 14, 8], [44, 15, 13, 13, 7], [52, 17, 16, 14, 7],
+            [46, 18, 15, 12, 7], [33, 11, 13, 14, 8], [53, 16, 13, 12, 7],
+            [43, 15, 12, 11, 6],
+        ],
+    }
+
+    @pytest.mark.parametrize("level, k, step", list(NODES))
+    def test_obstruction_check_node_counts(self, monkeypatch, level, k, step):
+        # handing each child its peeled 2-core changes no node: the counts
+        # per budget are pinned, and so is every verdict
+        import apexobs.obstructions
+
+        budgets = []
+        search = apexobs.graphs._apex_search
+
+        def counted_search(*args):
+            budgets.append(args[3])
+            return search(*args)
+
+        monkeypatch.setattr(apexobs.graphs, "_apex_search", counted_search)
+        monkeypatch.setattr(apexobs.obstructions, "_apex_search", counted_search)
+        got = []
+        for b in generate_Z(level)[::step]:
+            budgets.clear()
+            assert check_obstruction(b.graph, k).is_obstruction
+            got.append([budgets.count(j) for j in range(k + 1)])
+        assert got == self.NODES[level, k, step]
+
     def test_negative_budget(self):
         assert not has_apex_set_within(Graph(0), ClassId.FOREST, -1)
 
@@ -523,6 +567,89 @@ class TestApexSearch:
         assert min_apex_size(g, ClassId.PSEUDOFOREST) == 1
         assert min_apex_size(g, ClassId.SUB_UNICYCLIC) == 2
         assert min_apex_size(g, ClassId.FOREST) == 3
+
+
+def greedy_packing(adj: tuple[int, ...], core: int, limit: int) -> int:
+    """The greedy packing one cycle at a time: a shortest cycle, then strip."""
+    count = 0
+    while core and count < limit:
+        cycle = _shortest_cycle(adj, core)
+        if not cycle:
+            break
+        count += 1
+        core = _strip(adj, core & ~cycle)[0]
+    return count
+
+
+def core_pool(rng: random.Random, size: int) -> list[tuple[tuple[int, ...], int, int]]:
+    """``size`` triples (rows, 2-core, its degree >= 3 vertices): random graphs
+    sparse to dense, random cacti with cycles of length 3 to 7, and
+    bipartite graphs, which have no triangle."""
+    pool = []
+    for i in range(size):
+        kind = i % 3
+        if kind == 0:
+            n = rng.randint(3, 16)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        elif kind == 1:
+            g = random_cactus(rng, rng.randint(3, 32))
+        else:
+            n = rng.randint(4, 16)
+            side = rng.randint(1, n - 1)
+            p = rng.uniform(0.2, 0.7)
+            g = Graph(n, [(u, v) for u in range(side) for v in range(side, n) if rng.random() < p])
+        pool.append((g.adj, *_strip(g.adj, (1 << g.n) - 1)))
+    return pool
+
+
+class TestCoreBookkeeping:
+    def test_packing_is_the_greedy_on_random_cores(self):
+        # the greedy capped at a limit is a prefix of the greedy capped at 7,
+        # so one reference count per core serves limit 7 and one drawn below it
+        rng = random.Random(2601)
+        seen, binds = Counter(), set()
+        for adj, core, _ in core_pool(rng, 21_000):
+            want = greedy_packing(adj, core, 7)
+            triangles = bool(core) and _shortest_cycle(adj, core).bit_count() == 3
+            limit = rng.randint(1, 6)
+            seen[want, triangles] += 1
+            binds.update(cap for cap in (limit, 7) if want >= cap)
+            assert _cycle_packing(adj, core, 7) == want, (adj, core)
+            assert _cycle_packing(adj, core, limit) == min(limit, want), (adj, core, limit)
+        assert binds == set(range(1, 8))  # the cap binds at every limit
+        assert seen[0, False] and sum(c for (w, t), c in seen.items() if w and not t) > 1000
+
+    def test_packing_is_the_greedy_in_the_cactus_checks(self, monkeypatch):
+        # every call the obstruction checks and forest counts of Z_2..Z_5 make
+        calls = []
+        packing = apexobs.graphs._cycle_packing
+
+        def recorded(*args):
+            calls.append(args)
+            return packing(*args)
+
+        monkeypatch.setattr(apexobs.graphs, "_cycle_packing", recorded)
+        for level in range(2, 6):
+            for b in generate_Z(level):
+                assert check_obstruction(b.graph, level - 1).is_obstruction
+                assert count_forest_apex_sets(b.graph, level) == 1
+        assert len(calls) > 1000 and {limit for *_, limit in calls} == {2, 3, 4, 5, 6}
+        for adj, core, limit in calls:
+            assert packing(adj, core, limit) == greedy_packing(adj, core, limit)
+
+    def test_peel_is_the_strip(self):
+        rng = random.Random(2602)
+        drops = Counter()
+        for adj, core, high in core_pool(rng, 3000):
+            if not core:
+                continue
+            vertices = list(bits(core))
+            for size in (1, 1, 2, 3):
+                drop = sum(1 << v for v in rng.sample(vertices, min(size, len(vertices))))
+                got = _peel(adj, core, high, drop)
+                assert got == _strip(adj, core & ~drop), (adj, core, drop)
+                drops[got[0] == core & ~drop] += 1
+        assert drops[True] and drops[False]  # some drops strip more vertices, some none
 
 
 class TestOneStepMinors:
