@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -32,7 +31,6 @@ from .graphs import (
     _cycle_rank,
     _induced,
     _rank_drop,
-    bits,
     bridges,
     component_masks,
     cyclomatic,
@@ -186,12 +184,7 @@ class FilterReport:
     @cached_property
     def degree_two_neighbors_adjacent(self) -> bool:
         adj = self.graph.adj
-        for row in adj:
-            if popcount(row) == 2:
-                a = row & -row
-                if not adj[a.bit_length() - 1] & (row ^ a):
-                    return False
-        return True
+        return all(_adjacent_pair(adj, row) for row in adj if popcount(row) == 2)
 
     @cached_property
     def bridgeless(self) -> bool:
@@ -200,6 +193,12 @@ class FilterReport:
     @property
     def passed(self) -> bool:
         return self.min_degree_two and self.degree_two_neighbors_adjacent and self.bridgeless
+
+
+def _adjacent_pair(adj: tuple[int, ...], pair: int) -> bool:
+    """Whether the two vertices of the mask ``pair`` are adjacent."""
+    low = pair & -pair
+    return bool(adj[low.bit_length() - 1] & (pair ^ low))
 
 
 def structural_filters(g: Graph) -> FilterReport:
@@ -321,53 +320,126 @@ def verify_catalog(cat: Catalog) -> VerificationReport:
 # -- exhaustive search ----------------------------------------------------------
 
 
-def _core_extensions(core: Graph) -> Iterator[Graph]:
-    """One-vertex extensions of ``core`` whose cyclomatic number stays <= 2.
+def _twin_classes(adj: tuple[int, ...]) -> list[list[int]]:
+    """The twin classes of the rows ``adj``, each ascending, by first vertex.
+
+    u and v are twins iff N(u) - v = N(v) - u: equal rows if they are not
+    adjacent, equal closed rows if they are.  No vertex has twins of both
+    kinds (u ~ v adjacent and v ~ w not would make w adjacent to v), so the
+    relation is an equivalence, and every permutation inside a class is an
+    automorphism.  Only isolated vertices are twins across components.
+    """
+    open_rows: dict[int, list[int]] = {}
+    closed_rows: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        open_rows.setdefault(row, []).append(v)
+        closed_rows.setdefault(row | 1 << v, []).append(v)
+    classes = [vs for vs in open_rows.values() if len(vs) > 1]
+    classes += [vs for vs in closed_rows.values() if len(vs) > 1]
+    twinned = {v for vs in classes for v in vs}
+    classes += [[v] for v in range(len(adj)) if v not in twinned]
+    return sorted(classes)
+
+
+def _prefix_picks(units: list[list[int]], cap: int) -> list[tuple[int, int]]:
+    """(mask, size) of every set of at most ``cap`` vertices that takes a
+    prefix of each unit, the empty set first."""
+    picks = [(0, 0)]
+    for vs in units:
+        grown = []
+        for mask, size in picks:
+            grown.append((mask, size))
+            for v in vs[: cap - size]:
+                mask |= 1 << v
+                size += 1
+                grown.append((mask, size))
+        picks = grown
+    return picks
+
+
+def _joins(adj: tuple[int, ...], later: int) -> tuple[int, list[list[int]]] | None:
+    """The vertices a new vertex must join, and the twin classes it may join.
+
+    ``later`` vertices still come after the new one, and each adds at most
+    one edge per vertex, so every vertex needs degree 2 - later once the new
+    vertex is in: one a single edge short must join it, and one two short
+    leaves no extension (None).  With ``later`` = 0 the extension is a
+    finished candidate, which must pass the degree filters: a degree-2
+    vertex with non-adjacent neighbours must join, and so must the neighbour
+    of a degree-1 vertex, whose two neighbours must become adjacent.  The
+    forced set is invariant under automorphisms, so a twin class is all
+    forced or all free.
+    """
+    floor = 2 - later
+    forced = 0
+    for v, row in enumerate(adj):
+        d = popcount(row)
+        if d < floor - 1:
+            return None
+        if d < floor:
+            forced |= 1 << v | (row if later == 0 else 0)
+        elif later == 0 and d == 2 and not _adjacent_pair(adj, row):
+            forced |= 1 << v
+    return forced, [vs for vs in _twin_classes(adj) if not forced >> vs[0] & 1]
+
+
+def _degree_ok(adj: tuple[int, ...], nb: int, later: int) -> bool:
+    """Whether a new vertex joined to ``nb`` can reach degree 2, and with
+    ``later`` = 0 has adjacent neighbours if it has two."""
+    size = popcount(nb)
+    if later == 0 and size == 2:
+        return _adjacent_pair(adj, nb)
+    return size >= 2 - later
+
+
+def _core_extensions(core: Graph, later: int) -> Iterator[Graph]:
+    """One-vertex extensions of ``core`` whose cyclomatic number stays <= 2,
+    with ``later`` vertices still to come after the new one.
 
     A new vertex joined to |N| vertices spread over c components raises the
     cyclomatic number by |N| - c, so each touched component gives 1..3
-    vertices and the excess sum(|N & C| - 1) is kept within 2 - cyc(core).
+    vertices and the excess sum(|N & C| - 1) is kept within 2 - cyc(core);
+    the isolated vertices, one twin class across their components, add no
+    excess.  The neighbourhoods obey ``_joins`` and take a prefix of each
+    twin class.  With ``later`` = 0 the extension is a candidate, whose
+    core has cyclomatic number 2, so the excess must use up the budget.
     """
+    adj = core.adj
+    joins = _joins(adj, later)
+    if joins is None:
+        return
+    forced, units = joins
     budget = 2 - cyclomatic(core)
-    choices = [(0, 0)]  # (neighbourhood so far, its excess)
-    for comp in component_masks(core):
-        vs = list(bits(comp))
-        grown = []
-        for mask, excess in choices:
-            grown.append((mask, excess))
-            for size in range(1, min(len(vs), budget - excess + 1) + 1):
-                for pick in combinations(vs, size):
-                    grown.append((mask | sum(1 << v for v in pick), excess + size - 1))
-        choices = grown
-    for mask, _ in choices:
-        yield core.add_vertex(mask)
+    lone = sum(1 << v for v, row in enumerate(adj) if not row)
+    groups = [c for c in component_masks(core) if not c & lone]
+    choices = [(forced & lone | mask, 0)  # (neighbourhood so far, its excess)
+               for mask, _ in _prefix_picks([vs for vs in units if lone >> vs[0] & 1], core.n)]
+    for comp in groups:
+        base = forced & comp
+        taken = popcount(base)
+        if taken > budget + 1:
+            return
+        picks = [(base | mask, max(taken + size - 1, 0)) for mask, size in
+                 _prefix_picks([vs for vs in units if comp >> vs[0] & 1], budget + 1 - taken)]
+        choices = [(a | b, e + f) for a, e in choices for b, f in picks if e + f <= budget]
+    for nb, excess in choices:
+        if (later or excess == budget) and _degree_ok(adj, nb, later):
+            yield core.add_vertex(nb)
 
 
 def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
     """g plus one apex vertex, with ``after`` apices still to come after it.
 
-    The final graph has minimum degree 2 and a vertex gains at most one edge
-    per apex, so a vertex that reaches degree 1 without this apex must join
-    it, and one that reaches degree 0 leaves no extension at all.
+    The apex's neighbourhood obeys ``_joins`` and takes a prefix of each
+    twin class of g.
     """
-    forced = free = 0
-    for v, row in enumerate(g.adj):
-        reach = popcount(row) + after  # v's largest degree without this apex
-        if reach == 0:
-            return
-        if reach == 1:
-            forced |= 1 << v
-        else:
-            free |= 1 << v
-    need = 2 - after  # the apex's own degree
-    sub = free
-    while True:
-        nb = forced | sub
-        if popcount(nb) >= need:
-            yield g.add_vertex(nb)
-        if not sub:
-            return
-        sub = (sub - 1) & free
+    joins = _joins(g.adj, after)
+    if joins is None:
+        return
+    forced, units = joins
+    for mask, _ in _prefix_picks(units, g.n):
+        if _degree_ok(g.adj, forced | mask, after):
+            yield g.add_vertex(forced | mask)
 
 
 def _candidates(k: int, max_n: int) -> Iterator[Graph]:
@@ -382,15 +454,34 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
     Cores grow by one-vertex extension: the class cyc <= 2 is closed under
     vertex deletion, so every core on m vertices extends one on m - 1.  Each
     core level and each apex layer but the last is deduplicated by canonical
-    form; the last layer is yielded raw, repeats included (with k = 0 the
-    last core extension is that raw layer).
+    form; the last layer is yielded raw (with k = 0 the last core extension
+    is that raw layer).  Three rules drop what cannot give a new class that
+    passes ``structural_filters`` (minimum degree 2, degree-2 vertices with
+    adjacent neighbours), so the search checks the same classes:
+
+    1. Degree floor.  A vertex gains at most one edge from each vertex added
+       after it, so a graph with ``later`` vertices still to come needs
+       minimum degree 2 - later; on core level m that is 2 - k - (top - m).
+       Deleting a vertex lowers each degree by at most one, so every graph
+       of level m meeting its floor extends one of level m - 1 meeting its
+       own, and the levels still hold every core of a candidate.
+    2. Last-layer forcing.  The last vertex added finishes the candidate:
+       a degree-2 vertex with non-adjacent neighbours must join it, else it
+       keeps them; the neighbour of a degree-1 vertex must join, else that
+       vertex's two neighbours are not adjacent; and a new vertex of degree
+       2 must have adjacent neighbours.
+    3. One neighbourhood per twin orbit.  Swaps inside a twin class are
+       automorphisms that fix the forced set, the degrees and the
+       components, so a neighbourhood and its image give isomorphic graphs
+       under the same rules; each orbit of the swaps holds exactly one that
+       takes a prefix of every class, and only that one is built.
     """
     top = max_n - k  # largest core size
     level = [Graph(0)]
     for m in range(1, top + 1):
-        raw = (ext for core in level for ext in _core_extensions(core))
+        raw = (ext for core in level for ext in _core_extensions(core, top - m + k))
         if m == top and k == 0:
-            yield from (g for g in raw if cyclomatic(g) == 2)
+            yield from raw
             return
         level = _iso_classes(raw).values()
         graphs = [g for g in level if cyclomatic(g) == 2]

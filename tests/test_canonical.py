@@ -293,7 +293,7 @@ class TestPinnedOutput:
             records = [rec.to_dict() for rec in cat.records]
             digest.update(json.dumps([cat.candidates, records]).encode())
         assert digest.hexdigest() == (
-            "53d6a4aac5d02cac864c16d0d8fd523ebb15125d6c049afbc9568b2331a9ea14"
+            "567a6a01af5c54f5f035c7183692a7cbfc613e4ed8b6200b66b71987196cb4b7"
         )
 
 

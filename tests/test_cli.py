@@ -191,7 +191,9 @@ class TestSubcommands:
         assert set(c) == {"generated", "passed_filters", "checked", "found"}
         assert c["generated"] >= c["passed_filters"] >= c["checked"] >= c["found"]
         assert c["found"] == len(payload["found"]) > 0
-        assert c["generated"] > c["checked"]  # the filters and the deduplication cut
+        # at k = 0 the filters cut; at k >= 1 every candidate generated passes
+        # them (41 of 41 at k = 1), and the deduplication cuts
+        assert c["generated"] > c["checked"]
 
     def test_enumerate_row_ten(self, capsys):
         code, out = invoke(capsys, "enumerate", "--n", "10")

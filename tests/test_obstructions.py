@@ -11,7 +11,7 @@ import pytest
 import apexobs.canonical
 import apexobs.obstructions
 from apexobs.cacti import disconnected_obstructions, generate_Z
-from apexobs.canonical import canonical_form
+from apexobs.canonical import canonical_form, enumerate_graphs
 from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     ClassId,
@@ -32,12 +32,18 @@ from apexobs.graphs import (
     make_named,
     one_step_minors,
     path_graph,
+    popcount,
 )
 from apexobs.minors import is_minor
 from apexobs.obstructions import (
     Catalog,
     ObstructionRecord,
     Status,
+    _apex_extensions,
+    _candidates,
+    _core_extensions,
+    _prefix_picks,
+    _twin_classes,
     check_obstruction,
     is_obstruction,
     load_catalog,
@@ -472,6 +478,98 @@ class TestSearch:
         small = [r.graph for r in load_catalog(1).records if r.graph.n <= 7]
         assert len(small) == 14
         assert same_graph_sets([r.graph for r in found.records], small)
+
+
+class TestCandidateGenerators:
+    """The search's generators build only neighbourhoods that can still
+    give a new class passing the degree filters, and every such class."""
+
+    @staticmethod
+    def twin_rich_graph(rng: random.Random, n: int) -> Graph:
+        # a random graph grown by copies of its rows (twins, adjacent or
+        # not, and isolated vertices), then randomly relabelled
+        g = random_graph(rng, rng.randint(1, n), rng.uniform(0.2, 0.7))
+        while g.n < n:
+            v = rng.randrange(g.n)
+            g = g.add_vertex(g.adj[v] | (1 << v if rng.random() < 0.5 else 0))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return g.relabel(perm)
+
+    @staticmethod
+    def can_finish(h: Graph, later: int) -> bool:
+        # h meets the degree filters once ``later`` more vertices may join it
+        if later == 0:
+            report = structural_filters(h)
+            return report.min_degree_two and report.degree_two_neighbors_adjacent
+        return all(popcount(row) >= 2 - later for row in h.adj)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_raw_candidates_pass_the_degree_filters(self, k):
+        made = list(_candidates(k, 7))
+        assert made
+        for g in made:
+            report = structural_filters(g)
+            assert report.min_degree_two and report.degree_two_neighbors_adjacent, to_graph6(g)
+
+    def test_twin_prefixes_reach_every_class_once(self, rng):
+        for _ in range(40):
+            g = self.twin_rich_graph(rng, rng.randint(1, 8))
+            classes = _twin_classes(g.adj)
+            label = {v: i for i, vs in enumerate(classes) for v in vs}
+            assert sorted(label) == list(range(g.n))
+            for u, v in combinations(range(g.n), 2):
+                twins = g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
+                assert twins == (label[u] == label[v])
+            kept = [mask for mask, _ in _prefix_picks(classes, g.n)]
+            assert len(set(kept)) == len(kept)
+            assert {canonical_form(g.add_vertex(m)) for m in kept} == {
+                canonical_form(g.add_vertex(m)) for m in range(1 << g.n)
+            }
+            for mask in kept:  # no kept mask is one twin swap from another
+                for vs in classes:
+                    for u, v in combinations(vs, 2):
+                        if (mask >> u ^ mask >> v) & 1:
+                            assert mask ^ (1 << u | 1 << v) not in kept
+
+    def test_apex_extensions_are_the_classes_that_can_finish(self, rng):
+        for _ in range(30):
+            g = self.twin_rich_graph(rng, rng.randint(1, 7))
+            for after in (0, 1, 2):
+                made = list(_apex_extensions(g, after))
+                assert all(self.can_finish(h, after) for h in made)
+                everything = (g.add_vertex(m) for m in range(1 << g.n))
+                assert {canonical_form(h) for h in made} == {
+                    canonical_form(h) for h in everything if self.can_finish(h, after)
+                }
+
+    def test_core_extensions_are_the_classes_that_can_finish(self, rng):
+        for n in range(7):
+            cores = [g for g in enumerate_graphs(n) if cyclomatic(g) <= 2]
+            for core in rng.sample(cores, min(len(cores), 8)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                core = core.relabel(perm)
+                for later in range(4):
+                    made = list(_core_extensions(core, later))
+                    assert all(self.can_finish(h, later) for h in made)
+                    want = {
+                        canonical_form(h)
+                        for h in (core.add_vertex(m) for m in range(1 << n))
+                        if (cyclomatic(h) <= 2 if later else cyclomatic(h) == 2)
+                        and self.can_finish(h, later)
+                    }
+                    assert {canonical_form(h) for h in made} == want
+
+    @pytest.mark.parametrize(
+        "k, max_n, checked, found, generated",
+        # generated: the unpruned generators built 4,526, 4,643 and 3,249
+        [(0, 8, 3, 3, 4526), (1, 8, 532, 22, 4643), (2, 7, 314, 9, 3249)],
+    )
+    def test_pruning_checks_the_same_classes(self, k, max_n, checked, found, generated):
+        c = search_obstructions(k, max_n).candidates
+        assert (c["checked"], c["found"]) == (checked, found)
+        assert c["passed_filters"] <= c["generated"] < generated
 
 
 class TestCandidateLemma:
