@@ -25,6 +25,7 @@ range, so series evaluation goes through logarithms of the exact integers.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms, _CheckFailed
@@ -77,20 +78,26 @@ def eval_series(series: PowerSeries, z: float) -> float:
     return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]
 
 
+_TAIL_SERIES = weakref.WeakKeyDictionary()  # T_diamond -> the (t, u) of `_tail_series`
+
+
 def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
     """t and u as two series of the order N of d = T_diamond (d_0 = 0):
 
         t(x) = sum_{m<=N} c_m x^m,  m*c_m = sum_{n|m, m/n >= 2} n*d_n,
         u(x) = v(x^2),  v(z) = sum_{m<=N} w_m z^m,  m*w_m = m*c_m + m*d_m.
 
-    Built once per public entry point, or once per ``asymptotics_report``,
-    and reused for every x it evaluates.
+    Built once per series and kept, under a weak key, while that series is
+    alive: every call on one solution shares them, and none outlives it.
     """
-    u_num = [0] * len(d.coeffs)  # m*w_m: the Euler weights of MSET(T_diamond)
-    for q in range(1, len(u_num)):
-        _add_divisor_terms(u_num, q, d.coeffs[q])
-    t_num = [w - m * a for m, (w, a) in enumerate(zip(u_num, d.coeffs))]
-    return _log_terms(t_num), _log_terms(u_num)
+    tails = _TAIL_SERIES.get(d)
+    if tails is None:
+        u_num = [0] * len(d.coeffs)  # m*w_m: the Euler weights of MSET(T_diamond)
+        for q in range(1, len(u_num)):
+            _add_divisor_terms(u_num, q, d.coeffs[q])
+        t_num = [w - m * a for m, (w, a) in enumerate(zip(u_num, d.coeffs))]
+        tails = _TAIL_SERIES[d] = (_log_terms(t_num), _log_terms(u_num))
+    return tails
 
 
 def _tails(tails: tuple[LogTerms, LogTerms], x: float) -> tuple[float, ...]:
@@ -192,12 +199,9 @@ def solve_saddle(
     sol: SeriesSystemSolution,
     tol: float = 1e-13,
     min_truncation: int = MIN_SADDLE_TRUNCATION,
-    *,
-    _tails: tuple[LogTerms, LogTerms] | None = None,
 ) -> SaddlePoint:
     """Damped 2-d Newton on (y - F, 1 - F_y) from the standard start point.
 
-    ``_tails``, if given, is ``_tail_series(sol.T_diamond)`` already built.
     A ``tol`` the start point already meets raises ValueError: the solve
     would return the start point unsolved.
     """
@@ -206,7 +210,7 @@ def solve_saddle(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     x, y = SADDLE_START
-    tails = _tail_series(sol.T_diamond) if _tails is None else _tails
+    tails = _tail_series(sol.T_diamond)
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
         return (yy - p.F, 1.0 - p.Fy)
@@ -277,11 +281,7 @@ def solve_y_at(sol: SeriesSystemSolution, x: float) -> float:
     iterate is returned without it.  Past rho there is no root, and the
     solve raises ValueError.
     """
-    return _solve_y_at(x, _tail_series(sol.T_diamond))
-
-
-def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
-    """`solve_y_at` on tail series already built."""
+    tails = _tail_series(sol.T_diamond)
     y, step = 0.0, math.inf
     while True:
         try:
@@ -297,23 +297,16 @@ def _solve_y_at(x: float, tails: tuple[LogTerms, LogTerms]) -> float:
     raise ValueError(f"y = F(x, y) has no root at x = {x}: x lies past the singularity")
 
 
-def expansion_coeffs(
-    sp: SaddlePoint,
-    sol: SeriesSystemSolution,
-    *,
-    _tails: tuple[LogTerms, LogTerms] | None = None,
-) -> ExpansionCoefficients:
+def expansion_coeffs(sp: SaddlePoint, sol: SeriesSystemSolution) -> ExpansionCoefficients:
     """Evaluate the closed-form expansion coefficients and gate q1.
 
     h0 = sqrt(2 rho F_x / F_yy); h1 = (1/6)(-F_yyy h0^2 + 6 F_xy rho)/(2 F_yy);
     q1 is the two-line display taken literally.  The gate solves y(x) at
     x = rho(1 - eps^2), subtracts the first-order expansion y0 - h0*eps and
     fits the X^2 coefficient; a mismatch is reported, never corrected.
-    ``_tails``, if given, is ``_tail_series(sol.T_diamond)`` already built.
     """
     rho, y0 = sp.x0, sp.y0
-    tails = _tail_series(sol.T_diamond) if _tails is None else _tails
-    p = _F(rho, y0, tails)
+    p = _F(rho, y0, _tail_series(sol.T_diamond))
     if abs(p.Fyy) < 1e-9:
         raise _CheckFailed("degenerate saddle: F_yy vanishes")
     h0 = math.sqrt(2.0 * rho * p.Fx / p.Fyy)
@@ -330,7 +323,7 @@ def expansion_coeffs(
     for eps in BACKSUB_EPS:
         xx = rho * (1.0 - eps * eps)
         try:  # x below the saddle always has a root
-            r = _solve_y_at(xx, tails) - (y0 - h0 * eps)
+            r = solve_y_at(sol, xx) - (y0 - h0 * eps)
         except ValueError as exc:
             raise _CheckFailed(f"back-substitution at eps = {eps}: {exc}") from None
         pairs.append((eps, r))
@@ -480,16 +473,13 @@ def check_Z1_vanishes(
     truncations: tuple[int, ...] = (64, 96, 128),
     tol: float = 1e-13,
     saddle: SaddlePoint | None = None,
-    *,
-    _tails: tuple[LogTerms, LogTerms] | None = None,
 ) -> Z1Report:
     """Solve the saddle at each truncation; evaluate the identity against
     the reference (full-truncation) series.  ``saddle``, if given, is the
     saddle already solved on ``sol`` itself at ``tol`` and stands for the
-    truncation ``sol.truncation``, and ``_tails``, if given, is
-    ``_tail_series(sol.T_diamond)`` already built.  An empty
-    ``truncations``, or a truncation above ``sol.truncation`` or below
-    ``Z1_MIN_TRUNCATION``, raises ValueError before any saddle is solved.
+    truncation ``sol.truncation``.  An empty ``truncations``, or a
+    truncation above ``sol.truncation`` or below ``Z1_MIN_TRUNCATION``,
+    raises ValueError before any saddle is solved.
 
     The residual then measures how far truncation displaces the saddle from
     the true identity.  At truncation N the tails are cut at x^N (t) and
@@ -507,7 +497,7 @@ def check_Z1_vanishes(
             )
         if n < Z1_MIN_TRUNCATION:
             raise ValueError(f"truncation {n} is below {Z1_MIN_TRUNCATION}")
-    ref_tails = _tail_series(sol.T_diamond) if _tails is None else _tails
+    ref_tails = _tail_series(sol.T_diamond)
     residuals = {}
     values = {}
     for n in truncations:
@@ -526,9 +516,8 @@ def check_Z1_vanishes(
 
 def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
     """The full numeric pipeline as one JSON-ready dictionary."""
-    tails = _tail_series(sol.T_diamond)  # shared by the saddle, the expansion and Z1
-    sp = solve_saddle(sol, tol=tol, _tails=tails)
-    ec = expansion_coeffs(sp, sol, _tails=tails)
+    sp = solve_saddle(sol, tol=tol)
+    ec = expansion_coeffs(sp, sol)
     n = sol.truncation
     est_T = estimate_constant(sol.T, sp.x0)
     est_G = estimate_constant(sol.G, sp.x0)
@@ -537,7 +526,6 @@ def asymptotics_report(sol: SeriesSystemSolution, tol: float = 1e-13) -> dict:
         truncations=tuple(t for t in (64, 96, 128) if t <= n),
         tol=tol,
         saddle=sp,
-        _tails=tails,
     )
     return {
         "N": n,

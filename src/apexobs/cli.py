@@ -3,10 +3,10 @@
 Subcommands: check, minor, apex, verify-catalog, search, gen-cacti,
 enumerate, asymptotics.  Every subcommand supports --json for machine
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
-Past argparse, usage errors are the argument checks of the library
-functions each subcommand calls (``run`` prints their ValueError as one
-``error:`` line), so ``asymptotics`` reports a bad --tol only after
-solving the series.
+Past argparse, every usage error is a ValueError, raised by the argument
+checks of the library functions each subcommand calls or by the
+subcommand itself, and ``run`` prints it as one ``error:`` line; so
+``asymptotics`` reports a bad --tol only after solving the series.
 """
 
 from __future__ import annotations
@@ -49,18 +49,16 @@ def _read_graph(spec: str, fmt: str) -> Graph:
         try:
             return load_graph(spec, fmt)
         except (OSError, ValueError) as exc:
-            raise SystemExit(f"error: cannot read {spec} as {fmt}: {exc}") from None
+            raise ValueError(f"cannot read {spec} as {fmt}: {exc}") from None
     try:
         return make_named(spec)
     except ValueError as exc:
         if _NAME_RE.match(spec.strip()):  # a graph name, but too large or malformed
-            raise SystemExit(f"error: {spec!r}: {exc}") from None
+            raise ValueError(f"{spec!r}: {exc}") from None
     try:
         return from_graph6(spec)
     except ValueError:
-        raise SystemExit(
-            f"error: {spec!r} is neither a file, a graph name, nor graph6"
-        ) from None
+        raise ValueError(f"{spec!r} is neither a file, a graph name, nor graph6") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -106,9 +104,9 @@ def cmd_verify_catalog(args) -> int:
     # an unreadable or inconsistent catalog is bad input, not a refutation
     try:
         cat = load_catalog(args.k)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise SystemExit(
-            f"error: cannot load the k={args.k} catalog: {type(exc).__name__}: {exc}"
+    except (OSError, ValueError) as exc:
+        raise ValueError(
+            f"cannot load the k={args.k} catalog: {type(exc).__name__}: {exc}"
         ) from None
     report = verify_catalog(cat)
     _emit(args, report.to_dict(), report.to_text())
@@ -187,7 +185,7 @@ def cmd_gen_cacti(args) -> int:
 
 def cmd_enumerate(args) -> int:
     if args.N < 1:  # solved at max(N, n), so solve_system never sees a bad --N
-        raise SystemExit(f"error: --N must be at least 1, got {args.N}")
+        raise ValueError(f"--N must be at least 1, got {args.N}")
     sol = solve_system(max(args.N, args.n))
     table = coefficient_table(sol, args.n)
     if args.json:
@@ -207,9 +205,7 @@ def cmd_asymptotics(args) -> int:
     try:
         report = asymptotics_report(sol, tol=args.tol)
     except NewtonDivergence as exc:
-        raise SystemExit(
-            f"error: the saddle-point solve failed at --tol {args.tol}: {exc}"
-        ) from None
+        raise ValueError(f"the saddle-point solve failed at --tol {args.tol}: {exc}") from None
     text = (
         f"rho      = {report['rho']:.6f}   (1/rho = {report['rho_inv']:.5f})\n"
         f"y0       = {report['y0']:.6f}\n"
@@ -309,12 +305,7 @@ def run(argv: list[str] | None = None) -> int:
     t0 = time.perf_counter()
     try:
         code = args.func(args)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            sys.stderr.write(exc.code + "\n")
-            return EXIT_USAGE
-        return int(exc.code or 0)
-    except (FileNotFoundError, ValueError) as exc:  # the library's argument checks
+    except ValueError as exc:  # every usage error
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except _CheckFailed as exc:  # a computed result failed its own check

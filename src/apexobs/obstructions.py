@@ -214,22 +214,30 @@ def load_catalog(k: int = 1) -> Catalog:
     A catalog is obs_k{k}.g6 plus obs_k{k}.json, read from the directory
     named by the APEXOBS_DATA environment variable, else from the package
     data; a level without obs_k{k}.g6 raises FileNotFoundError, and a
-    manifest whose "k" is not k raises ValueError.
+    corrupt catalog (a manifest whose "k" is not k, a missing or ill-typed
+    field, a record count that is not the graph count) raises ValueError.
     """
     base = os.environ.get(DATA_ENV_VAR)
     data = Path(base) if base is not None else resources.files("apexobs.data")
     g6 = (data / f"obs_k{k}.g6").read_text()
     lines = [ln.strip() for ln in g6.splitlines() if ln.strip()]
-    manifest = json.loads((data / f"obs_k{k}.json").read_text())
-    if manifest["k"] != k:
-        raise ValueError(f"catalog corrupt: obs_k{k}.json holds the k={manifest['k']} manifest")
-    metas = manifest["records"]
+    where = f"obs_k{k}.json"
+    manifest = json.loads((data / where).read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"catalog corrupt: {where} is not a JSON object")
+    if manifest.get("k") != k:
+        raise ValueError(f"catalog corrupt: {where} holds the k={manifest.get('k')} manifest")
+    metas = manifest.get("records")
+    if not isinstance(metas, list):
+        raise ValueError(f'catalog corrupt: {where} has no "records" list')
     if len(metas) != len(lines):
         raise ValueError(
             f"catalog corrupt: {len(lines)} graphs but {len(metas)} manifest records"
         )
     records = []
-    for meta, line in zip(metas, lines):
+    for i, (meta, line) in enumerate(zip(metas, lines)):
+        if not isinstance(meta, dict) or "name" not in meta:
+            raise ValueError(f'catalog corrupt: record {i} of {where} has no "name"')
         fig = f"{meta.get('figure', '?')}, row {meta.get('row')}, col {meta.get('col')}"
         records.append(
             ObstructionRecord(

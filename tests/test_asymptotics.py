@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -114,36 +115,52 @@ class TestTails:
         for name, g, w in zip(("t", "t'", "t''", "u", "u'", "u''"), got, want):
             assert g == pytest.approx(w, rel=1e-13), name
 
-    def test_built_once_per_entry_point_call(self, monkeypatch):
+    def test_built_once_per_live_series(self, monkeypatch):
         builds, evaluations = [], []
 
-        def counted_build(*args):
-            builds.append(args)
-            return _tail_series(*args)
+        class CountedBuilds(weakref.WeakKeyDictionary):
+            def __setitem__(self, series, tails):
+                builds.append(series.truncation)
+                super().__setitem__(series, tails)
 
         def counted_F(*args):
             evaluations.append(args)
             return _F(*args)
 
-        monkeypatch.setattr(apexobs.asymptotics, "_tail_series", counted_build)
+        held = CountedBuilds()
+        monkeypatch.setattr(apexobs.asymptotics, "_TAIL_SERIES", held)
         monkeypatch.setattr(apexobs.asymptotics, "_F", counted_F)
         sol = solve_system(64)
         report = asymptotics_report(sol)
         # solve_saddle, expansion_coeffs and check_Z1_vanishes share one
-        assert len(builds) == 1
+        assert builds == [64]
         assert len(evaluations) > 5 * len(builds)  # 30 evaluations at N = 64
-        # nothing outlives a call: a second report builds them again
-        assert asymptotics_report(sol) == report
-        assert len(builds) == 2
-        # each entry point called alone builds its own and gives the report's floats
+        # every later call on the same live sol reuses it, and gives the report's floats
         sp = solve_saddle(sol)
         ec = expansion_coeffs(sp, sol)
+        backsub = [
+            (eps, solve_y_at(sol, sp.x0 * (1.0 - eps * eps)) - (sp.y0 - ec.h0 * eps))
+            for eps, _ in ec.backsub_residuals
+        ]
+        p = eval_F(sp.x0, sp.y0, sol)
         z1 = check_Z1_vanishes(sol, truncations=(64,), saddle=sp)
-        assert len(builds) == 5
+        assert builds == [64]
         assert (report["rho"], report["y0"]) == (sp.x0, sp.y0)
-        assert report["residuals"] == list(sp.residuals)
+        assert report["residuals"] == list(sp.residuals) == [sp.y0 - p.F, 1.0 - p.Fy]
         assert (report["h0"], report["h1"], report["q1"]) == (ec.h0, ec.h1, ec.q1)
+        assert report["x2_coefficient_fit"] == ec.x2_coefficient_fit
+        assert backsub == list(ec.backsub_residuals)
         assert report["z1_residuals"] == {"64": z1.residuals[64]}
+        # a truncated series is another series: it builds its own
+        assert solve_y_at(sol.truncated(48), 0.1) == pytest.approx(solve_y_at(sol, 0.1), rel=1e-12)
+        assert builds == [64, 48]
+        assert len(held) == 1  # the truncated series is gone, and its tails with it
+        # nothing outlives its series: a new solve builds them again
+        del sol
+        assert len(held) == 0
+        assert asymptotics_report(solve_system(64)) == report
+        assert builds == [64, 48, 64]
+        assert len(held) == 0
 
 
 class TestSaddle:

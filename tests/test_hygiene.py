@@ -1,8 +1,9 @@
 """Source hygiene: every name a module of the package, a test or a demo
 imports is used in it, `apexobs.__all__` lists exactly what `__init__.py`
 imports, every module-level private function or class is referenced
-somewhere, every name the benchmark harness hooks into exists, and every
-private name README mentions exists."""
+somewhere, no public function or method takes a private parameter, every
+name the benchmark harness hooks into exists, and every private name README
+mentions exists."""
 
 from __future__ import annotations
 
@@ -118,6 +119,56 @@ def test_no_unreferenced_private_definitions():
     sources = {str(p): p.read_text() for p in files}
     package = [str(p) for p in sorted(PACKAGE.glob("*.py"))]
     assert unreferenced_privates(sources, package) == []
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def is_public(name: str) -> bool:
+    return not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+
+
+def private_parameters(source: str) -> list[str]:
+    """Parameters named _x of a module's public functions and of the public
+    methods of its public classes: a private knob on a public signature."""
+    functions = []
+    for node in ast.parse(source).body:
+        if isinstance(node, FUNCTIONS) and is_public(node.name):
+            functions.append((node.name, node))
+        elif isinstance(node, ast.ClassDef) and is_public(node.name):
+            functions += [
+                (f"{node.name}.{m.name}", m)
+                for m in node.body
+                if isinstance(m, FUNCTIONS) and is_public(m.name)
+            ]
+    return [
+        f"{name}: {arg.arg}"
+        for name, fn in functions
+        for arg in (
+            fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            + [a for a in (fn.args.vararg, fn.args.kwarg) if a is not None]
+        )
+        if arg.arg.startswith("_")
+    ]
+
+
+def test_scanner_flags_a_private_parameter():
+    source = (
+        "def f(a, *, _cache=None):\n    pass\n\n"
+        "def _g(_x):\n    pass\n\n"
+        "class C:\n"
+        "    def m(self, _y, **_kw):\n        def inner(_z):\n            pass\n\n"
+        "    def __init__(self, _w):\n        pass\n\n"
+        "    def _h(self, _v):\n        pass\n"
+    )
+    assert private_parameters(source) == [
+        "f: _cache", "C.m: _y", "C.m: _kw", "C.__init__: _w",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_parameters_on_public_signatures(path):
+    assert private_parameters(path.read_text()) == []
 
 
 def test_benchmark_hooks_exist():

@@ -381,6 +381,25 @@ class TestCatalog:
         with pytest.raises(ValueError, match="k=0"):
             load_catalog(1)
 
+    @pytest.mark.parametrize(
+        "manifest, field",
+        [
+            ({"k": 0}, '"records"'),
+            ({"k": 0, "records": 3}, '"records"'),
+            ({"k": 0, "records": [{"name": "2K3"}, {"figure": "x"}, {"name": "Z"}]}, '"name"'),
+            ([{"k": 0}], "JSON object"),
+        ],
+        ids=["no-records", "int-records", "record-without-name", "list-manifest"],
+    )
+    def test_corrupt_manifest_rejected(self, tmp_path, monkeypatch, manifest, field):
+        # input read from outside the program fails as ValueError, naming the field
+        pkg = resources.files("apexobs.data")
+        (tmp_path / "obs_k0.g6").write_text((pkg / "obs_k0.g6").read_text())
+        (tmp_path / "obs_k0.json").write_text(json.dumps(manifest))
+        monkeypatch.setenv("APEXOBS_DATA", str(tmp_path))
+        with pytest.raises(ValueError, match=f"catalog corrupt: .*{field}"):
+            load_catalog(0)
+
     def test_any_level_with_files_loads(self, tmp_path, monkeypatch):
         # a level is whatever obs_k{k}.g6 exists for, not a fixed list
         (tmp_path / "obs_k2.g6").write_text(to_graph6(make_named("4K3")) + "\n")
