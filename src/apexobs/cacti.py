@@ -49,20 +49,26 @@ class ButterflyCactus:
             raise ValueError("central vertex count must equal the butterfly count")
 
 
+def _glue_cycle(g: Graph, v: int, length: int) -> Graph:
+    """g with a cycle of ``length`` glued at v: its ``length - 1`` new vertices
+    are appended in ring order, the first and the last joined to v."""
+    prev = v
+    for _ in range(length - 2):
+        g = g.add_vertex(1 << prev)
+        prev = g.n - 1
+    return g.add_vertex(1 << prev | 1 << v)
+
+
 def _attach_butterfly(b: ButterflyCactus, v: int) -> ButterflyCactus:
     """Identify one extremal vertex of a new butterfly with vertex v.
 
     The surviving vertex id is v (the one from the old graph); the new
-    butterfly contributes four fresh vertices, its central vertex last but
-    one.
+    butterfly is two triangles glued in turn, at v and then at its central
+    vertex, so it contributes four fresh vertices, the central one n + 1.
     """
-    g = b.graph
-    n = g.n
-    a2, c, b1, b2 = n, n + 1, n + 2, n + 3
-    edges = list(g.edges()) + [(v, a2), (v, c), (a2, c), (c, b1), (c, b2), (b1, b2)]
-    return ButterflyCactus(
-        Graph(n + 4, edges), b.central_vertices | {c}, b.k + 1
-    )
+    n = b.graph.n
+    g = _glue_cycle(_glue_cycle(b.graph, v, 3), n + 1, 3)
+    return ButterflyCactus(g, b.central_vertices | {n + 1}, b.k + 1)
 
 
 def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
@@ -235,20 +241,11 @@ def connected_cacti_up_to(max_n: int) -> list[Graph]:
     this way), one block more each round, so no class recurs across rounds;
     the candidate pool of ``verify_holiness``.
     """
-
-    def glue_cycle(g: Graph, v: int, length: int) -> Graph:
-        n = g.n
-        ring = [v] + list(range(n, n + length - 1))
-        edges = list(g.edges()) + [
-            (ring[i], ring[(i + 1) % length]) for i in range(length)
-        ]
-        return Graph(n + length - 1, edges)
-
     level = _iso_classes(cycle_graph(r) for r in range(3, max_n + 1))
     all_out = dict(level)
     while level:
         level = _iso_classes(
-            glue_cycle(g, v, length)
+            _glue_cycle(g, v, length)
             for g in level.values()
             for length in range(3, max_n - g.n + 2)
             for v in range(g.n)

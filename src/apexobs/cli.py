@@ -136,49 +136,38 @@ def cmd_gen_cacti(args) -> int:
     if args.disconnected:
         _check_union_level(args.k)  # before any level is built
     levels = _z_levels(args.k)
-    rows = []
+    # (level, apex budget, label, members); a member is a graph and the rest of its row
+    families = [
+        (j, j - 1, "butterfly-cacti",
+         [(b.graph, {"central_vertices": sorted(b.central_vertices)}) for b in level])
+        for j, level in enumerate(levels, 1)
+    ]
+    if args.disconnected:
+        unions = [(g, {"disconnected": True}) for g in _disconnected(levels)]
+        families.append((args.k, args.k, "disconnected cactus obstructions", unions))
+    rows = [{"k": j, "graph6": to_graph6(g), "n": g.n, **rest}
+            for j, _, _, members in families for g, rest in members]
     lines = []
-
-    def verified(graphs, level: int, k: int) -> bool:
-        """Check every member of family ``level`` as a k-obstruction; name the first failure."""
-        checks = [(g, check_obstruction(g, k)) for g in graphs]
+    for j, budget, label, members in families:
+        lines.append(f"k={j}: {len(members)} {label}")
+        if not args.verify:
+            continue
+        checks = [(g, check_obstruction(g, budget)) for g, _ in members]
         failed = [(g, c) for g, c in checks if not c.is_obstruction]
+        lines[-1] += f"  ({len(failed)} FAILED)" if failed else "  (all verified)"
         if not failed:
-            lines[-1] += "  (all verified)"
-            return True
+            continue
         g, check = failed[0]
-        lines[-1] += f"  ({len(failed)} FAILED)"
         lines.append(f"first failure: {to_graph6(g)}  [{check.failed_step}]")
         payload = {
             "error": "verification failed",
-            "level": level,
+            "level": j,
             "graph6": to_graph6(g),
             "failed_step": check.failed_step,
             "witness": None if check.witness is None else to_graph6(check.witness),
         }
         _emit(args, payload, "\n".join(lines))
-        return False
-
-    for k, members in enumerate(levels, 1):
-        for b in members:
-            rows.append(
-                {
-                    "k": k,
-                    "graph6": to_graph6(b.graph),
-                    "n": b.graph.n,
-                    "central_vertices": sorted(b.central_vertices),
-                }
-            )
-        lines.append(f"k={k}: {len(members)} butterfly-cacti")
-        if args.verify and not verified([b.graph for b in members], k, k - 1):
-            return EXIT_VERIFICATION_FAILED
-    if args.disconnected:
-        dis = _disconnected(levels)
-        for g in dis:
-            rows.append({"k": args.k, "graph6": to_graph6(g), "n": g.n, "disconnected": True})
-        lines.append(f"k={args.k}: {len(dis)} disconnected cactus obstructions")
-        if args.verify and not verified(dis, args.k, args.k):
-            return EXIT_VERIFICATION_FAILED
+        return EXIT_VERIFICATION_FAILED
     _emit(args, {"families": rows}, "\n".join(lines + [r["graph6"] for r in rows]))
     return EXIT_OK
 
@@ -188,15 +177,11 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"--N must be at least 1, got {args.N}")
     sol = solve_system(max(args.N, args.n))
     table = coefficient_table(sol, args.n)
-    if args.json:
-        payload = {
-            "N": sol.truncation,
-            "rows": [{"n": n, "t_n": str(t), "g_n": str(g)} for n, t, g in table],
-        }
-        _emit(args, payload, "")
-    else:
-        lines = ["n,t_n,g_n"] + [f"{n},{t},{g}" for n, t, g in table]
-        sys.stdout.write("\n".join(lines) + "\n")
+    payload = {
+        "N": sol.truncation,
+        "rows": [{"n": n, "t_n": str(t), "g_n": str(g)} for n, t, g in table],
+    }
+    _emit(args, payload, "\n".join(["n,t_n,g_n"] + [f"{n},{t},{g}" for n, t, g in table]))
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -168,27 +167,11 @@ def is_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) -> bo
 
 @dataclass(frozen=True)
 class FilterReport:
-    """The three necessary conditions every obstruction satisfies.
+    """The three necessary conditions every obstruction satisfies."""
 
-    Each condition is evaluated on first use, and ``passed`` tries them
-    cheapest first, so a graph that fails a degree test never pays for the
-    bridge search.
-    """
-
-    graph: Graph
-
-    @cached_property
-    def min_degree_two(self) -> bool:
-        return all(popcount(row) >= 2 for row in self.graph.adj)
-
-    @cached_property
-    def degree_two_neighbors_adjacent(self) -> bool:
-        adj = self.graph.adj
-        return all(_adjacent_pair(adj, row) for row in adj if popcount(row) == 2)
-
-    @cached_property
-    def bridgeless(self) -> bool:
-        return not bridges(self.graph)
+    min_degree_two: bool
+    degree_two_neighbors_adjacent: bool
+    bridgeless: bool
 
     @property
     def passed(self) -> bool:
@@ -202,7 +185,12 @@ def _adjacent_pair(adj: tuple[int, ...], pair: int) -> bool:
 
 
 def structural_filters(g: Graph) -> FilterReport:
-    return FilterReport(g)
+    adj = g.adj
+    return FilterReport(
+        all(popcount(row) >= 2 for row in adj),
+        all(_adjacent_pair(adj, row) for row in adj if popcount(row) == 2),
+        not bridges(g),
+    )
 
 
 # -- catalog I/O ---------------------------------------------------------------

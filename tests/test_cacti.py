@@ -264,6 +264,11 @@ class TestHoliness:
         assert rep.search_matches  # the 3 members of Z_3, among cacti <= 14
         assert rep.search_space == 1230
 
+    def test_refuted_member_reported(self, monkeypatch):
+        monkeypatch.setattr(apexobs.cacti, "is_obstruction", lambda g, k: False)
+        rep = verify_holiness(0)
+        assert not rep.all_members_verified and rep.complete
+
     def test_budget(self):
         rep = verify_holiness(2, budget_seconds=0.0)
         assert not rep.complete

@@ -15,7 +15,7 @@ import apexobs.asymptotics
 import apexobs.cli
 import apexobs.series
 from apexobs.asymptotics import SADDLE_MAX_ITER, SaddlePoint, expansion_coeffs
-from apexobs.cacti import exceptional_obstruction
+from apexobs.cacti import exceptional_obstruction, generate_Z
 from apexobs.canonical import canonical_form
 from apexobs.cli import run
 from apexobs.graphio import from_graph6, to_edgelist, to_graph6
@@ -269,6 +269,41 @@ class TestSubcommands:
         minors = {canonical_form(c) for c in one_step_minors(make_named("4K3"))}
         assert canonical_form(witness) in minors
         assert not has_apex_set_within(witness, ClassId.SUB_UNICYCLIC, 1)
+
+    @staticmethod
+    def refute_z2(monkeypatch):
+        """Check the Z_2 member at budget 0, where a one-step minor refutes it."""
+        (member,) = generate_Z(2)
+        z2 = canonical_form(member.graph)
+        real = apexobs.cli.check_obstruction
+        monkeypatch.setattr(
+            apexobs.cli,
+            "check_obstruction",
+            lambda g, k: real(g, 0 if canonical_form(g) == z2 else k),
+        )
+
+    def test_gen_cacti_connected_failure_exit_1(self, capsys, monkeypatch):
+        # the first failing level stops the run: no k=3 line follows
+        self.refute_z2(monkeypatch)
+        code, out = invoke(capsys, "gen-cacti", "--k", "3", "--verify")
+        assert code == 1
+        assert out.splitlines() == [
+            "k=1: 1 butterfly-cacti  (all verified)",
+            "k=2: 1 butterfly-cacti  (1 FAILED)",
+            "first failure: H{dAGCB  [minimality]",
+        ]
+
+    def test_gen_cacti_connected_failure_json(self, capsys, monkeypatch):
+        self.refute_z2(monkeypatch)
+        code, out = invoke(capsys, "gen-cacti", "--k", "3", "--verify", "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "verification failed",
+            "level": 2,
+            "graph6": "H{dAGCB",
+            "failed_step": "minimality",
+            "witness": "GtaGGK",
+        }
 
     # each bad argv -> the rejected value its error line must name
     OUT_OF_RANGE_LEVEL = {

@@ -110,6 +110,25 @@ class TestConstruction:
             Graph(33)
         with pytest.raises(ValueError):
             Graph(2, [(0, 2)])
+        with pytest.raises(ValueError, match="union has 40 vertices"):
+            disjoint_union(complete_graph(20), complete_graph(20))
+        for rows, message in (
+            ([0] * 33, "vertex count 33 exceeds 32"),
+            ([0b100, 0], "adjacency of 0 mentions vertices >= 2"),
+            ([1], "loop at vertex 0"),
+            ([0b10, 0], r"asymmetric edge \(0,1\)"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Graph.from_adj(rows)
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            path_graph(3).n = 4
+
+    @pytest.mark.parametrize("method", ["delete_edge", "contract_edge"])
+    def test_missing_edge_rejected(self, method):
+        with pytest.raises(ValueError, match=r"no edge \(0,2\)"):
+            getattr(path_graph(3), method)(0, 2)
 
     def test_add_vertex_checks_its_arguments(self, rng):
         g = cycle_graph(4)
@@ -346,6 +365,10 @@ class TestPeripheralBlocks:
 
     def test_biconnected_empty_signal(self):
         assert peripheral_blocks(cycle_graph(5)) == ()
+
+    def test_rejects_disconnected(self):
+        with pytest.raises(ValueError, match="connected graph"):
+            peripheral_blocks(make_named("2K3"))
 
     def test_chain_of_four_triangles(self):
         # the 2-butterfly-cactus: only the two end triangles are peripheral

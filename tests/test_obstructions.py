@@ -351,6 +351,14 @@ class TestCatalog:
         with pytest.raises(ValueError):
             Catalog(k=0, records=recs)
 
+    def test_duplicate_names_rejected(self):
+        recs = [
+            ObstructionRecord("a", make_named("2K3"), 0),
+            ObstructionRecord("a", make_named("Z"), 0),
+        ]
+        with pytest.raises(ValueError, match="duplicate record names"):
+            Catalog(k=0, records=recs)
+
     def test_data_dir_override(self, tmp_path, monkeypatch):
         src = load_catalog(0)
         from apexobs.graphio import write_graph6_file
