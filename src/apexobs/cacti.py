@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
-from .canonical import _iso_classes, automorphism_orbits
+from .canonical import _form_sorted, _iso_classes, automorphism_orbits
 from .graphs import (
     MAX_VERTICES,
     ClassId,
@@ -146,7 +145,10 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
 
     These are the disjoint unions over multisets {G_1..G_r}, r >= 2, with
     G_i a k_i-butterfly-cactus and sum k_i = k+1, plus the exceptional
-    (k+2) disjoint triangles.
+    (k+2) disjoint triangles.  The exceptional graph comes first, then the
+    unions by vertex count, ties broken by canonical form: this is form
+    order, as a form starts with the vertex count and (k+2)K3 has 3k + 6
+    vertices, fewer than any union's 4k + 4 + r.
     """
     _check_union_level(k)
     return _disconnected(_z_levels(k))
@@ -154,10 +156,10 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
 
 def _disconnected(levels: list[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
     """``disconnected_obstructions(k)`` from ``levels``, the k levels of
-    ``_z_levels(k)``."""
-    exceptional = exceptional_obstruction(len(levels))
-    classes = _iso_classes(chain(_cacti_unions(levels), [exceptional]))
-    return tuple(classes[key] for key in sorted(classes))
+    ``_z_levels(k)``, in form order: (k+2)K3, smaller than every union, then
+    the unions as ``_form_sorted`` lists them, which computes a form only for
+    a union that shares its vertex count with another."""
+    return (exceptional_obstruction(len(levels)),) + _form_sorted(_cacti_unions(levels))
 
 
 def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
@@ -167,7 +169,9 @@ def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
     each pick at or after the last (no level exceeds k, so >= 2 picks).  No
     two walks give isomorphic unions (a union's components are its members,
     one level's members are pairwise non-isomorphic, level j has 4j + 1
-    vertices), so ``_iso_classes`` only orders them and drops none."""
+    vertices), so ``_form_sorted`` only orders them and drops none: by vertex
+    count, 4(k + 1) + r for r members, then by canonical form among the
+    unions with equally many members."""
     members = [(j, b.graph) for j, level in enumerate(levels, 1) for b in level]
 
     def walk(start: int, rest: int, picked: tuple[Graph, ...]) -> Iterator[Graph]:
@@ -184,6 +188,8 @@ def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
 
 def exceptional_obstruction(k: int) -> Graph:
     """(k+2) disjoint triangles."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
     return disjoint_union(*([complete_graph(3)] * (k + 2)))
 
 
@@ -200,7 +206,7 @@ class CactusObstructionFamily:
 
     def __post_init__(self) -> None:
         members = self.all_graphs()
-        if len(_iso_classes(members)) != len(members):
+        if len(_form_sorted(members)) != len(members):
             raise ValueError("family members must be pairwise non-isomorphic")
         for g in members:
             if not is_in_class(g, ClassId.CACTUS):
@@ -222,11 +228,10 @@ def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
     one pass over the butterfly-cactus levels 1..k+1."""
     _check_union_level(k)
     levels = _z_levels(k + 1)
-    unions = _iso_classes(_cacti_unions(levels[:k]))
     return CactusObstructionFamily(
         k=k,
         connected=levels[k],
-        disconnected=tuple(unions[key] for key in sorted(unions)),
+        disconnected=_form_sorted(_cacti_unions(levels[:k])),
         exceptional=exceptional_obstruction(k),
     )
 

@@ -251,6 +251,26 @@ def _iso_classes(
     return out
 
 
+def _form_sorted(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
+    """``_iso_classes(graphs)`` listed in form order: the first graph met of
+    each isomorphism class.  A form starts with the vertex count, so form
+    order is vertex-count order with ties broken by the rest of the form, and
+    a graph alone at its vertex count is a class of its own whose place its
+    size decides; only graphs that share a vertex count get a form."""
+    by_size: dict[int, list[Graph]] = {}
+    for g in graphs:
+        by_size.setdefault(g.n, []).append(g)
+    out: list[Graph] = []
+    for n in sorted(by_size):
+        group = by_size[n]
+        if len(group) == 1:
+            out.append(group[0])
+        else:
+            classes = _iso_classes(group)
+            out.extend(classes[key] for key in sorted(classes))
+    return tuple(out)
+
+
 @lru_cache(maxsize=64)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical representative each.

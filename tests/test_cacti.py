@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 import apexobs.cacti
+import apexobs.canonical
 import apexobs.cli
 from apexobs.cacti import (
     MAX_LEVEL,
@@ -237,6 +238,34 @@ class TestDisconnected:
 
     def test_exceptional(self):
         assert are_isomorphic(exceptional_obstruction(1), make_named("3K3"))
+
+    @pytest.mark.parametrize("k", [-1, -2])
+    def test_exceptional_rejects_negative_k(self, k):
+        # k = -1 once gave a single K3 and k = -2 the empty graph
+        with pytest.raises(ValueError, match=f"got {k}$"):
+            exceptional_obstruction(k)
+
+    def test_forms_only_break_ties(self, monkeypatch):
+        # (k+2)K3 and every union alone at its vertex count get no canonical
+        # search: from cold caches, the searches on graphs of two or more
+        # components are those of the unions that share a vertex count
+        from apexobs.graphs import component_masks
+
+        search = apexobs.canonical._canonical_search_pruned
+        disconnected_searches = []
+
+        def counted(g):
+            if len(component_masks(g)) >= 2:
+                disconnected_searches[-1] += 1
+            return search(g)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+        for k in range(1, 6):
+            apexobs.canonical._canonical.cache_clear()
+            disconnected_searches.append(0)
+            got = disconnected_obstructions(k)
+            assert got[0].adj == exceptional_obstruction(k).adj
+        assert disconnected_searches == [0, 0, 4, 14, 53]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

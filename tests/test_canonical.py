@@ -19,6 +19,8 @@ from apexobs.cacti import (
 )
 from apexobs.canonical import (
     _canonical_search_pruned,
+    _form_sorted,
+    _iso_classes,
     _refine,
     are_isomorphic,
     automorphism_orbits,
@@ -152,6 +154,47 @@ class TestCanonicalForm:
             perm = list(range(g.n))
             random.Random(1).shuffle(perm)
             assert canonical_form(g) == canonical_form(g.relabel(perm))
+
+
+class TestFormSorted:
+    """``_form_sorted`` lists what sorting ``_iso_classes`` by form lists."""
+
+    @staticmethod
+    def relabelled(rng: random.Random, g: Graph) -> Graph:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        return g.relabel(perm)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_matches_iso_classes(self, seed):
+        rng = random.Random(seed)
+        pool = [random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(40)]
+        # isomorphic copies that are other objects, some with equal rows
+        pool += [self.relabelled(rng, rng.choice(pool)) for _ in range(20)]
+        pool += [Graph(g.n, g.edges()) for g in rng.sample(pool, 5)]
+        # a vertex count met once, and one met only by copies of one graph
+        pool.append(random_graph(rng, 10, 0.5))
+        c9 = cycle_graph(9)
+        pool += [c9, self.relabelled(rng, c9), c9]
+        rng.shuffle(pool)
+        classes = _iso_classes(pool)
+        got = _form_sorted(pool)
+        want = [classes[key] for key in sorted(classes)]
+        assert len(got) == len(want) < len(pool)
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_forms_only_where_vertex_counts_tie(self, monkeypatch):
+        formed = []
+
+        def counted(g):
+            formed.append(g)
+            return canonical_form(g)
+
+        monkeypatch.setattr(apexobs.canonical, "canonical_form", counted)
+        alone, k3, p3 = complete_graph(5), complete_graph(3), path_graph(3)
+        assert _form_sorted([alone, k3, p3, k3]) == (p3, k3, alone)
+        assert alone not in formed and len(formed) == 3
+        assert _form_sorted([]) == ()
 
 
 class TestAutomorphismOrbits:
