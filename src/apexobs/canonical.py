@@ -6,10 +6,15 @@ non-singleton cell, and take the lexicographically smallest relabelled
 adjacency matrix over all branches.
 
 Refinement counts neighbors only into the cells the previous pass created
-(the *fresh* cells): every other cell already has a constant count inside
-each cell, so counting against it could split nothing and would not change
-the order of the sub-cells.  At the root the fresh cell is the unit cell;
-below a branch it is the individualized vertex ``[v]``.
+(the *fresh* cells), and of each split cell's sub-cells only into all but
+the last: the count into any other cell is constant inside each cell or
+follows from the fresh counts, so counting against it could split nothing
+and would not change the order of the sub-cells.  At the root the fresh
+cell is the unit cell; below a branch it is the individualized vertex
+``[v]``, whose pass splits each cell into non-neighbors then neighbors of v
+without counting.  A cell no fresh cell touches stays whole without
+counting, and a vertex's counts are packed into one int key whose order is
+the order of the count vectors (see ``_refine``).
 
 Three prunes skip subtrees that are images of an explored subtree under an
 automorphism fixing the branch prefix.  The search skips a branch vertex v
@@ -43,6 +48,7 @@ from .graphs import MAX_VERTICES, Graph, popcount
 T = TypeVar("T")
 
 _CACHE_SIZE = 1 << 18
+_FIELD = MAX_VERTICES.bit_length()  # bits per count in a packed refinement key
 
 
 def _refine(
@@ -51,45 +57,88 @@ def _refine(
     """Refine an ordered partition until it is equitable.
 
     Each pass splits every cell by the vector of its neighbor counts into the
-    fresh cells (``fresh`` holds their indices into ``cells``, ascending), and
-    the sub-cells the pass creates are the fresh cells of the next pass.
+    fresh cells (``fresh`` holds their indices into ``cells``, ascending).
     Splitting is deterministic (sub-cells ordered by their count vector) so
-    the refined partition is isomorphism-invariant.  A cell with no neighbor
-    in a fresh cell has all counts 0 and stays whole.
+    the refined partition is isomorphism-invariant.  The sub-cells a pass
+    creates, but the last of each split cell, are the fresh cells of the
+    next pass; ``cells`` itself is not changed.
 
-    Precondition: inside each cell, the neighbor count into each cell that is
-    not fresh is constant.  Then the count vectors into *all* cells differ
-    only at the fresh positions, so the splits and the sub-cell order are
-    those of counting against every cell.  It holds for the unit partition
-    with ``fresh=[0]``, and for an equitable partition with one cell split
-    into ``[v]`` and the rest, with ``fresh`` the index of ``[v]``: a count
-    into the rest is the count into the old cell minus adjacency to v.  Each
-    pass keeps it, since a cell it does not split was either fresh, and so
-    split every cell by its counts, or already had constant counts.
+    Precondition: the first cell (in partition order) into which two vertices
+    of one cell have different neighbor counts, if there is one, is fresh.
+    Then the fresh counts decide the splits and the sub-cell order of
+    counting against every cell.  It holds for the unit partition with
+    ``fresh=[0]``, and for an equitable partition with one cell split into
+    ``[v]`` and the rest, with ``fresh`` the index of ``[v]``: a count into
+    the rest is the count into the old cell minus adjacency to v.  Each pass
+    keeps it.  Two vertices left in one cell have equal counts into the fresh
+    cells of the pass, so by the precondition into all of its cells.  They
+    can first differ only at a sub-cell the pass created, and not at the
+    last one of its cell: its count is the old cell's minus the counts into
+    the sub-cells before it.
+
+    Three shortcuts leave the result unchanged:
+
+    - *The singleton pass.*  When the only fresh cell is one vertex ``[v]``
+      every count is 0 or 1, so each cell splits into its non-neighbors of v,
+      then its neighbors, with no counting.
+    - *Untouched cells.*  A cell with no vertex adjacent to a fresh cell has
+      all counts 0 and stays whole; a scan against the union of the fresh
+      cells' neighborhoods finds it before any key is computed.
+    - *Packed keys.*  A vertex's count vector is one int, each count in a
+      field of ``MAX_VERTICES.bit_length()`` bits (a count is at most
+      ``MAX_VERTICES``, so no field overflows into the next), the first fresh
+      cell's count most significant.  Comparing two such ints compares the
+      vectors lexicographically, so sorting the keys orders the sub-cells as
+      sorting the tuples would.
     """
     while fresh:
+        new_cells: list[list[int]] = []
+        if len(fresh) == 1 and len(cells[fresh[0]]) == 1:
+            a = adj[cells[fresh[0]][0]]
+            fresh = []
+            for cell in cells:
+                if len(cell) > 1:
+                    nb = [u for u in cell if a >> u & 1]
+                    if nb and len(nb) < len(cell):
+                        fresh.append(len(new_cells))
+                        new_cells.append([u for u in cell if not a >> u & 1])
+                        new_cells.append(nb)
+                        continue
+                new_cells.append(cell)
+            cells = new_cells
+            continue
         masks = []
+        touched = 0
         for i in fresh:
             m = 0
             for v in cells[i]:
                 m |= 1 << v
+                touched |= adj[v]
             masks.append(m)
-        new_cells: list[list[int]] = []
         fresh = []
         for cell in cells:
             if len(cell) > 1:
-                if len(masks) == 1:
-                    m = masks[0]
-                    keys = [popcount(adj[v] & m) for v in cell]
+                for v in cell:
+                    if touched >> v & 1:
+                        break
                 else:
-                    keys = [tuple([popcount(adj[v] & m) for m in masks]) for v in cell]
+                    new_cells.append(cell)
+                    continue
+                keys = []
+                for v in cell:
+                    a = adj[v]
+                    key = 0
+                    for m in masks:
+                        key = key << _FIELD | popcount(a & m)
+                    keys.append(key)
                 if keys.count(keys[0]) != len(keys):
-                    sig = {}
+                    sig: dict[int, list[int]] = {}
                     for v, key in zip(cell, keys):
                         sig.setdefault(key, []).append(v)
                     for key in sorted(sig):
                         fresh.append(len(new_cells))
                         new_cells.append(sig[key])
+                    fresh.pop()
                     continue
             new_cells.append(cell)
         cells = new_cells
@@ -141,9 +190,8 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
         """Search the subtree; return the depth to resume at (len(fixed) if none)."""
         nonlocal best, best_order, best_fixed
         cells = _refine(adj, cells, fresh)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         depth = len(fixed)
-        if target is None:
+        if len(cells) == n:
             order = [c[0] for c in cells]
             s = _certificate(adj, order)
             if best < 0 or s < best:
@@ -161,9 +209,15 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
                         # subtree at `level` is the image of an explored one
                         return level
             return depth
+        target = 0
+        while len(cells[target]) == 1:
+            target += 1
         cell = cells[target]
+        before, after = cells[:target], cells[target + 1:]
         explored: list[int] = []
-        parent = list(range(n))
+        # union-find over the automorphisms fixing `fixed`, built at the
+        # first one: until then no sibling is the image of an explored one
+        parent: list[int] | None = None
         folded = 0
         for v in cell:
             if explored:
@@ -180,29 +234,36 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
                     s = gens[folded]
                     folded += 1
                     if all(s[p] == p for p in fixed):
-                        for w in range(n):
-                            a, b = find(parent, w), find(parent, s[w])
-                            if a != b:
-                                parent[a] = b
-                rv = find(parent, v)
-                if any(find(parent, u) == rv for u in explored):
-                    continue
+                        if parent is None:
+                            parent = list(range(n))
+                        for w, x in enumerate(s):
+                            if w != x:
+                                a, b = find(parent, w), find(parent, x)
+                                if a != b:
+                                    parent[a] = b
+                if parent is not None:
+                    rv = find(parent, v)
+                    if any(find(parent, u) == rv for u in explored):
+                        continue
             explored.append(v)
             rest = [u for u in cell if u != v]
-            resume = descend(cells[:target] + [[v], rest] + cells[target + 1:], [target], fixed + (v,))
+            resume = descend(before + [[v], rest] + after, [target], fixed + (v,))
             if resume < depth:
                 return resume
         return depth
 
     descend([list(range(n))], [0], ())
     parent = list(range(n))
-    pairs = [(w, s[w]) for s in gens for w in range(n)] + twins
+    pairs = [(w, x) for s in gens for w, x in enumerate(s) if w != x] + twins
     for x, y in pairs:
         a, b = find(parent, x), find(parent, y)
         if a != b:
             parent[max(a, b)] = min(a, b)
-    orbits = tuple(find(parent, w) for w in range(n))
-    return best.to_bytes(4 * n, "big"), best_order, orbits
+    # every link points to a smaller vertex, so in ascending order each
+    # vertex's parent already points at its root
+    for w in range(n):
+        parent[w] = parent[parent[w]]
+    return best.to_bytes(4 * n, "big"), best_order, tuple(parent)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -261,6 +261,76 @@ class TestRefine:
                 cells = reference_refine(g.adj, children[0])
         assert checked > 1000
 
+    @staticmethod
+    def large_pool() -> list[Graph]:
+        """Graphs on 22 to 32 vertices: butterfly children of Z_6 members,
+        Z_7 members, and seeded random graphs of density up to 0.9, whose
+        degrees reach 24 and more."""
+        rng = random.Random(31)
+        children = []
+        for b in rng.sample(generate_Z(6), 8):
+            free = [v for v in range(b.graph.n) if v not in b.central_vertices]
+            children += [_attach_butterfly(b, v).graph for v in rng.sample(free, 2)]
+        z7 = [b.graph for b in rng.sample(generate_Z(7), 12)]
+        randoms = [
+            random_graph(rng, rng.randint(22, 32), rng.uniform(0.1, 0.9)) for _ in range(30)
+        ]
+        randoms.append(random_graph(rng, 32, 0.9))
+        return children + z7 + randoms
+
+    def test_large_graphs(self):
+        # the unit partition and every child on the first-vertex search path,
+        # as above, on graphs beyond the small pool's 12 vertices
+        pool = self.large_pool()
+        assert all(22 <= g.n <= 32 for g in pool)
+        # counts of 24 and more, which a packed key's field must hold whole
+        assert max(g.degree(v) for g in pool for v in range(g.n)) >= 24
+        checked = 0
+        for g in pool:
+            cells = [list(range(g.n))]
+            assert _refine(g.adj, cells, [0]) == reference_refine(g.adj, cells)
+            cells = reference_refine(g.adj, cells)
+            while len(cells) < g.n:
+                t = next(i for i, c in enumerate(cells) if len(c) > 1)
+                children = [
+                    cells[:t] + [[v], [u for u in cells[t] if u != v]] + cells[t + 1:]
+                    for v in cells[t]
+                ]
+                for child in children:
+                    assert _refine(g.adj, child, [t]) == reference_refine(g.adj, child)
+                    checked += 1
+                cells = reference_refine(g.adj, children[0])
+        assert checked > 300
+
+    def test_every_cell_fresh(self):
+        # any ordered partition meets the precondition when all its cells
+        # are fresh; a few large cells put counts of 16 and more in every
+        # field of a packed key, and the first field must still rank first
+        rng = random.Random(32)
+        for g in self.large_pool():
+            for parts in (2, 3, 4):
+                side = [rng.randrange(parts) for _ in range(g.n)]
+                cells = [[v for v in range(g.n) if side[v] == i] for i in range(parts)]
+                cells = [c for c in cells if c]
+                fresh = list(range(len(cells)))
+                assert _refine(g.adj, cells, fresh) == reference_refine(g.adj, cells)
+
+    def test_cells_left_unchanged(self, rng):
+        # the search hands one parent partition to every sibling's refinement
+        for g in self.pool(rng) + self.large_pool()[::4]:
+            unit = [list(range(g.n))]
+            _refine(g.adj, unit, [0])
+            assert unit == [list(range(g.n))]
+            cells = reference_refine(g.adj, unit)
+            if len(cells) == g.n:
+                continue
+            t = next(i for i, c in enumerate(cells) if len(c) > 1)
+            v, *rest = cells[t]
+            child = cells[:t] + [[v], rest] + cells[t + 1:]
+            copy = [list(c) for c in child]
+            _refine(g.adj, child, [t])
+            assert child == copy
+
 
 class TestPinnedOutput:
     def test_forms_and_labelings_unchanged(self):
@@ -289,6 +359,33 @@ class TestPinnedOutput:
             digest.update(canonical_form(g) + bytes(canonical_labeling(g)))
         assert digest.hexdigest() == (
             "ac38ec0456fda0139014a039e701291e5ad81316df043ba098ce181cfd417601"
+        )
+
+    def test_orbits_unchanged(self):
+        # sha256 of automorphism_orbits over the pool of the test above, as
+        # the search computed them before its refinement passes were packed:
+        # the orbits decide which attachments _z_levels skips
+        pool = [
+            g.add_vertex(nb)
+            for n in range(6)
+            for g in enumerate_graphs(n)
+            for nb in range(1 << n)
+        ]
+        pool += [
+            _attach_butterfly(b, v).graph
+            for k in range(1, 5)
+            for b in generate_Z(k)
+            for v in range(b.graph.n)
+            if v not in b.central_vertices
+        ]
+        rng = random.Random(8)
+        pool += [random_graph(rng, rng.randint(0, 14), rng.random()) for _ in range(200)]
+        assert len(pool) == 1307 + 132 + 200
+        digest = hashlib.sha256()
+        for g in pool:
+            digest.update(bytes([g.n, *automorphism_orbits(g)]))
+        assert digest.hexdigest() == (
+            "4a374937dbcce7c2387650eb1e0ced74300bf160869b27448ed436f9b5659463"
         )
 
     def test_unions_with_repeated_parts_unchanged(self):
