@@ -72,7 +72,7 @@ def eval_series(series: PowerSeries, z: float) -> float:
     """sum a_n z^n in doubles, robust to coefficients beyond float range."""
     if z == 0.0:
         return float(series.coeffs[0])
-    if z < 0:
+    if not z >= 0:  # NaN too
         raise ValueError("only non-negative arguments are supported")
     terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
     return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]

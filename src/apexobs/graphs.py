@@ -45,11 +45,17 @@ class Graph:
     @staticmethod
     def from_adj(adj: Iterable[int]) -> Graph:
         """Build a graph directly from a bitset adjacency list (validated)."""
-        adj = tuple(adj)
+        g = Graph._from_rows(tuple(adj))
+        g._validate()
+        return g
+
+    @staticmethod
+    def _from_rows(adj: tuple[int, ...]) -> Graph:
+        """The graph on the rows ``adj``, unchecked: every graph derived from a
+        valid one is built here, as its rows are symmetric and loop-free."""
         g = Graph.__new__(Graph)
         object.__setattr__(g, "n", len(adj))
         object.__setattr__(g, "adj", adj)
-        g._validate()
         return g
 
     def _validate(self) -> None:
@@ -112,8 +118,10 @@ class Graph:
 
     def subgraph(self, keep: int) -> Graph:
         """Induced subgraph on the vertex bitmask ``keep``, relabelled."""
-        if keep >> self.n:  # a negative mask sets every bit from n up
-            self._check_vertex(keep.bit_length() - 1 if keep > 0 else self.n)
+        out = keep >> self.n  # a negative mask sets every bit from n up
+        if out:
+            v = self.n + (out & -out).bit_length() - 1
+            raise ValueError(f"mask {keep:#x} sets vertex {v} outside 0..{self.n - 1}")
         return _induced(self.adj, keep)
 
     def delete_vertices(self, drop: Iterable[int]) -> Graph:
@@ -126,7 +134,7 @@ class Graph:
     def delete_edge(self, u: int, v: int) -> Graph:
         if not self.has_edge(u, v):
             raise ValueError(f"no edge ({u},{v})")
-        return Graph.from_adj(_deletion_rows(self.adj, u, v))
+        return Graph._from_rows(_deletion_rows(self.adj, u, v))
 
     def contract_edge(self, u: int, v: int) -> Graph:
         """Contract edge uv; the merged vertex keeps u's label slot.
@@ -139,11 +147,7 @@ class Graph:
         return _induced(_contraction_rows(self.adj, u, v), ((1 << self.n) - 1) & ~(1 << v))
 
     def add_vertex(self, neighborhood: int = 0) -> Graph:
-        """Append a new vertex adjacent to the bitmask ``neighborhood``.
-
-        Only the arguments are checked: the rows built from a valid graph
-        and an in-range mask are symmetric and loop-free by construction.
-        """
+        """Append a new vertex adjacent to the bitmask ``neighborhood``."""
         n = self.n
         if n >= MAX_VERTICES:
             raise ValueError(f"vertex count {n + 1} exceeds {MAX_VERTICES}")
@@ -151,10 +155,7 @@ class Graph:
             raise ValueError(f"neighborhood {neighborhood:#x} mentions vertices outside 0..{n - 1}")
         new = 1 << n
         adj = tuple(row | new if neighborhood >> v & 1 else row for v, row in enumerate(self.adj))
-        g = Graph.__new__(Graph)
-        object.__setattr__(g, "n", n + 1)
-        object.__setattr__(g, "adj", adj + (neighborhood,))
-        return g
+        return Graph._from_rows(adj + (neighborhood,))
 
     def relabel(self, perm: Iterable[int]) -> Graph:
         """Relabel: vertex v becomes perm[v]; perm lists each of 0..n-1 once."""
@@ -167,7 +168,7 @@ class Graph:
             for u in bits(self.adj[v]):
                 row |= 1 << perm[u]
             adj[perm[v]] = row
-        return Graph.from_adj(adj)
+        return Graph._from_rows(tuple(adj))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -195,7 +196,7 @@ def _induced(adj: tuple[int, ...], keep: int) -> Graph:
         low = (1 << r) - 1
         rows = [row & low | row >> 1 & ~low for row in rows]
         drop ^= 1 << r
-    return Graph.from_adj(rows)
+    return Graph._from_rows(tuple(rows))
 
 
 def _contraction_rows(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
@@ -258,7 +259,7 @@ def disjoint_union(*graphs: Graph) -> Graph:
     for g in graphs:
         adj.extend(row << off for row in g.adj)
         off += g.n
-    return Graph.from_adj(adj)
+    return Graph._from_rows(tuple(adj))
 
 
 _NAME_RE = re.compile(
@@ -300,12 +301,16 @@ def make_named(name: str) -> Graph:
 
 def component_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the connected components."""
-    todo = (1 << g.n) - 1
+    return _components(g.adj, (1 << g.n) - 1)
+
+
+def _components(adj: tuple[int, ...], alive: int) -> list[int]:
+    """Vertex masks of the components of the graph the rows ``adj`` induce on ``alive``."""
     comps = []
-    while todo:
-        comp = _component(g.adj, todo & -todo, todo)
+    while alive:
+        comp = _component(adj, alive & -alive, alive)
         comps.append(comp)
-        todo &= ~comp
+        alive &= ~comp
     return comps
 
 
@@ -314,8 +319,10 @@ def _component(adj: tuple[int, ...], start: int, within: int) -> int:
     seen = frontier = start
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= adj[b.bit_length() - 1]
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
@@ -327,7 +334,7 @@ def is_connected(g: Graph) -> bool:
 
 def cyclomatic(g: Graph) -> int:
     """|E| - |V| + number of connected components (counts independent cycles)."""
-    return g.num_edges() - g.n + len(component_masks(g))
+    return _cycle_rank(g.adj, (1 << g.n) - 1)
 
 
 class ClassId(Enum):
@@ -348,7 +355,7 @@ def _require_class(cls: ClassId) -> None:
 def is_in_class(g: Graph, cls: ClassId) -> bool:
     """True iff g is in ``cls``: the apex search at budget 0, on g's 2-core."""
     _require_class(cls)
-    return _apex_search(g.adj, (1 << g.n) - 1, cls, 0, {}) is not None
+    return _apex_search(g.adj, *_strip(g.adj, (1 << g.n) - 1), cls, 0, {}) is not None
 
 
 # -- apex sets: a bounded search tree over vertex bitmasks ------------------
@@ -363,9 +370,10 @@ def is_in_class(g: Graph, cls: ClassId) -> bool:
 # a pendant path, which keeps a graph in every class (it adds no cycle, and
 # no block but an edge).  The cost is |witness|^k nodes, not C(n, <=k).
 #
-# Only the root strips its alive set in full.  A branch hands its child the
-# 2-core and degree >= 3 vertices left by one deletion, from ``_peel``, which
-# counts again only the neighbours of what it removes.  For FOREST and
+# Every search takes a 2-core and its degree >= 3 vertices: each entry point
+# strips once, by ``_strip``, and a branch hands its child the 2-core and
+# degree >= 3 vertices left by one deletion, from ``_peel``, which counts
+# again only the neighbours of what it removes.  For FOREST and
 # SUB_UNICYCLIC a node first packs disjoint cycles: k + 1 + t of them refute
 # budget k for cycle rank cap t.  The packing takes its triangles in one scan.
 
@@ -592,28 +600,19 @@ _RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle
 
 
 def _apex_search(
-    adj: tuple[int, ...],
-    alive: int,
-    cls: ClassId,
-    k: int,
-    failed: dict[int, int],
-    high: int | None = None,
+    adj: tuple[int, ...], core: int, high: int, cls: ClassId, k: int, failed: dict[int, int]
 ) -> int | None:
-    """A set of at most k vertices of ``alive`` whose deletion lands it in ``cls``, or None.
+    """A set of at most k vertices of ``core`` whose deletion lands it in ``cls``, or None.
 
-    The set is the branch path that succeeded: every class is decided by
-    the 2-core alone, and deleting a set from ``alive`` leaves the 2-core
-    that deleting it from the 2-core of ``alive`` leaves.  With ``high``
-    None, ``alive`` is stripped first; otherwise ``alive`` is already a
-    2-core whose vertices of degree >= 3 are ``high``, as each branch hands
-    its child by ``_peel``.  ``failed`` maps a core to the largest budget it
-    was refuted with.  The packing bound needs a cycle-rank cap t, so it
-    skips PSEUDOFOREST, CACTUS and k <= 1.
+    ``core`` is a 2-core whose vertices of degree >= 3 are ``high``: the
+    ``_strip`` of an alive set, or the ``_peel`` a branch hands its child.
+    A set found for the 2-core serves the alive set it came from: every
+    class is decided by the 2-core alone, and deleting a set from ``alive``
+    leaves the 2-core that deleting it from the 2-core of ``alive`` leaves.
+    ``failed`` maps a core to the largest budget it was refuted with.  The
+    packing bound needs a cycle-rank cap t, so it skips PSEUDOFOREST,
+    CACTUS and k <= 1.
     """
-    if high is None:
-        core, high = _strip(adj, alive)
-    else:
-        core = alive
     block = _thick_block(adj, core) if high and cls is ClassId.CACTUS else 0
     if _core_in_class(adj, core, high, block, cls):
         return 0
@@ -631,29 +630,23 @@ def _apex_search(
     )
     for v in branch:
         child, child_high = _peel(adj, core, high, 1 << v)
-        found = _apex_search(adj, child, cls, k - 1, failed, child_high)
+        found = _apex_search(adj, child, child_high, cls, k - 1, failed)
         if found is not None:
             return found | 1 << v
     failed[core] = k
     return None
 
 
-def _count_forest_sets(
-    adj: tuple[int, ...], alive: int, free: int, k: int, high: int | None = None
-) -> int:
-    """Number of k-subsets of ``free`` whose deletion leaves ``alive`` a forest.
+def _count_forest_sets(adj: tuple[int, ...], core: int, high: int, free: int, k: int) -> int:
+    """Number of k-subsets of ``free`` whose deletion leaves ``core`` a forest.
 
-    Ordered exclusion keeps the branches disjoint: branch i deletes the i-th
-    free vertex of a shortest cycle and forbids the ones before it.  Once the
-    rest is a forest, any k of the free vertices left will do.  ``high`` is
-    as in ``_apex_search``: None strips ``alive`` first, and each branch
-    hands its child the ``_peel`` of its 2-core.  More than k disjoint
+    ``core`` and ``high`` are as in ``_apex_search``, and so is the answer
+    for the alive set ``core`` was stripped from.  Ordered exclusion keeps
+    the branches disjoint: branch i deletes the i-th free vertex of a
+    shortest cycle and forbids the ones before it.  Once the rest is a
+    forest, any k of the free vertices left will do.  More than k disjoint
     cycles need more than k deletions, so the packing bound ends a branch.
     """
-    if high is None:
-        core, high = _strip(adj, alive)
-    else:
-        core = alive
     if not core:
         return comb(free.bit_count(), k)
     if k == 0 or _cycle_packing(adj, core, k + 1) > k:
@@ -661,7 +654,7 @@ def _count_forest_sets(
     total = 0
     for v in bits(_shortest_cycle(adj, core) & free):
         child, child_high = _peel(adj, core, high, 1 << v)
-        total += _count_forest_sets(adj, child, free & ~(1 << v), k - 1, child_high)
+        total += _count_forest_sets(adj, child, child_high, free & ~(1 << v), k - 1)
         free &= ~(1 << v)
     return total
 
@@ -694,16 +687,17 @@ def _rank_drop(
 
 def _edge_count(adj: tuple[int, ...], alive: int) -> int:
     """Number of edges of the graph the rows ``adj`` induce on ``alive``."""
-    return sum(popcount(adj[v] & alive) for v in bits(alive)) // 2
+    twice, m = 0, alive
+    while m:
+        b = m & -m
+        m ^= b
+        twice += (adj[b.bit_length() - 1] & alive).bit_count()
+    return twice // 2
 
 
 def _cycle_rank(adj: tuple[int, ...], alive: int) -> int:
     """|E| - |V| + components of the graph the rows ``adj`` induce on ``alive``."""
-    comps, todo = 0, alive
-    while todo:
-        todo &= ~_component(adj, todo & -todo, todo)
-        comps += 1
-    return _edge_count(adj, alive) - popcount(alive) + comps
+    return _edge_count(adj, alive) - popcount(alive) + len(_components(adj, alive))
 
 
 def min_apex_size(g: Graph, cls: ClassId) -> int:
@@ -712,10 +706,10 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
     Iterative deepening over the bounded search: budgets 0, 1, 2, ...
     """
     _require_class(cls)
-    full = (1 << g.n) - 1
+    core, high = _strip(g.adj, (1 << g.n) - 1)
     failed: dict[int, int] = {}
     k = 0
-    while _apex_search(g.adj, full, cls, k, failed) is None:
+    while _apex_search(g.adj, core, high, cls, k, failed) is None:
         k += 1
     return k
 
@@ -723,7 +717,7 @@ def min_apex_size(g: Graph, cls: ClassId) -> int:
 def has_apex_set_within(g: Graph, cls: ClassId, k: int) -> bool:
     """True iff some deletion set of size <= k lands g in the class."""
     _require_class(cls)
-    return k >= 0 and _apex_search(g.adj, (1 << g.n) - 1, cls, k, {}) is not None
+    return k >= 0 and _apex_search(g.adj, *_strip(g.adj, (1 << g.n) - 1), cls, k, {}) is not None
 
 
 # -- blocks, cut vertices, bc-tree ------------------------------------------

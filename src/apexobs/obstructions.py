@@ -30,6 +30,7 @@ from .graphs import (
     _cycle_rank,
     _induced,
     _rank_drop,
+    _strip,
     bridges,
     component_masks,
     cyclomatic,
@@ -143,13 +144,13 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
         for i, (s, rank) in enumerate(sets):
             drop = None if t is None else _rank_drop(adj, rows, alive, edge, s)
             if (rank - drop <= t if drop is not None
-                    else _apex_search(rows, alive & ~s, cls, 0, {}) is not None):
+                    else _apex_search(rows, *_strip(rows, alive & ~s), cls, 0, {}) is not None):
                 if i:
                     sets.insert(0, sets.pop(i))
                 break
         else:
             searched += 1
-            s = _apex_search(rows, alive, cls, k, {})
+            s = _apex_search(rows, *_strip(rows, alive), cls, k, {})
             if s is None:
                 witness = _induced(rows, alive)
                 return ObstructionCheck(False, "minimality", witness, children_searched=searched)

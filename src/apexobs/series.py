@@ -53,6 +53,8 @@ class PowerSeries:
         return self.coeffs[n]
 
     def truncate(self, truncation: int) -> PowerSeries:
+        if truncation < 0:
+            raise ValueError(f"truncation must be >= 0, got {truncation}")
         if truncation > self.truncation:
             raise ValueError("cannot extend a truncated series")
         return PowerSeries(self.coeffs[: truncation + 1])

@@ -301,6 +301,10 @@ class TestHoliness:
     def test_budget(self):
         rep = verify_holiness(2, budget_seconds=0.0)
         assert not rep.complete
+        # the budget stopped it before the first member, so none was verified
+        assert not rep.all_members_verified
+        rep = verify_holiness(6, budget_seconds=0.0)
+        assert rep.members == 366 and not rep.complete and not rep.all_members_verified
 
     def test_level_range(self):
         for k in (-1, MAX_LEVEL):

@@ -165,6 +165,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"vertex {vertex} outside 0\.\.2"):
             getattr(complete_graph(3), method)(*args)
 
+    def test_subgraph_names_a_negative_mask(self):
+        # -1 sets every bit from 3 up; the message names the mask the caller gave
+        with pytest.raises(ValueError, match=r"mask -0x1 sets vertex 3 outside 0\.\.2"):
+            make_named("K3").subgraph(-1)
+        with pytest.raises(ValueError, match=r"mask 0x18 sets vertex 3 outside 0\.\.2"):
+            make_named("K3").subgraph(0b11000)
+
     def test_relabel_checks_its_permutation(self):
         g = Graph(4, [(0, 1), (2, 3)])
         for bad in ([0, 1, 1, 0], [2, 3, 0, 1, 5], [0, 1, 2]):
@@ -467,7 +474,7 @@ class TestApexSearch:
             for rows, alive, _ in [(g.adj, (1 << g.n) - 1, None), *_child_rows(g)]:
                 need = min_apex_size(_induced(rows, alive), cls)
                 for k in range(4):
-                    s = _apex_search(rows, alive, cls, k, {})
+                    s = _apex_search(rows, *_strip(rows, alive), cls, k, {})
                     assert (s is None) == (k < need)
                     if s is None:
                         refuted += 1
@@ -549,7 +556,7 @@ class TestApexSearch:
         search = apexobs.graphs._apex_search
 
         def counted_search(*args):
-            budgets.append(args[3])
+            budgets.append(args[4])
             return search(*args)
 
         monkeypatch.setattr(apexobs.graphs, "_apex_search", counted_search)

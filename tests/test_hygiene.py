@@ -1,9 +1,10 @@
 """Source hygiene: every name a module of the package, a test or a demo
 imports is used in it, `apexobs.__all__` lists exactly what `__init__.py`
 imports, every module-level private function or class is referenced
-somewhere, no public function or method takes a private parameter, every
-name the benchmark harness hooks into exists, and every private name README
-mentions exists."""
+somewhere, no public function or method takes a private parameter, no code
+but `Graph.__init__` and the trusted constructor fills in a `Graph` itself,
+every name the benchmark harness hooks into exists, and every private name
+README mentions exists."""
 
 from __future__ import annotations
 
@@ -169,6 +170,58 @@ def test_scanner_flags_a_private_parameter():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_parameters_on_public_signatures(path):
     assert private_parameters(path.read_text()) == []
+
+
+RAW_BUILDS = {("Graph", "__new__"), ("object", "__setattr__")}
+GRAPH_BUILDERS = {"Graph.__init__", "Graph._from_rows"}
+
+
+def raw_graph_builds(source: str) -> list[str]:
+    """Uses of ``Graph.__new__`` or ``object.__setattr__`` outside
+    ``GRAPH_BUILDERS``, as "scope: name": a graph built by hand, past both
+    the checked constructors and the one trusted one."""
+    found = []
+
+    def walk(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (*FUNCTIONS, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.value, ast.Name)
+                and (child.value.id, child.attr) in RAW_BUILDS
+                and scope not in GRAPH_BUILDERS
+            ):
+                found.append(f"{scope or '<module>'}: {child.value.id}.{child.attr}")
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_scanner_flags_a_graph_built_by_hand():
+    source = (
+        "class Graph:\n"
+        "    def __init__(self):\n        object.__setattr__(self, 'n', 0)\n\n"
+        "    def _from_rows(adj):\n        return Graph.__new__(Graph)\n\n"
+        "    def add_vertex(self):\n"
+        "        g = Graph.__new__(Graph)\n        object.__setattr__(g, 'n', 1)\n\n"
+        "def _induced(rows):\n    return Graph.__new__(Graph)\n"
+    )
+    assert raw_graph_builds(source) == [
+        "Graph.add_vertex: Graph.__new__",
+        "Graph.add_vertex: object.__setattr__",
+        "_induced: Graph.__new__",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_graphs_built_by_one_trusted_constructor(path):
+    """Every graph comes from ``Graph(n, edges)``, from ``Graph.from_adj``
+    or from ``Graph._from_rows``, the trusted constructor for graphs derived
+    from a valid one; no other code fills in a ``Graph`` itself."""
+    assert raw_graph_builds(path.read_text()) == []
 
 
 def test_benchmark_hooks_exist():

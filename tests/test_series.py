@@ -235,6 +235,14 @@ class TestSystem:
         assert sub.T.truncation == 10
         assert sub.T.coeffs == sol.T.coeffs[:11]
 
+    def test_negative_truncation_rejected(self):
+        # a negative slice end would keep all but the last coefficients
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -2"):
+            PowerSeries((0, 1, 2, 3, 4)).truncate(-2)
+        with pytest.raises(ValueError, match="truncation must be >= 0, got -3"):
+            solve_system(8).truncated(-3)
+        assert PowerSeries((0, 1, 2)).truncate(0).coeffs == (0,)
+
 
 SYSTEM_FIELDS = ("T_diamond", "T_star", "T_circ", "T_square", "T_triangle",
                  "T_tri_to_circ", "T", "G")
