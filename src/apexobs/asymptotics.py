@@ -72,8 +72,10 @@ def eval_series(series: PowerSeries, z: float) -> float:
     """sum a_n z^n in doubles, robust to coefficients beyond float range."""
     if z == 0.0:
         return float(series.coeffs[0])
-    if not z >= 0:  # NaN too
-        raise ValueError("only non-negative arguments are supported")
+    if not 0 <= z < math.inf:  # NaN too
+        raise ValueError(
+            f"only non-negative arguments are supported, and only finite ones, got {z}"
+        )
     terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
     return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]
 

@@ -11,10 +11,9 @@ the last: the count into any other cell is constant inside each cell or
 follows from the fresh counts, so counting against it could split nothing
 and would not change the order of the sub-cells.  At the root the fresh
 cell is the unit cell; below a branch it is the individualized vertex
-``[v]``, whose pass splits each cell into non-neighbors then neighbors of v
-without counting.  A cell no fresh cell touches stays whole without
-counting, and a vertex's counts are packed into one int key whose order is
-the order of the count vectors (see ``_refine``).
+``[v]``.  Every pass is the same: a vertex's counts are packed into one int
+key whose order is the order of the count vectors, and each cell splits by
+its keys (see ``_refine``).
 
 Three prunes skip subtrees that are images of an explored subtree under an
 automorphism fixing the branch prefix.  The search skips a branch vertex v
@@ -76,54 +75,24 @@ def _refine(
     last one of its cell: its count is the old cell's minus the counts into
     the sub-cells before it.
 
-    Three shortcuts leave the result unchanged:
-
-    - *The singleton pass.*  When the only fresh cell is one vertex ``[v]``
-      every count is 0 or 1, so each cell splits into its non-neighbors of v,
-      then its neighbors, with no counting.
-    - *Untouched cells.*  A cell with no vertex adjacent to a fresh cell has
-      all counts 0 and stays whole; a scan against the union of the fresh
-      cells' neighborhoods finds it before any key is computed.
-    - *Packed keys.*  A vertex's count vector is one int, each count in a
-      field of ``MAX_VERTICES.bit_length()`` bits (a count is at most
-      ``MAX_VERTICES``, so no field overflows into the next), the first fresh
-      cell's count most significant.  Comparing two such ints compares the
-      vectors lexicographically, so sorting the keys orders the sub-cells as
-      sorting the tuples would.
+    A vertex's count vector is *packed* into one int key, each count in a
+    field of ``MAX_VERTICES.bit_length()`` bits (a count is at most
+    ``MAX_VERTICES``, so no field overflows into the next), the first fresh
+    cell's count most significant.  Comparing two such ints compares the
+    vectors lexicographically, so sorting the keys orders the sub-cells as
+    sorting the tuples would.  A cell whose keys are all equal stays whole.
     """
     while fresh:
         new_cells: list[list[int]] = []
-        if len(fresh) == 1 and len(cells[fresh[0]]) == 1:
-            a = adj[cells[fresh[0]][0]]
-            fresh = []
-            for cell in cells:
-                if len(cell) > 1:
-                    nb = [u for u in cell if a >> u & 1]
-                    if nb and len(nb) < len(cell):
-                        fresh.append(len(new_cells))
-                        new_cells.append([u for u in cell if not a >> u & 1])
-                        new_cells.append(nb)
-                        continue
-                new_cells.append(cell)
-            cells = new_cells
-            continue
         masks = []
-        touched = 0
         for i in fresh:
             m = 0
             for v in cells[i]:
                 m |= 1 << v
-                touched |= adj[v]
             masks.append(m)
         fresh = []
         for cell in cells:
             if len(cell) > 1:
-                for v in cell:
-                    if touched >> v & 1:
-                        break
-                else:
-                    new_cells.append(cell)
-                    continue
                 keys = []
                 for v in cell:
                     a = adj[v]

@@ -223,10 +223,16 @@ def load_catalog(k: int = 1) -> Catalog:
         raise ValueError(
             f"catalog corrupt: {len(lines)} graphs but {len(metas)} manifest records"
         )
+    claimed_complete = manifest.get("claimed_complete", False)
+    if not isinstance(claimed_complete, bool):
+        raise ValueError(f'catalog corrupt: {where} has a non-boolean "claimed_complete"')
+    source_note = manifest.get("source_note", "")
+    if not isinstance(source_note, str):
+        raise ValueError(f'catalog corrupt: {where} has a non-string "source_note"')
     records = []
     for i, (meta, line) in enumerate(zip(metas, lines)):
-        if not isinstance(meta, dict) or "name" not in meta:
-            raise ValueError(f'catalog corrupt: record {i} of {where} has no "name"')
+        if not isinstance(meta, dict) or not isinstance(meta.get("name"), str):
+            raise ValueError(f'catalog corrupt: record {i} of {where} has no string "name"')
         fig = f"{meta.get('figure', '?')}, row {meta.get('row')}, col {meta.get('col')}"
         records.append(
             ObstructionRecord(
@@ -239,8 +245,8 @@ def load_catalog(k: int = 1) -> Catalog:
     return Catalog(
         k=k,
         records=records,
-        claimed_complete=manifest.get("claimed_complete", False),
-        source_note=manifest.get("source_note", ""),
+        claimed_complete=claimed_complete,
+        source_note=source_note,
     )
 
 

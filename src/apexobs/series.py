@@ -50,6 +50,9 @@ class PowerSeries:
         return len(self.coeffs) - 1
 
     def __getitem__(self, n: int) -> int:
+        """The coefficient of x^n, for n in 0..truncation."""
+        if not 0 <= n <= self.truncation:
+            raise IndexError(f"index {n} outside 0..{self.truncation} (the truncation)")
         return self.coeffs[n]
 
     def truncate(self, truncation: int) -> PowerSeries:

@@ -406,7 +406,7 @@ class TestEvalSeries:
         assert eval_series(PowerSeries((0, big)), 1e-300) == pytest.approx(want, rel=1e-12)
         assert eval_series(PowerSeries((0, -big)), 1e-300) == pytest.approx(-want, rel=1e-12)
 
-    @pytest.mark.parametrize("z", [-0.5, float("nan")])
+    @pytest.mark.parametrize("z", [-0.5, float("nan"), float("inf")])
     def test_rejects_negative_and_nan(self, z):
         with pytest.raises(ValueError, match="only non-negative arguments"):
             eval_series(PowerSeries((1, 2, 3)), z)

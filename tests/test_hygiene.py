@@ -257,23 +257,34 @@ PRIVATE_NAME = re.compile(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`")
 
 
 def missing_private_names(text: str) -> list[str]:
-    """Backticked private names in ``text``, `_name` or `module._name`, that
-    are no attribute of an apexobs module (of that module, when named)."""
+    """Backticked private names in ``text``, `_name`, `module._name` or
+    `Class._name`, that are no attribute of an apexobs module (of that
+    module, when named), or of a class of that name in an apexobs module."""
     modules = {
         p.stem: importlib.import_module(f"apexobs.{p.stem}")
         for p in MODULES
         if p.stem != "__main__"
     }
+
+    def owners(prefix: str | None) -> list[object]:
+        if prefix is None:
+            return list(modules.values())
+        if prefix in modules:
+            return [modules[prefix]]
+        found = (getattr(mod, prefix, None) for mod in modules.values())
+        return [c for c in found if isinstance(c, type)]
+
     return [
-        m[0]
-        for m in PRIVATE_NAME.finditer(text)
-        if not any(hasattr(mod, m[2]) for stem, mod in modules.items() if m[1] in (None, stem))
+        m[0] for m in PRIVATE_NAME.finditer(text) if not any(hasattr(o, m[2]) for o in owners(m[1]))
     ]
 
 
 def test_scanner_flags_a_deleted_private_name():
-    text = "`_strip`, `graphs._strip`, `series._strip`, `_lands_in` and `c_T_spread`"
-    assert missing_private_names(text) == ["`series._strip`", "`_lands_in`"]
+    text = (
+        "`_strip`, `graphs._strip`, `series._strip`, `_lands_in`, `c_T_spread`,"
+        " `Graph._from_rows` and `Graph._gone`"
+    )
+    assert missing_private_names(text) == ["`series._strip`", "`_lands_in`", "`Graph._gone`"]
 
 
 def test_readme_names_only_existing_privates():

@@ -309,6 +309,10 @@ class TestStructuralFilters:
                 assert structural_filters(rec.graph).passed, rec.name
 
 
+# well-formed manifest records for the three graphs of obs_k0.g6
+K0_RECORDS = [{"name": name} for name in ("2K3", "K4-", "Z")]
+
+
 class TestCatalog:
     def test_k1_shape(self):
         cat = load_catalog(1)
@@ -397,8 +401,14 @@ class TestCatalog:
             ({"k": 0, "records": 3}, '"records"'),
             ({"k": 0, "records": [{"name": "2K3"}, {"figure": "x"}, {"name": "Z"}]}, '"name"'),
             ([{"k": 0}], "JSON object"),
+            ({"k": 0, "records": [{"name": "2K3"}, {"name": 7}, {"name": "Z"}]}, '"name"'),
+            ({"k": 0, "claimed_complete": "no", "records": K0_RECORDS}, '"claimed_complete"'),
+            ({"k": 0, "source_note": 3, "records": K0_RECORDS}, '"source_note"'),
         ],
-        ids=["no-records", "int-records", "record-without-name", "list-manifest"],
+        ids=[
+            "no-records", "int-records", "record-without-name", "list-manifest",
+            "int-name", "string-claimed-complete", "int-source-note",
+        ],
     )
     def test_corrupt_manifest_rejected(self, tmp_path, monkeypatch, manifest, field):
         # input read from outside the program fails as ValueError, naming the field

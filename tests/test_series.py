@@ -243,6 +243,14 @@ class TestSystem:
             solve_system(8).truncated(-3)
         assert PowerSeries((0, 1, 2)).truncate(0).coeffs == (0,)
 
+    def test_index_outside_truncation_rejected(self):
+        # a negative index would read from the end of the coefficients
+        s = PowerSeries((0, 1, 2, 3))
+        assert [s[n] for n in range(4)] == [0, 1, 2, 3]
+        for n in (-1, 4):
+            with pytest.raises(IndexError, match=rf"index {n} outside 0\.\.3 \(the truncation\)"):
+                s[n]
+
 
 SYSTEM_FIELDS = ("T_diamond", "T_star", "T_circ", "T_square", "T_triangle",
                  "T_tri_to_circ", "T", "G")
