@@ -30,7 +30,7 @@ from .graphs import (
     is_in_class,
 )
 from .minors import max_triangle_packing_in_cactus
-from .obstructions import is_obstruction, same_graph_sets
+from .obstructions import _check_budget, is_obstruction, same_graph_sets
 from .series import _CheckFailed
 
 MAX_LEVEL = (MAX_VERTICES - 1) // 4  # Z_k has 4k + 1 vertices: 29 for k = 7
@@ -280,6 +280,7 @@ def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessRepo
     """
     if not 0 <= k < MAX_LEVEL:
         raise ValueError(f"k must be in 0..{MAX_LEVEL - 1}")
+    _check_budget(budget_seconds)
     t0 = time.perf_counter()
     members = generate_Z(k + 1)
     ok = True

@@ -328,6 +328,16 @@ def _component(adj: tuple[int, ...], start: int, within: int) -> int:
     return seen
 
 
+def _components_meeting(adj: tuple[int, ...], touch: int, within: int) -> int:
+    """Number of components of the graph the rows ``adj`` induce on ``within``
+    that hold a vertex of ``touch``, a subset of ``within``."""
+    pieces = 0
+    while touch:
+        touch &= ~_component(adj, touch & -touch, within)
+        pieces += 1
+    return pieces
+
+
 def is_connected(g: Graph) -> bool:
     return g.n <= 1 or len(component_masks(g)) == 1
 
@@ -373,7 +383,9 @@ def is_in_class(g: Graph, cls: ClassId) -> bool:
 # Every search takes a 2-core and its degree >= 3 vertices: each entry point
 # strips once, by ``_strip``, and a branch hands its child the 2-core and
 # degree >= 3 vertices left by one deletion, from ``_peel``, which counts
-# again only the neighbours of what it removes.  For FOREST and
+# again only the vertices a change touched and the neighbours of what it
+# removes; ``_child_core`` peels a one-step child's 2-core from its
+# parent's the same way.  For FOREST and
 # SUB_UNICYCLIC a node first packs disjoint cycles: k + 1 + t of them refute
 # budget k for cycle rank cap t.  The packing takes its triangles in one scan.
 
@@ -396,26 +408,28 @@ def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
         alive ^= low
 
 
-def _peel(adj: tuple[int, ...], core: int, high: int, drop: int) -> tuple[int, int]:
-    """``_strip(adj, core & ~drop)`` for a 2-core ``core`` whose vertices of
-    degree >= 3 are ``high``.  Only a neighbour of a removed vertex changes
-    degree, so only those are counted again, layer by layer."""
-    alive = core & ~drop
-    touched = 0
-    while drop:
-        nbrs = 0
-        while drop:
-            b = drop & -drop
-            drop ^= b
-            nbrs |= adj[b.bit_length() - 1]
-        nbrs &= alive
-        touched |= nbrs
-        while nbrs:
-            b = nbrs & -nbrs
-            nbrs ^= b
+def _peel(adj: tuple[int, ...], alive: int, high: int, touched: int) -> tuple[int, int]:
+    """``_strip(adj, alive)``, given that every vertex of ``alive`` outside
+    ``touched`` has degree >= 2 in it, and degree >= 3 iff it is in ``high``.
+    Only the vertices ``touched``, and the neighbours of the vertices it
+    removes, are counted again, layer by layer.  A branch deleting v from a
+    2-core passes ``core & ~(1 << v)`` and ``adj[v]``; ``_child_core`` passes
+    the parent's 2-core and the vertices one edge operation touches."""
+    recount = touched = touched & alive
+    while recount:
+        drop = 0
+        while recount:
+            b = recount & -recount
+            recount ^= b
             if (adj[b.bit_length() - 1] & alive).bit_count() < 2:
                 drop |= b
         alive ^= drop
+        while drop:
+            b = drop & -drop
+            drop ^= b
+            recount |= adj[b.bit_length() - 1]
+        recount &= alive
+        touched |= recount
     touched &= alive
     high &= alive & ~touched
     while touched:
@@ -629,7 +643,7 @@ def _apex_search(
         key=lambda v: -(adj[v] & core).bit_count(),
     )
     for v in branch:
-        child, child_high = _peel(adj, core, high, 1 << v)
+        child, child_high = _peel(adj, core & ~(1 << v), high, adj[v])
         found = _apex_search(adj, child, child_high, cls, k - 1, failed)
         if found is not None:
             return found | 1 << v
@@ -653,7 +667,7 @@ def _count_forest_sets(adj: tuple[int, ...], core: int, high: int, free: int, k:
         return 0
     total = 0
     for v in bits(_shortest_cycle(adj, core) & free):
-        child, child_high = _peel(adj, core, high, 1 << v)
+        child, child_high = _peel(adj, core & ~(1 << v), high, adj[v])
         total += _count_forest_sets(adj, child, child_high, free & ~(1 << v), k - 1)
         free &= ~(1 << v)
     return total
@@ -661,28 +675,43 @@ def _count_forest_sets(adj: tuple[int, ...], core: int, high: int, free: int, k:
 
 def _rank_drop(
     adj: tuple[int, ...], rows: tuple[int, ...], alive: int, edge: tuple[int, int] | None, s: int
-) -> int | None:
+) -> int:
     """How far cyc(child - s) falls below cyc(g - s), for a child (rows,
     alive, edge) of ``_child_rows`` of the graph g with rows ``adj`` and a
-    vertex mask s; None for a contraction with an end in s.
+    vertex mask s; negative where it rises.  With cyc = m - n + c:
 
     - deleting an isolated vertex, or uv with u or v in s, leaves g - s up
       to an isolated vertex: 0;
     - deleting uv otherwise: 1 if uv lies on a cycle of g - s (a common
       neighbour outside s, or v reachable from u without uv), else 0, as
       the bridge's deletion gains a component;
-    - contracting uv with u, v outside s keeps the components and merges
-      the edges to each common neighbour outside s: |N(u) & N(v) - s|.
+    - contracting uv (v merged into u) with u, v outside s keeps the
+      components and merges the edges to each common neighbour outside s:
+      |N(u) & N(v) - s|;
+    - with both ends in s, the child minus s is g - s: 0;
+    - with u in s, it is g - s - v: v's d = |N(v) - s| edges go, and its
+      component becomes the p components of g - s - v that meet N(v) - s
+      (none if d = 0), so d - p;
+    - with v in s alone, it is g - s with u joined to W = N(v) - s - N[u]:
+      an edge to one of the c components other than u's that meet W joins
+      two components, and each further edge closes a cycle, so c - |W|.
     """
     if edge is None:
         return 0
     u, v = edge
-    deleted = alive >> v & 1  # else contracted: v is not alive
-    if s & (1 << u | 1 << v):
-        return 0 if deleted else None
-    if deleted:
+    ends = s & (1 << u | 1 << v)
+    if alive >> v & 1:  # a deletion; else v is contracted into u
+        if ends:
+            return 0
         return 1 if adj[u] & adj[v] & ~s else _component(rows, 1 << u, alive & ~s) >> v & 1
-    return popcount(adj[u] & adj[v] & ~s)
+    if not ends:
+        return popcount(adj[u] & adj[v] & ~s)
+    rest = alive & ~s
+    if ends >> u & 1:
+        near = 0 if ends >> v & 1 else adj[v] & rest
+        return popcount(near) - _components_meeting(adj, near, rest)
+    joined = adj[v] & rest & ~(adj[u] | 1 << u)
+    return _components_meeting(adj, joined | 1 << u, rest) - 1 - popcount(joined)
 
 
 def _edge_count(adj: tuple[int, ...], alive: int) -> int:
@@ -874,6 +903,27 @@ def _child_rows(g: Graph) -> Iterator[tuple[tuple[int, ...], int, tuple[int, int
     iso = next((v for v in range(g.n) if adj[v] == 0), None)
     if iso is not None:
         yield adj, full & ~(1 << iso), None
+
+
+def _child_core(
+    adj: tuple[int, ...], core: int, high: int,
+    rows: tuple[int, ...], alive: int, edge: tuple[int, int] | None,
+) -> tuple[int, int]:
+    """``_strip(rows, alive)`` for a child (rows, alive, edge) of
+    ``_child_rows`` of the graph g with rows ``adj``, from g's 2-core
+    ``core`` and its degree >= 3 vertices ``high``.
+
+    A one-step minor has no cycle that g lacks, so the child's 2-core lies
+    in g's, with the merged vertex u in place of v when v is in g's core
+    (u is then in it too, or hangs on v by a tree).  Only u, v and their
+    common neighbours change degree: v's other neighbours trade their edge
+    to v for one to u.  An isolated vertex lies outside the core.
+    """
+    if edge is None:
+        return core, high
+    u, v = edge
+    start = (core | (core >> v & 1) << u) & alive
+    return _peel(rows, start, high, (1 << u | 1 << v | adj[u] & adj[v]) & start)
 
 
 def _one_step_children(g: Graph) -> Iterator[Graph]:

@@ -18,7 +18,7 @@ from .canonical import canonical_form
 from .graphs import (
     Graph,
     _blocks_and_cuts,
-    _component,
+    _components_meeting,
     _contraction_rows,
     _edge_count,
     _induced,
@@ -112,10 +112,8 @@ def _children(g: Graph, m: int, rank: int) -> Iterator[tuple[tuple[int, ...], in
         common = popcount(adj[u] & adj[v])
         yield _contraction_rows(adj, u, v), full & ~(1 << v), m - 1 - common, rank - common
     for v in range(g.n):
-        rest, todo, pieces = full & ~(1 << v), adj[v], 0
-        while todo:
-            todo &= ~_component(adj, todo & -todo, rest)
-            pieces += 1
+        rest = full & ~(1 << v)
+        pieces = _components_meeting(adj, adj[v], rest)
         yield adj, rest, m - popcount(adj[v]), rank - popcount(adj[v]) + pieces
 
 

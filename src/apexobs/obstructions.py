@@ -26,15 +26,16 @@ from .graphs import (
     Graph,
     _RANK_LIMIT,
     _apex_search,
+    _child_core,
     _child_rows,
     _cycle_rank,
     _induced,
     _rank_drop,
+    _require_class,
     _strip,
     bridges,
     component_masks,
     cyclomatic,
-    has_apex_set_within,
     is_connected,
     popcount,
 )
@@ -124,33 +125,34 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     vertices, so one that lands the child in the class proves it k-apex.
     Only a child that no set settles gets an apex search of budget k, and
     the first child it refutes, the first that is not k-apex, is built as
-    the witness.
+    the witness.  g is stripped once: its 2-core serves its own search,
+    and ``graphs._child_core`` peels each searched child's 2-core from it.
 
     A set s is stored with cyc(g - s).  For FOREST and SUB_UNICYCLIC, the
     classes of cycle rank at most t, the child minus s lands iff that rank
-    minus ``graphs._rank_drop`` is at most t; where the drop has no answer
-    (a contraction with an end in s), and for PSEUDOFOREST and CACTUS, the
-    apex search at budget 0 decides.
+    minus ``graphs._rank_drop`` is at most t, which answers every child;
+    for PSEUDOFOREST and CACTUS, the apex search at budget 0 decides.
     """
     if k < 0:
         raise ValueError("k must be non-negative")
-    if has_apex_set_within(g, cls, k):
-        return ObstructionCheck(False, failed_step="membership")
+    _require_class(cls)
     adj, full = g.adj, (1 << g.n) - 1
+    core, high = _strip(adj, full)
+    if _apex_search(adj, core, high, cls, k, {}) is not None:
+        return ObstructionCheck(False, failed_step="membership")
     t = _RANK_LIMIT.get(cls)
     sets: list[tuple[int, int]] = []  # (s, cyc(g - s))
     searched = 0
     for rows, alive, edge in _child_rows(g):
         for i, (s, rank) in enumerate(sets):
-            drop = None if t is None else _rank_drop(adj, rows, alive, edge, s)
-            if (rank - drop <= t if drop is not None
+            if (rank - _rank_drop(adj, rows, alive, edge, s) <= t if t is not None
                     else _apex_search(rows, *_strip(rows, alive & ~s), cls, 0, {}) is not None):
                 if i:
                     sets.insert(0, sets.pop(i))
                 break
         else:
             searched += 1
-            s = _apex_search(rows, *_strip(rows, alive), cls, k, {})
+            s = _apex_search(rows, *_child_core(adj, core, high, rows, alive, edge), cls, k, {})
             if s is None:
                 witness = _induced(rows, alive)
                 return ObstructionCheck(False, "minimality", witness, children_searched=searched)
@@ -495,6 +497,13 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
             yield from (_apex_extensions(g, 0) if k else [g])
 
 
+def _check_budget(budget_seconds: float | None) -> None:
+    """Reject a time budget that is negative or NaN: NaN never ends a run
+    yet leaves it complete, and a negative one ends it before any check."""
+    if budget_seconds is not None and not budget_seconds >= 0:
+        raise ValueError(f"budget_seconds must be a non-negative number, got {budget_seconds}")
+
+
 def search_obstructions(
     k: int,
     max_n: int,
@@ -509,12 +518,14 @@ def search_obstructions(
     degree-2 vertices with adjacent neighbors, bridgeless; cheapest first)
     and is deduplicated by canonical form before the full test.  The
     ``candidates`` counts of the catalog say how many were generated, passed
-    the filters, were checked and were found.
+    the filters, were checked and were found.  ``budget_seconds`` stops the
+    search after that many seconds, with the catalog not claimed complete.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     if not 0 <= max_n <= MAX_VERTICES:
         raise ValueError(f"max_n {max_n} outside 0..{MAX_VERTICES} (the vertex limit)")
+    _check_budget(budget_seconds)
     t0 = time.perf_counter()
     counts = dict.fromkeys(("generated", "passed_filters", "checked", "found"), 0)
     complete = True

@@ -306,6 +306,12 @@ class TestHoliness:
         rep = verify_holiness(6, budget_seconds=0.0)
         assert rep.members == 366 and not rep.complete and not rep.all_members_verified
 
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_budget_must_be_a_non_negative_number(self, budget):
+        message = f"budget_seconds must be a non-negative number, got {budget}"
+        with pytest.raises(ValueError, match=message):
+            verify_holiness(2, budget_seconds=budget)
+
     def test_level_range(self):
         for k in (-1, MAX_LEVEL):
             with pytest.raises(ValueError, match=rf"k must be in 0\.\.{MAX_LEVEL - 1}$"):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from collections import Counter
@@ -227,9 +228,9 @@ class TestSiblingSets:
     @pytest.mark.parametrize("cls", [ClassId.FOREST, ClassId.SUB_UNICYCLIC])
     def test_rank_rule_matches_the_core_test(self, cls):
         # every child against every set s with |s| <= k that leaves g outside
-        # the class, sets holding an end of the child's edge included: where
-        # _rank_drop answers, rank - drop <= t iff the budget-0 search lands
-        # the child minus s
+        # the class, sets holding an end of the child's edge included:
+        # _rank_drop answers each, and rank - drop <= t iff the budget-0
+        # search lands the child minus s
         t = _RANK_LIMIT[cls]
 
         def lands(adj, alive):
@@ -256,8 +257,7 @@ class TestSiblingSets:
                 for s, rank in sets:
                     want = lands(rows, alive & ~s)
                     drop = _rank_drop(g.adj, rows, alive, edge, s)
-                    if drop is not None:
-                        assert (rank - drop <= t) == want, (g, edge, s)
+                    assert drop is not None and (rank - drop <= t) == want, (g, edge, s)
                     kind = "isolated" if edge is None else (
                         "deletion" if alive >> edge[1] & 1 else "contraction"
                     )
@@ -280,6 +280,25 @@ class TestSiblingSets:
             for j in (2, 3, 4, 5)
         ]
         assert searched == [2, 11, 36, 163]
+
+    # level -> (children_searched summed over Z_level at k = level - 1, the
+    # sha256 of each member's (verdict, failed_step, witness graph6)), the
+    # levels gen-cacti --verify checks last, as the check gave them before
+    # child searches started from g's 2-core
+    CLI_LEVELS = {
+        6: (697, "aa5601a5c6c7a49f0c5898c8012a1aa15316b3f684be4e2760b905fd55dd76da"),
+        7: (3402, "eb545a4b0f780b1bca731b0dc1159067d457abb164323c0d987f9ae025ee35e8"),
+    }
+
+    @pytest.mark.parametrize("level", list(CLI_LEVELS))
+    def test_outcomes_pinned_at_the_cli_levels(self, level):
+        searched, digest = 0, hashlib.sha256()
+        for b in generate_Z(level):
+            check = check_obstruction(b.graph, level - 1)
+            searched += check.children_searched
+            witness = None if check.witness is None else to_graph6(check.witness)
+            digest.update(repr((check.is_obstruction, check.failed_step, witness)).encode())
+        assert (searched, digest.hexdigest()) == self.CLI_LEVELS[level]
 
     def test_siblings_settle_most_children(self):
         g = generate_Z(4)[0].graph
@@ -470,6 +489,14 @@ class TestSearch:
     def test_budget_marks_incomplete(self):
         cat = search_obstructions(0, 6, budget_seconds=0.0)
         assert not cat.claimed_complete
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1.0])
+    def test_budget_must_be_a_non_negative_number(self, budget):
+        # NaN compares false, so it would never stop the search yet leave it
+        # claimed complete; a negative one would stop it before any check
+        message = f"budget_seconds must be a non-negative number, got {budget}"
+        with pytest.raises(ValueError, match=message):
+            search_obstructions(1, 7, budget_seconds=budget)
 
     @pytest.mark.parametrize("k, max_n", [(1, -3), (-1, 1), (0, 33)])
     def test_sizes_checked_before_generating(self, k, max_n, monkeypatch):
