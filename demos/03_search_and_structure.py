@@ -1,9 +1,10 @@
-"""Obstruction search, and the structural filters that prune it.
+"""Obstruction search, and the structural conditions every obstruction meets.
 
 Every obstruction has minimum degree 2, no bridges, and adjacent neighbors
 around every degree-2 vertex.  Every k-obstruction is also a core of
 cyclomatic number 2 plus k apex vertices, so the search grows those cores
-one vertex at a time instead of enumerating every graph.  Searching up to
+one vertex at a time, meeting the two degree conditions as it goes,
+instead of enumerating every graph.  Searching up to
 6 vertices at level 0 rediscovers the three base obstructions; searching
 up to 7 vertices at level 1 finds exactly the catalog members of that
 size, and up to 10 vertices all 29.

@@ -136,14 +136,9 @@ def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
     y-derivatives are exact in form: every pure y-derivative of order m is
     (x/2)(3^m E^3 + E W).  x-derivatives differentiate the tails analytically.
     """
-    return _F(x, y, _tail_series(sol.T_diamond))
-
-
-def _F(x: float, y: float, tails: tuple[LogTerms, LogTerms]) -> FDerivatives:
-    """`eval_F` on tail series already built."""
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    t, tp, tpp, u, up, upp = _tails(tails, x)
+    t, tp, tpp, u, up, upp = _tails(_tail_series(sol.T_diamond), x)
     E = math.exp(y + t)
     W = math.exp(u)
     E3 = E ** 3
@@ -212,12 +207,11 @@ def solve_saddle(
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     x, y = SADDLE_START
-    tails = _tail_series(sol.T_diamond)
 
     def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
         return (yy - p.F, 1.0 - p.Fy)
 
-    p = _F(x, y, tails)
+    p = eval_F(x, y, sol)
     r1, r2 = residuals(p, y)
     norm = abs(r1) + abs(r2)
     if norm < tol:
@@ -235,7 +229,7 @@ def solve_saddle(
         while True:
             nx, ny = x - step * dx, y - step * dy
             if 0.0 < nx < 1.0:
-                pn = _F(nx, ny, tails)
+                pn = eval_F(nx, ny, sol)
                 nr1, nr2 = residuals(pn, ny)
                 if abs(nr1) + abs(nr2) <= norm or step < 1e-6:
                     break
@@ -283,11 +277,10 @@ def solve_y_at(sol: SeriesSystemSolution, x: float) -> float:
     iterate is returned without it.  Past rho there is no root, and the
     solve raises ValueError.
     """
-    tails = _tail_series(sol.T_diamond)
     y, step = 0.0, math.inf
     while True:
         try:
-            p = _F(x, y, tails)
+            p = eval_F(x, y, sol)
         except OverflowError:
             break
         new_step = (p.F - y) / (1.0 - p.Fy)
@@ -308,7 +301,7 @@ def expansion_coeffs(sp: SaddlePoint, sol: SeriesSystemSolution) -> ExpansionCoe
     fits the X^2 coefficient; a mismatch is reported, never corrected.
     """
     rho, y0 = sp.x0, sp.y0
-    p = _F(rho, y0, _tail_series(sol.T_diamond))
+    p = eval_F(rho, y0, sol)
     if abs(p.Fyy) < 1e-9:
         raise _CheckFailed("degenerate saddle: F_yy vanishes")
     h0 = math.sqrt(2.0 * rho * p.Fx / p.Fyy)
@@ -499,7 +492,6 @@ def check_Z1_vanishes(
             )
         if n < Z1_MIN_TRUNCATION:
             raise ValueError(f"truncation {n} is below {Z1_MIN_TRUNCATION}")
-    ref_tails = _tail_series(sol.T_diamond)
     residuals = {}
     values = {}
     for n in truncations:
@@ -507,7 +499,7 @@ def check_Z1_vanishes(
             sp = saddle
         else:
             sp = solve_saddle(sol.truncated(n), tol=tol, min_truncation=Z1_MIN_TRUNCATION)
-        p = _F(sp.x0, sp.y0, ref_tails)
+        p = eval_F(sp.x0, sp.y0, sol)
         residuals[n] = abs(_z1_residual(sp.x0, p))
         values[n] = (sp.x0, p.E, p.W)
     return Z1Report(residuals=residuals, values=values)

@@ -127,7 +127,7 @@ def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
 def count_forest_apex_sets(g: Graph, k: int) -> int:
     """Number of k-subsets of vertices whose removal leaves a forest."""
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got {k}")
     full = (1 << g.n) - 1
     return _count_forest_sets(g.adj, *_strip(g.adj, full), full, k)
 
@@ -295,8 +295,8 @@ def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessRepo
     if k <= 2 and complete:
         # one vertex past the Z_{k+1} members; bridgeless cacti suffice, as
         # at k = 0 contracting a bridge or deleting a vertex of degree <= 1
-        # keeps the cycle rank, and at k >= 1 search_obstructions' filter
-        # (min degree 2, bridgeless) holds for every obstruction
+        # keeps the cycle rank, and at k >= 1 every obstruction has minimum
+        # degree 2 and no bridge (``structural_filters``)
         pool = connected_cacti_up_to(6 + 4 * k)
         space = len(pool)
         found = [g for g in pool if is_obstruction(g, k)]

@@ -363,9 +363,8 @@ def _require_class(cls: ClassId) -> None:
 
 
 def is_in_class(g: Graph, cls: ClassId) -> bool:
-    """True iff g is in ``cls``: the apex search at budget 0, on g's 2-core."""
-    _require_class(cls)
-    return _apex_search(g.adj, *_strip(g.adj, (1 << g.n) - 1), cls, 0, {}) is not None
+    """True iff g is in ``cls``: the apex search at budget 0."""
+    return has_apex_set_within(g, cls, 0)
 
 
 # -- apex sets: a bounded search tree over vertex bitmasks ------------------

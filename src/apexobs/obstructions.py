@@ -134,7 +134,7 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     for PSEUDOFOREST and CACTUS, the apex search at budget 0 decides.
     """
     if k < 0:
-        raise ValueError("k must be non-negative")
+        raise ValueError(f"k must be non-negative, got {k}")
     _require_class(cls)
     adj, full = g.adj, (1 << g.n) - 1
     core, high = _strip(adj, full)
@@ -460,9 +460,11 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
     vertex deletion, so every core on m vertices extends one on m - 1.  Each
     core level and each apex layer but the last is deduplicated by canonical
     form; the last layer is yielded raw (with k = 0 the last core extension
-    is that raw layer).  Three rules drop what cannot give a new class that
-    passes ``structural_filters`` (minimum degree 2, degree-2 vertices with
-    adjacent neighbours), so the search checks the same classes:
+    is that raw layer).  Three rules drop what the search need not check:
+    rules 1 and 2 what cannot be an obstruction, as every obstruction has
+    minimum degree 2 and adjacent neighbours at each degree-2 vertex (the
+    degree conditions of ``structural_filters``), and rule 3 what is
+    isomorphic to a graph that is built:
 
     1. Degree floor.  A vertex gains at most one edge from each vertex added
        after it, so a graph with ``later`` vertices still to come needs
@@ -513,13 +515,15 @@ def search_obstructions(
     """Find all k-apex sub-unicyclic obstructions with at most max_n vertices.
 
     Candidates are the graphs of ``_candidates``: a core of cyclomatic
-    number 2 plus k apex vertices, which every k-obstruction is.  Each raw
-    candidate must pass the structural necessary conditions (min degree 2,
-    degree-2 vertices with adjacent neighbors, bridgeless; cheapest first)
-    and is deduplicated by canonical form before the full test.  The
-    ``candidates`` counts of the catalog say how many were generated, passed
-    the filters, were checked and were found.  ``budget_seconds`` stops the
-    search after that many seconds, with the catalog not claimed complete.
+    number 2 plus k apex vertices, which every k-obstruction is, built with
+    the degree conditions of ``structural_filters`` already met.  Each raw
+    candidate (connected, with ``connected_only``) is deduplicated by
+    canonical form and goes straight to the full test, which refutes a
+    bridged one like any other non-obstruction.  The ``candidates`` counts
+    of the catalog say how many were generated, passed ``connected_only``
+    (all of them without it), were checked and were found.
+    ``budget_seconds`` stops the search after that many seconds, with the
+    catalog not claimed complete.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -533,7 +537,7 @@ def search_obstructions(
     found: dict[bytes, Graph] = {}
     for g in _candidates(k, max_n):
         counts["generated"] += 1
-        if (connected_only and not is_connected(g)) or not structural_filters(g).passed:
+        if connected_only and not is_connected(g):
             continue
         counts["passed_filters"] += 1
         form = canonical_form(g)

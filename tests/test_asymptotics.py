@@ -9,7 +9,6 @@ import pytest
 import apexobs.asymptotics
 from apexobs.asymptotics import (
     SADDLE_MAX_ITER,
-    _F,
     _tail_series,
     _tails,
     asymptotics_report,
@@ -123,13 +122,13 @@ class TestTails:
                 builds.append(series.truncation)
                 super().__setitem__(series, tails)
 
-        def counted_F(*args):
-            evaluations.append(args)
-            return _F(*args)
+        def counted_F(x, y, sol):
+            evaluations.append((x, y))  # not sol: a held series keeps its tails
+            return eval_F(x, y, sol)
 
         held = CountedBuilds()
         monkeypatch.setattr(apexobs.asymptotics, "_TAIL_SERIES", held)
-        monkeypatch.setattr(apexobs.asymptotics, "_F", counted_F)
+        monkeypatch.setattr(apexobs.asymptotics, "eval_F", counted_F)
         sol = solve_system(64)
         report = asymptotics_report(sol)
         # solve_saddle, expansion_coeffs and check_Z1_vanishes share one
@@ -384,9 +383,9 @@ class TestScalarSolve:
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return _F(*args, **kwargs)
+            return eval_F(*args, **kwargs)
 
-        monkeypatch.setattr(apexobs.asymptotics, "_F", counted)
+        monkeypatch.setattr(apexobs.asymptotics, "eval_F", counted)
         y = solve_y_at(sol, x)
         assert len(calls) < 30
         assert abs(eval_F(x, y, sol).F - y) <= 1e-14

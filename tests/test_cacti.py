@@ -154,7 +154,7 @@ class TestForestApexCount:
         assert max(counts) > 1 and 0 in counts
 
     def test_negative_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be non-negative, got -1$"):
             count_forest_apex_sets(butterfly_graph(), -1)
 
 

@@ -428,12 +428,30 @@ class TestPinnedOutput:
             for g in graphs:
                 digest.update(f"{to_graph6(g)} {g.adj}\n".encode())
             digest.update(b"--\n")
-        for k, max_n in ((0, 7), (1, 8), (2, 8)):
-            cat = search_obstructions(k, max_n)
-            records = [rec.to_dict() for rec in cat.records]
-            digest.update(json.dumps([cat.candidates, records]).encode())
         assert digest.hexdigest() == (
-            "567a6a01af5c54f5f035c7183692a7cbfc613e4ed8b6200b66b71987196cb4b7"
+            "523261043261b5a93a46e5473769a1c454ec4a0a303cf32984bad95fe2b55800"
+        )
+
+    def test_search_outputs_unchanged(self):
+        # sha256 over the records of three searches, which are the same
+        # whether or not each candidate must first pass the structural
+        # filters.  The counts are pinned in full: with no filter stage every
+        # candidate passes, and the bridged classes are checked and refuted
+        digest = hashlib.sha256()
+        counts = {
+            (0, 7): (28, 28, 28, 3),
+            (1, 8): (734, 734, 549, 22),
+            (2, 8): (18513, 18513, 3917, 70),
+        }
+        for (k, max_n), (generated, passed, checked, found) in counts.items():
+            cat = search_obstructions(k, max_n)
+            assert cat.candidates == {
+                "generated": generated, "passed_filters": passed,
+                "checked": checked, "found": found,
+            }
+            digest.update(json.dumps([rec.to_dict() for rec in cat.records]).encode())
+        assert digest.hexdigest() == (
+            "2c25e7fdcb4bc56d348463970c09c65b680fab0d63e3140af95439c2e61760f7"
         )
 
 

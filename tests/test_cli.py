@@ -191,8 +191,8 @@ class TestSubcommands:
         assert set(c) == {"generated", "passed_filters", "checked", "found"}
         assert c["generated"] >= c["passed_filters"] >= c["checked"] >= c["found"]
         assert c["found"] == len(payload["found"]) > 0
-        # at k = 0 the filters cut; at k >= 1 every candidate generated passes
-        # them (41 of 41 at k = 1), and the deduplication cuts
+        # no filter stage: the deduplication cuts (9 candidates to 8 classes
+        # at k = 0)
         assert c["generated"] > c["checked"]
 
     def test_enumerate_row_ten(self, capsys):

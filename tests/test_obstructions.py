@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 import apexobs.canonical
+import apexobs.graphs
 import apexobs.obstructions
 from apexobs.cacti import disconnected_obstructions, generate_Z
 from apexobs.canonical import canonical_form, enumerate_graphs
@@ -87,7 +88,7 @@ class TestIsObstruction:
         assert is_obstruction(g, k)
 
     def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k must be non-negative, got -1$"):
             is_obstruction(make_named("K3"), -1)
 
 
@@ -546,6 +547,32 @@ class TestSearch:
             [r.graph for r in found.records], [r.graph for r in load_catalog(1).records]
         )
 
+    @pytest.mark.slow
+    def test_k2_up_to_9_records_unchanged(self):
+        # sha256 of the records, which are the same whether or not each
+        # candidate must first pass the structural filters (about 17 s): 1
+        # record on 6 vertices, 8 on 7, 61 on 8 and 325 on 9
+        cat = search_obstructions(2, 9)
+        assert Counter(r.graph.n for r in cat.records) == {6: 1, 7: 8, 8: 61, 9: 325}
+        records = json.dumps([rec.to_dict() for rec in cat.records]).encode()
+        assert hashlib.sha256(records).hexdigest() == (
+            "1d6e5dae82be5d7fcc7a679f452e29400fe20dacde03126c7defb213cc06acfe"
+        )
+
+    def test_runs_no_bridge_search(self, monkeypatch):
+        # a bridged candidate goes to the obstruction test, which refutes it:
+        # the search looks for no bridges of its own
+        calls = []
+        real = apexobs.graphs._blocks_and_cuts
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(apexobs.graphs, "_blocks_and_cuts", counted)
+        assert len(search_obstructions(1, 8)) == 22
+        assert calls == []
+
     def test_k1_up_to_7_matches_catalog_subset(self):
         # the level-1 search must find exactly the catalog members that fit
         found = search_obstructions(1, 7)
@@ -638,12 +665,12 @@ class TestCandidateGenerators:
     @pytest.mark.parametrize(
         "k, max_n, checked, found, generated",
         # generated: the unpruned generators built 4,526, 4,643 and 3,249
-        [(0, 8, 3, 3, 4526), (1, 8, 532, 22, 4643), (2, 7, 314, 9, 3249)],
+        [(0, 8, 109, 3, 4526), (1, 8, 549, 22, 4643), (2, 7, 316, 9, 3249)],
     )
     def test_pruning_checks_the_same_classes(self, k, max_n, checked, found, generated):
         c = search_obstructions(k, max_n).candidates
         assert (c["checked"], c["found"]) == (checked, found)
-        assert c["passed_filters"] <= c["generated"] < generated
+        assert c["passed_filters"] == c["generated"] < generated
 
 
 class TestCandidateLemma:
