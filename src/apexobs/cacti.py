@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canonical import _form_sorted, _iso_classes, automorphism_orbits
+from .canonical import _form_sorted, _iso_classes, canonical_form
 from .graphs import (
     MAX_VERTICES,
     ClassId,
@@ -23,6 +23,7 @@ from .graphs import (
     butterfly_graph,
     _count_forest_sets,
     _strip,
+    bits,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -59,52 +60,173 @@ def _glue_cycle(g: Graph, v: int, length: int) -> Graph:
     return g.add_vertex(1 << prev | 1 << v)
 
 
+def _attached_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
+    """``rows`` with a new butterfly whose extremal vertex is identified with
+    v: two triangles glued in turn as ``_glue_cycle`` glues them, at v and then
+    at the new central vertex, so the four fresh vertices are n (joined to v
+    and n + 1), the central n + 1, and n + 2, n + 3 of the far triangle."""
+    n = len(rows)
+    return rows[:v] + (rows[v] | 3 << n,) + rows[v + 1:] + (
+        1 << v | 2 << n,
+        1 << v | 13 << n,
+        10 << n,
+        6 << n,
+    )
+
+
 def _attach_butterfly(b: ButterflyCactus, v: int) -> ButterflyCactus:
     """Identify one extremal vertex of a new butterfly with vertex v.
 
     The surviving vertex id is v (the one from the old graph); the new
-    butterfly is two triangles glued in turn, at v and then at its central
-    vertex, so it contributes four fresh vertices, the central one n + 1.
+    butterfly contributes four fresh vertices, the central one n + 1.
     """
     n = b.graph.n
-    g = _glue_cycle(_glue_cycle(b.graph, v, 3), n + 1, 3)
+    g = Graph._from_rows(_attached_rows(b.graph.adj, v))
     return ButterflyCactus(g, b.central_vertices | {n + 1}, b.k + 1)
 
 
-def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
-    """All k-butterfly-cacti up to isomorphism, with central vertices tracked.
+# -- incidence trees --------------------------------------------------------------
+#
+# Every block of a butterfly-cactus is a triangle, so a member is fixed up to
+# isomorphism by its vertex-triangle incidence tree.  Every leaf of the tree
+# is a vertex node (a triangle node has degree 3), so a tree isomorphism,
+# which maps leaves to leaves, maps vertex nodes to vertex nodes, and two
+# such cacti are isomorphic iff their trees are.  Any two leaves lie an even
+# distance apart, so the diameter is even and the centre is one node, which
+# every automorphism fixes.  Rooted there, the tree gets the AHU code (Aho, Hopcroft and Ullman,
+# 1974, 3.2): a node's id is the interned sorted tuple of its children's ids,
+# and the centre's id is the code of the tree.
 
-    Deduplication by canonical form happens at every recursion level to keep
-    the frontier small.  Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
+
+def _peel_tree(
+    rows: tuple[int, ...], ids: dict[tuple[int, ...], int]
+) -> list[tuple[int, int, int]]:
+    """The incidence tree of the triangle cactus on ``rows``, peeled from its
+    leaves to its centre: (node, parent, id) for every node, in peel order,
+    the centre last with parent -1.  Vertex v is node v and the triangles
+    follow.  ``ids`` interns the sorted tuples of child ids, so two trees
+    peeled against one ``ids`` have equal centre ids iff they are isomorphic.
+
+    A node's ``link`` is the sum of its neighbours not yet peeled: when the
+    node itself is peeled it has one left, its parent.  No two nodes of one
+    layer are adjacent, as the centre is one node, so a layer peels in any
+    order.  The centre has two or more neighbours left until the last layer
+    peels them all, so its degree passes 1 there and it alone makes the
+    next layer."""
+    n = len(rows)
+    deg = [row.bit_count() >> 1 for row in rows]  # each triangle at v takes two neighbours
+    link = [0] * n
+    for v, row in enumerate(rows):
+        higher = row >> v + 1 << v + 1
+        while higher:
+            low = higher & -higher
+            u = low.bit_length() - 1
+            third = rows[u] & higher  # the triangle's third vertex, if above v
+            higher ^= low | third
+            if third:
+                w = third.bit_length() - 1
+                t = len(deg)
+                deg.append(3)
+                link.append(v + u + w)
+                link[v] += t
+                link[u] += t
+                link[w] += t
+    children: list[list[int]] = [[] for _ in deg]
+    peeled = []
+    layer = [v for v in range(n) if deg[v] == 1]
+    left = len(deg)
+    while left > 1:
+        left -= len(layer)
+        nxt = []
+        for x in layer:
+            i = ids.setdefault(tuple(sorted(children[x])), len(ids))
+            p = link[x]
+            peeled.append((x, p, i))
+            children[p].append(i)
+            link[p] -= x
+            deg[p] -= 1
+            if deg[p] == 1:
+                nxt.append(p)
+        layer = nxt
+    (centre,) = layer
+    peeled.append((centre, -1, ids.setdefault(tuple(sorted(children[centre])), len(ids))))
+    return peeled
+
+
+def _tree_orbits(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The smallest vertex in the automorphism orbit of each vertex, as
+    ``automorphism_orbits`` gives it, from the incidence tree: every
+    automorphism fixes the centre, so two nodes share an orbit iff the ids
+    along their paths from the centre are equal."""
+    path: dict[int, int] = {}
+    keys: dict[tuple[int, int], int] = {}
+    for x, p, i in reversed(_peel_tree(rows, {})):
+        path[x] = keys.setdefault((path.get(p, -1), i), len(keys))
+    first: dict[int, int] = {}
+    return tuple(first.setdefault(path[v], v) for v in range(len(rows)))
+
+
+def _row_levels(k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The first k butterfly-cactus levels as bare (rows, central mask)
+    members, each level in the order its members were first met.
+
+    A butterfly is attached at the smallest vertex of each automorphism orbit
+    (``_tree_orbits``) but the central ones: a vertex in the same orbit gives
+    an isomorphic child.  Of the children, parents in the order they entered
+    the level and vertices ascending, the first of each incidence-tree code
+    is kept.  No level is bounded by the vertex limit, and no ``Graph`` is
+    built."""
+    ids: dict[tuple[int, ...], int] = {}
+    level = [(butterfly_graph().adj, 1)]
+    levels = [level]
+    for _ in range(k - 1):
+        children: dict[int, tuple[tuple[int, ...], int]] = {}
+        for rows, central in level:
+            fresh = 2 << len(rows)  # the new butterfly's central vertex
+            for v, orbit in enumerate(_tree_orbits(rows)):
+                if v == orbit and not central >> v & 1:
+                    child = _attached_rows(rows, v)
+                    children.setdefault(_peel_tree(child, ids)[-1][2], (child, central | fresh))
+        level = list(children.values())
+        levels.append(level)
+    return levels
+
+
+def _members(level: list[tuple[tuple[int, ...], int]], k: int) -> tuple[ButterflyCactus, ...]:
+    """One level of ``_row_levels`` as ``ButterflyCactus`` objects, in form
+    order; a level of one member gets no canonical form."""
+    members = [
+        ButterflyCactus(Graph._from_rows(rows), frozenset(bits(central)), k)
+        for rows, central in level
+    ]
+    if len(members) > 1:
+        members.sort(key=lambda b: canonical_form(b.graph))
+    return tuple(members)
+
+
+def _check_level(k: int) -> None:
+    if not 1 <= k <= MAX_LEVEL:
+        raise ValueError(f"k must be in 1..{MAX_LEVEL}, got {k}")
+
+
+def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
+    """All k-butterfly-cacti up to isomorphism, with central vertices tracked,
+    in canonical-form order.
+
+    The levels are built on bitset rows and deduplicated by incidence-tree
+    code (``_row_levels``); only the members of level k get a canonical form,
+    to order them.  Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
     """
-    return _z_levels(k)[-1]
+    _check_level(k)
+    return _members(_row_levels(k)[-1], k)
 
 
 def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
-    """generate_Z(1), ..., generate_Z(k), each level built once from the last.
-
-    A butterfly is attached only at the smallest vertex of each automorphism
-    orbit: a vertex in the same orbit gives an isomorphic child, whose form
-    the smaller vertex has already put in the level.
-    """
-    if not 1 <= k <= MAX_LEVEL:
-        raise ValueError(f"k must be in 1..{MAX_LEVEL}, got {k}")
-    level = (ButterflyCactus(butterfly_graph(), frozenset({0}), 1),)
-    levels = [level]
-    for _ in range(k - 1):
-        classes = _iso_classes(
-            (
-                _attach_butterfly(b, v)
-                for b in level
-                for v, orbit in enumerate(automorphism_orbits(b.graph))
-                if v == orbit and v not in b.central_vertices
-            ),
-            lambda b: b.graph,
-        )
-        # the next level grows from the classes in the order first met
-        level = classes.values()
-        levels.append(tuple(classes[key] for key in sorted(classes)))
-    return levels
+    """generate_Z(1), ..., generate_Z(k) from one pass of ``_row_levels``:
+    every level is returned, so every level of two or more members gets its
+    canonical forms, to order it."""
+    _check_level(k)
+    return [_members(level, j) for j, level in enumerate(_row_levels(k), 1)]
 
 
 def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:

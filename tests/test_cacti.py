@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 import apexobs.cacti
@@ -11,7 +12,12 @@ import apexobs.cli
 from apexobs.cacti import (
     MAX_LEVEL,
     ButterflyCactus,
+    _attach_butterfly,
     _cacti_unions,
+    _glue_cycle,
+    _peel_tree,
+    _row_levels,
+    _tree_orbits,
     _z_levels,
     apex_forest_bound_check,
     cactus_obstruction_family,
@@ -23,7 +29,13 @@ from apexobs.cacti import (
     generate_Z,
     verify_holiness,
 )
-from apexobs.canonical import _iso_classes, are_isomorphic, canonical_form, enumerate_graphs
+from apexobs.canonical import (
+    _iso_classes,
+    are_isomorphic,
+    automorphism_orbits,
+    canonical_form,
+    enumerate_graphs,
+)
 from apexobs.cli import run
 from apexobs.graphs import (
     ClassId,
@@ -49,6 +61,7 @@ from oracles import (
     find_butterfly_buckets,
     reference_disconnected_obstructions,
     reference_generate_Z,
+    tree_certificate,
 )
 
 
@@ -107,6 +120,89 @@ class TestGenerateZ:
             for b in generate_Z(k):
                 assert min_apex_size(b.graph, ClassId.SUB_UNICYCLIC) == k
                 assert min_apex_size(b.graph, ClassId.FOREST) == k
+
+
+    def test_forms_only_for_the_returned_level(self, monkeypatch):
+        # from cold caches, generate_Z(k) searches each member of level k
+        # once and no graph of a lower level; a level of one member, none
+        search = apexobs.canonical._canonical_search_pruned
+        searched = []
+
+        def counted(g):
+            searched[-1].append(g.n)
+            return search(g)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+        for k in range(1, 7):
+            apexobs.canonical._canonical.cache_clear()
+            searched.append([])
+            generate_Z(k)
+            assert set(searched[-1]) <= {4 * k + 1}
+        assert [len(sizes) for sizes in searched] == [0, 0, 3, 7, 25, 88]
+
+    def test_attach_glues_two_triangles(self):
+        # the new butterfly's rows are those of two _glue_cycle triangles,
+        # at v and then at the new central vertex n + 1
+        for b in generate_Z(3):
+            n = b.graph.n
+            for v in range(n):
+                glued = _glue_cycle(_glue_cycle(b.graph, v, 3), n + 1, 3)
+                child = _attach_butterfly(b, v)
+                assert child.graph == glued
+                assert child.central_vertices == b.central_vertices | {n + 1}
+
+
+def attach_children(top: int) -> list[ButterflyCactus]:
+    """Every ``_attach_butterfly`` child at levels 2..top: each member of
+    the levels below at each of its non-central vertices."""
+    return [
+        _attach_butterfly(b, v)
+        for j in range(1, top)
+        for b in generate_Z(j)
+        for v in range(b.graph.n)
+        if v not in b.central_vertices
+    ]
+
+
+def incidence_tree(b: ButterflyCactus) -> nx.Graph:
+    """The vertex-triangle incidence tree in networkx: vertex v is node v,
+    a triangle is the frozenset of its vertices."""
+    tree = nx.Graph()
+    for block in decompose(b.graph).blocks:
+        tree.add_edges_from((v, frozenset(block)) for v in block)
+    return tree
+
+
+class TestTreeCodes:
+    """Incidence-tree codes and orbits against canonical forms,
+    ``automorphism_orbits`` and a networkx AHU code."""
+
+    def test_codes_equal_iff_forms_equal(self):
+        ids = {}
+        pairs = {(_peel_tree(b.graph.adj, ids)[-1][2], canonical_form(b.graph))
+                 for b in attach_children(6)}
+        assert len({code for code, _ in pairs}) == len({form for _, form in pairs}) == len(pairs)
+        assert len(pairs) == 1 + 3 + 7 + 25 + 88
+
+    def test_orbits_are_automorphism_orbits(self):
+        members = [b for k in range(1, 7) for b in generate_Z(k)]
+        for b in members + attach_children(4):
+            assert _tree_orbits(b.graph.adj) == automorphism_orbits(b.graph), b.graph
+
+    def test_codes_agree_with_networkx_ahu(self):
+        ids = {}
+        pairs = set()
+        for b in attach_children(5):
+            tree = incidence_tree(b)
+            peeled = _peel_tree(b.graph.adj, ids)
+            assert len(peeled) == tree.number_of_nodes()
+            centre = peeled[-1][0]
+            if centre >= b.graph.n:  # a triangle, whose vertices are all its children
+                centre = frozenset(x for x, p, _ in peeled if p == centre)
+            assert nx.center(tree) == [centre]
+            pairs.add((peeled[-1][2], tree_certificate(tree)))
+        assert len({code for code, _ in pairs}) == len({cert for _, cert in pairs}) == len(pairs)
+        assert len(pairs) == 1 + 3 + 7 + 25
 
 
 class TestCentralSet:
@@ -436,6 +532,24 @@ class TestCountCrossCheck:
             assert len(cactus_obstruction_family(k)) == total
             sizes.append(total)
         assert sizes == [3, 6, 14, 42, 144]
+
+    def test_row_levels_past_the_vertex_limit(self):
+        # the rows builder needs no Graph, so it runs past MAX_LEVEL: its
+        # level sizes are the T_k of the series, 33 and 37 vertices at 8, 9
+        from apexobs.series import solve_system
+
+        t = solve_system(10).T.integer_coeffs()
+        sizes = [len(level) for level in _row_levels(9)]
+        assert sizes == list(t[1:10])
+        assert sizes[MAX_LEVEL:] == [1583, 7336]
+
+    @pytest.mark.slow
+    def test_row_level_ten(self):
+        from apexobs.series import solve_system
+
+        (*_, top) = _row_levels(10)
+        assert len(top) == solve_system(11).T.integer_coeffs()[10] == 34982
+        assert {len(rows) for rows, _ in top} == {41}
 
     def test_abstract_lower_bound_exact(self):
         # the abstract: at least 0.34 * k^-2.5 * 6.278^k obstructions at

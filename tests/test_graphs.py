@@ -637,6 +637,47 @@ def core_pool(rng: random.Random, size: int) -> list[tuple[tuple[int, ...], int,
 
 
 class TestCoreBookkeeping:
+    def test_shortest_cycle_has_the_girth(self):
+        # the bipartite cores have no triangle, so the BFS answers them; its
+        # cycle is chordless and connected, as long as networkx's girth, and
+        # runs through the lowest vertex on any shortest cycle: roots go up,
+        # and a root off every shortest cycle closes only longer ones
+        import networkx as nx
+
+        def shortest_through(h: nx.Graph, v: int) -> float:
+            best = float("inf")
+            for u in list(h[v]):
+                h.remove_edge(v, u)
+                if nx.has_path(h, u, v):
+                    best = min(best, nx.shortest_path_length(h, u, v) + 1)
+                h.add_edge(v, u)
+            return best
+
+        rng = random.Random(2301)
+        lengths = Counter()
+        for adj, core, _ in core_pool(rng, 3000):
+            cycle = _shortest_cycle(adj, core)
+            lengths[cycle.bit_count()] += 1
+            if not core:
+                assert cycle == 0
+                continue
+            h = nx.Graph((v, u) for v in bits(core) for u in bits(adj[v] & core))
+            girth = nx.girth(h)
+            assert cycle.bit_count() == girth, (adj, core)
+            low = next(v for v in sorted(h) if shortest_through(h, v) == girth)
+            assert cycle & -cycle == 1 << low, (adj, core)
+            assert all((adj[v] & cycle).bit_count() == 2 for v in bits(cycle))
+            reach = cycle & -cycle
+            while True:
+                grown = reach
+                for v in bits(reach):
+                    grown |= adj[v] & cycle
+                if grown == reach:
+                    break
+                reach = grown
+            assert reach == cycle, (adj, core)
+        assert lengths[0] and lengths[3] and sum(lengths[m] for m in range(4, 9)) > 100
+
     def test_packing_is_the_greedy_on_random_cores(self):
         # the greedy capped at a limit is a prefix of the greedy capped at 7,
         # so one reference count per core serves limit 7 and one drawn below it
