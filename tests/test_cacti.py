@@ -121,7 +121,6 @@ class TestGenerateZ:
                 assert min_apex_size(b.graph, ClassId.SUB_UNICYCLIC) == k
                 assert min_apex_size(b.graph, ClassId.FOREST) == k
 
-
     def test_forms_only_for_the_returned_level(self, monkeypatch):
         # from cold caches, generate_Z(k) searches each member of level k
         # once and no graph of a lower level; a level of one member, none
