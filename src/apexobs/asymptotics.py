@@ -18,6 +18,10 @@ divisors n of m and m*w_m over all of them (the Euler-transform weights of
 T_star = MSET(T_diamond)).  N is the one truncation: t is cut at x^N and u
 at x^(2N), which bounds k too, since T_diamond(x^k) starts at x^k.
 
+Both tail series are built once per `SeriesSystemSolution` and kept on it
+(`eval_F` reads them there), so every call on one solution shares them and
+they are freed with it.
+
 All reals are double precision.  Series coefficients can exceed the float
 range, so series evaluation goes through logarithms of the exact integers.
 """
@@ -25,7 +29,6 @@ range, so series evaluation goes through logarithms of the exact integers.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 
 from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms, _CheckFailed
@@ -80,26 +83,19 @@ def eval_series(series: PowerSeries, z: float) -> float:
     return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]
 
 
-_TAIL_SERIES = weakref.WeakKeyDictionary()  # T_diamond -> the (t, u) of `_tail_series`
-
-
 def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
     """t and u as two series of the order N of d = T_diamond (d_0 = 0):
 
         t(x) = sum_{m<=N} c_m x^m,  m*c_m = sum_{n|m, m/n >= 2} n*d_n,
         u(x) = v(x^2),  v(z) = sum_{m<=N} w_m z^m,  m*w_m = m*c_m + m*d_m.
 
-    Built once per series and kept, under a weak key, while that series is
-    alive: every call on one solution shares them, and none outlives it.
+    `SeriesSystemSolution._tail_terms` builds them once per solution.
     """
-    tails = _TAIL_SERIES.get(d)
-    if tails is None:
-        u_num = [0] * len(d.coeffs)  # m*w_m: the Euler weights of MSET(T_diamond)
-        for q in range(1, len(u_num)):
-            _add_divisor_terms(u_num, q, d.coeffs[q])
-        t_num = [w - m * a for m, (w, a) in enumerate(zip(u_num, d.coeffs))]
-        tails = _TAIL_SERIES[d] = (_log_terms(t_num), _log_terms(u_num))
-    return tails
+    u_num = [0] * len(d.coeffs)  # m*w_m: the Euler weights of MSET(T_diamond)
+    for q in range(1, len(u_num)):
+        _add_divisor_terms(u_num, q, d.coeffs[q])
+    t_num = [w - m * a for m, (w, a) in enumerate(zip(u_num, d.coeffs))]
+    return _log_terms(t_num), _log_terms(u_num)
 
 
 def _tails(tails: tuple[LogTerms, LogTerms], x: float) -> tuple[float, ...]:
@@ -138,7 +134,7 @@ def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
     """
     if not 0.0 < x < 1.0:
         raise ValueError("x must lie in (0, 1)")
-    t, tp, tpp, u, up, upp = _tails(_tail_series(sol.T_diamond), x)
+    t, tp, tpp, u, up, upp = _tails(sol._tail_terms, x)
     E = math.exp(y + t)
     W = math.exp(u)
     E3 = E ** 3
@@ -192,6 +188,11 @@ class NewtonDivergence(RuntimeError):
         self.last_iterate = last
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+
+
 def solve_saddle(
     sol: SeriesSystemSolution,
     tol: float = 1e-13,
@@ -204,15 +205,10 @@ def solve_saddle(
     """
     if sol.truncation < min_truncation:
         raise ValueError(f"series truncation {sol.truncation} is below {min_truncation}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    _check_tol(tol)
     x, y = SADDLE_START
-
-    def residuals(p: FDerivatives, yy: float) -> tuple[float, float]:
-        return (yy - p.F, 1.0 - p.Fy)
-
     p = eval_F(x, y, sol)
-    r1, r2 = residuals(p, y)
+    r1, r2 = y - p.F, 1.0 - p.Fy
     norm = abs(r1) + abs(r2)
     if norm < tol:
         raise ValueError(f"tol {tol} is met by the start point (residual {norm:.3g}); use a smaller tol")
@@ -230,7 +226,7 @@ def solve_saddle(
             nx, ny = x - step * dx, y - step * dy
             if 0.0 < nx < 1.0:
                 pn = eval_F(nx, ny, sol)
-                nr1, nr2 = residuals(pn, ny)
+                nr1, nr2 = ny - pn.F, 1.0 - pn.Fy
                 if abs(nr1) + abs(nr2) <= norm or step < 1e-6:
                     break
             step /= 2.0
@@ -387,9 +383,12 @@ def estimate_constant(
     the top half of the window.  rho must be finite and positive, the
     window must hold at least 3 points (with 2 the half-window fit is the
     full fit, and the spread a false 0), and its coefficients positive.
+    alpha must be finite.
     """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be finite and positive, got {rho}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     hi = series.truncation if window is None else window[1]
     lo = hi // 2 if window is None else window[0]
     if hi > series.truncation or lo < 1 or hi - lo < 2:
@@ -416,11 +415,9 @@ def estimate_constant(
     c_fit = _richardson(pts) * c_ref
     c_half = _richardson(pts[: max(2, len(pts) // 2)]) * c_ref
     spread = abs(c_fit - c_half)
-    neg = -alpha
-    if neg > 0 or not float(neg).is_integer():
-        gamma = math.gamma(neg)
-    else:
-        gamma = 1.0  # Gamma pole: report the raw fitted constant unscaled
+    # Gamma(-alpha) has poles at alpha = 0, 1, 2, ...: there the raw fitted
+    # constant is reported unscaled
+    gamma = 1.0 if alpha >= 0 and float(alpha).is_integer() else math.gamma(-alpha)
     return AsymptoticEstimate(
         rho=rho,
         alpha=alpha,
@@ -472,9 +469,10 @@ def check_Z1_vanishes(
     """Solve the saddle at each truncation; evaluate the identity against
     the reference (full-truncation) series.  ``saddle``, if given, is the
     saddle already solved on ``sol`` itself at ``tol`` and stands for the
-    truncation ``sol.truncation``.  An empty ``truncations``, or a
-    truncation above ``sol.truncation`` or below ``Z1_MIN_TRUNCATION``,
-    raises ValueError before any saddle is solved.
+    truncation ``sol.truncation``.  A ``tol`` that is not finite and
+    positive, an empty ``truncations``, or a truncation above
+    ``sol.truncation`` or below ``Z1_MIN_TRUNCATION`` raises ValueError
+    before any saddle is solved.
 
     The residual then measures how far truncation displaces the saddle from
     the true identity.  At truncation N the tails are cut at x^N (t) and
@@ -483,6 +481,7 @@ def check_Z1_vanishes(
     out at the Newton tolerance; improvement with N is monotone up to float
     noise (genuinely visible for N below ~30).
     """
+    _check_tol(tol)
     if not truncations:
         raise ValueError("truncations must name at least one truncation")
     for n in truncations:

@@ -40,11 +40,9 @@ Two graphs have equal canonical forms iff they are isomorphic.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
 from .graphs import MAX_VERTICES, Graph, popcount
-
-T = TypeVar("T")
 
 _CACHE_SIZE = 1 << 18
 _FIELD = MAX_VERTICES.bit_length()  # bits per count in a packed refinement key
@@ -269,15 +267,12 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.n == h.n and canonical_form(g) == canonical_form(h)
 
 
-def _iso_classes(
-    items: Iterable[T], graph: Callable[[T], Graph] | None = None
-) -> dict[bytes, T]:
-    """The first item met of each isomorphism class, keyed by canonical form,
-    in the order first met.  ``graph`` gives an item's graph (default: the
-    item is the graph).  Sorting the keys lists the classes in form order."""
-    out: dict[bytes, T] = {}
-    for item in items:
-        out.setdefault(canonical_form(item if graph is None else graph(item)), item)
+def _iso_classes(graphs: Iterable[Graph]) -> dict[bytes, Graph]:
+    """The first graph met of each isomorphism class, keyed by canonical form,
+    in the order first met.  Sorting the keys lists the classes in form order."""
+    out: dict[bytes, Graph] = {}
+    for g in graphs:
+        out.setdefault(canonical_form(g), g)
     return out
 
 

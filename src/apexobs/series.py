@@ -24,6 +24,7 @@ with non-negative integer coefficients (checked), growing like 6.279^n.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from operator import mul
 
 
@@ -170,9 +171,20 @@ class SeriesSystemSolution:
         return self.T.truncation
 
     def truncated(self, truncation: int) -> SeriesSystemSolution:
+        if truncation == self.truncation:
+            return self  # frozen, so sharing it (and its tails) is safe
         return SeriesSystemSolution(
             *(getattr(self, f.name).truncate(truncation) for f in fields(self))
         )
+
+    @cached_property
+    def _tail_terms(self) -> tuple[list, list]:
+        """`asymptotics._tail_series` of T_diamond, built on first use and
+        kept on this solution: every call on it shares them, and they are
+        freed with it."""
+        from .asymptotics import _tail_series
+
+        return _tail_series(self.T_diamond)
 
 
 def solve_system(truncation: int) -> SeriesSystemSolution:

@@ -117,22 +117,24 @@ class TestTails:
     def test_built_once_per_live_series(self, monkeypatch):
         builds, evaluations = [], []
 
-        class CountedBuilds(weakref.WeakKeyDictionary):
-            def __setitem__(self, series, tails):
-                builds.append(series.truncation)
-                super().__setitem__(series, tails)
+        class Terms(list):  # a list that a weak reference can watch
+            pass
+
+        def counted_build(d):
+            tails = tuple(map(Terms, _tail_series(d)))
+            builds.append((d.truncation, weakref.ref(tails[0])))
+            return tails
 
         def counted_F(x, y, sol):
-            evaluations.append((x, y))  # not sol: a held series keeps its tails
+            evaluations.append((x, y))  # not sol: a held solution keeps its tails
             return eval_F(x, y, sol)
 
-        held = CountedBuilds()
-        monkeypatch.setattr(apexobs.asymptotics, "_TAIL_SERIES", held)
+        monkeypatch.setattr(apexobs.asymptotics, "_tail_series", counted_build)
         monkeypatch.setattr(apexobs.asymptotics, "eval_F", counted_F)
         sol = solve_system(64)
         report = asymptotics_report(sol)
         # solve_saddle, expansion_coeffs and check_Z1_vanishes share one
-        assert builds == [64]
+        assert [n for n, _ in builds] == [64]
         assert len(evaluations) > 5 * len(builds)  # 30 evaluations at N = 64
         # every later call on the same live sol reuses it, and gives the report's floats
         sp = solve_saddle(sol)
@@ -143,23 +145,28 @@ class TestTails:
         ]
         p = eval_F(sp.x0, sp.y0, sol)
         z1 = check_Z1_vanishes(sol, truncations=(64,), saddle=sp)
-        assert builds == [64]
+        assert check_Z1_vanishes(sol, truncations=(64,)) == z1  # solves on sol itself
+        assert [n for n, _ in builds] == [64]
         assert (report["rho"], report["y0"]) == (sp.x0, sp.y0)
         assert report["residuals"] == list(sp.residuals) == [sp.y0 - p.F, 1.0 - p.Fy]
         assert (report["h0"], report["h1"], report["q1"]) == (ec.h0, ec.h1, ec.q1)
         assert report["x2_coefficient_fit"] == ec.x2_coefficient_fit
         assert backsub == list(ec.backsub_residuals)
         assert report["z1_residuals"] == {"64": z1.residuals[64]}
-        # a truncated series is another series: it builds its own
-        assert solve_y_at(sol.truncated(48), 0.1) == pytest.approx(solve_y_at(sol, 0.1), rel=1e-12)
-        assert builds == [64, 48]
-        assert len(held) == 1  # the truncated series is gone, and its tails with it
-        # nothing outlives its series: a new solve builds them again
+        # a truncated solution is another solution: it builds its own
+        short = sol.truncated(48)
+        assert solve_y_at(short, 0.1) == pytest.approx(solve_y_at(sol, 0.1), rel=1e-12)
+        assert [n for n, _ in builds] == [64, 48]
+        # nothing outlives its solution: the tails go with it
+        held, gone = weakref.ref(sol), weakref.ref(short)
+        del short
+        assert gone() is None and builds[1][1]() is None
+        assert builds[0][1]() is not None
         del sol
-        assert len(held) == 0
+        assert held() is None and builds[0][1]() is None
+        # a new solve builds them again
         assert asymptotics_report(solve_system(64)) == report
-        assert builds == [64, 48, 64]
-        assert len(held) == 0
+        assert [n for n, _ in builds] == [64, 48, 64]
 
 
 class TestSaddle:
@@ -276,6 +283,12 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match="rho must be finite and positive"):
             estimate_constant(sol.T, rho)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite(self, sol, alpha):
+        # a NaN alpha returned NaN constants, an infinite one a bare math domain error
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            estimate_constant(sol.T, 0.16, alpha=alpha)
+
 
 def empirical_radius(series: PowerSeries) -> float:
     """Radius of convergence from coefficient ratios, 1/n-extrapolated.
@@ -357,6 +370,17 @@ class TestZ1Identity:
         monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", never)
         with pytest.raises(ValueError, match="truncation 3 is below 4"):
             check_Z1_vanishes(solve_system(64), truncations=(64, 32, 3))
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_tolerance_checked_before_any_work(self, sol, sp, tol, monkeypatch):
+        # with the saddle given no solve ran, and a bad tol returned residuals
+        def never(*args, **kwargs):
+            raise AssertionError("evaluated before the tol was checked")
+
+        monkeypatch.setattr(apexobs.asymptotics, "solve_saddle", never)
+        monkeypatch.setattr(apexobs.asymptotics, "eval_F", never)
+        with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+            check_Z1_vanishes(sol, truncations=(N,), tol=tol, saddle=sp)
 
     def test_empty_truncations_refused(self, sol):
         with pytest.raises(ValueError, match="at least one truncation"):

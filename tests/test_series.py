@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from math import factorial
 
@@ -234,6 +235,13 @@ class TestSystem:
         sub = sol.truncated(10)
         assert sub.T.truncation == 10
         assert sub.T.coeffs == sol.T.coeffs[:11]
+
+    def test_truncated_at_its_own_order_is_itself(self):
+        # frozen, so the solution (and all it keeps) is shared, not copied
+        sol = solve_system(20)
+        assert sol.truncated(20) is sol
+        assert sol.truncated(19) is not sol
+        assert tuple(f.name for f in fields(sol)) == SYSTEM_FIELDS
 
     def test_negative_truncation_rejected(self):
         # a negative slice end would keep all but the last coefficients
