@@ -29,6 +29,7 @@ range, so series evaluation goes through logarithms of the exact integers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .series import PowerSeries, SeriesSystemSolution, _add_divisor_terms, _CheckFailed
@@ -127,13 +128,16 @@ class FDerivatives:
 
 
 def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
-    """Evaluate F(x, y) and its partials at a point with 0 < x < 1.
+    """Evaluate F(x, y) and its partials at a point with 0 < x < 1 whose
+    square is a normal float, as the tails divide by x^2.
 
     y-derivatives are exact in form: every pure y-derivative of order m is
     (x/2)(3^m E^3 + E W).  x-derivatives differentiate the tails analytically.
     """
     if not 0.0 < x < 1.0:
-        raise ValueError("x must lie in (0, 1)")
+        raise ValueError(f"x must lie in (0, 1), got {x}")
+    if x * x < sys.float_info.min:
+        raise ValueError(f"x = {x} is too small: the tails divide by x^2, which underflows")
     t, tp, tpp, u, up, upp = _tails(sol._tail_terms, x)
     E = math.exp(y + t)
     W = math.exp(u)
@@ -383,7 +387,8 @@ def estimate_constant(
     the top half of the window.  rho must be finite and positive, the
     window must hold at least 3 points (with 2 the half-window fit is the
     full fit, and the spread a false 0), and its coefficients positive.
-    alpha must be finite.
+    alpha must be finite.  A rho or alpha that puts a_n rho^n, n^(alpha+1),
+    Gamma(-alpha) or the constant beyond float range raises ValueError.
     """
     if not 0.0 < rho < math.inf:
         raise ValueError(f"rho must be finite and positive, got {rho}")
@@ -400,31 +405,33 @@ def estimate_constant(
     # the result exactly (one final multiply).
     num, den = rho.as_integer_ratio()
     a_ref = series.coeffs[lo]
-    if a_ref <= 0:
-        raise _CheckFailed(f"non-positive coefficient at n={lo} inside the fit window")
-    c_ref = a_ref * num ** lo / den ** lo * lo ** (alpha + 1.0)
     pnum, pden = 1, a_ref  # rho^(n-lo) / a_ref
-    pts: list[tuple[int, float]] = []
-    for n in range(lo, hi + 1):
-        c = series.coeffs[n]
-        if c <= 0:
-            raise _CheckFailed(f"non-positive coefficient at n={n} inside the fit window")
-        pts.append((n, c * pnum / pden * (n / lo) ** (alpha + 1.0)))
-        pnum *= num
-        pden *= den
+    ratios = []  # a_n rho^(n-lo) / a_lo
+    try:
+        for n, a in enumerate(series.coeffs[lo : hi + 1], lo):
+            if a <= 0:
+                raise _CheckFailed(f"non-positive coefficient at n={n} inside the fit window")
+            ratios.append(a * pnum / pden)
+            pnum *= num
+            pden *= den
+        scale = a_ref * num ** lo / den ** lo  # a_lo rho^lo
+    except OverflowError:
+        raise ValueError(f"rho = {rho} puts a_n rho^n beyond float range") from None
+    try:
+        c_ref = scale * lo ** (alpha + 1.0)
+        pts = [(n, r * (n / lo) ** (alpha + 1.0)) for n, r in enumerate(ratios, lo)]
+        # Gamma(-alpha) has poles at alpha = 0, 1, 2, ...: there the raw
+        # fitted constant is reported unscaled
+        gamma = 1.0 if alpha >= 0 and float(alpha).is_integer() else math.gamma(-alpha)
+    except OverflowError:
+        raise ValueError(f"alpha = {alpha} puts n^(alpha + 1) or Gamma(-alpha) beyond float range") from None
     c_fit = _richardson(pts) * c_ref
-    c_half = _richardson(pts[: max(2, len(pts) // 2)]) * c_ref
-    spread = abs(c_fit - c_half)
-    # Gamma(-alpha) has poles at alpha = 0, 1, 2, ...: there the raw fitted
-    # constant is reported unscaled
-    gamma = 1.0 if alpha >= 0 and float(alpha).is_integer() else math.gamma(-alpha)
+    spread = abs(c_fit - _richardson(pts[: max(2, len(pts) // 2)]) * c_ref)
+    c = c_fit * gamma
+    if not (0.0 < abs(c) < math.inf and spread < math.inf):
+        raise ValueError(f"rho = {rho} and alpha = {alpha} put the fitted constant beyond float range")
     return AsymptoticEstimate(
-        rho=rho,
-        alpha=alpha,
-        c=c_fit * gamma,
-        c_fit=c_fit,
-        spread=spread,
-        fit_window=(lo, hi),
+        rho=rho, alpha=alpha, c=c, c_fit=c_fit, spread=spread, fit_window=(lo, hi)
     )
 
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canonical import _form_sorted, _iso_classes, canonical_form
+from .canonical import _form_sorted, _iso_classes
 from .graphs import (
     MAX_VERTICES,
     ClassId,
@@ -193,15 +193,10 @@ def _row_levels(k: int) -> list[list[tuple[tuple[int, ...], int]]]:
 
 
 def _members(level: list[tuple[tuple[int, ...], int]], k: int) -> tuple[ButterflyCactus, ...]:
-    """One level of ``_row_levels`` as ``ButterflyCactus`` objects, in form
-    order; a level of one member gets no canonical form."""
-    members = [
-        ButterflyCactus(Graph._from_rows(rows), frozenset(bits(central)), k)
-        for rows, central in level
-    ]
-    if len(members) > 1:
-        members.sort(key=lambda b: canonical_form(b.graph))
-    return tuple(members)
+    """One level of ``_row_levels`` as ``ButterflyCactus`` objects, in the
+    order ``_form_sorted`` lists their graphs."""
+    masks = {Graph._from_rows(rows): central for rows, central in level}
+    return tuple(ButterflyCactus(g, frozenset(bits(masks[g])), k) for g in _form_sorted(masks))
 
 
 def _check_level(k: int) -> None:
@@ -214,17 +209,15 @@ def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     in canonical-form order.
 
     The levels are built on bitset rows and deduplicated by incidence-tree
-    code (``_row_levels``); only the members of level k get a canonical form,
-    to order them.  Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
+    code (``_row_levels``); only level k is listed by ``_form_sorted``.
+    Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
     """
     _check_level(k)
     return _members(_row_levels(k)[-1], k)
 
 
 def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
-    """generate_Z(1), ..., generate_Z(k) from one pass of ``_row_levels``:
-    every level is returned, so every level of two or more members gets its
-    canonical forms, to order it."""
+    """generate_Z(1), ..., generate_Z(k) from one pass of ``_row_levels``."""
     _check_level(k)
     return [_members(level, j) for j, level in enumerate(_row_levels(k), 1)]
 
@@ -268,10 +261,7 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
 
     These are the disjoint unions over multisets {G_1..G_r}, r >= 2, with
     G_i a k_i-butterfly-cactus and sum k_i = k+1, plus the exceptional
-    (k+2) disjoint triangles.  The exceptional graph comes first, then the
-    unions by vertex count, ties broken by canonical form: this is form
-    order, as a form starts with the vertex count and (k+2)K3 has 3k + 6
-    vertices, fewer than any union's 4k + 4 + r.
+    (k+2) disjoint triangles, all in form order.
     """
     _check_union_level(k)
     return _disconnected(_z_levels(k))
@@ -279,10 +269,10 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
 
 def _disconnected(levels: list[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
     """``disconnected_obstructions(k)`` from ``levels``, the k levels of
-    ``_z_levels(k)``, in form order: (k+2)K3, smaller than every union, then
-    the unions as ``_form_sorted`` lists them, which computes a form only for
-    a union that shares its vertex count with another."""
-    return (exceptional_obstruction(len(levels)),) + _form_sorted(_cacti_unions(levels))
+    ``_z_levels(k)``: (k+2)K3 and the unions, listed by ``_form_sorted``.
+    (k+2)K3 has 3k + 6 vertices and every union at least 4k + 6, so it
+    comes first."""
+    return _form_sorted((exceptional_obstruction(len(levels)), *_cacti_unions(levels)))
 
 
 def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
@@ -292,9 +282,7 @@ def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
     each pick at or after the last (no level exceeds k, so >= 2 picks).  No
     two walks give isomorphic unions (a union's components are its members,
     one level's members are pairwise non-isomorphic, level j has 4j + 1
-    vertices), so ``_form_sorted`` only orders them and drops none: by vertex
-    count, 4(k + 1) + r for r members, then by canonical form among the
-    unions with equally many members."""
+    vertices), so ``_form_sorted`` only orders them and drops none."""
     members = [(j, b.graph) for j, level in enumerate(levels, 1) for b in level]
 
     def walk(start: int, rest: int, picked: tuple[Graph, ...]) -> Iterator[Graph]:
@@ -351,11 +339,9 @@ def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
     one pass over the butterfly-cactus levels 1..k+1."""
     _check_union_level(k)
     levels = _z_levels(k + 1)
+    exceptional, *unions = _disconnected(levels[:k])
     return CactusObstructionFamily(
-        k=k,
-        connected=levels[k],
-        disconnected=_form_sorted(_cacti_unions(levels[:k])),
-        exceptional=exceptional_obstruction(k),
+        k=k, connected=levels[k], disconnected=tuple(unions), exceptional=exceptional
     )
 
 

@@ -308,10 +308,8 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES} (the vertex limit)")
     if n == 0:
         return (Graph(0),)
-    classes = _iso_classes(
-        g.add_vertex(nb) for g in enumerate_graphs(n - 1) for nb in range(1 << (n - 1))
-    )
-    return tuple(canonical_graph(classes[key]) for key in sorted(classes))
+    extended = (g.add_vertex(nb) for g in enumerate_graphs(n - 1) for nb in range(1 << (n - 1)))
+    return tuple(canonical_graph(g) for g in _form_sorted(extended))
 
 
 def graphs_up_to(n: int) -> tuple[Graph, ...]:

@@ -492,7 +492,9 @@ def _cycle_packing(adj: tuple[int, ...], core: int, limit: int) -> int:
     would return next: every triangle lies in the 2-core, and a lower vertex
     found no triangle among untaken vertices when it was scanned, so finds
     none now.  Once the triangles are taken, the rest is stripped once and
-    its longer cycles are packed one ``_shortest_cycle`` at a time.
+    its longer cycles are packed one ``_shortest_cycle`` at a time.  What is
+    left is always a 2-core, and a non-empty one has minimum degree 2, so it
+    holds a cycle: ``_shortest_cycle`` never returns 0 here.
     """
     count = taken = 0
     rest = core  # untaken vertices above the scan
@@ -513,8 +515,6 @@ def _cycle_packing(adj: tuple[int, ...], core: int, limit: int) -> int:
     core = _strip(adj, core & ~taken)[0] if count < limit else 0
     while core and count < limit:
         cycle = _shortest_cycle(adj, core)
-        if not cycle:
-            break
         count += 1
         core = _strip(adj, core & ~cycle)[0]
     return count
@@ -938,7 +938,6 @@ def one_step_minors(g: Graph) -> tuple[Graph, ...]:
     single isolated-vertex deletion.  Deduplicated by canonical form and
     returned in canonical order.
     """
-    from .canonical import _iso_classes
+    from .canonical import _form_sorted
 
-    classes = _iso_classes(_one_step_children(g))
-    return tuple(classes[key] for key in sorted(classes))
+    return _form_sorted(_one_step_children(g))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import weakref
 from fractions import Fraction
 
@@ -50,6 +51,11 @@ class TestEvalF:
             eval_F(0.0, 0.1, sol)
         with pytest.raises(ValueError):
             eval_F(1.5, 0.1, sol)
+
+    def test_x_whose_square_underflows_rejected(self, sol):
+        # x * x underflowed to 0 and the tails raised ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^x = 1e-300 is too small"):
+            eval_F(1e-300, 0.0, sol)
 
     def test_x_derivative_by_finite_differences(self, sol):
         x, y, h = 0.12, 0.35, 1e-6
@@ -289,6 +295,23 @@ class TestEstimateConstant:
         with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
             estimate_constant(sol.T, 0.16, alpha=alpha)
 
+    @pytest.mark.parametrize("alpha", [400.0, 1e6, -200.5])
+    def test_alpha_beyond_float_range(self, alpha):
+        # n^(alpha + 1) or Gamma(-alpha) raised a bare OverflowError
+        with pytest.raises(ValueError, match=f"^alpha = {re.escape(str(alpha))} puts"):
+            estimate_constant(solve_system(64).T, 0.159, alpha=alpha)
+
+    @pytest.mark.parametrize("rho", [1e5, 1e-300])
+    def test_constant_beyond_float_range(self, rho):
+        # the fit returned c = inf (rho = 1e5) or c = 0.0 (rho = 1e-300) with no error
+        with pytest.raises(ValueError, match=f"^rho = {re.escape(str(rho))} and alpha = 1.5 put"):
+            estimate_constant(solve_system(64).T, rho)
+
+    def test_rho_beyond_float_range(self):
+        # a_n rho^n raised "integer division result too large for a float"
+        with pytest.raises(ValueError, match=r"^rho = 1e\+300 puts a_n rho\^n beyond float range$"):
+            estimate_constant(solve_system(64).T, 1e300)
+
 
 def empirical_radius(series: PowerSeries) -> float:
     """Radius of convergence from coefficient ratios, 1/n-extrapolated.
@@ -428,6 +451,10 @@ class TestEvalSeries:
         want = 1e100
         assert eval_series(PowerSeries((0, big)), 1e-300) == pytest.approx(want, rel=1e-12)
         assert eval_series(PowerSeries((0, -big)), 1e-300) == pytest.approx(-want, rel=1e-12)
+
+    def test_zero_reads_the_constant_coefficient(self):
+        # no logarithm is taken at z = 0, so a coefficient beyond float range is never read
+        assert eval_series(PowerSeries((7, 10 ** 400)), 0.0) == 7.0
 
     @pytest.mark.parametrize("z", [-0.5, float("nan"), float("inf")])
     def test_rejects_negative_and_nan(self, z):

@@ -41,6 +41,7 @@ from apexobs.graphs import (
     ClassId,
     bridges,
     butterfly_graph,
+    complete_graph,
     decompose,
     is_connected,
     is_in_class,
@@ -220,6 +221,10 @@ class TestCentralSet:
         wrong = ButterflyCactus(g, frozenset({1}), 1)  # not the central vertex
         with pytest.raises(_CheckFailed, match="not an apex-forest set"):
             central_set(wrong)
+
+    def test_central_count_must_be_k(self):
+        with pytest.raises(ValueError, match="^central vertex count must equal the butterfly count$"):
+            ButterflyCactus(butterfly_graph(), frozenset({0}), 2)
 
     def test_second_apex_forest_set_detected(self, monkeypatch):
         b = generate_Z(3)[0]
@@ -476,6 +481,18 @@ class TestFamily:
                 k=1,
                 connected=(b,),
                 disconnected=(butterfly_graph(),),
+                exceptional=make_named("3K3"),
+            )
+
+    def test_family_rejects_a_non_cactus(self):
+        from apexobs.cacti import CactusObstructionFamily
+
+        (b,) = generate_Z(2)
+        with pytest.raises(ValueError, match="^every family member must be a cactus$"):
+            CactusObstructionFamily(
+                k=1,
+                connected=(b,),
+                disconnected=(complete_graph(4),),
                 exceptional=make_named("3K3"),
             )
 

@@ -6,6 +6,7 @@ import pytest
 from apexobs.graphio import (
     from_edgelist,
     from_graph6,
+    load_graph,
     to_edgelist,
     to_graph6,
     read_graph6_file,
@@ -54,6 +55,11 @@ class TestGraph6:
         with pytest.raises(ValueError):
             from_graph6("C\x05")
 
+    def test_long_form_rejected(self):
+        # a first byte of 126 ('~') announces a vertex count above 62
+        with pytest.raises(ValueError, match=r"long graph6 form \(n > 62\) not supported"):
+            from_graph6("~??~" + "?" * 10)
+
     def test_file_roundtrip(self, tmp_path, rng):
         graphs = [random_graph(rng, rng.randint(0, 12), 0.4) for _ in range(10)]
         path = tmp_path / "batch.g6"
@@ -73,6 +79,10 @@ class TestEdgeList:
         assert lines[0] == "3 3"
         assert lines[1:] == ["0 1", "0 2", "1 2"]
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^empty edge list$"):
+            from_edgelist("\n  \n")
+
     def test_header_mismatch_rejected(self):
         with pytest.raises(ValueError):
             from_edgelist("2 2\n0 1\n")
@@ -87,3 +97,11 @@ class TestEdgeList:
     def test_repeated_edge_rejected(self, text, lines):
         with pytest.raises(ValueError, match=f"lines {lines[0]} and {lines[1]}: .* repeated"):
             from_edgelist(text)
+
+
+def test_load_graph_rejects_an_unknown_format(tmp_path):
+    path = tmp_path / "k4.g6"
+    path.write_text("C~\n")
+    assert load_graph(str(path)) == complete_graph(4)
+    with pytest.raises(ValueError, match="^unknown format 'dot'$"):
+        load_graph(str(path), "dot")

@@ -3,8 +3,9 @@ imports is used in it, `apexobs.__all__` lists exactly what `__init__.py`
 imports, every module-level private function or class is referenced
 somewhere, no public function or method takes a private parameter, no code
 but `Graph.__init__` and the trusted constructor fills in a `Graph` itself,
-every name the benchmark harness hooks into exists, and every private name
-README mentions exists."""
+every name the benchmark harness hooks into exists, every private name
+README mentions exists, and no module but `canonical` sorts by canonical
+form."""
 
 from __future__ import annotations
 
@@ -222,6 +223,44 @@ def test_graphs_built_by_one_trusted_constructor(path):
     or from ``Graph._from_rows``, the trusted constructor for graphs derived
     from a valid one; no other code fills in a ``Graph`` itself."""
     assert raw_graph_builds(path.read_text()) == []
+
+
+def form_keyed_sorts(source: str) -> list[str]:
+    """``sort``/``sorted`` calls whose ``key`` mentions ``canonical_form``,
+    as "line: call"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("sort", "sorted"):
+            continue
+        for kw in node.keywords:
+            if kw.arg == "key" and any(
+                getattr(n, "id", getattr(n, "attr", None)) == "canonical_form"
+                for n in ast.walk(kw.value)
+            ):
+                found.append(f"{node.lineno}: {name}")
+    return found
+
+
+def test_scanner_flags_a_form_keyed_sort():
+    source = (
+        "members.sort(key=lambda b: canonical_form(b.graph))\n"
+        "out = sorted(gs, key=canonical.canonical_form)\n"
+        "ok = sorted(gs, key=len)\nalso = sorted(forms)\n"
+    )
+    assert form_keyed_sorts(source) == ["1: sort", "2: sorted"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "canonical.py"], ids=lambda p: p.name
+)
+def test_only_canonical_sorts_by_form(path):
+    """Every family is listed in form order by ``canonical._form_sorted``, so
+    no other module sorts by ``canonical_form`` itself."""
+    assert form_keyed_sorts(path.read_text()) == []
 
 
 def test_benchmark_hooks_exist():

@@ -251,6 +251,15 @@ class TestSystem:
             solve_system(8).truncated(-3)
         assert PowerSeries((0, 1, 2)).truncate(0).coeffs == (0,)
 
+    def test_truncating_above_the_truncation_rejected(self):
+        with pytest.raises(ValueError, match="^cannot extend a truncated series$"):
+            PowerSeries((0, 1, 2)).truncate(3)
+        assert PowerSeries((0, 1, 2)).truncate(2).coeffs == (0, 1, 2)
+
+    def test_empty_series_rejected(self):
+        with pytest.raises(ValueError, match="^a series needs at least the constant coefficient$"):
+            PowerSeries(())
+
     def test_index_outside_truncation_rejected(self):
         # a negative index would read from the end of the coefficients
         s = PowerSeries((0, 1, 2, 3))
