@@ -127,21 +127,43 @@ class FDerivatives:
     W: float  # exp(u(x))      (= T_star(x^2))
 
 
+class _OutOfFloatRange(ValueError):
+    """F or a partial of F at the point asked for exceeds the float range."""
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
     """Evaluate F(x, y) and its partials at a point with 0 < x < 1 whose
-    square is a normal float, as the tails divide by x^2.
+    square is a normal float, as the tails divide by x^2, and a finite y.
 
     y-derivatives are exact in form: every pure y-derivative of order m is
     (x/2)(3^m E^3 + E W).  x-derivatives differentiate the tails analytically.
+    A point where the tails, exp(u) or E^3 exceed the float range raises
+    ValueError naming the argument at fault: y if E^3 would fit with y = 0,
+    x otherwise.
     """
     if not 0.0 < x < 1.0:
         raise ValueError(f"x must lie in (0, 1), got {x}")
     if x * x < sys.float_info.min:
         raise ValueError(f"x = {x} is too small: the tails divide by x^2, which underflows")
-    t, tp, tpp, u, up, upp = _tails(sol._tail_terms, x)
-    E = math.exp(y + t)
-    W = math.exp(u)
-    E3 = E ** 3
+    if not -math.inf < y < math.inf:
+        raise ValueError(f"y must be a finite number, got {y}")
+    try:
+        t, tp, tpp, u, up, upp = _tails(sol._tail_terms, x)
+    except OverflowError:
+        raise _OutOfFloatRange(f"x = {x} puts the tails t(x), u(x) beyond float range") from None
+    try:
+        E = math.exp(y + t)
+        W = math.exp(u)
+        E3 = E ** 3
+    except OverflowError:
+        if y > 0.0 and 3.0 * t < _LOG_FLOAT_MAX and u < _LOG_FLOAT_MAX:
+            raise _OutOfFloatRange(
+                f"y = {y} puts exp(3 (y + t(x))) beyond float range at x = {x}"
+            ) from None
+        raise _OutOfFloatRange(f"x = {x} puts exp(3 t(x)) or exp(u(x)) beyond float range") from None
 
     def pure(c3: float) -> float:
         return (x / 2.0) * (c3 * E3 + E * W)
@@ -281,7 +303,7 @@ def solve_y_at(sol: SeriesSystemSolution, x: float) -> float:
     while True:
         try:
             p = eval_F(x, y, sol)
-        except OverflowError:
+        except _OutOfFloatRange:
             break
         new_step = (p.F - y) / (1.0 - p.Fy)
         if not abs(new_step) < abs(step):

@@ -194,9 +194,15 @@ def _row_levels(k: int) -> list[list[tuple[tuple[int, ...], int]]]:
 
 def _members(level: list[tuple[tuple[int, ...], int]], k: int) -> tuple[ButterflyCactus, ...]:
     """One level of ``_row_levels`` as ``ButterflyCactus`` objects, in the
-    order ``_form_sorted`` lists their graphs."""
-    masks = {Graph._from_rows(rows): central for rows, central in level}
-    return tuple(ButterflyCactus(g, frozenset(bits(masks[g])), k) for g in _form_sorted(masks))
+    order ``_row_levels`` met them."""
+    return tuple(ButterflyCactus(Graph._from_rows(rows), frozenset(bits(central)), k)
+                 for rows, central in level)
+
+
+def _in_form_order(members: tuple[ButterflyCactus, ...]) -> tuple[ButterflyCactus, ...]:
+    """``members`` in the order ``_form_sorted`` lists their graphs."""
+    by_graph = {b.graph: b for b in members}
+    return tuple(by_graph[g] for g in _form_sorted(by_graph))
 
 
 def _check_level(k: int) -> None:
@@ -213,11 +219,13 @@ def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
     """
     _check_level(k)
-    return _members(_row_levels(k)[-1], k)
+    return _in_form_order(_members(_row_levels(k)[-1], k))
 
 
 def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
-    """generate_Z(1), ..., generate_Z(k) from one pass of ``_row_levels``."""
+    """The members of generate_Z(1), ..., generate_Z(k) from one pass of
+    ``_row_levels``, each level in the order it was built, not in form order
+    (``_in_form_order`` lists one as ``generate_Z`` does)."""
     _check_level(k)
     return [_members(level, j) for j, level in enumerate(_row_levels(k), 1)]
 
@@ -264,25 +272,37 @@ def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
     (k+2) disjoint triangles, all in form order.
     """
     _check_union_level(k)
-    return _disconnected(_z_levels(k))
+    return _disconnected(_union_levels(_z_levels(k)))
+
+
+def _union_levels(levels: list[tuple[ButterflyCactus, ...]]) -> list[tuple[ButterflyCactus, ...]]:
+    """The k levels of ``_z_levels(k)`` with each level j that one union can
+    take two members of (2j <= k + 1) in form order.  A union takes at most
+    one member of every other level, whose place in the union its level
+    fixes, so the order of that level changes no union."""
+    k = len(levels)
+    return [_in_form_order(level) if 2 * j <= k + 1 else level
+            for j, level in enumerate(levels, 1)]
 
 
 def _disconnected(levels: list[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
     """``disconnected_obstructions(k)`` from ``levels``, the k levels of
-    ``_z_levels(k)``: (k+2)K3 and the unions, listed by ``_form_sorted``.
-    (k+2)K3 has 3k + 6 vertices and every union at least 4k + 6, so it
-    comes first."""
+    ``_z_levels(k)``, at least the levels that ``_union_levels`` sorts in
+    form order: (k+2)K3 and the unions, listed by ``_form_sorted``.  (k+2)K3
+    has 3k + 6 vertices and every union at least 4k + 6, so it comes
+    first."""
     return _form_sorted((exceptional_obstruction(len(levels)), *_cacti_unions(levels)))
 
 
 def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
     """The disjoint unions of butterfly-cacti with levels summing to k + 1
-    (``levels[j - 1]`` is ``generate_Z(j)``, k = len(levels)), one per
-    multiset of members: a walk over the members in (level, index) order,
-    each pick at or after the last (no level exceeds k, so >= 2 picks).  No
-    two walks give isomorphic unions (a union's components are its members,
-    one level's members are pairwise non-isomorphic, level j has 4j + 1
-    vertices), so ``_form_sorted`` only orders them and drops none."""
+    (``levels[j - 1]`` holds the members of ``generate_Z(j)``, k =
+    len(levels)), one per multiset of members: a walk over the members in
+    (level, index) order, each pick at or after the last (no level exceeds
+    k, so >= 2 picks).  No two walks give isomorphic unions (a union's
+    components are its members, one level's members are pairwise
+    non-isomorphic, level j has 4j + 1 vertices), so ``_form_sorted`` only
+    orders them and drops none."""
     members = [(j, b.graph) for j, level in enumerate(levels, 1) for b in level]
 
     def walk(start: int, rest: int, picked: tuple[Graph, ...]) -> Iterator[Graph]:
@@ -339,9 +359,12 @@ def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
     one pass over the butterfly-cactus levels 1..k+1."""
     _check_union_level(k)
     levels = _z_levels(k + 1)
-    exceptional, *unions = _disconnected(levels[:k])
+    exceptional, *unions = _disconnected(_union_levels(levels[:k]))
     return CactusObstructionFamily(
-        k=k, connected=levels[k], disconnected=tuple(unions), exceptional=exceptional
+        k=k,
+        connected=_in_form_order(levels[k]),
+        disconnected=tuple(unions),
+        exceptional=exceptional,
     )
 
 

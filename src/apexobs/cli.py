@@ -19,7 +19,7 @@ import time
 
 from . import __version__
 from .asymptotics import NewtonDivergence, asymptotics_report
-from .cacti import _check_union_level, _disconnected, _z_levels
+from .cacti import _check_union_level, _disconnected, _in_form_order, _z_levels
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
     _NAME_RE,
@@ -135,7 +135,7 @@ def cmd_search(args) -> int:
 def cmd_gen_cacti(args) -> int:
     if args.disconnected:
         _check_union_level(args.k)  # before any level is built
-    levels = _z_levels(args.k)
+    levels = [_in_form_order(level) for level in _z_levels(args.k)]
     # (level, apex budget, label, members); a member is a graph and the rest of its row
     families = [
         (j, j - 1, "butterfly-cacti",

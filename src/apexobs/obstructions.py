@@ -12,13 +12,14 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .canonical import _iso_classes, canonical_form, canonical_graph
+from .canonical import _canonical, _iso_classes, canonical_form, canonical_graph
 from .graphio import from_graph6, to_graph6
 from .graphs import (
     MAX_VERTICES,
@@ -33,6 +34,7 @@ from .graphs import (
     _rank_drop,
     _require_class,
     _strip,
+    bits,
     bridges,
     component_masks,
     cyclomatic,
@@ -447,6 +449,73 @@ def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
             yield g.add_vertex(forced | mask)
 
 
+def _neighbour_degrees(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, ...]:
+    """The degrees of v's neighbours, ascending."""
+    return tuple(sorted(deg[u] for u in bits(adj[v])))
+
+
+def _augmentation(g: Graph) -> tuple[bool, bytes | None]:
+    """Whether g's last vertex x = g.n - 1 lies in the automorphism orbit of
+    g's canonical deletion vertex c(g), and g's form if deciding took one.
+
+    c(g) is the vertex of maximum degree, ties broken by the largest tuple
+    of ascending neighbour degrees (``_neighbour_degrees``), and any tie
+    left by the highest position in the canonical labeling.  Each rule is invariant
+    under isomorphism, so c(g) is fixed up to an automorphism.  x needs no
+    form unless it ties under the first two rules with another vertex; then
+    form, labeling and orbits come from one ``_canonical`` search.
+    """
+    adj, x = g.adj, g.n - 1
+    deg = [popcount(row) for row in adj]
+    top = max(deg)
+    if deg[x] < top:
+        return False, None
+    tied = [v for v, d in enumerate(deg) if d == top]
+    if len(tied) > 1:
+        near = {v: _neighbour_degrees(adj, deg, v) for v in tied}
+        best = max(near.values())
+        if near[x] < best:
+            return False, None
+        tied = [v for v in tied if near[v] == best]
+    if len(tied) == 1:
+        return True, None
+    form, order, orbits = _canonical(g)
+    c = next(v for v in reversed(order) if v in tied)
+    return orbits[c] == orbits[x], form
+
+
+def _invariant_multiset(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The sorted (degree, neighbour degrees) of every vertex of g."""
+    adj = g.adj
+    deg = [popcount(row) for row in adj]
+    return tuple(sorted((d, _neighbour_degrees(adj, deg, v)) for v, d in enumerate(deg)))
+
+
+def _augmented_level(level: Iterable[Graph], later: int) -> list[Graph]:
+    """One class per isomorphism class of the core extensions of ``level``
+    (``_core_extensions`` with ``later`` vertices still to come), by
+    canonical augmentation: each parent keeps the children that
+    ``_augmentation`` accepts, and of the accepted siblings that share an
+    invariant multiset (``_invariant_multiset``), the first of each form."""
+    out: list[Graph] = []
+    for parent in level:
+        kept = []
+        for g in _core_extensions(parent, later):
+            accepted, form = _augmentation(g)
+            if accepted:
+                kept.append((g, _invariant_multiset(g), form))
+        shared = Counter(key for _, key, _ in kept)
+        forms: set[bytes] = set()
+        for g, key, form in kept:
+            if shared[key] > 1:
+                form = form or _canonical(g)[0]
+                if form in forms:
+                    continue
+                forms.add(form)
+            out.append(g)
+    return out
+
+
 def _candidates(k: int, max_n: int) -> Iterator[Graph]:
     """Raw search candidates: a superset of the k-obstructions on <= max_n vertices.
 
@@ -458,13 +527,14 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
 
     Cores grow by one-vertex extension: the class cyc <= 2 is closed under
     vertex deletion, so every core on m vertices extends one on m - 1.  Each
-    core level and each apex layer but the last is deduplicated by canonical
-    form; the last layer is yielded raw (with k = 0 the last core extension
-    is that raw layer).  Three rules drop what the search need not check:
-    rules 1 and 2 what cannot be an obstruction, as every obstruction has
-    minimum degree 2 and adjacent neighbours at each degree-2 vertex (the
-    degree conditions of ``structural_filters``), and rule 3 what is
-    isomorphic to a graph that is built:
+    core level is built by canonical augmentation (``_augmented_level``),
+    each apex layer but the last is deduplicated by canonical form, and the
+    last layer is yielded raw (with k = 0 the last core extension is that
+    raw layer).  Three rules drop what the search need not check: rules 1
+    and 2 what cannot be an obstruction, as every obstruction has minimum
+    degree 2 and adjacent neighbours at each degree-2 vertex (the degree
+    conditions of ``structural_filters``), and rule 3 what is isomorphic to
+    a graph that is built:
 
     1. Degree floor.  A vertex gains at most one edge from each vertex added
        after it, so a graph with ``later`` vertices still to come needs
@@ -482,15 +552,36 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
        components, so a neighbourhood and its image give isomorphic graphs
        under the same rules; each orbit of the swaps holds exactly one that
        takes a prefix of every class, and only that one is built.
+
+    Every deduplicated core level has ``later`` >= 1, so level m holds one
+    graph of each class on m vertices with cyc <= 2 and minimum degree at
+    least its floor.  Canonical augmentation (McKay, "Isomorph-free
+    exhaustive generation", 1998) keeps each class once:
+
+    - Every vertex deletion of a level-m graph lies in level m - 1: cyc <= 2
+      is closed under deletion, the floor drops by one per level, and a
+      deletion lowers each degree by at most one.  So for a class G of
+      level m, the parent class of G - c(G) is built, and so is one of its
+      children in which the new vertex x maps onto c(G); ``_augmentation``
+      accepts it.  A child g isomorphic to G with x in the orbit of c(g)
+      has g - x isomorphic to G - c(G), so a child of any other parent has
+      x outside that orbit and is rejected: each class is accepted from
+      exactly one parent class.
+    - If two accepted children of one parent P are isomorphic, some
+      isomorphism maps one new vertex onto the other, as both lie in the
+      orbit of c, and it restricts to an automorphism of P that maps one
+      neighbourhood onto the other.  Twin prefixes cover only part of
+      Aut(P), so accepted siblings can still repeat a class.  Isomorphic
+      graphs share their invariant multiset, so siblings are compared by
+      form only within groups that share it.
     """
     top = max_n - k  # largest core size
     level = [Graph(0)]
     for m in range(1, top + 1):
-        raw = (ext for core in level for ext in _core_extensions(core, top - m + k))
         if m == top and k == 0:
-            yield from raw
+            yield from (ext for core in level for ext in _core_extensions(core, 0))
             return
-        level = _iso_classes(raw).values()
+        level = _augmented_level(level, top - m + k)
         graphs = [g for g in level if cyclomatic(g) == 2]
         for after in range(k - 1, 0, -1):
             layer = (ext for g in graphs for ext in _apex_extensions(g, after))

@@ -25,7 +25,7 @@ from typing import Iterable
 import networkx as nx
 
 from apexobs.cacti import ButterflyCactus, _attach_butterfly
-from apexobs.canonical import canonical_form, graphs_up_to
+from apexobs.canonical import _iso_classes, canonical_form, graphs_up_to
 from apexobs.graphs import (
     ClassId,
     Graph,
@@ -36,7 +36,7 @@ from apexobs.graphs import (
     has_apex_set_within,
     is_connected,
 )
-from apexobs.obstructions import is_obstruction, structural_filters
+from apexobs.obstructions import _core_extensions, is_obstruction, structural_filters
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -262,6 +262,21 @@ def reference_search(k: int, max_n: int, connected_only: bool = False) -> list[G
         and is_obstruction(g, k)
     ]
     return sorted(found, key=canonical_form)
+
+
+def reference_core_levels(k: int, max_n: int) -> list[list[Graph]]:
+    """The deduplicated core levels of ``_candidates(k, max_n)``, m = 1 up to
+    the last one it deduplicates, built as the search built them before
+    canonical augmentation: the ``_core_extensions`` of every graph of the
+    level below, one per class by ``_iso_classes``."""
+    top = max_n - k
+    levels = []
+    level = [Graph(0)]
+    for m in range(1, top if k == 0 else top + 1):
+        raw = (ext for core in level for ext in _core_extensions(core, top - m + k))
+        level = list(_iso_classes(raw).values())
+        levels.append(level)
+    return levels
 
 
 # -- minors by partition models ---------------------------------------------------

@@ -57,6 +57,25 @@ class TestEvalF:
         with pytest.raises(ValueError, match=r"^x = 1e-300 is too small"):
             eval_F(1e-300, 0.0, sol)
 
+    @pytest.mark.parametrize(
+        "x, y, truncation, message",
+        [
+            (0.5, 0.0, 512, r"^x = 0\.5 puts "),
+            (0.5, 1e6, 64, r"^x = 0\.5 puts "),  # F overflows there at y = 0 already
+            (0.1, 700.0, 64, r"^y = 700\.0 puts "),
+        ],
+    )
+    def test_overflow_names_the_argument(self, x, y, truncation, message):
+        # each raised a bare OverflowError: math range error
+        with pytest.raises(ValueError, match=message):
+            eval_F(x, y, solve_system(truncation))
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_y_must_be_finite(self, sol, y):
+        # y = NaN gave NaN for F and every partial
+        with pytest.raises(ValueError, match=f"^y must be a finite number, got {y}$"):
+            eval_F(0.1, y, sol)
+
     def test_x_derivative_by_finite_differences(self, sol):
         x, y, h = 0.12, 0.35, 1e-6
         p = eval_F(x, y, sol)
@@ -436,6 +455,11 @@ class TestScalarSolve:
         y = solve_y_at(sol, x)
         assert len(calls) < 30
         assert abs(eval_F(x, y, sol).F - y) <= 1e-14
+
+    def test_bad_x_is_not_read_as_past_the_singularity(self, sol):
+        # the solve stops only on eval_F's float-range error
+        with pytest.raises(ValueError, match=r"^x must lie in \(0, 1\), got 1\.5$"):
+            solve_y_at(sol, 1.5)
 
     @pytest.mark.parametrize("factor", [1.1, 2.0, 5.0])
     def test_no_root_past_the_singularity(self, sol, sp, factor):

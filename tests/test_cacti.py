@@ -367,6 +367,27 @@ class TestDisconnected:
             assert got[0].adj == exceptional_obstruction(k).adj
         assert disconnected_searches == [0, 0, 4, 14, 53]
 
+    def test_levels_sorted_only_where_a_union_ties(self, monkeypatch):
+        # from cold caches, a butterfly-cactus level gets forms only if one
+        # union can take two of its members (2j <= k + 1): at k = 5 the 3
+        # members of level 3; sorting every level took 0, 0, 3, 10, 35
+        from apexobs.graphs import is_connected
+
+        search = apexobs.canonical._canonical_search_pruned
+        connected_searches = []
+
+        def counted(g):
+            if is_connected(g):
+                connected_searches[-1] += 1
+            return search(g)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+        for k in range(1, 6):
+            apexobs.canonical._canonical.cache_clear()
+            connected_searches.append(0)
+            disconnected_obstructions(k)
+        assert connected_searches == [0, 0, 0, 0, 3]
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             disconnected_obstructions(0)

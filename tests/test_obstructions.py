@@ -13,7 +13,7 @@ import apexobs.canonical
 import apexobs.graphs
 import apexobs.obstructions
 from apexobs.cacti import disconnected_obstructions, generate_Z
-from apexobs.canonical import canonical_form, enumerate_graphs
+from apexobs.canonical import automorphism_orbits, canonical_form, enumerate_graphs
 from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     ClassId,
@@ -43,6 +43,7 @@ from apexobs.obstructions import (
     ObstructionRecord,
     Status,
     _apex_extensions,
+    _augmentation,
     _candidates,
     _core_extensions,
     _prefix_picks,
@@ -57,7 +58,12 @@ from apexobs.obstructions import (
 )
 
 from conftest import random_graph
-from oracles import oracle_min_apex, reference_check_obstruction, reference_search
+from oracles import (
+    oracle_min_apex,
+    reference_check_obstruction,
+    reference_core_levels,
+    reference_search,
+)
 
 CYCLE_CLASSES = (ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST)
 
@@ -671,6 +677,76 @@ class TestCandidateGenerators:
         c = search_obstructions(k, max_n).candidates
         assert (c["checked"], c["found"]) == (checked, found)
         assert c["passed_filters"] == c["generated"] < generated
+
+
+class TestCanonicalAugmentation:
+    """The core levels keep one graph per class: a child is accepted only
+    from the orbit of its canonical deletion vertex."""
+
+    @staticmethod
+    def low_rank_graph(rng: random.Random, n: int) -> Graph:
+        # a random forest plus at most two more edges: cycle rank <= 2
+        g = Graph(n, [(v, rng.randrange(v)) for v in range(1, n) if rng.random() < 0.8])
+        for _ in range(rng.randint(0, 2) if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            if not g.has_edge(u, v):
+                g = Graph(n, [*g.edges(), (u, v)])
+        return g
+
+    def test_one_orbit_accepted(self, rng):
+        # with each vertex in turn last, the accepted ones are one orbit
+        tied = 0
+        for _ in range(150):
+            g = self.low_rank_graph(rng, rng.randint(1, 10))
+            assert cyclomatic(g) <= 2
+            orbits = automorphism_orbits(g)
+            accepted = set()
+            for v in range(g.n):
+                perm = [u - (u > v) for u in range(g.n)]
+                perm[v] = g.n - 1
+                ok, form = _augmentation(g.relabel(perm))
+                assert form is None or form == canonical_form(g)
+                tied += form is not None
+                if ok:
+                    accepted.add(v)
+            assert accepted
+            assert accepted == {u for u in range(g.n) if orbits[u] == orbits[min(accepted)]}
+        assert tied  # some graphs need the canonical labeling to break a tie
+
+    @pytest.mark.parametrize("k, max_n", [(0, 8), (1, 9), (2, 8)])
+    def test_levels_are_the_reference_classes(self, k, max_n, monkeypatch):
+        built = []
+        real = apexobs.obstructions._augmented_level
+
+        def recorded(level, later):
+            built.append(real(level, later))
+            return built[-1]
+
+        monkeypatch.setattr(apexobs.obstructions, "_augmented_level", recorded)
+        for _ in _candidates(k, max_n):
+            pass
+        want = reference_core_levels(k, max_n)
+        assert len(built) == len(want) == max_n - k - (k == 0)
+        for got, ref in zip(built, want):
+            forms = [canonical_form(g) for g in got]
+            assert len(set(forms)) == len(forms)  # no class twice
+            assert set(forms) == {canonical_form(g) for g in ref}
+
+    @pytest.mark.parametrize("k, searches", [(0, 79), (1, 280)])
+    def test_canonical_searches_pinned(self, k, searches, monkeypatch):
+        # from cold caches; deduplicating the core levels by form took 321
+        # and 531
+        calls = []
+        real = apexobs.canonical._canonical_search_pruned
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+        apexobs.canonical._canonical.cache_clear()
+        search_obstructions(k, 7)
+        assert len(calls) == searches
 
 
 class TestCandidateLemma:
