@@ -20,7 +20,8 @@ at x^(2N), which bounds k too, since T_diamond(x^k) starts at x^k.
 
 Both tail series are built once per `SeriesSystemSolution` and kept on it
 (`eval_F` reads them there), so every call on one solution shares them and
-they are freed with it.
+they are freed with it.  `solve_y_at` evaluates them once per x, and runs
+its Newton steps in y on those values.
 
 All reals are double precision.  Series coefficients can exceed the float
 range, so series evaluation goes through logarithms of the exact integers.
@@ -80,8 +81,15 @@ def eval_series(series: PowerSeries, z: float) -> float:
         raise ValueError(
             f"only non-negative arguments are supported, and only finite ones, got {z}"
         )
+    c0 = float(series.coeffs[0])
     terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
-    return float(series.coeffs[0]) + _moments(terms, math.log(z))[0]
+    try:
+        value = c0 + _moments(terms, math.log(z))[0]
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"z = {z} puts a term or the sum of the series beyond float range")
+    return value
 
 
 def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
@@ -134,6 +142,23 @@ class _OutOfFloatRange(ValueError):
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _check_y(y: float) -> None:
+    if not -math.inf < y < math.inf:
+        raise ValueError(f"y must be a finite number, got {y}")
+
+
+def _tails_at(x: float, sol: SeriesSystemSolution) -> tuple[float, ...]:
+    """`eval_F`'s x-part: check x, then evaluate the tails of `_tails` there."""
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"x must lie in (0, 1), got {x}")
+    if x * x < sys.float_info.min:
+        raise ValueError(f"x = {x} is too small: the tails divide by x^2, which underflows")
+    try:
+        return _tails(sol._tail_terms, x)
+    except OverflowError:
+        raise _OutOfFloatRange(f"x = {x} puts the tails t(x), u(x) beyond float range") from None
+
+
 def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
     """Evaluate F(x, y) and its partials at a point with 0 < x < 1 whose
     square is a normal float, as the tails divide by x^2, and a finite y.
@@ -142,18 +167,20 @@ def eval_F(x: float, y: float, sol: SeriesSystemSolution) -> FDerivatives:
     (x/2)(3^m E^3 + E W).  x-derivatives differentiate the tails analytically.
     A point where the tails, exp(u) or E^3 exceed the float range raises
     ValueError naming the argument at fault: y if E^3 would fit with y = 0,
-    x otherwise.
+    x otherwise.  A bad x range or a non-finite y is reported first.
     """
-    if not 0.0 < x < 1.0:
-        raise ValueError(f"x must lie in (0, 1), got {x}")
-    if x * x < sys.float_info.min:
-        raise ValueError(f"x = {x} is too small: the tails divide by x^2, which underflows")
-    if not -math.inf < y < math.inf:
-        raise ValueError(f"y must be a finite number, got {y}")
     try:
-        t, tp, tpp, u, up, upp = _tails(sol._tail_terms, x)
-    except OverflowError:
-        raise _OutOfFloatRange(f"x = {x} puts the tails t(x), u(x) beyond float range") from None
+        tails = _tails_at(x, sol)
+    except _OutOfFloatRange:
+        _check_y(y)
+        raise
+    return _F_at(x, tails, y)
+
+
+def _F_at(x: float, tails: tuple[float, ...], y: float) -> FDerivatives:
+    """`eval_F`'s y-part, from the x-part's tails at the same x."""
+    _check_y(y)
+    t, tp, tpp, u, up, upp = tails
     try:
         E = math.exp(y + t)
         W = math.exp(u)
@@ -300,17 +327,18 @@ def solve_y_at(sol: SeriesSystemSolution, x: float) -> float:
     solve raises ValueError.
     """
     y, step = 0.0, math.inf
-    while True:
-        try:
-            p = eval_F(x, y, sol)
-        except _OutOfFloatRange:
-            break
-        new_step = (p.F - y) / (1.0 - p.Fy)
-        if not abs(new_step) < abs(step):
-            if abs(p.F - y) <= Y_AT_TOL:
-                return y
-            break
-        y, step = y + new_step, new_step
+    try:
+        tails = _tails_at(x, sol)  # x is fixed: the Newton steps vary y alone
+        while True:
+            p = _F_at(x, tails, y)
+            new_step = (p.F - y) / (1.0 - p.Fy)
+            if not abs(new_step) < abs(step):
+                if abs(p.F - y) <= Y_AT_TOL:
+                    return y
+                break
+            y, step = y + new_step, new_step
+    except _OutOfFloatRange:
+        pass
     raise ValueError(f"y = F(x, y) has no root at x = {x}: x lies past the singularity")
 
 

@@ -5,8 +5,7 @@ enumerate, asymptotics.  Every subcommand supports --json for machine
 output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 Past argparse, every usage error is a ValueError, raised by the argument
 checks of the library functions each subcommand calls or by the
-subcommand itself, and ``run`` prints it as one ``error:`` line; so
-``asymptotics`` reports a bad --tol only after solving the series.
+subcommand itself, and ``run`` prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .asymptotics import NewtonDivergence, asymptotics_report
+from .asymptotics import NewtonDivergence, _check_tol, asymptotics_report
 from .cacti import _check_union_level, _disconnected, _in_form_order, _z_levels
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
@@ -186,6 +185,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_asymptotics(args) -> int:
+    _check_tol(args.tol)  # before the solve, which takes seconds at large --N
     sol = solve_system(args.N)
     try:
         report = asymptotics_report(sol, tol=args.tol)

@@ -17,7 +17,9 @@ and `mset` is the multiset operator as the Euler transform (Flajolet-
 Sedgewick, *Analytic Combinatorics*, 2009, §I.2) with its /m checked exact.
 The system (`solve_T_diamond`, `solve_system`) checks every other division
 too (the /2 of T_diamond, the /8, /4, /2 of the rooted pieces), so
-integrality is proved while the series are computed.  T and G come out
+integrality is proved while the series are computed.  The squares A^2 and
+A^4 = (A^2)^2 come from half sums (`_square_coeff`): each cross pair of a
+symmetric product is multiplied once and doubled.  T and G come out
 with non-negative integer coefficients (checked), growing like 6.279^n.
 """
 
@@ -81,9 +83,14 @@ def _exact_div(num: int, den: int, what: str, n: int) -> int:
     return quo
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """Truncated product of two integer coefficient lists of equal length."""
-    return [sum(map(mul, a[: m + 1], b[m::-1])) for m in range(len(a))]
+def _square_coeff(a: list[int], m: int) -> int:
+    """[x^m] A(x)^2 from a[0..m]: 2 sum_{i<m/2} a_i a_{m-i}, plus a_{m/2}^2
+    for even m, so each cross pair is multiplied once."""
+    h = (m + 1) // 2
+    s = 2 * sum(map(mul, a[:h], a[m : m - h : -1]))
+    if m % 2 == 0:
+        s += a[h] * a[h]
+    return s
 
 
 def _add_divisor_terms(s: list[int], q: int, b_q: int) -> None:
@@ -139,7 +146,7 @@ def _solve_T_diamond(truncation: int) -> tuple[list[int], list[int], list[int]]:
     for m in range(1, n + 1):
         p = m - 1
         rev = a[p::-1]  # a[p], ..., a[0]
-        a2[p] = sum(map(mul, a[:m], rev))
+        a2[p] = _square_coeff(a, p)
         a3 = sum(map(mul, a2[:m], rev))
         aax2 = sum(map(mul, a[: p // 2 + 1], a[p::-2]))  # [x^p] A(x) A(x^2)
         d[m] = _exact_div(a3 + aax2, 2, "T_diamond", m)
@@ -208,7 +215,7 @@ def solve_system(truncation: int) -> SeriesSystemSolution:
     q[::4] = a[: (n - 1) // 4 + 1]   # A(x^4)
     c2 = [0] * n
     c2[::2] = a2[: (n - 1) // 2 + 1]  # A(x^2)^2 is A^2 at x^2
-    a4 = _int_mul(a2, a2)
+    a4 = [_square_coeff(a2, m) for m in range(n)]
     # [x^m] A^2 A(x^2) = sum_j a2[m - 2j] a[j]
     a2c = [sum(map(mul, a[: m // 2 + 1], a2[m::-2])) for m in range(n)]
 

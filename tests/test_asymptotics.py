@@ -10,6 +10,7 @@ import pytest
 import apexobs.asymptotics
 from apexobs.asymptotics import (
     SADDLE_MAX_ITER,
+    _F_at,
     _tail_series,
     _tails,
     asymptotics_report,
@@ -75,6 +76,14 @@ class TestEvalF:
         # y = NaN gave NaN for F and every partial
         with pytest.raises(ValueError, match=f"^y must be a finite number, got {y}$"):
             eval_F(0.1, y, sol)
+
+    def test_non_finite_y_reported_before_the_tails(self):
+        # the tails overflow at x = 0.99 for N = 512, but a NaN y is named first
+        long_sol = solve_system(512)
+        with pytest.raises(ValueError, match=r"^y must be a finite number, got nan$"):
+            eval_F(0.99, math.nan, long_sol)
+        with pytest.raises(ValueError, match=r"^x = 0\.99 puts the tails "):
+            eval_F(0.99, 0.0, long_sol)
 
     def test_x_derivative_by_finite_differences(self, sol):
         x, y, h = 0.12, 0.35, 1e-6
@@ -160,7 +169,7 @@ class TestTails:
         report = asymptotics_report(sol)
         # solve_saddle, expansion_coeffs and check_Z1_vanishes share one
         assert [n for n, _ in builds] == [64]
-        assert len(evaluations) > 5 * len(builds)  # 30 evaluations at N = 64
+        assert len(evaluations) > 5 * len(builds)  # 7 evaluations at N = 64
         # every later call on the same live sol reuses it, and gives the report's floats
         sp = solve_saddle(sol)
         ec = expansion_coeffs(sp, sol)
@@ -445,16 +454,35 @@ class TestScalarSolve:
         # at eps = 0.02 the iterate ends up alternating between two doubles;
         # the stop on a step that no longer shrinks must end the solve there
         x = sp.x0 * (1.0 - 0.02 ** 2)
-        calls = []
+        steps = []
 
         def counted(*args, **kwargs):
-            calls.append(args)
-            return eval_F(*args, **kwargs)
+            steps.append(args)
+            return _F_at(*args, **kwargs)
 
-        monkeypatch.setattr(apexobs.asymptotics, "eval_F", counted)
+        monkeypatch.setattr(apexobs.asymptotics, "_F_at", counted)
         y = solve_y_at(sol, x)
-        assert len(calls) < 30
+        assert 0 < len(steps) < 30
         assert abs(eval_F(x, y, sol).F - y) <= 1e-14
+
+    def test_tails_evaluated_once_per_x(self, sol, sp, monkeypatch):
+        # x is fixed through the solve, so each Newton step reuses its tails
+        x = sp.x0 * (1.0 - 0.05 ** 2)
+        evaluations, steps = [], []
+
+        def counted_tails(tails, at):
+            evaluations.append(at)
+            return _tails(tails, at)
+
+        def counted_step(*args):
+            steps.append(args)
+            return _F_at(*args)
+
+        monkeypatch.setattr(apexobs.asymptotics, "_tails", counted_tails)
+        monkeypatch.setattr(apexobs.asymptotics, "_F_at", counted_step)
+        solve_y_at(sol, x)
+        assert evaluations == [x]
+        assert len(steps) > 1
 
     def test_bad_x_is_not_read_as_past_the_singularity(self, sol):
         # the solve stops only on eval_F's float-range error
@@ -479,6 +507,18 @@ class TestEvalSeries:
     def test_zero_reads_the_constant_coefficient(self):
         # no logarithm is taken at z = 0, so a coefficient beyond float range is never read
         assert eval_series(PowerSeries((7, 10 ** 400)), 0.0) == 7.0
+
+    @pytest.mark.parametrize(
+        "series, z",
+        [
+            (solve_system(64).T, 1e200),  # a term's exp overflows
+            (PowerSeries((0, 10 ** 308, 10 ** 308)), 0.95),  # each term fits, their sum does not
+        ],
+    )
+    def test_beyond_float_range_names_z(self, series, z):
+        # the first raised a bare OverflowError: math range error
+        with pytest.raises(ValueError, match=f"^z = {re.escape(str(z))} puts "):
+            eval_series(series, z)
 
     @pytest.mark.parametrize("z", [-0.5, float("nan"), float("inf")])
     def test_rejects_negative_and_nan(self, z):

@@ -344,6 +344,18 @@ class TestSubcommands:
     def test_bad_series_argument_exit_2(self, capsys, argv):
         self.assert_usage_error(capsys, argv, self.BAD_SERIES_ARGUMENT[argv])
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_bad_tol_rejected_before_the_solve(self, capsys, monkeypatch, tol):
+        # --N 1024 --tol nan exited 2 only after a solve of seconds
+        def unreached(truncation):
+            raise AssertionError(f"solve_system({truncation}) ran before --tol was checked")
+
+        monkeypatch.setattr(apexobs.cli, "solve_system", unreached)
+        assert run(["asymptotics", "--N", "1024", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: tol must be finite and positive, got {float(tol)}\n"
+        assert captured.out == ""
+
     def test_removed_flags_rejected(self):
         assert run(["gen-cacti", "--k", "4", "--verify", "--allow-expensive"]) == 2
         assert run(["verify-catalog", "--k", "0", "--threads", "2"]) == 2

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from dataclasses import fields
 from fractions import Fraction
 from math import factorial
@@ -12,6 +14,7 @@ from apexobs.series import (
     PowerSeries,
     _CheckFailed,
     _exact_div,
+    _square_coeff,
     coefficient_table,
     mset,
     solve_T_diamond,
@@ -296,6 +299,33 @@ class TestIntegerSystem:
         assert sol.truncation == 512
         assert list(sol.T.coeffs[:11]) == T_KNOWN
         assert list(sol.G.coeffs[:11]) == G_KNOWN
+
+    @staticmethod
+    def digest(n: int) -> str:
+        """sha256 over the reprs of all eight coefficient tuples, in field order."""
+        sol = solve_system(n)
+        h = hashlib.sha256()
+        for name in SYSTEM_FIELDS:
+            h.update(repr(getattr(sol, name).coeffs).encode())
+        return h.hexdigest()
+
+    def test_pinned_at_256(self):
+        # taken from the full-product solver before the half-sum squares
+        assert self.digest(256) == "e0e31f5db214dd80db48874a83b536b7b1100cde5a2a3975234502ca864a15cc"
+
+    @pytest.mark.slow
+    def test_pinned_at_1024(self):
+        assert self.digest(1024) == "95cc9f4ff3ad09adfc7b3d64c85aaeaaa84dae34d07c7513622c8cdfebfccb4a"
+
+    def test_square_coeff_is_the_full_product(self):
+        # odd and even m, with the middle term, on signed and multi-word ints
+        rng = random.Random(40)
+        for length in range(1, 13):
+            for _ in range(20):
+                a = [rng.randint(-(10 ** 30), 10 ** 30) for _ in range(length)]
+                for m in range(length):
+                    full = sum(a[i] * a[m - i] for i in range(m + 1))
+                    assert _square_coeff(a, m) == full, (a, m)
 
     def test_inexact_division_raises(self):
         assert _exact_div(-12, 4, "T_square", 3) == -3
