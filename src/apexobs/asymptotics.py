@@ -75,13 +75,16 @@ def _moments(terms: LogTerms, lz: float) -> tuple[float, float, float]:
 
 def eval_series(series: PowerSeries, z: float) -> float:
     """sum a_n z^n in doubles, robust to coefficients beyond float range."""
-    if z == 0.0:
-        return float(series.coeffs[0])
     if not 0 <= z < math.inf:  # NaN too
         raise ValueError(
             f"only non-negative arguments are supported, and only finite ones, got {z}"
         )
-    c0 = float(series.coeffs[0])
+    try:
+        c0 = float(series.coeffs[0])
+    except OverflowError:
+        raise ValueError("the constant coefficient a_0 is beyond float range") from None
+    if z == 0.0:
+        return c0
     terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
     try:
         value = c0 + _moments(terms, math.log(z))[0]

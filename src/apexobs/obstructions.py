@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -29,7 +30,9 @@ from .graphs import (
     _apex_search,
     _child_core,
     _child_rows,
+    _components,
     _cycle_rank,
+    _edge_count,
     _induced,
     _rank_drop,
     _require_class,
@@ -38,6 +41,7 @@ from .graphs import (
     bridges,
     component_masks,
     cyclomatic,
+    has_apex_set_within,
     is_connected,
     popcount,
 )
@@ -434,19 +438,81 @@ def _core_extensions(core: Graph, later: int) -> Iterator[Graph]:
             yield core.add_vertex(nb)
 
 
-def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
-    """g plus one apex vertex, with ``after`` apices still to come after it.
-
-    The apex's neighbourhood obeys ``_joins`` and takes a prefix of each
-    twin class of g.
-    """
-    joins = _joins(g.adj, after)
+def _apex_neighbourhoods(adj: tuple[int, ...], after: int) -> Iterator[int]:
+    """The neighbourhoods of one apex vertex added to the rows ``adj``, with
+    ``after`` apices still to come after it: each obeys ``_joins`` and takes
+    a prefix of each twin class."""
+    joins = _joins(adj, after)
     if joins is None:
         return
     forced, units = joins
-    for mask, _ in _prefix_picks(units, g.n):
-        if _degree_ok(g.adj, forced | mask, after):
-            yield g.add_vertex(forced | mask)
+    for mask, _ in _prefix_picks(units, len(adj)):
+        if _degree_ok(adj, forced | mask, after):
+            yield forced | mask
+
+
+def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
+    """g plus one apex vertex, with ``after`` apices still to come after it,
+    joined to each neighbourhood of ``_apex_neighbourhoods``."""
+    for nb in _apex_neighbourhoods(g.adj, after):
+        yield g.add_vertex(nb)
+
+
+def _deletion_table(adj: tuple[int, ...], k: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(S, 1 - cyc(P - S), components of P - S) for every k-set S of the
+    vertices of the graph P on the rows ``adj`` with cyc(P - S) <= 1, in
+    ascending order of the sets' vertex tuples.  cyc is counted as in
+    ``graphs._cycle_rank``, from the one component walk the entry keeps."""
+    full = (1 << len(adj)) - 1
+    table = []
+    for drop in combinations(range(len(adj)), k):
+        alive = full & ~sum(1 << v for v in drop)
+        comps = _components(adj, alive)
+        rank = _edge_count(adj, alive) - popcount(alive) + len(comps)
+        if rank <= 1:
+            table.append((full & ~alive, 1 - rank, tuple(comps)))
+    return table
+
+
+def _table_drop(table: list[tuple[int, int, tuple[int, ...]]], nb: int) -> str | None:
+    """Which rule drops the neighbourhood N = ``nb`` of a last apex a added
+    to the parent P of ``_deletion_table``: "dropped_k_apex" (rule 5) if
+    some entry S lands P + a - S in the class, "dropped_non_minimal" (rule
+    6) if for some v in N no entry lands P + a - av - S, else None.
+
+    With r = N - S, P + a - S has cycle rank cyc(P - S) + |r| - c, where c
+    counts the components of P - S that r meets; its excess |r| - c is
+    compared with the entry's slack 1 - cyc(P - S).  Deleting av (v in N)
+    changes r only for v outside S: the excess drops by one when v shares
+    its component with another vertex of r, and stays put otherwise.  So
+    once no entry lands N, an entry lands N - v exactly when its excess is
+    slack + 1 and v lies in a component that r meets at least twice.
+    """
+    covered = 0
+    for s, slack, comps in table:
+        rest = nb & ~s
+        parts = [part for comp in comps if (part := comp & rest)]
+        excess = popcount(rest) - len(parts)
+        if excess <= slack:
+            return "dropped_k_apex"
+        if excess == slack + 1:
+            for part in parts:
+                if part & (part - 1):
+                    covered |= part
+    return None if covered == nb else "dropped_non_minimal"
+
+
+def _last_apex_extensions(parent: Graph, k: int, counts: dict[str, int]) -> Iterator[Graph]:
+    """``_apex_extensions(parent, 0)`` less the neighbourhoods that rules 5
+    and 6 of ``_candidates`` drop, each counted in ``counts`` under the key
+    ``_table_drop`` names; the table is built once for the parent."""
+    table = _deletion_table(parent.adj, k)
+    for nb in _apex_neighbourhoods(parent.adj, 0):
+        rule = _table_drop(table, nb)
+        if rule is None:
+            yield parent.add_vertex(nb)
+        else:
+            counts[rule] += 1
 
 
 def _neighbour_degrees(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, ...]:
@@ -516,7 +582,7 @@ def _augmented_level(level: Iterable[Graph], later: int) -> list[Graph]:
     return out
 
 
-def _candidates(k: int, max_n: int) -> Iterator[Graph]:
+def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Iterator[Graph]:
     """Raw search candidates: a superset of the k-obstructions on <= max_n vertices.
 
     Every k-obstruction g has a k-set U with cyclomatic(g - U) = 2.  Take an
@@ -530,11 +596,12 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
     core level is built by canonical augmentation (``_augmented_level``),
     each apex layer but the last is deduplicated by canonical form, and the
     last layer is yielded raw (with k = 0 the last core extension is that
-    raw layer).  Three rules drop what the search need not check: rules 1
+    raw layer).  Six rules drop what the search need not check: rules 1
     and 2 what cannot be an obstruction, as every obstruction has minimum
     degree 2 and adjacent neighbours at each degree-2 vertex (the degree
-    conditions of ``structural_filters``), and rule 3 what is isomorphic to
-    a graph that is built:
+    conditions of ``structural_filters``), rule 3 what is isomorphic to a
+    graph that is built, and rules 4-6 what is k-apex or has a proper minor
+    outside the class:
 
     1. Degree floor.  A vertex gains at most one edge from each vertex added
        after it, so a graph with ``later`` vertices still to come needs
@@ -552,6 +619,34 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
        components, so a neighbourhood and its image give isomorphic graphs
        under the same rules; each orbit of the swaps holds exactly one that
        takes a prefix of every class, and only that one is built.
+
+    Rules 4-6 rest on the lemma: an obstruction g is not k-apex, so g - X
+    is not (k - |X|)-apex for any vertex set X, and every proper minor of g
+    is k-apex.
+
+    4. Apex layers.  After j of the k apices the graph is g minus its last
+       k - j apices, so it is not j-apex; a class of the layer that is
+       j-apex is dropped before it is extended.  The property is invariant
+       under isomorphism, so keeping one graph per class stays sound.
+    5. Last apex, non-membership.  Let P be a parent of the last layer and
+       N the neighbourhood of the last apex a, g = P + a.  P is not
+       (k - 1)-apex: by rule 4 at k >= 2, and as a core of cycle rank 2 at
+       k = 1.  So no deletion set of g of size <= k holds a, and padding a
+       smaller one, g is k-apex iff some k-set S of P's vertices has
+       cyc(P - S) + |N - S| - c <= 1, with c the components of P - S that
+       N - S meets.  ``_deletion_table`` lists, once per parent, each k-set
+       with cyc(P - S) <= 1 and the components of P - S; N is dropped if
+       the table lands it (``_table_drop``).
+    6. Last apex, minimality.  For v in N, g - av is a proper minor of g,
+       so it must be k-apex; (g - av) - a = P, so by the argument of rule 5
+       the table decides it exactly.  N is dropped unless the table lands
+       N - v for every v in N.
+
+    Rules 5 and 6 test each neighbourhood as a mask, before a graph is
+    built, so a dropped one costs no form and no apex search; ``counts``,
+    if given, gets the number each drops.  They are the generator's
+    filters, not verdicts: ``check_obstruction`` still decides each
+    candidate in full.
 
     Every deduplicated core level has ``later`` >= 1, so level m holds one
     graph of each class on m vertices with cyc <= 2 and minimum degree at
@@ -575,6 +670,7 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
       graphs share their invariant multiset, so siblings are compared by
       form only within groups that share it.
     """
+    counts = Counter() if counts is None else counts
     top = max_n - k  # largest core size
     level = [Graph(0)]
     for m in range(1, top + 1):
@@ -585,9 +681,10 @@ def _candidates(k: int, max_n: int) -> Iterator[Graph]:
         graphs = [g for g in level if cyclomatic(g) == 2]
         for after in range(k - 1, 0, -1):
             layer = (ext for g in graphs for ext in _apex_extensions(g, after))
-            graphs = _iso_classes(layer).values()
+            graphs = [g for g in _iso_classes(layer).values()
+                      if not has_apex_set_within(g, ClassId.SUB_UNICYCLIC, k - after)]
         for g in graphs:
-            yield from (_apex_extensions(g, 0) if k else [g])
+            yield from (_last_apex_extensions(g, k, counts) if k else [g])
 
 
 def _check_budget(budget_seconds: float | None) -> None:
@@ -611,8 +708,10 @@ def search_obstructions(
     candidate (connected, with ``connected_only``) is deduplicated by
     canonical form and goes straight to the full test, which refutes a
     bridged one like any other non-obstruction.  The ``candidates`` counts
-    of the catalog say how many were generated, passed ``connected_only``
-    (all of them without it), were checked and were found.
+    of the catalog say how many last-apex neighbourhoods rules 5 and 6 of
+    ``_candidates`` dropped (``dropped_k_apex``, ``dropped_non_minimal``),
+    and how many candidates were generated, passed ``connected_only`` (all
+    of them without it), were checked and were found.
     ``budget_seconds`` stops the search after that many seconds, with the
     catalog not claimed complete.
     """
@@ -622,11 +721,12 @@ def search_obstructions(
         raise ValueError(f"max_n {max_n} outside 0..{MAX_VERTICES} (the vertex limit)")
     _check_budget(budget_seconds)
     t0 = time.perf_counter()
-    counts = dict.fromkeys(("generated", "passed_filters", "checked", "found"), 0)
+    counts = dict.fromkeys(("dropped_k_apex", "dropped_non_minimal",
+                            "generated", "passed_filters", "checked", "found"), 0)
     complete = True
     seen: set[bytes] = set()
     found: dict[bytes, Graph] = {}
-    for g in _candidates(k, max_n):
+    for g in _candidates(k, max_n, counts):
         counts["generated"] += 1
         if connected_only and not is_connected(g):
             continue

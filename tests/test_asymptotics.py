@@ -520,6 +520,12 @@ class TestEvalSeries:
         with pytest.raises(ValueError, match=f"^z = {re.escape(str(z))} puts "):
             eval_series(series, z)
 
+    @pytest.mark.parametrize("z", [0.0, 0.5])
+    def test_constant_beyond_float_range_is_named(self, z):
+        # it raised a bare OverflowError: int too large to convert to float
+        with pytest.raises(ValueError, match="^the constant coefficient a_0 is beyond float range$"):
+            eval_series(PowerSeries((10 ** 400, 1)), z)
+
     @pytest.mark.parametrize("z", [-0.5, float("nan"), float("inf")])
     def test_rejects_negative_and_nan(self, z):
         with pytest.raises(ValueError, match="only non-negative arguments"):

@@ -188,12 +188,17 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         c = payload["candidates"]
-        assert set(c) == {"generated", "passed_filters", "checked", "found"}
+        assert set(c) == {
+            "dropped_k_apex", "dropped_non_minimal",
+            "generated", "passed_filters", "checked", "found",
+        }
         assert c["generated"] >= c["passed_filters"] >= c["checked"] >= c["found"]
         assert c["found"] == len(payload["found"]) > 0
-        # no filter stage: the deduplication cuts (9 candidates to 8 classes
-        # at k = 0)
-        assert c["generated"] > c["checked"]
+        # no filter stage: the last layer's rules and the deduplication cut
+        # (9 candidates to 8 classes at k = 0; 8 neighbourhoods to 1
+        # candidate at k = 2)
+        assert c["dropped_k_apex"] + c["dropped_non_minimal"] + c["generated"] > c["checked"]
+        assert (c["dropped_k_apex"] + c["dropped_non_minimal"] > 0) == (k > 0)
 
     def test_enumerate_row_ten(self, capsys):
         code, out = invoke(capsys, "enumerate", "--n", "10")

@@ -22,6 +22,7 @@ from apexobs.graphs import (
     _apex_search,
     _child_rows,
     _cycle_rank,
+    _induced,
     _rank_drop,
     _strip,
     butterfly_graph,
@@ -46,7 +47,9 @@ from apexobs.obstructions import (
     _augmentation,
     _candidates,
     _core_extensions,
+    _deletion_table,
     _prefix_picks,
+    _table_drop,
     _twin_classes,
     check_obstruction,
     is_obstruction,
@@ -546,7 +549,7 @@ class TestSearch:
 
     @pytest.mark.slow
     def test_k1_up_to_12_is_the_catalog(self):
-        # the completeness label past the 10 vertices above (about 30 s, 260 MB)
+        # the completeness label past the 10 vertices above (about 6 s, 42 MB)
         found = search_obstructions(1, 12)
         assert found.claimed_complete and len(found) == 29
         assert same_graph_sets(
@@ -556,7 +559,7 @@ class TestSearch:
     @pytest.mark.slow
     def test_k2_up_to_9_records_unchanged(self):
         # sha256 of the records, which are the same whether or not each
-        # candidate must first pass the structural filters (about 17 s): 1
+        # candidate must first pass the structural filters (about 6 s): 1
         # record on 6 vertices, 8 on 7, 61 on 8 and 325 on 9
         cat = search_obstructions(2, 9)
         assert Counter(r.graph.n for r in cat.records) == {6: 1, 7: 8, 8: 61, 9: 325}
@@ -670,13 +673,78 @@ class TestCandidateGenerators:
 
     @pytest.mark.parametrize(
         "k, max_n, checked, found, generated",
-        # generated: the unpruned generators built 4,526, 4,643 and 3,249
-        [(0, 8, 109, 3, 4526), (1, 8, 549, 22, 4643), (2, 7, 316, 9, 3249)],
+        # generated: the unpruned generators built 4,526, 4,643 and 3,249;
+        # checked: 549 and 316 before rules 4-6 of the last layers
+        [(0, 8, 109, 3, 4526), (1, 8, 36, 22, 4643), (2, 7, 16, 9, 3249)],
     )
     def test_pruning_checks_the_same_classes(self, k, max_n, checked, found, generated):
         c = search_obstructions(k, max_n).candidates
         assert (c["checked"], c["found"]) == (checked, found)
         assert c["passed_filters"] == c["generated"] < generated
+
+
+class TestDeletionTable:
+    """Rules 5 and 6 of the search's last layer: the table of a parent P
+    that is not (k - 1)-apex decides, from the apex's neighbourhood alone,
+    whether P + a is k-apex and whether every P + a - av is."""
+
+    @staticmethod
+    def parents_and_neighbourhoods(rng: random.Random, k: int, count: int):
+        # seeded random parents that are not (k - 1)-apex, with random
+        # neighbourhoods of a new last vertex, rich and sparse
+        made = 0
+        while made < count:
+            p = random_graph(rng, rng.randint(k + 3, 9), rng.uniform(0.25, 0.7))
+            if has_apex_set_within(p, ClassId.SUB_UNICYCLIC, k - 1):
+                continue
+            made += 1
+            density = rng.uniform(0.1, 0.6)
+            yield p, sum(1 << v for v in range(p.n) if rng.random() < density)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rule_5_is_the_apex_search(self, k, rng):
+        seen = Counter()
+        for p, nb in self.parents_and_neighbourhoods(rng, k, 300):
+            g = p.add_vertex(nb)
+            apex = has_apex_set_within(g, ClassId.SUB_UNICYCLIC, k)
+            assert (_table_drop(_deletion_table(p.adj, k), nb) == "dropped_k_apex") == apex
+            seen[apex] += 1
+        assert min(seen[True], seen[False]) >= 30  # both verdicts occur
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_rule_6_is_the_apex_search_on_every_one_edge_minor(self, k, rng):
+        seen = Counter()
+        for p, nb in self.parents_and_neighbourhoods(rng, k, 300):
+            g = p.add_vertex(nb)
+            rule = _table_drop(_deletion_table(p.adj, k), nb)
+            if rule == "dropped_k_apex":
+                continue
+            minimal = all(
+                has_apex_set_within(g.delete_edge(p.n, v), ClassId.SUB_UNICYCLIC, k)
+                for v in range(p.n) if nb >> v & 1
+            )
+            assert (rule is None) == minimal
+            seen[minimal] += 1
+        assert min(seen[True], seen[False]) >= 10  # both verdicts occur
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_drops_and_candidates_are_the_neighbourhoods(self, k, monkeypatch):
+        # every last-layer neighbourhood is either yielded or counted as
+        # dropped by exactly one rule
+        parents = []
+        real = apexobs.obstructions._deletion_table
+
+        def recorded(adj, budget):
+            parents.append(_induced(adj, (1 << len(adj)) - 1))
+            return real(adj, budget)
+
+        monkeypatch.setattr(apexobs.obstructions, "_deletion_table", recorded)
+        counts = Counter()
+        made = sum(1 for _ in _candidates(k, 8, counts))
+        enumerated = sum(1 for p in parents for _ in _apex_extensions(p, 0))
+        assert made + counts["dropped_k_apex"] + counts["dropped_non_minimal"] == enumerated
+        assert set(counts) == {"dropped_k_apex", "dropped_non_minimal"}
+        assert made < enumerated
 
 
 class TestCanonicalAugmentation:
@@ -732,10 +800,11 @@ class TestCanonicalAugmentation:
             assert len(set(forms)) == len(forms)  # no class twice
             assert set(forms) == {canonical_form(g) for g in ref}
 
-    @pytest.mark.parametrize("k, searches", [(0, 79), (1, 280)])
+    @pytest.mark.parametrize("k, searches", [(0, 79), (1, 113)])
     def test_canonical_searches_pinned(self, k, searches, monkeypatch):
         # from cold caches; deduplicating the core levels by form took 321
-        # and 531
+        # and 531, and at k = 1 the last layer took 280 before rules 5 and
+        # 6 dropped its neighbourhoods unbuilt
         calls = []
         real = apexobs.canonical._canonical_search_pruned
 
