@@ -50,6 +50,8 @@ def from_graph6(text: str) -> Graph:
     for d in data[1:]:
         for shift in range(5, -1, -1):
             bitstream.append((d >> shift) & 1)
+    if any(bitstream[n * (n - 1) // 2:]):
+        raise ValueError(f"graph6 padding bits set in {text!r}")
     edges = []
     i = 0
     for col in range(1, n):

@@ -41,7 +41,6 @@ from .graphs import (
     bridges,
     component_masks,
     cyclomatic,
-    has_apex_set_within,
     is_connected,
     popcount,
 )
@@ -451,13 +450,6 @@ def _apex_neighbourhoods(adj: tuple[int, ...], after: int) -> Iterator[int]:
             yield forced | mask
 
 
-def _apex_extensions(g: Graph, after: int) -> Iterator[Graph]:
-    """g plus one apex vertex, with ``after`` apices still to come after it,
-    joined to each neighbourhood of ``_apex_neighbourhoods``."""
-    for nb in _apex_neighbourhoods(g.adj, after):
-        yield g.add_vertex(nb)
-
-
 def _deletion_table(adj: tuple[int, ...], k: int) -> list[tuple[int, int, tuple[int, ...]]]:
     """(S, 1 - cyc(P - S), components of P - S) for every k-set S of the
     vertices of the graph P on the rows ``adj`` with cyc(P - S) <= 1, in
@@ -502,16 +494,18 @@ def _table_drop(table: list[tuple[int, int, tuple[int, ...]]], nb: int) -> str |
     return None if covered == nb else "dropped_non_minimal"
 
 
-def _last_apex_extensions(parent: Graph, k: int, counts: dict[str, int]) -> Iterator[Graph]:
-    """``_apex_extensions(parent, 0)`` less the neighbourhoods that rules 5
-    and 6 of ``_candidates`` drop, each counted in ``counts`` under the key
-    ``_table_drop`` names; the table is built once for the parent."""
-    table = _deletion_table(parent.adj, k)
-    for nb in _apex_neighbourhoods(parent.adj, 0):
+def _apex_layer(parent: Graph, j: int, k: int, counts: dict[str, int]) -> Iterator[Graph]:
+    """``parent`` plus its j-th apex of k, joined to each neighbourhood of
+    ``_apex_neighbourhoods`` that rules 4-6 of ``_candidates`` keep: rule 4,
+    the table of budget j, below the last layer, and rules 5 and 6 at the
+    last (j = k), where each drop is counted in ``counts`` under the key
+    ``_table_drop`` names.  The table is built once for the parent."""
+    table = _deletion_table(parent.adj, j)
+    for nb in _apex_neighbourhoods(parent.adj, k - j):
         rule = _table_drop(table, nb)
-        if rule is None:
+        if rule is None or (j < k and rule == "dropped_non_minimal"):
             yield parent.add_vertex(nb)
-        else:
+        elif j == k:
             counts[rule] += 1
 
 
@@ -625,28 +619,30 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     is k-apex.
 
     4. Apex layers.  After j of the k apices the graph is g minus its last
-       k - j apices, so it is not j-apex; a class of the layer that is
-       j-apex is dropped before it is extended.  The property is invariant
-       under isomorphism, so keeping one graph per class stays sound.
-    5. Last apex, non-membership.  Let P be a parent of the last layer and
-       N the neighbourhood of the last apex a, g = P + a.  P is not
-       (k - 1)-apex: by rule 4 at k >= 2, and as a core of cycle rank 2 at
-       k = 1.  So no deletion set of g of size <= k holds a, and padding a
-       smaller one, g is k-apex iff some k-set S of P's vertices has
+       k - j apices, so it is not j-apex.  Let P be a parent of layer j and
+       N the neighbourhood of its apex a.  P is not (j - 1)-apex: at j = 1
+       it is a core of cycle rank 2, and at j >= 2 it survived layer j - 1.
+       So no deletion set of P + a of size <= j holds a, and padding a
+       smaller one, P + a is j-apex iff some j-set S of P's vertices has
        cyc(P - S) + |N - S| - c <= 1, with c the components of P - S that
-       N - S meets.  ``_deletion_table`` lists, once per parent, each k-set
+       N - S meets.  ``_deletion_table`` lists, once per parent, each j-set
        with cyc(P - S) <= 1 and the components of P - S; N is dropped if
-       the table lands it (``_table_drop``).
+       the table lands it (``_table_drop``).  Being j-apex is invariant
+       under isomorphism, so dropping N before the layer is deduplicated
+       keeps the same classes, with the same graph for each.
+    5. Last apex, non-membership.  Rule 4 at the last layer, j = k: with
+       g = P + a, N is dropped if the table of budget k lands it, as g is
+       then k-apex.
     6. Last apex, minimality.  For v in N, g - av is a proper minor of g,
-       so it must be k-apex; (g - av) - a = P, so by the argument of rule 5
+       so it must be k-apex; (g - av) - a = P, so by the argument of rule 4
        the table decides it exactly.  N is dropped unless the table lands
        N - v for every v in N.
 
-    Rules 5 and 6 test each neighbourhood as a mask, before a graph is
-    built, so a dropped one costs no form and no apex search; ``counts``,
-    if given, gets the number each drops.  They are the generator's
-    filters, not verdicts: ``check_obstruction`` still decides each
-    candidate in full.
+    Rules 4-6 test each neighbourhood as a mask, before a graph is built,
+    so a dropped one costs no form and no apex search; ``counts``, if
+    given, gets the number rules 5 and 6 each drop.  They are the
+    generator's filters, not verdicts: ``check_obstruction`` still decides
+    each candidate in full.
 
     Every deduplicated core level has ``later`` >= 1, so level m holds one
     graph of each class on m vertices with cyc <= 2 and minimum degree at
@@ -679,12 +675,11 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
             return
         level = _augmented_level(level, top - m + k)
         graphs = [g for g in level if cyclomatic(g) == 2]
-        for after in range(k - 1, 0, -1):
-            layer = (ext for g in graphs for ext in _apex_extensions(g, after))
-            graphs = [g for g in _iso_classes(layer).values()
-                      if not has_apex_set_within(g, ClassId.SUB_UNICYCLIC, k - after)]
+        for j in range(1, k):
+            layer = (ext for g in graphs for ext in _apex_layer(g, j, k, counts))
+            graphs = list(_iso_classes(layer).values())
         for g in graphs:
-            yield from (_last_apex_extensions(g, k, counts) if k else [g])
+            yield from (_apex_layer(g, k, k, counts) if k else [g])
 
 
 def _check_budget(budget_seconds: float | None) -> None:

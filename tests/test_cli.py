@@ -77,6 +77,13 @@ class TestCheck:
     def test_unknown_graph_is_usage_error(self, capsys):
         assert run(["check", "--class", "forest", "NOPE@@@"]) == 2
 
+    def test_graph6_with_padding_bits_is_usage_error(self, capsys):
+        # 'Bx' is 'Bw' (K3) with a padding bit set: not a graph6 string
+        assert run(["check", "--class", "forest", "Bx"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 'Bx'") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     def test_unknown_class_is_usage_error(self, capsys):
         assert run(["check", "--class", "bogus", "K4"]) == 2
         captured = capsys.readouterr()

@@ -55,6 +55,12 @@ class TestGraph6:
         with pytest.raises(ValueError):
             from_graph6("C\x05")
 
+    def test_padding_bits_rejected(self):
+        # 'Bw' is K3 with its three padding bits clear; 'Bx' sets the last
+        with pytest.raises(ValueError, match="padding bits"):
+            from_graph6("Bx")
+        assert from_graph6("Bw") == complete_graph(3)
+
     def test_long_form_rejected(self):
         # a first byte of 126 ('~') announces a vertex count above 62
         with pytest.raises(ValueError, match=r"long graph6 form \(n > 62\) not supported"):

@@ -22,7 +22,6 @@ from apexobs.graphs import (
     _apex_search,
     _child_rows,
     _cycle_rank,
-    _induced,
     _rank_drop,
     _strip,
     butterfly_graph,
@@ -43,7 +42,7 @@ from apexobs.obstructions import (
     Catalog,
     ObstructionRecord,
     Status,
-    _apex_extensions,
+    _apex_neighbourhoods,
     _augmentation,
     _candidates,
     _core_extensions,
@@ -568,6 +567,24 @@ class TestSearch:
             "1d6e5dae82be5d7fcc7a679f452e29400fe20dacde03126c7defb213cc06acfe"
         )
 
+    @pytest.mark.parametrize(
+        "k, max_n, counts, digest",
+        # (dropped_k_apex, dropped_non_minimal, generated, passed_filters,
+        # checked, found), and the sha256 of the records, as the apex
+        # layers gave them when rule 4 ran an apex search on each class
+        [
+            (3, 8, (2123, 192, 144, 144, 47, 21),
+             "a05145648dc0c5ea80b7af344ade166a00dad5b437a2abecc4a0860c13e716bb"),
+            (4, 9, (11492, 678, 436, 436, 109, 40),
+             "2e4315c888567fbb392d3e5e336bd0818ba7fa26ebcc674b9f242a4a44101027"),
+        ],
+    )
+    def test_k3_and_k4_outputs_pinned(self, k, max_n, counts, digest):
+        cat = search_obstructions(k, max_n)
+        assert tuple(cat.candidates.values()) == counts
+        records = json.dumps([rec.to_dict() for rec in cat.records]).encode()
+        assert hashlib.sha256(records).hexdigest() == digest
+
     def test_runs_no_bridge_search(self, monkeypatch):
         # a bridged candidate goes to the obstruction test, which refutes it:
         # the search looks for no bridges of its own
@@ -646,7 +663,7 @@ class TestCandidateGenerators:
         for _ in range(30):
             g = self.twin_rich_graph(rng, rng.randint(1, 7))
             for after in (0, 1, 2):
-                made = list(_apex_extensions(g, after))
+                made = [g.add_vertex(nb) for nb in _apex_neighbourhoods(g.adj, after)]
                 assert all(self.can_finish(h, after) for h in made)
                 everything = (g.add_vertex(m) for m in range(1 << g.n))
                 assert {canonical_form(h) for h in made} == {
@@ -684,9 +701,10 @@ class TestCandidateGenerators:
 
 
 class TestDeletionTable:
-    """Rules 5 and 6 of the search's last layer: the table of a parent P
-    that is not (k - 1)-apex decides, from the apex's neighbourhood alone,
-    whether P + a is k-apex and whether every P + a - av is."""
+    """Rules 4-6 of the search's apex layers: the table of a parent P that
+    is not (k - 1)-apex decides, from the apex's neighbourhood alone,
+    whether P + a is k-apex and whether every P + a - av is.  Rule 4 is
+    rule 5 at the layer's budget."""
 
     @staticmethod
     def parents_and_neighbourhoods(rng: random.Random, k: int, count: int):
@@ -701,7 +719,7 @@ class TestDeletionTable:
             density = rng.uniform(0.1, 0.6)
             yield p, sum(1 << v for v in range(p.n) if rng.random() < density)
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rule_5_is_the_apex_search(self, k, rng):
         seen = Counter()
         for p, nb in self.parents_and_neighbourhoods(rng, k, 300):
@@ -711,7 +729,7 @@ class TestDeletionTable:
             seen[apex] += 1
         assert min(seen[True], seen[False]) >= 30  # both verdicts occur
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rule_6_is_the_apex_search_on_every_one_edge_minor(self, k, rng):
         seen = Counter()
         for p, nb in self.parents_and_neighbourhoods(rng, k, 300):
@@ -730,18 +748,20 @@ class TestDeletionTable:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_drops_and_candidates_are_the_neighbourhoods(self, k, monkeypatch):
         # every last-layer neighbourhood is either yielded or counted as
-        # dropped by exactly one rule
+        # dropped by exactly one rule; the last layer's tables have budget
+        # k, and the apex layers before it drop uncounted
         parents = []
         real = apexobs.obstructions._deletion_table
 
         def recorded(adj, budget):
-            parents.append(_induced(adj, (1 << len(adj)) - 1))
+            if budget == k:
+                parents.append(adj)
             return real(adj, budget)
 
         monkeypatch.setattr(apexobs.obstructions, "_deletion_table", recorded)
         counts = Counter()
         made = sum(1 for _ in _candidates(k, 8, counts))
-        enumerated = sum(1 for p in parents for _ in _apex_extensions(p, 0))
+        enumerated = sum(1 for adj in parents for _ in _apex_neighbourhoods(adj, 0))
         assert made + counts["dropped_k_apex"] + counts["dropped_non_minimal"] == enumerated
         assert set(counts) == {"dropped_k_apex", "dropped_non_minimal"}
         assert made < enumerated
@@ -800,11 +820,12 @@ class TestCanonicalAugmentation:
             assert len(set(forms)) == len(forms)  # no class twice
             assert set(forms) == {canonical_form(g) for g in ref}
 
-    @pytest.mark.parametrize("k, searches", [(0, 79), (1, 113)])
+    @pytest.mark.parametrize("k, searches", [(0, 79), (1, 113), (2, 107)])
     def test_canonical_searches_pinned(self, k, searches, monkeypatch):
         # from cold caches; deduplicating the core levels by form took 321
-        # and 531, and at k = 1 the last layer took 280 before rules 5 and
-        # 6 dropped its neighbourhoods unbuilt
+        # and 531, at k = 1 the last layer took 280 before rules 5 and 6
+        # dropped its neighbourhoods unbuilt, and at k = 2 it took 206 while
+        # rule 4 built every apex-layer graph and apex-searched each class
         calls = []
         real = apexobs.canonical._canonical_search_pruned
 
