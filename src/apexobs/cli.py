@@ -144,14 +144,16 @@ def cmd_gen_cacti(args) -> int:
     if args.disconnected:
         unions = [(g, {"disconnected": True}) for g in _disconnected(levels)]
         families.append((args.k, args.k, "disconnected cactus obstructions", unions))
-    rows = [{"k": j, "graph6": to_graph6(g), "n": g.n, **rest}
-            for j, _, _, members in families for g, rest in members]
-    lines = []
+    rows, lines = [], []
     for j, budget, label, members in families:
         lines.append(f"k={j}: {len(members)} {label}")
+        level_rows = [{"k": j, "graph6": to_graph6(g), "n": g.n, **rest} for g, rest in members]
+        rows += level_rows
         if not args.verify:
             continue
         checks = [(g, check_obstruction(g, budget)) for g, _ in members]
+        for row, (_, c) in zip(level_rows, checks):
+            row["children_searched"] = c.children_searched
         failed = [(g, c) for g, c in checks if not c.is_obstruction]
         lines[-1] += f"  ({len(failed)} FAILED)" if failed else "  (all verified)"
         if not failed:
@@ -174,6 +176,8 @@ def cmd_gen_cacti(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.N < 1:  # solved at max(N, n), so solve_system never sees a bad --N
         raise ValueError(f"--N must be at least 1, got {args.N}")
+    if args.n < 0:  # else coefficient_table's message names its up_to, not the flag
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     sol = solve_system(max(args.N, args.n))
     table = coefficient_table(sol, args.n)
     payload = {

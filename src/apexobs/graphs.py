@@ -613,7 +613,8 @@ _RANK_LIMIT = {ClassId.FOREST: 0, ClassId.SUB_UNICYCLIC: 1}  # the largest cycle
 
 
 def _apex_search(
-    adj: tuple[int, ...], core: int, high: int, cls: ClassId, k: int, failed: dict[int, int]
+    adj: tuple[int, ...], core: int, high: int, cls: ClassId, k: int, failed: dict[int, int],
+    near: list[tuple[int, int]] | None = None, path: int = 0,
 ) -> int | None:
     """A set of at most k vertices of ``core`` whose deletion lands it in ``cls``, or None.
 
@@ -625,13 +626,22 @@ def _apex_search(
     ``failed`` maps a core to the largest budget it was refuted with.  The
     packing bound needs a cycle-rank cap t, so it skips PSEUDOFOREST,
     CACTUS and k <= 1.
+
+    ``path`` is the mask of vertices the branches above this node deleted.
+    With a list ``near`` and a cap t, each budget-0 node outside the class
+    whose core has cycle rank t + 1 appends its near miss (path, t + 1):
+    trees add no rank, so t + 1 is the rank of the graph minus ``path``.
     """
     block = _thick_block(adj, core) if high and cls is ClassId.CACTUS else 0
     if _core_in_class(adj, core, high, block, cls):
         return 0
-    if k == 0 or failed.get(core, -1) >= k:
-        return None
     t = _RANK_LIMIT.get(cls)
+    if k == 0:
+        if near is not None and t is not None and _cycle_rank(adj, core) == t + 1:
+            near.append((path, t + 1))
+        return None
+    if failed.get(core, -1) >= k:
+        return None
     if k >= 2 and t is not None:
         need = k + 1 + t
         if _cycle_packing(adj, core, need) >= need:
@@ -643,7 +653,7 @@ def _apex_search(
     )
     for v in branch:
         child, child_high = _peel(adj, core & ~(1 << v), high, adj[v])
-        found = _apex_search(adj, child, child_high, cls, k - 1, failed)
+        found = _apex_search(adj, child, child_high, cls, k - 1, failed, near, path | 1 << v)
         if found is not None:
             return found | 1 << v
     failed[core] = k

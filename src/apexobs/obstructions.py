@@ -137,16 +137,23 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     classes of cycle rank at most t, the child minus s lands iff that rank
     minus ``graphs._rank_drop`` is at most t, which answers every child;
     for PSEUDOFOREST and CACTUS, the apex search at budget 0 decides.
+
+    For FOREST and SUB_UNICYCLIC the first sets are the near misses of g's
+    own membership search: each budget-0 node outside the class whose
+    2-core has cycle rank t + 1 gives the set s its path deleted, with at
+    most k vertices and cyc(g - s) = t + 1, so s lands every child whose
+    edge operation lowers that rank.  They are tested like any sibling's
+    set, so they change only how many children need a search of their own.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     _require_class(cls)
     adj, full = g.adj, (1 << g.n) - 1
     core, high = _strip(adj, full)
-    if _apex_search(adj, core, high, cls, k, {}) is not None:
+    sets: list[tuple[int, int]] = []  # (s, cyc(g - s)), the membership search's near misses first
+    if _apex_search(adj, core, high, cls, k, {}, sets) is not None:
         return ObstructionCheck(False, failed_step="membership")
     t = _RANK_LIMIT.get(cls)
-    sets: list[tuple[int, int]] = []  # (s, cyc(g - s))
     searched = 0
     for rows, alive, edge in _child_rows(g):
         for i, (s, rank) in enumerate(sets):

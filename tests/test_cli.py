@@ -21,6 +21,7 @@ from apexobs.cli import run
 from apexobs.graphio import from_graph6, to_edgelist, to_graph6
 from apexobs.graphs import ClassId, has_apex_set_within, make_named, one_step_minors
 from apexobs.minors import clear_minor_cache
+from apexobs.obstructions import check_obstruction
 from apexobs.series import PowerSeries, _CheckFailed, solve_system
 
 
@@ -180,8 +181,9 @@ class TestSubcommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["verified"] == 3 and payload["refuted"] == []
-        # at k = 0 the empty set found for the first child settles the rest
-        assert [rec["children_searched"] for rec in payload["records"]] == [1, 1, 1]
+        # at k = 0 the membership search's root is its one near miss: the
+        # empty set, with g's cycle rank 2, settles every child
+        assert [rec["children_searched"] for rec in payload["records"]] == [0, 0, 0]
 
     def test_search_small(self, capsys):
         code, out = invoke(capsys, "search", "--k", "0", "--max-n", "4", "--json")
@@ -231,6 +233,23 @@ class TestSubcommands:
         assert code == 0
         fams = json.loads(out)["families"]
         assert sum(1 for f in fams if f["k"] == 3) == 3
+
+    def test_gen_cacti_verify_json_counts_child_searches(self, capsys):
+        # each verified member's row carries the check's children_searched,
+        # as verify-catalog's records do; rows without --verify carry none
+        code, out = invoke(capsys, "gen-cacti", "--k", "5", "--verify", "--disconnected", "--json")
+        assert code == 0
+        rows = json.loads(out)["families"]
+        for row in rows:
+            budget = row["k"] if row.get("disconnected") else row["k"] - 1
+            check = check_obstruction(from_graph6(row["graph6"]), budget)
+            assert row["children_searched"] == check.children_searched
+        connected = [row for row in rows if not row.get("disconnected")]
+        assert [sum(r["children_searched"] for r in connected if r["k"] == j)
+                for j in (2, 3, 4, 5)] == [1, 2, 15, 79]
+        code, out = invoke(capsys, "gen-cacti", "--k", "5", "--json")
+        assert code == 0
+        assert all("children_searched" not in row for row in json.loads(out)["families"])
 
     def test_gen_cacti_verify_level_five(self, capsys):
         code, out = invoke(capsys, "gen-cacti", "--k", "5", "--verify")
@@ -355,6 +374,10 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", list(BAD_SERIES_ARGUMENT))
     def test_bad_series_argument_exit_2(self, capsys, argv):
         self.assert_usage_error(capsys, argv, self.BAD_SERIES_ARGUMENT[argv])
+
+    def test_enumerate_negative_n_names_the_flag(self, capsys):
+        assert run(["enumerate", "--n", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --n must be non-negative, got -1\n"
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_bad_tol_rejected_before_the_solve(self, capsys, monkeypatch, tol):

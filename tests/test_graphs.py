@@ -535,18 +535,19 @@ class TestApexSearch:
     # >= 1 columns are those of a search that stripped every node's alive
     # set and repacked it from scratch; budget 0 counts only the searches'
     # own leaves, as _rank_drop answers every sibling-set test of
-    # SUB_UNICYCLIC
+    # SUB_UNICYCLIC.  The membership search's near misses are the first
+    # sibling sets, so only the children they do not settle are searched
     NODES = {
         (4, 3, 1): [
-            [15, 10, 10, 6], [14, 10, 10, 7], [10, 8, 9, 7], [25, 12, 10, 6],
-            [21, 11, 10, 6], [15, 10, 11, 6], [18, 10, 9, 5],
+            [12, 7, 7, 3], [11, 7, 7, 4], [7, 5, 6, 4], [20, 8, 7, 3],
+            [14, 6, 6, 3], [10, 6, 6, 3], [11, 5, 4, 2],
         ],
         (5, 4, 2): [
-            [11, 11, 12, 12, 8], [19, 12, 15, 11, 7], [13, 12, 12, 12, 9],
-            [14, 12, 10, 11, 9], [32, 16, 18, 11, 7], [14, 12, 12, 12, 9],
-            [13, 11, 13, 14, 8], [22, 15, 13, 13, 7], [30, 17, 16, 14, 7],
-            [29, 18, 15, 12, 7], [11, 11, 13, 14, 8], [30, 16, 13, 12, 7],
-            [26, 15, 12, 11, 6],
+            [9, 9, 10, 10, 6], [15, 8, 9, 7, 3], [10, 9, 9, 9, 6],
+            [10, 8, 6, 7, 5], [27, 12, 13, 8, 4], [10, 8, 8, 8, 5],
+            [9, 7, 7, 7, 4], [18, 11, 6, 7, 3], [23, 11, 7, 6, 3],
+            [27, 16, 11, 9, 5], [9, 9, 9, 10, 6], [20, 9, 6, 6, 3],
+            [16, 8, 5, 4, 2],
         ],
     }
 
@@ -687,7 +688,8 @@ class TestCoreBookkeeping:
         assert seen[0, False] and sum(c for (w, t), c in seen.items() if w and not t) > 1000
 
     def test_packing_is_the_greedy_in_the_cactus_checks(self, monkeypatch):
-        # every call the obstruction checks and forest counts of Z_2..Z_5 make
+        # every call the obstruction checks, the k + 1 membership refutations
+        # and the forest counts of Z_2..Z_5 make
         calls = []
         packing = apexobs.graphs._cycle_packing
 
@@ -699,8 +701,9 @@ class TestCoreBookkeeping:
         for level in range(2, 6):
             for b in generate_Z(level):
                 assert check_obstruction(b.graph, level - 1).is_obstruction
+                assert check_obstruction(b.graph, level).failed_step == "membership"
                 assert count_forest_apex_sets(b.graph, level) == 1
-        assert len(calls) > 1000 and {limit for *_, limit in calls} == {2, 3, 4, 5, 6}
+        assert len(calls) > 1000 and {limit for *_, limit in calls} == {2, 3, 4, 5, 6, 7}
         for adj, core, limit in calls:
             assert packing(adj, core, limit) == greedy_packing(adj, core, limit)
 

@@ -281,22 +281,73 @@ class TestSiblingSets:
         }
         assert ("isolated", False, False) in seen
 
+    @pytest.mark.parametrize("cls", list(ClassId))
+    def test_random_graphs_against_the_reference(self, cls):
+        # graphs of 4-10 vertices, witnesses compared as graph6 bytes; FOREST
+        # and SUB_UNICYCLIC start from the membership search's near misses
+        rng = random.Random(4343)
+        steps = Counter()
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(4, 10), rng.uniform(0.1, 0.6))
+            for k in (0, 1, 2):
+                check = check_obstruction(g, k, cls)
+                verdict, step, witness = reference_check_obstruction(g, k, cls)
+                got = (check.is_obstruction, check.failed_step,
+                       check.witness and to_graph6(check.witness))
+                assert got == (verdict, step, witness and to_graph6(witness)), (g, k, cls)
+                steps[step] += 1
+        assert steps["membership"] and steps["minimality"]
+
+    def test_near_misses_handed_to_minimality(self, monkeypatch):
+        # the sets the membership search leaves in check_obstruction's list,
+        # at each graph's level and one either side: at most k vertices of g,
+        # each leaving g one cycle over the cap t
+        handed = []
+        search = apexobs.obstructions._apex_search
+
+        def recorded(*args):
+            found = search(*args)
+            if len(args) > 6:  # the membership search, the only one given a list
+                handed.append(list(args[6]))
+            return found
+
+        monkeypatch.setattr(apexobs.obstructions, "_apex_search", recorded)
+        graphs = [(rec.graph, rec.k) for k in (0, 1) for rec in load_catalog(k).records]
+        graphs += [(b.graph, j - 1) for j in (2, 3, 4, 5) for b in generate_Z(j)]
+        counts = Counter()
+        for cls in ClassId:
+            t = _RANK_LIMIT.get(cls)
+            for g, level in graphs:
+                full = (1 << g.n) - 1
+                for k in range(max(level - 1, 0), level + 2):
+                    handed.clear()
+                    check_obstruction(g, k, cls)
+                    (sets,) = handed
+                    for s, rank in sets:
+                        assert s & ~full == 0 and popcount(s) <= k, (g, k, cls, s)
+                        assert rank == t + 1 == _cycle_rank(g.adj, full & ~s), (g, k, cls, s)
+                    counts[cls] += len(sets)
+        assert counts[ClassId.FOREST] and counts[ClassId.SUB_UNICYCLIC]
+        assert counts[ClassId.PSEUDOFOREST] == counts[ClassId.CACTUS] == 0
+
     def test_children_searched_pinned(self):
         # which children get an apex search depends only on each set test's
-        # answer, so these sums pin the answers and the most-recent-first order
+        # answer, so these sums pin the answers, the membership search's near
+        # misses first among the sets
         searched = [
             sum(check_obstruction(b.graph, j - 1).children_searched for b in generate_Z(j))
             for j in (2, 3, 4, 5)
         ]
-        assert searched == [2, 11, 36, 163]
+        assert searched == [1, 2, 15, 79]
 
     # level -> (children_searched summed over Z_level at k = level - 1, the
     # sha256 of each member's (verdict, failed_step, witness graph6)), the
     # levels gen-cacti --verify checks last, as the check gave them before
-    # child searches started from g's 2-core
+    # child searches started from g's 2-core; the sums count the children
+    # that no near miss of the membership search settles
     CLI_LEVELS = {
-        6: (697, "aa5601a5c6c7a49f0c5898c8012a1aa15316b3f684be4e2760b905fd55dd76da"),
-        7: (3402, "eb545a4b0f780b1bca731b0dc1159067d457abb164323c0d987f9ae025ee35e8"),
+        6: (372, "aa5601a5c6c7a49f0c5898c8012a1aa15316b3f684be4e2760b905fd55dd76da"),
+        7: (2017, "eb545a4b0f780b1bca731b0dc1159067d457abb164323c0d987f9ae025ee35e8"),
     }
 
     @pytest.mark.parametrize("level", list(CLI_LEVELS))
