@@ -16,7 +16,7 @@ import os
 import sys
 import time
 
-from . import __version__
+from . import __version__, minors
 from .asymptotics import NewtonDivergence, _check_tol, asymptotics_report
 from .cacti import _check_union_level, _disconnected, _in_form_order, _z_levels
 from .graphio import from_graph6, load_graph, to_graph6
@@ -28,7 +28,6 @@ from .graphs import (
     make_named,
     min_apex_size,
 )
-from .minors import _memo, is_minor
 from .obstructions import (
     check_obstruction,
     load_catalog,
@@ -79,13 +78,14 @@ def cmd_check(args) -> int:
 def cmd_minor(args) -> int:
     h = _read_graph(args.h, args.format)
     g = _read_graph(args.g, args.format)
-    before = len(_memo)
-    ok = is_minor(h, g)
+    before, placed = len(minors._memo), minors._placements
+    ok = minors.is_minor(h, g)
     payload = {
         "h": to_graph6(h),
         "g": to_graph6(g),
         "is_minor": ok,
-        "graphs_searched": len(_memo) - before,  # hosts the descent added to the memo
+        "graphs_searched": len(minors._memo) - before,  # hosts the descent added to the memo
+        "placements": minors._placements - placed,  # partial placements of the spanning match
     }
     _emit(args, payload, str(ok).lower())
     return EXIT_OK

@@ -112,14 +112,18 @@ def from_edgelist(text: str) -> Graph:
 
 
 def load_graph(path: str, fmt: str = "g6") -> Graph:
-    """Read one graph from a file in the given format ('g6' or 'edgelist')."""
+    """Read one graph from a file in the given format ('g6' or 'edgelist').
+    A g6 file holds one non-blank line: a file of several graphs is rejected,
+    not read as its first one."""
     with open(path) as fh:
         text = fh.read()
     if fmt == "g6":
-        first = next((ln for ln in text.splitlines() if ln.strip()), None)
-        if first is None:
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
             raise ValueError("no graph in the file")
-        return from_graph6(first)
+        if len(lines) > 1:
+            raise ValueError(f"{len(lines)} non-blank lines; a graph6 file holds one graph")
+        return from_graph6(lines[0])
     if fmt == "edgelist":
         return from_edgelist(text)
     raise ValueError(f"unknown format {fmt!r}")

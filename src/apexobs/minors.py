@@ -2,7 +2,10 @@
 
 The descent drops one vertex per level, by an edge contraction or a vertex
 deletion, and at |h| vertices matches h as a spanning subgraph on the bitset
-rows (``is_minor`` proves that this decides h <= g).  Above that level,
+rows (``is_minor`` proves that this decides h <= g).  The match places the
+members of each twin class of h (vertices with N(u) - v = N(v) - u) on
+increasing host vertices only, so it tries each arrangement of a class once
+(``_spans`` proves that no embedding is lost).  Above that level,
 results are memoized on canonical-form pairs.  A child whose edge count or
 cycle rank (m - n + c), derived from its parent's, falls below h's is
 refuted before it is built, and for h of minimum degree >= 2 each host is
@@ -17,7 +20,6 @@ from typing import Iterator
 from .canonical import canonical_form
 from .graphs import (
     Graph,
-    _blocks_and_cuts,
     _components_meeting,
     _contraction_rows,
     _edge_count,
@@ -30,6 +32,10 @@ from .graphs import (
 
 # (canonical_form(h), canonical_form(g)) -> bool.
 _memo: dict[tuple[bytes, bytes], bool] = {}
+
+
+# partial placements the spanning match has tried since import (``minor --json``)
+_placements = 0
 
 
 def clear_minor_cache() -> None:
@@ -67,16 +73,25 @@ class _Pattern:
         self.min_degree_two = min(map(popcount, h.adj)) >= 2
 
     @cached_property
-    def order(self) -> list[tuple[int, int, list[int]]]:
-        """h's vertices as (vertex, degree, neighbours placed before it), each
-        next one with the most placed neighbours, then the highest degree."""
-        adj, order, placed = self.graph.adj, [], 0
-        for _ in range(self.n):
-            v = max(
-                bits(~placed & (1 << self.n) - 1),
-                key=lambda v: (popcount(adj[v] & placed), popcount(adj[v])),
+    def order(self) -> list[tuple[int, int, list[int], int]]:
+        """h's vertices in match order as (vertex, degree, neighbours placed
+        before it, its twin placed last before it or n), each next one with
+        the most placed neighbours, then the highest degree.  u and v are
+        twins when N(u) - v = N(v) - u.  A vertex has twins of one kind only,
+        of the same open or of the same closed neighbourhood, so the twin
+        classes partition V(h), and a vertex's last placed twin is the last
+        placed member of its class."""
+        adj, n = self.graph.adj, self.n
+        degree = list(map(popcount, adj))
+        order, placed, rest = [], 0, list(range(n))
+        for _ in range(n):
+            # (placed neighbours, degree) as one int: a degree is below 32
+            v = max(rest, key=lambda v: popcount(adj[v] & placed) << 5 | degree[v])
+            rest.remove(v)
+            twin = next(
+                (u for u, *_ in reversed(order) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), n
             )
-            order.append((v, popcount(adj[v]), list(bits(adj[v] & placed))))
+            order.append((v, degree[v], list(bits(adj[v] & placed)), twin))
             placed |= 1 << v
         return order
 
@@ -118,49 +133,50 @@ def _children(g: Graph, m: int, rank: int) -> Iterator[tuple[tuple[int, ...], in
 
 
 def _spans(p: _Pattern, rows: tuple[int, ...], alive: int) -> bool:
-    """Is p's graph a spanning subgraph of the graph the rows induce on
+    """Is p's graph h a spanning subgraph of the graph the rows induce on
     ``alive`` (p.n vertices)?  Each vertex of h, in match order, goes on an
-    unused vertex of at least its degree adjacent to its neighbours' images."""
-    order = p.order
-    degree = {v: popcount(rows[v] & alive) for v in bits(alive)}
-    fits = {need: sum(1 << v for v, d in degree.items() if d >= need) for _, need, _ in order}
-    image = [0] * p.n  # image[x]: the row of the vertex h's vertex x went on
+    unused vertex of at least its degree adjacent to its neighbours' images,
+    and above the image of its twin placed last before it.
+
+    The twin rule loses no embedding.  A permutation inside a twin class of
+    h is an automorphism of h, so with an embedding phi of h, phi composed
+    with any product of such permutations is an embedding too.  Take the
+    one that sorts the images of each class along the match order: each
+    vertex then lies above the image of its twin placed last before it,
+    which are the lex-leader constraints of the transpositions of
+    consecutive class members.  The degree and adjacency constraints hold
+    for every embedding, so the match reaches the sorted one.
+    """
+    global _placements
+    order, n = p.order, p.n
+    top = order[0][1]  # the first vertex has h's highest degree
+    fits = [0] * (top + 1)  # fits[d]: the vertices of degree >= d
+    for v in bits(alive):
+        fits[min(popcount(rows[v] & alive), top)] |= 1 << v
+    for d in range(top, 0, -1):
+        fits[d - 1] |= fits[d]
+    image = [0] * n  # image[x]: the row of the vertex h's vertex x went on
+    above = [-1] * (n + 1)  # above[x]: the vertices above x's image; -1 at n
+    calls = 0
 
     def place(i: int, free: int) -> bool:
-        if i == p.n:
+        nonlocal calls
+        calls += 1
+        if i == n:
             return True
-        x, need, back = order[i]
-        cand = fits[need] & free
+        x, need, back, twin = order[i]
+        cand = fits[need] & free & above[twin]
         for y in back:
             cand &= image[y]
         while cand:
             b = cand & -cand
             cand ^= b
             image[x] = rows[b.bit_length() - 1]
+            above[x] = -(b << 1)
             if place(i + 1, free ^ b):
                 return True
         return False
 
-    return place(0, alive)
-
-
-def max_triangle_packing_in_cactus(g: Graph) -> int:
-    """Largest r with r disjoint triangles as a minor, for cactus graphs.
-
-    In a cactus every cycle is a block, so rK3 <= g iff r cycle blocks can be
-    chosen pairwise vertex-disjoint; disjointness only fails through shared
-    cut-vertices.  Solved as maximum independent set on the cycle-block
-    conflict graph (tiny for the graphs handled here).
-    """
-    blocks = _blocks_and_cuts(g.adj, (1 << g.n) - 1)[0]
-    cycles = [b for b in blocks if popcount(b) >= 3]
-
-    def best(i: int, used: int) -> int:
-        if i == len(cycles):
-            return 0
-        skip = best(i + 1, used)
-        if cycles[i] & used:
-            return skip
-        return max(skip, 1 + best(i + 1, used | cycles[i]))
-
-    return best(0, 0)
+    found = place(0, alive)
+    _placements += calls
+    return found

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -85,6 +86,21 @@ class TestCheck:
         assert captured.err.startswith("error: 'Bx'") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("lines,count", [
+        (None, 29),  # the shipped k=1 catalog file
+        (["Bw", "", "not graph6"], 2),  # K3, a blank line, then garbage
+    ])
+    def test_g6_file_of_more_than_one_line_is_usage_error(self, tmp_path, capsys, lines, count):
+        if lines is None:
+            path = str(resources.files("apexobs.data") / "obs_k1.g6")
+        else:
+            path = str(tmp_path / "two.g6")
+            (tmp_path / "two.g6").write_text("\n".join(lines) + "\n")
+        assert run(["check", "--class", "cactus", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path} as g6: {count} non-blank lines")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_unknown_class_is_usage_error(self, capsys):
         assert run(["check", "--class", "bogus", "K4"]) == 2
         captured = capsys.readouterr()
@@ -159,6 +175,18 @@ class TestSubcommands:
         code, out = invoke(capsys, "minor", "K3", "C5", "--json")
         payload = json.loads(out)
         assert code == 0 and payload["is_minor"] is True and payload["graphs_searched"] >= 1
+
+    def test_minor_json_counts_placements(self, capsys):
+        # 2K3 against the 6-vertex wheel: every triangle holds the hub, so the
+        # match refutes it; each triangle is a twin class placed once, not in
+        # all 3! orders (267 placements without the twin rule)
+        code, out = invoke(capsys, "minor", "2K3", "E|fG", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["is_minor"] is False
+        assert payload["graphs_searched"] == 0 and payload["placements"] == 47
+        # refuted by its cycle rank before any match
+        code, out = invoke(capsys, "minor", "K4-", "C8", "--json")
+        assert json.loads(out)["placements"] == 0
 
     def test_apex(self, capsys):
         code, out = invoke(capsys, "apex", "--class", "subunicyclic", "3K3")

@@ -111,3 +111,14 @@ def test_load_graph_rejects_an_unknown_format(tmp_path):
     assert load_graph(str(path)) == complete_graph(4)
     with pytest.raises(ValueError, match="^unknown format 'dot'$"):
         load_graph(str(path), "dot")
+
+
+def test_load_graph_takes_one_graph6_line(tmp_path):
+    # blank lines around the one graph are fine; a second graph is an error,
+    # not silently dropped
+    path = tmp_path / "k4.g6"
+    path.write_text("\nC~\n\n")
+    assert load_graph(str(path)) == complete_graph(4)
+    path.write_text("C~\nBw\n")
+    with pytest.raises(ValueError, match="^2 non-blank lines; a graph6 file holds one graph$"):
+        load_graph(str(path))

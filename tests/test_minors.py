@@ -6,7 +6,7 @@ from collections import Counter
 import networkx as nx
 import pytest
 
-from apexobs.cacti import generate_Z
+from apexobs.cacti import generate_Z, max_triangle_packing_in_cactus
 from apexobs.canonical import canonical_form, enumerate_graphs
 from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
@@ -23,12 +23,7 @@ from apexobs.graphs import (
     popcount,
 )
 import apexobs.minors
-from apexobs.minors import (
-    _children,
-    clear_minor_cache,
-    is_minor,
-    max_triangle_packing_in_cactus,
-)
+from apexobs.minors import _children, clear_minor_cache, is_minor
 from apexobs.obstructions import load_catalog
 
 from conftest import random_graph
@@ -113,6 +108,60 @@ class TestIsMinor:
             assert got == oracle_is_minor(h, g), (h, g)
             answers.add(got)
         assert answers == {True, False}
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+class TestTwinClasses:
+    """The spanning match places each twin class of the pattern in one order."""
+
+    PATTERNS = {
+        "K5": (make_named("K5"), [5]),
+        "K2,4": (complete_bipartite(2, 4), [2, 4]),
+        "K1,5": (complete_bipartite(1, 5), [1, 5]),
+        "3K2+K1": (disjoint_union(make_named("3K2"), Graph(1)), [1, 2, 2, 2]),
+    }
+
+    def patterns(self):
+        # the k=0 catalog: 2K3, K4- (two pairs of twins) and the butterfly
+        # (a pair in each triangle)
+        sizes = {"2K3": [3, 3], "K4-": [2, 2], "Z": [1, 2, 2]}
+        catalog = {rec.name: (rec.graph, sizes[rec.name]) for rec in load_catalog(0).records}
+        return {**self.PATTERNS, **catalog}
+
+    def test_order_chains_each_twin_class(self):
+        for name, (h, sizes) in self.patterns().items():
+            order = apexobs.minors._Pattern(h, h.num_edges()).order
+            seen, chains = set(), {}
+            for x, _, _, twin in order:
+                if twin == h.n:
+                    chains[x] = [x]
+                else:
+                    assert twin in seen, name  # placed before x
+                    (chain,) = [c for c in chains.values() if c[-1] == twin]
+                    chain.append(x)
+                seen.add(x)
+            for chain in chains.values():
+                for u in chain:  # every two members are twins
+                    for v in chain:
+                        assert h.adj[u] & ~(1 << v) == h.adj[v] & ~(1 << u), name
+            assert sorted(map(len, chains.values())) == sizes, name
+
+    def test_agrees_with_oracle_at_and_above_the_pattern_size(self):
+        # seeded hosts on |h|, |h| + 1 and |h| + 2 vertices; at |h| the
+        # query is the spanning match alone
+        rng = random.Random(4401)
+        for name, (h, _) in self.patterns().items():
+            answers = set()
+            for extra in (0, 1, 2):
+                for _ in range(12):
+                    g = random_graph(rng, h.n + extra, rng.uniform(0.25, 0.9))
+                    got = is_minor(h, g)
+                    assert got == oracle_is_minor(h, g), (name, g)
+                    answers.add(got)
+            assert answers == {True, False}, name
 
 
 def is_model(h: nx.Graph, g: nx.Graph, sets: list[list[int]]) -> bool:
