@@ -16,10 +16,10 @@ key whose order is the order of the count vectors, and each cell splits by
 its keys (see ``_refine``).
 
 Three prunes skip subtrees that are images of an explored subtree under an
-automorphism fixing the branch prefix.  The search skips a branch vertex v
-that is a *twin* of an explored sibling u (N(v) - {u} = N(u) - {v}, so the
-transposition (u v) is an automorphism) or that automorphisms found so far
-map onto an explored sibling.  A leaf with the best leaf's matrix yields
+automorphism fixing the branch prefix.  The search skips a branch vertex
+that is a *twin* of an explored sibling (``graphs._twin_roots``; swapping
+the two is an automorphism) or that automorphisms found so far map onto
+an explored sibling.  A leaf with the best leaf's matrix yields
 the automorphism from the best leaf to it; it fixes the branch prefix the
 two leaves share and maps the best leaf's next branch vertex onto the
 leaf's, so what is left of the branch the leaf took at that level is the
@@ -28,7 +28,7 @@ next sibling (McKay and Piperno, "Practical graph isomorphism II").  The first s
 leaf in search order is never pruned, so the form and the labeling do not
 depend on any prune.
 
-The found automorphisms and the skipped twin transpositions generate the
+The found automorphisms and the twin transpositions generate the
 automorphism group: a vertex in the orbit of a branch vertex on the path to
 the first smallest leaf is either skipped by them or searched, and its
 search meets a leaf equal to the best.  ``automorphism_orbits`` returns
@@ -42,7 +42,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import MAX_VERTICES, Graph, popcount
+from .graphs import MAX_VERTICES, Graph, _twin_roots, popcount
 
 _CACHE_SIZE = 1 << 18
 _FIELD = MAX_VERTICES.bit_length()  # bits per count in a packed refinement key
@@ -145,7 +145,7 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
     best_order: list[int] = []
     best_fixed: tuple[int, ...] = ()
     gens: list[tuple[int, ...]] = []
-    twins: list[tuple[int, int]] = []
+    roots = _twin_roots(adj)
 
     def find(parent: list[int], x: int) -> int:
         while parent[x] != x:
@@ -182,19 +182,16 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
         cell = cells[target]
         before, after = cells[:target], cells[target + 1:]
         explored: list[int] = []
+        explored_roots: set[int] = set()
         # union-find over the automorphisms fixing `fixed`, built at the
         # first one: until then no sibling is the image of an explored one
         parent: list[int] | None = None
         folded = 0
         for v in cell:
+            # skip a twin of an explored sibling: swapping them fixes `fixed`
+            if roots[v] in explored_roots:
+                continue
             if explored:
-                # skip v if it is a twin of an explored sibling u: the
-                # transposition (u v) is an automorphism fixing `fixed`
-                av = adj[v]
-                u = next((u for u in explored if av & ~(1 << u) == adj[u] & ~(1 << v)), None)
-                if u is not None:
-                    twins.append((u, v))
-                    continue
                 # fold in automorphisms (old and newly found) fixing `fixed`;
                 # skip v if one maps an explored sibling onto it
                 while folded < len(gens):
@@ -213,6 +210,7 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
                     if any(find(parent, u) == rv for u in explored):
                         continue
             explored.append(v)
+            explored_roots.add(roots[v])
             rest = [u for u in cell if u != v]
             resume = descend(before + [[v], rest] + after, [target], fixed + (v,))
             if resume < depth:
@@ -220,9 +218,8 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
         return depth
 
     descend([list(range(n))], [0], ())
-    parent = list(range(n))
-    pairs = [(w, x) for s in gens for w, x in enumerate(s) if w != x] + twins
-    for x, y in pairs:
+    parent = roots  # the twin classes, each linked to its smallest vertex
+    for x, y in ((w, x) for s in gens for w, x in enumerate(s) if w != x):
         a, b = find(parent, x), find(parent, y)
         if a != b:
             parent[max(a, b)] = min(a, b)

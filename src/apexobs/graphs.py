@@ -220,6 +220,26 @@ def _deletion_rows(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _twin_roots(adj: tuple[int, ...]) -> list[int]:
+    """The first vertex of each vertex's twin class, by vertex.
+
+    u and v are twins iff N(u) - v = N(v) - u: equal rows if they are not
+    adjacent, equal closed rows if they are.  No vertex has twins of both
+    kinds (u ~ v adjacent and v ~ w not would make w adjacent to v), so the
+    classes partition V, and every permutation inside a class is an
+    automorphism.  Only isolated vertices are twins across components.
+    """
+    first_open: dict[int, int] = {}
+    first_closed: dict[int, int] = {}
+    roots = []
+    for v, row in enumerate(adj):
+        root = first_open.setdefault(row, v)
+        if root == v:  # no open twin before v, so look for a closed one
+            root = first_closed.setdefault(row | 1 << v, v)
+        roots.append(root)
+    return roots
+
+
 # -- named constructions ----------------------------------------------------
 # Edges come from generators, so Graph rejects r > MAX_VERTICES before any is built.
 

@@ -3,8 +3,8 @@
 The descent drops one vertex per level, by an edge contraction or a vertex
 deletion, and at |h| vertices matches h as a spanning subgraph on the bitset
 rows (``is_minor`` proves that this decides h <= g).  The match places the
-members of each twin class of h (vertices with N(u) - v = N(v) - u) on
-increasing host vertices only, so it tries each arrangement of a class once
+members of each twin class of h (``graphs._twin_roots``) on increasing
+host vertices only, so it tries each arrangement of a class once
 (``_spans`` proves that no embedding is lost).  Above that level,
 results are memoized on canonical-form pairs.  A child whose edge count or
 cycle rank (m - n + c), derived from its parent's, falls below h's is
@@ -25,6 +25,7 @@ from .graphs import (
     _edge_count,
     _induced,
     _strip,
+    _twin_roots,
     bits,
     cyclomatic,
     popcount,
@@ -75,23 +76,20 @@ class _Pattern:
     @cached_property
     def order(self) -> list[tuple[int, int, list[int], int]]:
         """h's vertices in match order as (vertex, degree, neighbours placed
-        before it, its twin placed last before it or n), each next one with
-        the most placed neighbours, then the highest degree.  u and v are
-        twins when N(u) - v = N(v) - u.  A vertex has twins of one kind only,
-        of the same open or of the same closed neighbourhood, so the twin
-        classes partition V(h), and a vertex's last placed twin is the last
-        placed member of its class."""
+        before it, the member of its twin class (``_twin_roots``) placed
+        last before it or n), each next one with the most placed
+        neighbours, then the highest degree."""
         adj, n = self.graph.adj, self.n
         degree = list(map(popcount, adj))
+        roots = _twin_roots(adj)
+        last = [n] * n  # last[r]: the last placed member of root r's class
         order, placed, rest = [], 0, list(range(n))
         for _ in range(n):
             # (placed neighbours, degree) as one int: a degree is below 32
             v = max(rest, key=lambda v: popcount(adj[v] & placed) << 5 | degree[v])
             rest.remove(v)
-            twin = next(
-                (u for u, *_ in reversed(order) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)), n
-            )
-            order.append((v, degree[v], list(bits(adj[v] & placed)), twin))
+            order.append((v, degree[v], list(bits(adj[v] & placed)), last[roots[v]]))
+            last[roots[v]] = v
             placed |= 1 << v
         return order
 
@@ -139,11 +137,11 @@ def _spans(p: _Pattern, rows: tuple[int, ...], alive: int) -> bool:
     and above the image of its twin placed last before it.
 
     The twin rule loses no embedding.  A permutation inside a twin class of
-    h is an automorphism of h, so with an embedding phi of h, phi composed
-    with any product of such permutations is an embedding too.  Take the
-    one that sorts the images of each class along the match order: each
-    vertex then lies above the image of its twin placed last before it,
-    which are the lex-leader constraints of the transpositions of
+    h is an automorphism of h (``_twin_roots``), so with an embedding phi of
+    h, phi composed with any product of such permutations is an embedding
+    too.  Take the one that sorts the images of each class along the match
+    order: each vertex then lies above the image of its twin placed last
+    before it, which are the lex-leader constraints of the transpositions of
     consecutive class members.  The degree and adjacency constraints hold
     for every embedding, so the match reaches the sorted one.
     """

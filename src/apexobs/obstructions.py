@@ -37,6 +37,7 @@ from .graphs import (
     _rank_drop,
     _require_class,
     _strip,
+    _twin_roots,
     bits,
     bridges,
     component_masks,
@@ -337,27 +338,6 @@ def verify_catalog(cat: Catalog) -> VerificationReport:
 # -- exhaustive search ----------------------------------------------------------
 
 
-def _twin_classes(adj: tuple[int, ...]) -> list[list[int]]:
-    """The twin classes of the rows ``adj``, each ascending, by first vertex.
-
-    u and v are twins iff N(u) - v = N(v) - u: equal rows if they are not
-    adjacent, equal closed rows if they are.  No vertex has twins of both
-    kinds (u ~ v adjacent and v ~ w not would make w adjacent to v), so the
-    relation is an equivalence, and every permutation inside a class is an
-    automorphism.  Only isolated vertices are twins across components.
-    """
-    open_rows: dict[int, list[int]] = {}
-    closed_rows: dict[int, list[int]] = {}
-    for v, row in enumerate(adj):
-        open_rows.setdefault(row, []).append(v)
-        closed_rows.setdefault(row | 1 << v, []).append(v)
-    classes = [vs for vs in open_rows.values() if len(vs) > 1]
-    classes += [vs for vs in closed_rows.values() if len(vs) > 1]
-    twinned = {v for vs in classes for v in vs}
-    classes += [[v] for v in range(len(adj)) if v not in twinned]
-    return sorted(classes)
-
-
 def _prefix_picks(units: list[list[int]], cap: int) -> list[tuple[int, int]]:
     """(mask, size) of every set of at most ``cap`` vertices that takes a
     prefix of each unit, the empty set first."""
@@ -384,8 +364,9 @@ def _joins(adj: tuple[int, ...], later: int) -> tuple[int, list[list[int]]] | No
     finished candidate, which must pass the degree filters: a degree-2
     vertex with non-adjacent neighbours must join, and so must the neighbour
     of a degree-1 vertex, whose two neighbours must become adjacent.  The
-    forced set is invariant under automorphisms, so a twin class is all
-    forced or all free.
+    forced set is invariant under automorphisms, so a twin class
+    (``_twin_roots``) is all forced or all free; the free ones come each
+    ascending, by first vertex.
     """
     floor = 2 - later
     forced = 0
@@ -397,7 +378,11 @@ def _joins(adj: tuple[int, ...], later: int) -> tuple[int, list[list[int]]] | No
             forced |= 1 << v | (row if later == 0 else 0)
         elif later == 0 and d == 2 and not _adjacent_pair(adj, row):
             forced |= 1 << v
-    return forced, [vs for vs in _twin_classes(adj) if not forced >> vs[0] & 1]
+    classes: dict[int, list[int]] = {}  # a root is its class's first vertex
+    for v, root in enumerate(_twin_roots(adj)):
+        if not forced >> v & 1:
+            classes.setdefault(root, []).append(v)
+    return forced, list(classes.values())
 
 
 def _degree_ok(adj: tuple[int, ...], nb: int, later: int) -> bool:
@@ -616,10 +601,10 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
        vertex's two neighbours are not adjacent; and a new vertex of degree
        2 must have adjacent neighbours.
     3. One neighbourhood per twin orbit.  Swaps inside a twin class are
-       automorphisms that fix the forced set, the degrees and the
-       components, so a neighbourhood and its image give isomorphic graphs
-       under the same rules; each orbit of the swaps holds exactly one that
-       takes a prefix of every class, and only that one is built.
+       automorphisms (``_twin_roots``) that fix the forced set, the degrees
+       and the components, so a neighbourhood and its image give isomorphic
+       graphs under the same rules; each orbit of the swaps holds exactly
+       one that takes a prefix of every class, and only that one is built.
 
     Rules 4-6 rest on the lemma: an obstruction g is not k-apex, so g - X
     is not (k - |X|)-apex for any vertex set X, and every proper minor of g

@@ -198,8 +198,8 @@ class TestFormSorted:
 
 
 class TestAutomorphismOrbits:
-    """Orbits from the search's automorphisms and skipped twins are the full
-    automorphism group's orbits."""
+    """Orbits from the search's automorphisms and the twin classes are the
+    full automorphism group's orbits."""
 
     def test_random_graphs(self, rng):
         for _ in range(150):
@@ -227,6 +227,27 @@ class TestAutomorphismOrbits:
         _, _, orbits = _canonical_search_pruned(g)
         assert orbits == (0,) * 21
         assert len(calls) <= 150
+
+    def test_twin_prune_work_pinned(self, monkeypatch):
+        # refinements over Z_1..Z_5 and over twin-rich dense graphs; without
+        # the twin skip the search refines 774 and 189 times
+        calls = []
+
+        def counting(adj, cells, fresh):
+            calls.append(fresh)
+            return _refine(adj, cells, fresh)
+
+        cacti = [b.graph for k in range(1, 6) for b in generate_Z(k)]
+        dense = [complete_multipartite(3, 3), complete_multipartite(2, 5),
+                 complete_multipartite(1, 7), complete_graph(6), make_named("5K3")]
+        monkeypatch.setattr(apexobs.canonical, "_refine", counting)
+        counts = []
+        for pool in (cacti, dense):
+            calls.clear()
+            for g in pool:
+                _canonical_search_pruned(g)
+            counts.append(len(calls))
+        assert counts == [453, 90]
 
 
 class TestRefine:

@@ -4,8 +4,8 @@ imports, every module-level private function or class is referenced
 somewhere, no public function or method takes a private parameter, no code
 but `Graph.__init__` and the trusted constructor fills in a `Graph` itself,
 every name the benchmark harness hooks into exists, every private name
-README mentions exists, and no module but `canonical` sorts by canonical
-form."""
+README mentions exists, no module but `canonical` sorts by canonical
+form, and no module but `graphs` compares two masked rows."""
 
 from __future__ import annotations
 
@@ -261,6 +261,46 @@ def test_only_canonical_sorts_by_form(path):
     """Every family is listed in form order by ``canonical._form_sorted``, so
     no other module sorts by ``canonical_form`` itself."""
     assert form_keyed_sorts(path.read_text()) == []
+
+
+def masked_row_equalities(source: str) -> list[str]:
+    """Comparisons ``a & ~x == b & ~y`` (or ``!=``) of two values each
+    masked by a complement, as "line: op"."""
+
+    def masked(node: ast.AST) -> bool:
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd) and any(
+            isinstance(side, ast.UnaryOp) and isinstance(side.op, ast.Invert)
+            for side in (node.left, node.right)
+        )
+
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Eq, ast.NotEq))
+        and masked(node.left)
+        and masked(node.comparators[0])
+    ]
+    return [f"{node.lineno}: {type(node.ops[0]).__name__}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_scanner_flags_a_masked_row_equality():
+    source = (
+        "u = next((u for u in explored if av & ~(1 << u) == adj[u] & ~(1 << v)), None)\n"
+        "t = (u for u, *_ in order if adj[u] & ~(1 << v) == adj[v] & ~(1 << u))\n"
+        "ok = row & ~mask == 0\nalso = a & b == c & d\nne = ~x & a != b & ~y\n"
+    )
+    assert masked_row_equalities(source) == ["1: Eq", "2: Eq", "5: NotEq"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graphs.py"], ids=lambda p: p.name
+)
+def test_only_graphs_decides_twins(path):
+    """Twins (N(u) - v = N(v) - u) are decided by ``graphs._twin_roots``
+    alone: no other module compares two rows each less a vertex."""
+    assert masked_row_equalities(path.read_text()) == []
 
 
 def test_benchmark_hooks_exist():

@@ -24,6 +24,7 @@ from apexobs.graphs import (
     _cycle_rank,
     _rank_drop,
     _strip,
+    _twin_roots,
     butterfly_graph,
     complete_graph,
     cycle_graph,
@@ -49,7 +50,6 @@ from apexobs.obstructions import (
     _deletion_table,
     _prefix_picks,
     _table_drop,
-    _twin_classes,
     check_obstruction,
     is_obstruction,
     load_catalog,
@@ -66,6 +66,7 @@ from oracles import (
     reference_core_levels,
     reference_search,
 )
+from test_canonical import add_twins_and_pendants
 
 CYCLE_CLASSES = (ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST)
 
@@ -693,12 +694,11 @@ class TestCandidateGenerators:
     def test_twin_prefixes_reach_every_class_once(self, rng):
         for _ in range(40):
             g = self.twin_rich_graph(rng, rng.randint(1, 8))
-            classes = _twin_classes(g.adj)
-            label = {v: i for i, vs in enumerate(classes) for v in vs}
-            assert sorted(label) == list(range(g.n))
+            roots = _twin_roots(g.adj)
             for u, v in combinations(range(g.n), 2):
                 twins = g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u)
-                assert twins == (label[u] == label[v])
+                assert twins == (roots[u] == roots[v])
+            classes = [[v for v in range(g.n) if roots[v] == r] for r in sorted(set(roots))]
             kept = [mask for mask, _ in _prefix_picks(classes, g.n)]
             assert len(set(kept)) == len(kept)
             assert {canonical_form(g.add_vertex(m)) for m in kept} == {
@@ -709,6 +709,27 @@ class TestCandidateGenerators:
                     for u, v in combinations(vs, 2):
                         if (mask >> u ^ mask >> v) & 1:
                             assert mask ^ (1 << u | 1 << v) not in kept
+
+    def test_twin_classes_are_automorphism_classes(self, rng):
+        # each vertex's root is the first vertex of its class, every swap
+        # inside a class is an automorphism, and a class lies in one orbit
+        graphs = [self.twin_rich_graph(rng, rng.randint(1, 9)) for _ in range(40)]
+        graphs += [
+            add_twins_and_pendants(rng, random_graph(rng, rng.randint(1, 7), rng.random()), 4)
+            for _ in range(40)
+        ]
+        for g in graphs:
+            roots, orbits = _twin_roots(g.adj), automorphism_orbits(g)
+            edges = set(g.edges())
+            for v in range(g.n):
+                assert roots[v] <= v and roots[roots[v]] == roots[v]
+                assert orbits[v] == orbits[roots[v]]
+            for u, v in combinations(range(g.n), 2):
+                if roots[u] == roots[v]:
+                    swap = {u: v, v: u}
+                    assert {
+                        tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in edges
+                    } == edges
 
     def test_apex_extensions_are_the_classes_that_can_finish(self, rng):
         for _ in range(30):
