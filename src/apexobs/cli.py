@@ -18,7 +18,7 @@ import time
 
 from . import __version__, minors
 from .asymptotics import NewtonDivergence, _check_tol, asymptotics_report
-from .cacti import disconnected_obstructions, generate_Z
+from .cacti import _check_union_level, _disconnected, _in_form_order, _z_levels
 from .graphio import from_graph6, load_graph, to_graph6
 from .graphs import (
     _NAME_RE,
@@ -132,9 +132,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen_cacti(args) -> int:
-    unions = disconnected_obstructions(args.k) if args.disconnected else ()  # checks --k first
-    top = generate_Z(args.k)  # checks --k before any other level is built
-    levels = [generate_Z(j) for j in range(1, args.k)] + [top]
+    if args.disconnected:
+        _check_union_level(args.k)  # before any level is built
+    levels = [_in_form_order(level) for level in _z_levels(args.k)]
     # (level, apex budget, label, members); a member is a graph and the rest of its row
     families = [
         (j, j - 1, "butterfly-cacti",
@@ -142,8 +142,8 @@ def cmd_gen_cacti(args) -> int:
         for j, level in enumerate(levels, 1)
     ]
     if args.disconnected:
-        families.append((args.k, args.k, "disconnected cactus obstructions",
-                         [(g, {"disconnected": True}) for g in unions]))
+        unions = [(g, {"disconnected": True}) for g in _disconnected(levels)]
+        families.append((args.k, args.k, "disconnected cactus obstructions", unions))
     rows, lines = [], []
     for j, budget, label, members in families:
         lines.append(f"k={j}: {len(members)} {label}")

@@ -8,6 +8,7 @@ import pytest
 
 import apexobs.cacti
 import apexobs.canonical
+import apexobs.cli
 from apexobs.cacti import (
     MAX_LEVEL,
     ButterflyCactus,
@@ -533,7 +534,9 @@ class TestOneLevelPass:
             calls.append(k)
             return _z_levels(k)
 
+        # the CLI imports its own binding of _z_levels
         monkeypatch.setattr(apexobs.cacti, "_z_levels", counted)
+        monkeypatch.setattr(apexobs.cli, "_z_levels", counted)
         return calls
 
     def test_cactus_obstruction_family(self, level_passes):

@@ -42,19 +42,8 @@ from apexobs.graphs import (
 )
 from apexobs.obstructions import search_obstructions
 
-from conftest import random_graph
+from conftest import add_twins_and_pendants, random_graph
 from oracles import nx_automorphism_orbits, nx_isomorphic, reference_refine
-
-
-def add_twins_and_pendants(rng: random.Random, g: Graph, extra: int) -> Graph:
-    """g plus `extra` new vertices, each a copy of a random vertex (with or
-    without the edge to it) or a pendant vertex hanging off one."""
-    for _ in range(extra):
-        v = rng.randrange(g.n)
-        kind = rng.choice(("twin", "true twin", "pendant"))
-        nb = 1 << v if kind == "pendant" else g.adj[v] | (1 << v if kind == "true twin" else 0)
-        g = g.add_vertex(nb)
-    return g
 
 
 def complete_multipartite(*parts: int) -> Graph:

@@ -59,14 +59,13 @@ from apexobs.obstructions import (
     verify_catalog,
 )
 
-from conftest import random_graph
+from conftest import add_twins_and_pendants, random_graph
 from oracles import (
     oracle_min_apex,
     reference_check_obstruction,
     reference_core_levels,
     reference_search,
 )
-from test_canonical import add_twins_and_pendants
 
 CYCLE_CLASSES = (ClassId.FOREST, ClassId.SUB_UNICYCLIC, ClassId.PSEUDOFOREST)
 
