@@ -73,28 +73,6 @@ def _moments(terms: LogTerms, lz: float) -> tuple[float, float, float]:
     return f, f1, f2
 
 
-def eval_series(series: PowerSeries, z: float) -> float:
-    """sum a_n z^n in doubles, robust to coefficients beyond float range."""
-    if not 0 <= z < math.inf:  # NaN too
-        raise ValueError(
-            f"only non-negative arguments are supported, and only finite ones, got {z}"
-        )
-    try:
-        c0 = float(series.coeffs[0])
-    except OverflowError:
-        raise ValueError("the constant coefficient a_0 is beyond float range") from None
-    if z == 0.0:
-        return c0
-    terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
-    try:
-        value = c0 + _moments(terms, math.log(z))[0]
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"z = {z} puts a term or the sum of the series beyond float range")
-    return value
-
-
 def _tail_series(d: PowerSeries) -> tuple[LogTerms, LogTerms]:
     """t and u as two series of the order N of d = T_diamond (d_0 = 0):
 
@@ -510,14 +488,6 @@ class Z1Report:
 
 def _z1_residual(x: float, p: FDerivatives) -> float:
     return 1.5 * x * p.E ** 3 + 0.5 * x * p.E * p.W - 1.0
-
-
-def z1_identity_residual(
-    sol: SeriesSystemSolution, sp: SaddlePoint, rho: float | None = None
-) -> float:
-    """The identity residual at the saddle (or at a perturbed rho)."""
-    x = sp.x0 if rho is None else rho
-    return _z1_residual(x, eval_F(x, sp.y0, sol))
 
 
 def check_Z1_vanishes(

@@ -75,17 +75,6 @@ def _attached_rows(rows: tuple[int, ...], v: int) -> tuple[int, ...]:
     )
 
 
-def _attach_butterfly(b: ButterflyCactus, v: int) -> ButterflyCactus:
-    """Identify one extremal vertex of a new butterfly with vertex v.
-
-    The surviving vertex id is v (the one from the old graph); the new
-    butterfly contributes four fresh vertices, the central one n + 1.
-    """
-    n = b.graph.n
-    g = Graph._from_rows(_attached_rows(b.graph.adj, v))
-    return ButterflyCactus(g, b.central_vertices | {n + 1}, b.k + 1)
-
-
 # -- incidence trees --------------------------------------------------------------
 #
 # Every block of a butterfly-cactus is a triangle, so a member is fixed up to

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
+from itertools import combinations, count
 from math import comb
 from typing import Iterable, Iterator
 
@@ -348,13 +348,21 @@ def _component(adj: tuple[int, ...], start: int, within: int) -> int:
     return seen
 
 
-def _components_meeting(adj: tuple[int, ...], touch: int, within: int) -> int:
-    """Number of components of the graph the rows ``adj`` induce on ``within``
-    that hold a vertex of ``touch``, a subset of ``within``."""
-    pieces = 0
+def _join_rank(adj: tuple[int, ...], touch: int, within: int) -> int:
+    """|touch| - p, for p the components of the graph the rows ``adj``
+    induce on ``within`` that hold a vertex of ``touch``, a subset of
+    ``within``.
+
+    This is every one-step rank rule, with cyc = m - n + c: a new vertex
+    joined to ``touch`` adds |touch| edges, one vertex, and merges the p
+    components into one, so it raises cyc by |touch| - p; so deleting, from
+    ``within`` and a vertex v, the vertex v with neighbours ``touch`` lowers
+    it by as much.
+    """
+    pieces = popcount(touch)
     while touch:
         touch &= ~_component(adj, touch & -touch, within)
-        pieces += 1
+        pieces -= 1
     return pieces
 
 
@@ -707,23 +715,16 @@ def _rank_drop(
 ) -> int:
     """How far cyc(child - s) falls below cyc(g - s), for a child (rows,
     alive, edge) of ``_child_rows`` of the graph g with rows ``adj`` and a
-    vertex mask s; negative where it rises.  With cyc = m - n + c:
+    vertex mask s; negative where it rises.
 
-    - deleting an isolated vertex, or uv with u or v in s, leaves g - s up
-      to an isolated vertex: 0;
-    - deleting uv otherwise: 1 if uv lies on a cycle of g - s (a common
-      neighbour outside s, or v reachable from u without uv), else 0, as
-      the bridge's deletion gains a component;
-    - contracting uv (v merged into u) with u, v outside s keeps the
-      components and merges the edges to each common neighbour outside s:
-      |N(u) & N(v) - s|;
-    - with both ends in s, the child minus s is g - s: 0;
-    - with u in s, it is g - s - v: v's d = |N(v) - s| edges go, and its
-      component becomes the p components of g - s - v that meet N(v) - s
-      (none if d = 0), so d - p;
-    - with v in s alone, it is g - s with u joined to W = N(v) - s - N[u]:
-      an edge to one of the c components other than u's that meet W joins
-      two components, and each further edge closes a cycle, so c - |W|.
+    Deleting an isolated vertex, or an edge with an end in s, leaves g - s
+    up to an isolated vertex; deleting another edge uv drops the rank by 1
+    iff uv lies on a cycle of g - s.  Contracting uv (v into u) with both
+    ends outside s merges the edges to each common neighbour outside s.
+    With u in s the child minus s is g - s - v, a vertex deletion; with v
+    alone in s it is g - s with u joined to W = N(v) - s - N[u], which is a
+    new vertex joined to W + u and contracted into u.  ``_join_rank`` gives
+    both.
     """
     if edge is None:
         return 0
@@ -737,10 +738,53 @@ def _rank_drop(
         return popcount(adj[u] & adj[v] & ~s)
     rest = alive & ~s
     if ends >> u & 1:
-        near = 0 if ends >> v & 1 else adj[v] & rest
-        return popcount(near) - _components_meeting(adj, near, rest)
-    joined = adj[v] & rest & ~(adj[u] | 1 << u)
-    return _components_meeting(adj, joined | 1 << u, rest) - 1 - popcount(joined)
+        return _join_rank(adj, 0 if ends >> v & 1 else adj[v] & rest, rest)
+    return -_join_rank(adj, adj[v] & rest & ~adj[u], rest)  # W + u, as u is in N(v)
+
+
+def _deletion_table(adj: tuple[int, ...], k: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(S, t - cyc(P - S), components of P - S) for every k-set S of the
+    vertices of the graph P on the rows ``adj`` with cyc(P - S) <= t, the
+    SUB_UNICYCLIC cap, in ascending order of the sets' vertex tuples.  cyc
+    is ``_cycle_rank``'s count, from the one component walk the entry keeps."""
+    t = _RANK_LIMIT[ClassId.SUB_UNICYCLIC]
+    full = (1 << len(adj)) - 1
+    table = []
+    for drop in combinations(range(len(adj)), k):
+        alive = full & ~sum(1 << v for v in drop)
+        comps = _components(adj, alive)
+        rank = _edge_count(adj, alive) - popcount(alive) + len(comps)
+        if rank <= t:
+            table.append((full & ~alive, t - rank, tuple(comps)))
+    return table
+
+
+def _table_drop(table: list[tuple[int, int, tuple[int, ...]]], nb: int) -> str | None:
+    """Which rule drops the neighbourhood N = ``nb`` of a last apex a added
+    to the parent P of ``_deletion_table``: "dropped_k_apex" (rule 5) if
+    some entry S lands P + a - S in the class, "dropped_non_minimal" (rule
+    6) if for some v in N no entry lands P + a - av - S, else None.
+
+    An entry's excess is ``_join_rank(adj, N - S, P - S)``, counted from the
+    components the entry keeps, so no mask walks a component; P + a - S
+    lands iff the excess is at most the entry's slack.  Deleting av (v in N)
+    takes one off the excess when v lies outside S and shares its component
+    with another vertex of N - S, and none otherwise.  So once no entry
+    lands N, an entry lands N - v exactly when its excess is slack + 1 and
+    v lies in a component that N - S meets at least twice.
+    """
+    covered = 0
+    for s, slack, comps in table:
+        rest = nb & ~s
+        parts = [part for comp in comps if (part := comp & rest)]
+        excess = popcount(rest) - len(parts)
+        if excess <= slack:
+            return "dropped_k_apex"
+        if excess == slack + 1:
+            for part in parts:
+                if part & (part - 1):
+                    covered |= part
+    return None if covered == nb else "dropped_non_minimal"
 
 
 def _edge_count(adj: tuple[int, ...], alive: int) -> int:

@@ -20,10 +20,10 @@ from typing import Iterator
 from .canonical import canonical_form
 from .graphs import (
     Graph,
-    _components_meeting,
     _contraction_rows,
     _edge_count,
     _induced,
+    _join_rank,
     _strip,
     _twin_roots,
     bits,
@@ -118,16 +118,15 @@ def _children(g: Graph, m: int, rank: int) -> Iterator[tuple[tuple[int, ...], in
     """(rows, alive, edge count, cycle rank) in g's labels of each edge uv
     of ``g.edges()`` contracted into u, then of each vertex deleted.  A
     contraction loses the common neighbours of u and v from the rank, and one
-    more edge; deleting a vertex of degree d that touches p components of the
-    rest loses d edges and d - p from the rank (p = 0 if d = 0)."""
+    more edge; a vertex deletion loses its degree in edges and its
+    ``graphs._join_rank`` from the rank."""
     adj, full = g.adj, (1 << g.n) - 1
     for u, v in g.edges():
         common = popcount(adj[u] & adj[v])
         yield _contraction_rows(adj, u, v), full & ~(1 << v), m - 1 - common, rank - common
     for v in range(g.n):
         rest = full & ~(1 << v)
-        pieces = _components_meeting(adj, adj[v], rest)
-        yield adj, rest, m - popcount(adj[v]), rank - popcount(adj[v]) + pieces
+        yield adj, rest, m - popcount(adj[v]), rank - _join_rank(adj, adj[v], rest)
 
 
 def _spans(p: _Pattern, rows: tuple[int, ...], alive: int) -> bool:

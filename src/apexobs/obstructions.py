@@ -16,7 +16,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -30,13 +29,13 @@ from .graphs import (
     _apex_search,
     _child_core,
     _child_rows,
-    _components,
     _cycle_rank,
-    _edge_count,
+    _deletion_table,
     _induced,
     _rank_drop,
     _require_class,
     _strip,
+    _table_drop,
     _twin_roots,
     bits,
     bridges,
@@ -442,50 +441,6 @@ def _apex_neighbourhoods(adj: tuple[int, ...], after: int) -> Iterator[int]:
             yield forced | mask
 
 
-def _deletion_table(adj: tuple[int, ...], k: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(S, 1 - cyc(P - S), components of P - S) for every k-set S of the
-    vertices of the graph P on the rows ``adj`` with cyc(P - S) <= 1, in
-    ascending order of the sets' vertex tuples.  cyc is counted as in
-    ``graphs._cycle_rank``, from the one component walk the entry keeps."""
-    full = (1 << len(adj)) - 1
-    table = []
-    for drop in combinations(range(len(adj)), k):
-        alive = full & ~sum(1 << v for v in drop)
-        comps = _components(adj, alive)
-        rank = _edge_count(adj, alive) - popcount(alive) + len(comps)
-        if rank <= 1:
-            table.append((full & ~alive, 1 - rank, tuple(comps)))
-    return table
-
-
-def _table_drop(table: list[tuple[int, int, tuple[int, ...]]], nb: int) -> str | None:
-    """Which rule drops the neighbourhood N = ``nb`` of a last apex a added
-    to the parent P of ``_deletion_table``: "dropped_k_apex" (rule 5) if
-    some entry S lands P + a - S in the class, "dropped_non_minimal" (rule
-    6) if for some v in N no entry lands P + a - av - S, else None.
-
-    With r = N - S, P + a - S has cycle rank cyc(P - S) + |r| - c, where c
-    counts the components of P - S that r meets; its excess |r| - c is
-    compared with the entry's slack 1 - cyc(P - S).  Deleting av (v in N)
-    changes r only for v outside S: the excess drops by one when v shares
-    its component with another vertex of r, and stays put otherwise.  So
-    once no entry lands N, an entry lands N - v exactly when its excess is
-    slack + 1 and v lies in a component that r meets at least twice.
-    """
-    covered = 0
-    for s, slack, comps in table:
-        rest = nb & ~s
-        parts = [part for comp in comps if (part := comp & rest)]
-        excess = popcount(rest) - len(parts)
-        if excess <= slack:
-            return "dropped_k_apex"
-        if excess == slack + 1:
-            for part in parts:
-                if part & (part - 1):
-                    covered |= part
-    return None if covered == nb else "dropped_non_minimal"
-
-
 def _apex_layer(parent: Graph, j: int, k: int, counts: dict[str, int]) -> Iterator[Graph]:
     """``parent`` plus its j-th apex of k, joined to each neighbourhood of
     ``_apex_neighbourhoods`` that rules 4-6 of ``_candidates`` keep: rule 4,
@@ -615,13 +570,13 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
        N the neighbourhood of its apex a.  P is not (j - 1)-apex: at j = 1
        it is a core of cycle rank 2, and at j >= 2 it survived layer j - 1.
        So no deletion set of P + a of size <= j holds a, and padding a
-       smaller one, P + a is j-apex iff some j-set S of P's vertices has
-       cyc(P - S) + |N - S| - c <= 1, with c the components of P - S that
-       N - S meets.  ``_deletion_table`` lists, once per parent, each j-set
-       with cyc(P - S) <= 1 and the components of P - S; N is dropped if
-       the table lands it (``_table_drop``).  Being j-apex is invariant
-       under isomorphism, so dropping N before the layer is deduplicated
-       keeps the same classes, with the same graph for each.
+       smaller one, P + a is j-apex iff some j-set S of P's vertices lands
+       P + a - S, whose rank is cyc(P - S) plus ``graphs._join_rank`` of
+       N - S.  ``graphs._deletion_table`` lists, once per parent, each
+       j-set with cyc(P - S) <= 1 and the components of P - S; N is dropped
+       if the table lands it (``graphs._table_drop``).  Being j-apex is
+       invariant under isomorphism, so dropping N before the layer is
+       deduplicated keeps the same classes, with the same graph for each.
     5. Last apex, non-membership.  Rule 4 at the last layer, j = k: with
        g = P + a, N is dropped if the table of budget k lands it, as g is
        then k-apex.

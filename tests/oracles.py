@@ -12,10 +12,17 @@ the obstruction check runs a fresh apex test on every child (a subset loop
 on graphs small enough for one), and the obstruction search takes its
 candidates from every graph up to isomorphism.  Slow is fine; these run on
 small graphs and orders only.
+
+Three helpers here are no oracles but live here because only tests call
+them: ``attach_butterfly``, the one-step butterfly attachment the cactus
+and canonical tests build members with, and ``eval_series`` and
+``z1_identity_residual``, double-precision evaluations the asymptotics
+tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +31,8 @@ from typing import Iterable
 
 import networkx as nx
 
-from apexobs.cacti import ButterflyCactus, _attach_butterfly
+from apexobs.asymptotics import SaddlePoint, _log_terms, _moments, _z1_residual, eval_F
+from apexobs.cacti import ButterflyCactus, _attached_rows
 from apexobs.canonical import _iso_classes, canonical_form, graphs_up_to
 from apexobs.graphs import (
     ClassId,
@@ -37,6 +45,7 @@ from apexobs.graphs import (
     is_connected,
 )
 from apexobs.obstructions import _core_extensions, is_obstruction, structural_filters
+from apexobs.series import PowerSeries, SeriesSystemSolution
 
 
 def to_nx(g: Graph) -> nx.Graph:
@@ -98,6 +107,17 @@ def nx_automorphism_orbits(g: Graph) -> tuple[int, ...]:
 # -- butterfly-cacti without automorphism pruning -------------------------------
 
 
+def attach_butterfly(b: ButterflyCactus, v: int) -> ButterflyCactus:
+    """Identify one extremal vertex of a new butterfly with vertex v.
+
+    The surviving vertex id is v (the one from the old graph); the new
+    butterfly contributes four fresh vertices, the central one n + 1.
+    """
+    n = b.graph.n
+    g = Graph._from_rows(_attached_rows(b.graph.adj, v))
+    return ButterflyCactus(g, b.central_vertices | {n + 1}, b.k + 1)
+
+
 def reference_generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     """The k-butterfly-cacti, attaching a butterfly at every non-central vertex.
 
@@ -113,7 +133,7 @@ def reference_generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
         for b in level.values():
             for v in range(b.graph.n):
                 if v not in b.central_vertices:
-                    child = _attach_butterfly(b, v)
+                    child = attach_butterfly(b, v)
                     nxt.setdefault(canonical_form(child.graph), child)
         level = nxt
     return tuple(level[key] for key in sorted(level))
@@ -635,3 +655,36 @@ def fraction_system(n: int) -> dict[str, FracSeries]:
         "T": t,
         "G": exp_log_mset(t),
     }
+
+
+# -- double-precision evaluations -------------------------------------------------
+
+
+def eval_series(series: PowerSeries, z: float) -> float:
+    """sum a_n z^n in doubles, robust to coefficients beyond float range."""
+    if not 0 <= z < math.inf:  # NaN too
+        raise ValueError(
+            f"only non-negative arguments are supported, and only finite ones, got {z}"
+        )
+    try:
+        c0 = float(series.coeffs[0])
+    except OverflowError:
+        raise ValueError("the constant coefficient a_0 is beyond float range") from None
+    if z == 0.0:
+        return c0
+    terms = _log_terms([n * a for n, a in enumerate(series.coeffs)])
+    try:
+        value = c0 + _moments(terms, math.log(z))[0]
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"z = {z} puts a term or the sum of the series beyond float range")
+    return value
+
+
+def z1_identity_residual(
+    sol: SeriesSystemSolution, sp: SaddlePoint, rho: float | None = None
+) -> float:
+    """The identity residual at the saddle (or at a perturbed rho)."""
+    x = sp.x0 if rho is None else rho
+    return _z1_residual(x, eval_F(x, sp.y0, sol))

@@ -17,13 +17,13 @@ from apexobs.asymptotics import (
     check_Z1_vanishes,
     estimate_constant,
     eval_F,
-    eval_series,
     expansion_coeffs,
     solve_saddle,
     solve_y_at,
-    z1_identity_residual,
 )
 from apexobs.series import PowerSeries, _CheckFailed, solve_system
+
+from oracles import eval_series, z1_identity_residual
 
 # one system solve shared by the whole module
 N = 192

@@ -12,7 +12,6 @@ import apexobs.cli
 from apexobs.cacti import (
     MAX_LEVEL,
     ButterflyCactus,
-    _attach_butterfly,
     _cacti_unions,
     _glue_cycle,
     _peel_tree,
@@ -59,6 +58,7 @@ from apexobs.series import _CheckFailed
 
 from conftest import random_graph
 from oracles import (
+    attach_butterfly,
     find_butterfly_buckets,
     reference_disconnected_obstructions,
     reference_generate_Z,
@@ -147,16 +147,16 @@ class TestGenerateZ:
             n = b.graph.n
             for v in range(n):
                 glued = _glue_cycle(_glue_cycle(b.graph, v, 3), n + 1, 3)
-                child = _attach_butterfly(b, v)
+                child = attach_butterfly(b, v)
                 assert child.graph == glued
                 assert child.central_vertices == b.central_vertices | {n + 1}
 
 
 def attach_children(top: int) -> list[ButterflyCactus]:
-    """Every ``_attach_butterfly`` child at levels 2..top: each member of
+    """Every ``attach_butterfly`` child at levels 2..top: each member of
     the levels below at each of its non-central vertices."""
     return [
-        _attach_butterfly(b, v)
+        attach_butterfly(b, v)
         for j in range(1, top)
         for b in generate_Z(j)
         for v in range(b.graph.n)

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import apexobs.canonical
 from apexobs.cacti import (
-    _attach_butterfly,
     cactus_obstruction_family,
     connected_cacti_up_to,
     disconnected_obstructions,
@@ -43,7 +42,7 @@ from apexobs.graphs import (
 from apexobs.obstructions import search_obstructions
 
 from conftest import add_twins_and_pendants, random_graph
-from oracles import nx_automorphism_orbits, nx_isomorphic, reference_refine
+from oracles import attach_butterfly, nx_automorphism_orbits, nx_isomorphic, reference_refine
 
 
 def complete_multipartite(*parts: int) -> Graph:
@@ -280,7 +279,7 @@ class TestRefine:
         children = []
         for b in rng.sample(generate_Z(6), 8):
             free = [v for v in range(b.graph.n) if v not in b.central_vertices]
-            children += [_attach_butterfly(b, v).graph for v in rng.sample(free, 2)]
+            children += [attach_butterfly(b, v).graph for v in rng.sample(free, 2)]
         z7 = [b.graph for b in rng.sample(generate_Z(7), 12)]
         randoms = [
             random_graph(rng, rng.randint(22, 32), rng.uniform(0.1, 0.9)) for _ in range(30)
@@ -355,7 +354,7 @@ class TestPinnedOutput:
             for nb in range(1 << n)
         ]
         pool += [
-            _attach_butterfly(b, v).graph
+            attach_butterfly(b, v).graph
             for k in range(1, 5)
             for b in generate_Z(k)
             for v in range(b.graph.n)
@@ -382,7 +381,7 @@ class TestPinnedOutput:
             for nb in range(1 << n)
         ]
         pool += [
-            _attach_butterfly(b, v).graph
+            attach_butterfly(b, v).graph
             for k in range(1, 5)
             for b in generate_Z(k)
             for v in range(b.graph.n)

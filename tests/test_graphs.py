@@ -17,6 +17,7 @@ from apexobs.graphs import (
     _cycle_packing,
     _cycle_rank,
     _induced,
+    _join_rank,
     _one_step_children,
     _peel,
     _rank_drop,
@@ -821,6 +822,28 @@ class TestOneStepMinors:
                 canonical_form(k) for k in one_step_minors(g)
             }
         assert isolated_seen
+
+
+class TestJoinRank:
+    def test_a_join_and_a_deletion_move_the_cycle_rank_by_it(self):
+        # a new vertex joined to touch, within a random alive set, raises the
+        # rank by _join_rank; deleting a vertex outside the set lowers it by
+        # the _join_rank of its neighbours there
+        rng = random.Random(4701)
+        met = Counter()
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 10), rng.uniform(0.05, 0.5))
+            within = rng.getrandbits(g.n) | 1
+            before = _cycle_rank(g.adj, within)
+            for touch in (0, within, rng.getrandbits(g.n) & within):
+                got = _join_rank(g.adj, touch, within)
+                joined = g.add_vertex(touch)
+                assert got == _cycle_rank(joined.adj, within | 1 << g.n) - before, (g, touch)
+                met[min(popcount(touch) - got, 3)] += 1
+            for v in bits(((1 << g.n) - 1) & ~within):
+                got = _join_rank(g.adj, g.adj[v] & within, within)
+                assert got == _cycle_rank(g.adj, within | 1 << v) - before, (g, v)
+        assert set(met) == {0, 1, 2, 3}  # no component met, and three or more
 
 
 class TestRankDrop:

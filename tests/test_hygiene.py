@@ -3,9 +3,12 @@ imports is used in it, `apexobs.__all__` lists exactly what `__init__.py`
 imports, every module-level private function or class is referenced
 somewhere, no public function or method takes a private parameter, no code
 but `Graph.__init__` and the trusted constructor fills in a `Graph` itself,
-every name the benchmark harness hooks into exists, every private name
-README mentions exists, no module but `canonical` sorts by canonical
-form, and no module but `graphs` compares two masked rows."""
+every name the benchmark harness hooks into exists, every top-level
+function or class of the package is exported, used by the package or a
+benchmark hook, every private name README mentions exists, no module but
+`canonical` sorts by canonical form, no module but `graphs` compares two
+masked rows, and no module but `graphs` (and `minors`, for `_join_rank`)
+imports a component walk."""
 
 from __future__ import annotations
 
@@ -330,6 +333,104 @@ def test_benchmark_hooks_exist():
     ]
     assert all(map(callable, hooks))
     assert isinstance(minors._memo, dict)
+
+
+def orphans(sources: dict[str, str], keep: set[str]) -> list[str]:
+    """Top-level functions and classes of the `sources` that no source
+    references and `keep` does not name, as "module: name"."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    refs = set().union(*(referenced_names(tree) for tree in trees.values())) | keep
+    return [
+        f"{name}: {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, DEFINITIONS) and node.name not in refs
+    ]
+
+
+def test_scanner_flags_an_orphan():
+    lib = (
+        "def api():\n    return _helper()\n\ndef _helper():\n    pass\n\n"
+        "def hook():\n    pass\n\ndef _loop(n):\n    return _loop(n - 1)\n\n"
+        "class Dead:\n    pass\n"
+    )
+    other = "from lib import api\n\ndef only_tests():\n    pass\n"
+    got = orphans({"lib": lib, "other": other}, {"hook"})
+    assert got == ["lib: _loop", "lib: Dead", "other: only_tests"]
+
+
+def benchmark_hook_names() -> set[str]:
+    """The names `perfbench/tracing.py`'s ENTRY_POINTS traces and the
+    attributes of package modules that `test_benchmark_hooks_exist` reads,
+    such as `minors.clear_minor_cache`."""
+    tracing = ast.parse((TESTS.parent / "perfbench" / "tracing.py").read_text())
+    (entry_points,) = [
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "ENTRY_POINTS"
+    ]
+    (hooks_test,) = [
+        node
+        for node in ast.parse(Path(__file__).read_text()).body
+        if isinstance(node, FUNCTIONS) and node.name == "test_benchmark_hooks_exist"
+    ]
+    stems = {p.stem for p in MODULES}
+    return {name for names in entry_points.values() for name in names} | {
+        node.attr
+        for node in ast.walk(hooks_test)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in stems
+    }
+
+
+def test_no_orphans():
+    """Every top-level function and class of the package is exported, used
+    by other package code, or a hook the benchmark names: code that only
+    tests call lives in the tests (`oracles.py`)."""
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert orphans(sources, set(apexobs.__all__) | benchmark_hook_names()) == []
+
+
+COMPONENT_WALKS = {"_component", "_components", "_components_meeting", "_join_rank"}
+
+
+def component_walk_imports(source: str, allowed: frozenset[str] = frozenset()) -> list[str]:
+    """Component walks of `graphs` outside ``allowed`` that a module imports
+    or reads as an attribute, as "line: name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            found.append((node.lineno, node.attr))
+    return [
+        f"{line}: {name}"
+        for line, name in sorted(found)
+        if name in COMPONENT_WALKS and name not in allowed
+    ]
+
+
+def test_scanner_flags_a_component_walk_import():
+    source = (
+        "from .graphs import Graph, _components, _join_rank\nfrom . import graphs\n"
+        "x = graphs._component(adj, 1, 3)\ny = component_masks(g)\n"
+    )
+    assert component_walk_imports(source) == ["1: _components", "1: _join_rank", "3: _component"]
+    assert component_walk_imports(source, frozenset({"_join_rank"})) == [
+        "1: _components", "3: _component",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "graphs.py"], ids=lambda p: p.name
+)
+def test_only_graphs_walks_components(path):
+    """Every cycle-rank step is counted in `graphs` (`_join_rank`, the
+    deletion tables and `_rank_drop`): no other module imports a component
+    walk, but `minors` takes `_join_rank` for its vertex deletions."""
+    allowed = frozenset({"_join_rank"}) if path.name == "minors.py" else frozenset()
+    assert component_walk_imports(path.read_text(), allowed) == []
 
 
 PRIVATE_NAME = re.compile(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`")

@@ -22,8 +22,10 @@ from apexobs.graphs import (
     _apex_search,
     _child_rows,
     _cycle_rank,
+    _deletion_table,
     _rank_drop,
     _strip,
+    _table_drop,
     _twin_roots,
     butterfly_graph,
     complete_graph,
@@ -47,9 +49,7 @@ from apexobs.obstructions import (
     _augmentation,
     _candidates,
     _core_extensions,
-    _deletion_table,
     _prefix_picks,
-    _table_drop,
     check_obstruction,
     is_obstruction,
     load_catalog,
