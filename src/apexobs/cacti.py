@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .canonical import _form_sorted, _iso_classes
 from .graphs import (
@@ -220,6 +220,11 @@ def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
     return [_members(level, j) for j, level in enumerate(_row_levels(k), 1)]
 
 
+def butterfly_levels(k: int) -> tuple[tuple[ButterflyCactus, ...], ...]:
+    """``(generate_Z(1), ..., generate_Z(k))`` from one ``_row_levels`` pass."""
+    return tuple(map(_in_form_order, _z_levels(k)))
+
+
 def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
     """The central vertices K(G), the unique k-set whose removal leaves a forest.
 
@@ -255,33 +260,26 @@ def _check_union_level(k: int) -> None:
 
 
 def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
-    """Disconnected cactus obstructions at level k, up to isomorphism.
-
-    These are the disjoint unions over multisets {G_1..G_r}, r >= 2, with
-    G_i a k_i-butterfly-cactus and sum k_i = k+1, plus the exceptional
-    (k+2) disjoint triangles, all in form order.
-    """
-    _check_union_level(k)
-    return _disconnected(_union_levels(_z_levels(k)))
+    """Disconnected cactus obstructions at level k, up to isomorphism: the
+    disjoint unions over multisets {G_1..G_r}, r >= 2, of k_i-butterfly-cacti
+    with sum k_i = k+1, and (k+2)K3, in form order (``cactus_unions``)."""
+    _check_union_level(k)  # before any level is built
+    return cactus_unions(_z_levels(k))
 
 
-def _union_levels(levels: list[tuple[ButterflyCactus, ...]]) -> list[tuple[ButterflyCactus, ...]]:
-    """The k levels of ``_z_levels(k)`` with each level j that one union can
-    take two members of (2j <= k + 1) in form order.  A union takes at most
-    one member of every other level, whose place in the union its level
-    fixes, so the order of that level changes no union."""
+def cactus_unions(levels: Sequence[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
+    """``disconnected_obstructions(k)``, k = len(levels), from the members of
+    ``generate_Z(1), ..., generate_Z(k)`` in any order within a level:
+    (k+2)K3, which has 3k + 6 vertices and so comes first, and the unions,
+    of at least 4k + 6, listed by ``_form_sorted``.  Only a level j that
+    one union can take two members of (2j <= k + 1) is put in form order: a
+    union takes at most one member of any other level, and the level fixes
+    that member's place in the union."""
     k = len(levels)
-    return [_in_form_order(level) if 2 * j <= k + 1 else level
-            for j, level in enumerate(levels, 1)]
-
-
-def _disconnected(levels: list[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
-    """``disconnected_obstructions(k)`` from ``levels``, the k levels of
-    ``_z_levels(k)``, at least the levels that ``_union_levels`` sorts in
-    form order: (k+2)K3 and the unions, listed by ``_form_sorted``.  (k+2)K3
-    has 3k + 6 vertices and every union at least 4k + 6, so it comes
-    first."""
-    return _form_sorted((exceptional_obstruction(len(levels)), *_cacti_unions(levels)))
+    _check_union_level(k)
+    levels = [_in_form_order(level) if 2 * j <= k + 1 else level
+              for j, level in enumerate(levels, 1)]
+    return _form_sorted((exceptional_obstruction(k), *_cacti_unions(levels)))
 
 
 def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
@@ -349,7 +347,7 @@ def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
     one pass over the butterfly-cactus levels 1..k+1."""
     _check_union_level(k)
     levels = _z_levels(k + 1)
-    exceptional, *unions = _disconnected(_union_levels(levels[:k]))
+    exceptional, *unions = cactus_unions(levels[:k])
     return CactusObstructionFamily(
         k=k,
         connected=_in_form_order(levels[k]),

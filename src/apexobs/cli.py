@@ -2,10 +2,17 @@
 
 Subcommands: check, minor, apex, verify-catalog, search, gen-cacti,
 enumerate, asymptotics.  Every subcommand supports --json for machine
-output.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+output.  Exit codes: 0 success, 1 verification failure, 2 usage error;
+``main`` leaves a stdout closed early to SIGPIPE, where it exists.
 Past argparse, every usage error is a ValueError, raised by the argument
 checks of the library functions each subcommand calls or by the
 subcommand itself, and ``run`` prints it as one ``error:`` line.
+
+The private names of the package read here, each for one reason:
+- ``_check_tol``: checks --tol before the multi-second solve;
+- ``_CheckFailed``: a result failing its own check is the exit-1 contract;
+- ``_NAME_RE``: tells a malformed graph name from graph6;
+- ``minors._memo``, ``minors._placements``: the counters ``minor --json`` prints.
 """
 
 from __future__ import annotations
@@ -13,21 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 
 from . import __version__, minors
 from .asymptotics import NewtonDivergence, _check_tol, asymptotics_report
-from .cacti import _check_union_level, _disconnected, _in_form_order, _z_levels
+from .cacti import butterfly_levels, cactus_unions
 from .graphio import from_graph6, load_graph, to_graph6
-from .graphs import (
-    _NAME_RE,
-    ClassId,
-    Graph,
-    is_in_class,
-    make_named,
-    min_apex_size,
-)
+from .graphs import _NAME_RE, ClassId, Graph, is_in_class, make_named, min_apex_size
 from .obstructions import (
     check_obstruction,
     load_catalog,
@@ -132,9 +133,7 @@ def cmd_search(args) -> int:
 
 
 def cmd_gen_cacti(args) -> int:
-    if args.disconnected:
-        _check_union_level(args.k)  # before any level is built
-    levels = [_in_form_order(level) for level in _z_levels(args.k)]
+    levels = butterfly_levels(args.k)
     # (level, apex budget, label, members); a member is a graph and the rest of its row
     families = [
         (j, j - 1, "butterfly-cacti",
@@ -142,7 +141,7 @@ def cmd_gen_cacti(args) -> int:
         for j, level in enumerate(levels, 1)
     ]
     if args.disconnected:
-        unions = [(g, {"disconnected": True}) for g in _disconnected(levels)]
+        unions = [(g, {"disconnected": True}) for g in cactus_unions(levels)]
         families.append((args.k, args.k, "disconnected cactus obstructions", unions))
     rows, lines = [], []
     for j, budget, label, members in families:
@@ -306,6 +305,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

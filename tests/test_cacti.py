@@ -19,7 +19,9 @@ from apexobs.cacti import (
     _tree_orbits,
     _z_levels,
     apex_forest_bound_check,
+    butterfly_levels,
     cactus_obstruction_family,
+    cactus_unions,
     central_set,
     connected_cacti_up_to,
     count_forest_apex_sets,
@@ -532,11 +534,10 @@ class TestOneLevelPass:
 
         def counted(k):
             calls.append(k)
-            return _z_levels(k)
+            return _row_levels(k)
 
-        # the CLI imports its own binding of _z_levels
-        monkeypatch.setattr(apexobs.cacti, "_z_levels", counted)
-        monkeypatch.setattr(apexobs.cli, "_z_levels", counted)
+        # _row_levels is the one builder every level pass runs
+        monkeypatch.setattr(apexobs.cacti, "_row_levels", counted)
         return calls
 
     def test_cactus_obstruction_family(self, level_passes):
@@ -551,6 +552,38 @@ class TestOneLevelPass:
         assert sum(row.get("disconnected", False) for row in rows) == len(
             disconnected_obstructions(4)
         )
+
+    def test_gen_cacti(self, level_passes, capsys):
+        assert run(["gen-cacti", "--k", "7"]) == 0
+        capsys.readouterr()
+        assert level_passes == [7]
+
+    def test_disconnected_obstructions(self, level_passes):
+        disconnected_obstructions(4)
+        assert level_passes == [4]
+
+
+class TestPublicLevels:
+    """``butterfly_levels`` and ``cactus_unions``, the calls ``gen-cacti``
+    reads the levels and the unions from."""
+
+    def test_butterfly_levels_are_generate_Z(self):
+        levels = butterfly_levels(MAX_LEVEL)
+        assert len(levels) == MAX_LEVEL
+        for j, level in enumerate(levels, 1):
+            assert level == generate_Z(j)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_unions_ignore_the_order_within_a_level(self, k):
+        # sorted levels, levels as built and the library call agree by rows
+        rows = [[g.adj for g in cactus_unions(levels)]
+                for levels in (butterfly_levels(k), _z_levels(k))]
+        assert rows[0] == rows[1] == [g.adj for g in disconnected_obstructions(k)]
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_cactus_unions_checks_the_union_level(self, k):
+        with pytest.raises(ValueError, match=f"got {k}$"):
+            cactus_unions([()] * k)
 
 
 class TestCountCrossCheck:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -293,6 +295,18 @@ class TestSubcommands:
         assert all(line.endswith("  (all verified)") for line in verdicts)
         assert verdicts[-1] == f"k={k}: {unions} disconnected cactus obstructions  (all verified)"
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("--k", "5", "--disconnected", "--json"),
+         "fdb8363d316f605c0e71cdc7fe011d3383384c2eee9658c1bd57d2f3c5bac12c"),
+        (("--k", "7"), "53ab250a3174ffae64f52b2402ed1ff9c16f4aff079d7aa4ed287e860633c38f"),
+    ])
+    def test_gen_cacti_bytes_pinned(self, capsys, argv, digest):
+        # which levels are in form order fixes the unions' bytes; these are
+        # the digests of the CLI that sorted every level it listed
+        code, out = invoke(capsys, "gen-cacti", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @staticmethod
     def refute_4k3(monkeypatch):
         """Check the exceptional 4K3 one level too low, where a one-step minor refutes it."""
@@ -509,6 +523,24 @@ class TestProcessEntry:
             ln.startswith("XXX K4 ") and ln.endswith("[minimality]") for ln in lines
         )
         assert "3/4 verified" in proc.stdout
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
+    def test_closed_stdout_ends_quietly(self):
+        # a stdout whose reader has gone must not end in a BrokenPipeError
+        # traceback and exit 1, the code of a verification failure
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "apexobs", "verify-catalog", "--k", "0", "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=child_env(),
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode not in (1, 2)
 
     def test_corrupt_catalog_is_usage_error(self, tmp_path, monkeypatch, capsys):
         # one graph more than the manifest has records: bad input -> exit 2

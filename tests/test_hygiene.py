@@ -7,8 +7,9 @@ every name the benchmark harness hooks into exists, every top-level
 function or class of the package is exported, used by the package or a
 benchmark hook, every private name README mentions exists, no module but
 `canonical` sorts by canonical form, no module but `graphs` compares two
-masked rows, and no module but `graphs` (and `minors`, for `_join_rank`)
-imports a component walk."""
+masked rows, no module but `graphs` (and `minors`, for `_join_rank`)
+imports a component walk, and the `cli` docstring lists every private name
+of the package that `cli` reads."""
 
 from __future__ import annotations
 
@@ -471,3 +472,54 @@ def test_readme_names_only_existing_privates():
     """README's module map names private helpers; one deleted or renamed
     since fails here.  ROADMAP is a history and names deleted ones."""
     assert missing_private_names((TESTS.parent / "README.md").read_text()) == []
+
+
+def package_private_reads(source: str) -> list[str]:
+    """Private names that ``source`` imports from the package, `_name`, or
+    reads as an attribute of a package module it imported, `module._name`."""
+    stems = {p.stem for p in MODULES}
+    tree = ast.parse(source)
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "apexobs")
+    ]
+    modules = {alias.asname or alias.name for node in imports for alias in node.names
+               if alias.name in stems}
+    found = {alias.name for node in imports for alias in node.names if not is_public(alias.name)}
+    found |= {
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+        and not is_public(node.attr)
+    }
+    return sorted(found)
+
+
+def listed_private_names(source: str) -> list[str]:
+    """The names that head the module docstring's list entries,
+    "- ``name``: why" or "- ``name``, ``other``: why"."""
+    heads = re.findall(r"^- (.*?):", ast.get_docstring(ast.parse(source)) or "", re.M)
+    return sorted(re.findall(r"``([\w.]+)``", " ".join(heads)))
+
+
+def test_scanner_flags_an_unlisted_private_read():
+    source = (
+        '"""Doc ``_x``.\n\n- ``_check_tol``: why;\n- ``minors._memo``, ``minors._y``: why.\n"""\n'
+        "from . import __version__, minors\nfrom .cacti import _z_levels, generate_Z\n"
+        "from .asymptotics import _check_tol\nfrom os import _exit\n"
+        "n = len(minors._memo) + minors._placements + graphs._strip + minors.__name__\n"
+    )
+    assert package_private_reads(source) == [
+        "_check_tol", "_z_levels", "minors._memo", "minors._placements",
+    ]
+    assert listed_private_names(source) == ["_check_tol", "minors._memo", "minors._y"]
+
+
+def test_cli_lists_the_private_names_it_reads():
+    """Each private name `cli` reads has its reason in the `cli` docstring;
+    the butterfly-cactus levels and unions come from public calls."""
+    source = (PACKAGE / "cli.py").read_text()
+    assert package_private_reads(source) == listed_private_names(source)
