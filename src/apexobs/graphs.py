@@ -411,10 +411,9 @@ def is_in_class(g: Graph, cls: ClassId) -> bool:
 # strips once, by ``_strip``, and a branch hands its child the 2-core and
 # degree >= 3 vertices left by one deletion, from ``_peel``, which counts
 # again only the vertices a change touched and the neighbours of what it
-# removes; ``_child_core`` peels a one-step child's 2-core from its
-# parent's the same way.  For FOREST and
-# SUB_UNICYCLIC a node first packs disjoint cycles: k + 1 + t of them refute
-# budget k for cycle rank cap t.  The packing takes its triangles in one scan.
+# removes.  For FOREST and SUB_UNICYCLIC a node first packs disjoint cycles:
+# k + 1 + t of them refute budget k for cycle rank cap t.  The packing takes
+# its triangles in one scan.
 
 
 def _strip(adj: tuple[int, ...], alive: int) -> tuple[int, int]:
@@ -440,8 +439,7 @@ def _peel(adj: tuple[int, ...], alive: int, high: int, touched: int) -> tuple[in
     ``touched`` has degree >= 2 in it, and degree >= 3 iff it is in ``high``.
     Only the vertices ``touched``, and the neighbours of the vertices it
     removes, are counted again, layer by layer.  A branch deleting v from a
-    2-core passes ``core & ~(1 << v)`` and ``adj[v]``; ``_child_core`` passes
-    the parent's 2-core and the vertices one edge operation touches."""
+    2-core passes ``core & ~(1 << v)`` and ``adj[v]``."""
     recount = touched = touched & alive
     while recount:
         drop = 0
@@ -976,27 +974,6 @@ def _child_rows(g: Graph) -> Iterator[tuple[tuple[int, ...], int, tuple[int, int
     iso = next((v for v in range(g.n) if adj[v] == 0), None)
     if iso is not None:
         yield adj, full & ~(1 << iso), None
-
-
-def _child_core(
-    adj: tuple[int, ...], core: int, high: int,
-    rows: tuple[int, ...], alive: int, edge: tuple[int, int] | None,
-) -> tuple[int, int]:
-    """``_strip(rows, alive)`` for a child (rows, alive, edge) of
-    ``_child_rows`` of the graph g with rows ``adj``, from g's 2-core
-    ``core`` and its degree >= 3 vertices ``high``.
-
-    A one-step minor has no cycle that g lacks, so the child's 2-core lies
-    in g's, with the merged vertex u in place of v when v is in g's core
-    (u is then in it too, or hangs on v by a tree).  Only u, v and their
-    common neighbours change degree: v's other neighbours trade their edge
-    to v for one to u.  An isolated vertex lies outside the core.
-    """
-    if edge is None:
-        return core, high
-    u, v = edge
-    start = (core | (core >> v & 1) << u) & alive
-    return _peel(rows, start, high, (1 << u | 1 << v | adj[u] & adj[v]) & start)
 
 
 def _one_step_children(g: Graph) -> Iterator[Graph]:

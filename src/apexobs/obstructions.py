@@ -27,7 +27,6 @@ from .graphs import (
     Graph,
     _RANK_LIMIT,
     _apex_search,
-    _child_core,
     _child_rows,
     _cycle_rank,
     _deletion_table,
@@ -130,8 +129,8 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
     vertices, so one that lands the child in the class proves it k-apex.
     Only a child that no set settles gets an apex search of budget k, and
     the first child it refutes, the first that is not k-apex, is built as
-    the witness.  g is stripped once: its 2-core serves its own search,
-    and ``graphs._child_core`` peels each searched child's 2-core from it.
+    the witness.  g and each searched child are stripped once, by
+    ``graphs._strip``, for their own apex search.
 
     A set s is stored with cyc(g - s).  For FOREST and SUB_UNICYCLIC, the
     classes of cycle rank at most t, the child minus s lands iff that rank
@@ -149,9 +148,8 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
         raise ValueError(f"k must be non-negative, got {k}")
     _require_class(cls)
     adj, full = g.adj, (1 << g.n) - 1
-    core, high = _strip(adj, full)
     sets: list[tuple[int, int]] = []  # (s, cyc(g - s)), the membership search's near misses first
-    if _apex_search(adj, core, high, cls, k, {}, sets) is not None:
+    if _apex_search(adj, *_strip(adj, full), cls, k, {}, sets) is not None:
         return ObstructionCheck(False, failed_step="membership")
     t = _RANK_LIMIT.get(cls)
     searched = 0
@@ -164,7 +162,7 @@ def check_obstruction(g: Graph, k: int, cls: ClassId = ClassId.SUB_UNICYCLIC) ->
                 break
         else:
             searched += 1
-            s = _apex_search(rows, *_child_core(adj, core, high, rows, alive, edge), cls, k, {})
+            s = _apex_search(rows, *_strip(rows, alive), cls, k, {})
             if s is None:
                 witness = _induced(rows, alive)
                 return ObstructionCheck(False, "minimality", witness, children_searched=searched)
@@ -536,13 +534,15 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     vertex deletion, so every core on m vertices extends one on m - 1.  Each
     core level is built by canonical augmentation (``_augmented_level``),
     each apex layer but the last is deduplicated by canonical form, and the
-    last layer is yielded raw (with k = 0 the last core extension is that
-    raw layer).  Six rules drop what the search need not check: rules 1
-    and 2 what cannot be an obstruction, as every obstruction has minimum
-    degree 2 and adjacent neighbours at each degree-2 vertex (the degree
-    conditions of ``structural_filters``), rule 3 what is isomorphic to a
-    graph that is built, and rules 4-6 what is k-apex or has a proper minor
-    outside the class:
+    last layer is yielded raw.  With k = 0 there is no apex layer: the
+    candidates are the members of cycle rank 2 of each core level that are
+    finished, which ``_joins`` at ``later`` = 0 finds forcing nothing (rules
+    1 and 2 with no vertex still to come).  Six rules drop what the search
+    need not check: rules 1 and 2 what cannot be an obstruction, as every
+    obstruction has minimum degree 2 and adjacent neighbours at each
+    degree-2 vertex (the degree conditions of ``structural_filters``), rule
+    3 what is isomorphic to a graph that is built, and rules 4-6 what is
+    k-apex or has a proper minor outside the class:
 
     1. Degree floor.  A vertex gains at most one edge from each vertex added
        after it, so a graph with ``later`` vertices still to come needs
@@ -591,14 +591,18 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     generator's filters, not verdicts: ``check_obstruction`` still decides
     each candidate in full.
 
-    Every deduplicated core level has ``later`` >= 1, so level m holds one
-    graph of each class on m vertices with cyc <= 2 and minimum degree at
-    least its floor.  Canonical augmentation (McKay, "Isomorph-free
-    exhaustive generation", 1998) keeps each class once:
+    Core level m holds one graph of each class on m vertices with cyc <= 2
+    and minimum degree at least its floor; at k = 0 the top level, with
+    ``later`` = 0, holds instead the classes of cycle rank 2 that meet rules
+    1 and 2.  Canonical augmentation (McKay, "Isomorph-free exhaustive
+    generation", 1998) keeps each class once:
 
     - Every vertex deletion of a level-m graph lies in level m - 1: cyc <= 2
       is closed under deletion, the floor drops by one per level, and a
-      deletion lowers each degree by at most one.  So for a class G of
+      deletion lowers each degree by at most one.  At ``later`` = 0 a graph
+      meeting rule 2 has minimum degree 2, so each deletion meets the floor
+      1 of level top - 1, and the deleted vertex already joins every vertex
+      that rule 2 forces on that parent.  So for a class G of
       level m, the parent class of G - c(G) is built, and so is one of its
       children in which the new vertex x maps onto c(G); ``_augmentation``
       accepts it.  A child g isomorphic to G with x in the orbit of c(g)
@@ -617,16 +621,16 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     top = max_n - k  # largest core size
     level = [Graph(0)]
     for m in range(1, top + 1):
-        if m == top and k == 0:
-            yield from (ext for core in level for ext in _core_extensions(core, 0))
-            return
         level = _augmented_level(level, top - m + k)
         graphs = [g for g in level if cyclomatic(g) == 2]
         for j in range(1, k):
             layer = (ext for g in graphs for ext in _apex_layer(g, j, k, counts))
             graphs = list(_iso_classes(layer).values())
         for g in graphs:
-            yield from (_apex_layer(g, k, k, counts) if k else [g])
+            if k:
+                yield from _apex_layer(g, k, k, counts)
+            elif (joins := _joins(g.adj, 0)) is not None and not joins[0]:
+                yield g
 
 
 def _check_budget(budget_seconds: float | None) -> None:

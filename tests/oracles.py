@@ -285,14 +285,14 @@ def reference_search(k: int, max_n: int, connected_only: bool = False) -> list[G
 
 
 def reference_core_levels(k: int, max_n: int) -> list[list[Graph]]:
-    """The deduplicated core levels of ``_candidates(k, max_n)``, m = 1 up to
-    the last one it deduplicates, built as the search built them before
-    canonical augmentation: the ``_core_extensions`` of every graph of the
-    level below, one per class by ``_iso_classes``."""
+    """The core levels of ``_candidates(k, max_n)``, m = 1 up to the top,
+    built as the search built them before canonical augmentation: the
+    ``_core_extensions`` of every graph of the level below, one per class by
+    ``_iso_classes``."""
     top = max_n - k
     levels = []
     level = [Graph(0)]
-    for m in range(1, top if k == 0 else top + 1):
+    for m in range(1, top + 1):
         raw = (ext for core in level for ext in _core_extensions(core, top - m + k))
         level = list(_iso_classes(raw).values())
         levels.append(level)

@@ -10,6 +10,9 @@ import pytest
 import apexobs.asymptotics
 from apexobs.asymptotics import (
     SADDLE_MAX_ITER,
+    SADDLE_START,
+    FDerivatives,
+    NewtonDivergence,
     _F_at,
     _tail_series,
     _tails,
@@ -21,6 +24,7 @@ from apexobs.asymptotics import (
     solve_saddle,
     solve_y_at,
 )
+from apexobs.cli import run
 from apexobs.series import PowerSeries, _CheckFailed, solve_system
 
 from oracles import eval_series, z1_identity_residual
@@ -241,6 +245,26 @@ class TestSaddle:
             asymptotics_report(solve_system(64), tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             check_Z1_vanishes(sol, truncations=(64,), tol=tol)
+
+    @pytest.mark.parametrize(
+        "fx, fyy, message", [(0.0, 0.0, "singular Jacobian"), (1e-12, 1.0, "step underflow")]
+    )
+    def test_newton_divergence_exits(self, sol, monkeypatch, capsys, fx, fyy, message):
+        # fixed partials, F = y + 1 and F_y = 0.5, so the start point misses
+        # the tolerance.  F_x = F_xy = 0 make the Jacobian singular; F_x =
+        # 1e-12 with F_yy = 1 gives dx ~ 7.5e11, and the trial x stays
+        # outside (0, 1) at every step down to 1e-12
+        def fixed(x, y, sol):
+            return FDerivatives(F=y + 1.0, Fx=fx, Fy=0.5, Fyy=fyy, Fyyy=0.0, Fyyyy=0.0,
+                                Fxy=0.0, Fxyyy=0.0, Fxx=0.0, E=1.0, W=1.0)
+
+        monkeypatch.setattr(apexobs.asymptotics, "eval_F", fixed)
+        with pytest.raises(NewtonDivergence, match=f"^{message}$") as exc:
+            solve_saddle(sol)
+        assert exc.value.last_iterate == SADDLE_START
+        assert run(["asymptotics", "--N", "64"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": {message}\n") and err.count("\n") == 1
 
 
 class TestExpansion:

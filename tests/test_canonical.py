@@ -451,7 +451,7 @@ class TestPinnedOutput:
         # generated 18,513 and checked 3,917
         digest = hashlib.sha256()
         counts = {
-            (0, 7): (0, 0, 28, 28, 28, 3),
+            (0, 7): (0, 0, 4, 4, 4, 3),
             (1, 8): (150, 516, 68, 68, 36, 22),
             (2, 8): (6003, 2851, 1062, 1062, 410, 70),
         }

@@ -233,10 +233,13 @@ class TestSubcommands:
         }
         assert c["generated"] >= c["passed_filters"] >= c["checked"] >= c["found"]
         assert c["found"] == len(payload["found"]) > 0
-        # no filter stage: the last layer's rules and the deduplication cut
-        # (9 candidates to 8 classes at k = 0; 8 neighbourhoods to 1
-        # candidate at k = 2)
-        assert c["dropped_k_apex"] + c["dropped_non_minimal"] + c["generated"] > c["checked"]
+        # no filter stage: at k = 0 the candidates are the core levels'
+        # finished classes, each built once; above it the last layer's rules
+        # and the deduplication cut (8 neighbourhoods to 1 candidate at k = 2)
+        if k:
+            assert c["dropped_k_apex"] + c["dropped_non_minimal"] + c["generated"] > c["checked"]
+        else:
+            assert c["generated"] == c["checked"]
         assert (c["dropped_k_apex"] + c["dropped_non_minimal"] > 0) == (k > 0)
 
     def test_enumerate_row_ten(self, capsys):
@@ -467,6 +470,22 @@ class TestDeterminism:
         a = invoke(capsys, "search", "--k", "0", "--max-n", "5", "--json")
         b = invoke(capsys, "search", "--k", "0", "--max-n", "5", "--json")
         assert a == b
+
+    def test_catalog_checks_pinned(self, capsys):
+        # sha256 of verify-catalog --json at k = 0 and 1 with the wall times
+        # dropped: verdicts, failed steps, witnesses and children_searched
+        digest = hashlib.sha256()
+        for k in ("0", "1"):
+            code, out = invoke(capsys, "verify-catalog", "--k", k, "--json")
+            assert code == 0
+            payload = json.loads(out)
+            del payload["runtime_seconds"]
+            for rec in payload["records"]:
+                del rec["seconds"]
+            digest.update(json.dumps(payload, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "edb454feb9866e47b85f534b19d2c9540ca41e8419f63220fdc9a35e6a4ca338"
+        )
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_timing_writes_one_stderr_line_only(self, capsys, fmt):

@@ -690,6 +690,17 @@ class TestCandidateGenerators:
             report = structural_filters(g)
             assert report.min_degree_two and report.degree_two_neighbors_adjacent, to_graph6(g)
 
+    @pytest.mark.parametrize("k, max_n", [(0, 9), (1, 9), (2, 8), (3, 8)])
+    def test_every_candidate_obeys_rules_1_and_2(self, k, max_n):
+        # at k = 0 too, where each core level's finished classes are the
+        # candidates and no apex layer enforces the rules
+        made = 0
+        for g in _candidates(k, max_n):
+            report = structural_filters(g)
+            assert report.min_degree_two and report.degree_two_neighbors_adjacent, to_graph6(g)
+            made += 1
+        assert made
+
     def test_twin_prefixes_reach_every_class_once(self, rng):
         for _ in range(40):
             g = self.twin_rich_graph(rng, rng.randint(1, 8))
@@ -763,7 +774,7 @@ class TestCandidateGenerators:
         "k, max_n, checked, found, generated",
         # generated: the unpruned generators built 4,526, 4,643 and 3,249;
         # checked: 549 and 316 before rules 4-6 of the last layers
-        [(0, 8, 109, 3, 4526), (1, 8, 36, 22, 4643), (2, 7, 16, 9, 3249)],
+        [(0, 8, 4, 3, 4526), (1, 8, 36, 22, 4643), (2, 7, 16, 9, 3249)],
     )
     def test_pruning_checks_the_same_classes(self, k, max_n, checked, found, generated):
         c = search_obstructions(k, max_n).candidates
@@ -872,7 +883,7 @@ class TestCanonicalAugmentation:
             assert accepted == {u for u in range(g.n) if orbits[u] == orbits[min(accepted)]}
         assert tied  # some graphs need the canonical labeling to break a tie
 
-    @pytest.mark.parametrize("k, max_n", [(0, 8), (1, 9), (2, 8)])
+    @pytest.mark.parametrize("k, max_n", [(0, 8), (0, 9), (1, 9), (2, 8)])
     def test_levels_are_the_reference_classes(self, k, max_n, monkeypatch):
         built = []
         real = apexobs.obstructions._augmented_level
@@ -885,16 +896,17 @@ class TestCanonicalAugmentation:
         for _ in _candidates(k, max_n):
             pass
         want = reference_core_levels(k, max_n)
-        assert len(built) == len(want) == max_n - k - (k == 0)
+        assert len(built) == len(want) == max_n - k
         for got, ref in zip(built, want):
             forms = [canonical_form(g) for g in got]
             assert len(set(forms)) == len(forms)  # no class twice
             assert set(forms) == {canonical_form(g) for g in ref}
 
-    @pytest.mark.parametrize("k, searches", [(0, 79), (1, 113), (2, 107)])
+    @pytest.mark.parametrize("k, searches", [(0, 71), (1, 113), (2, 107)])
     def test_canonical_searches_pinned(self, k, searches, monkeypatch):
         # from cold caches; deduplicating the core levels by form took 321
-        # and 531, at k = 1 the last layer took 280 before rules 5 and 6
+        # and 531, at k = 0 extending the top level raw took 79, at k = 1
+        # the last layer took 280 before rules 5 and 6
         # dropped its neighbourhoods unbuilt, and at k = 2 it took 206 while
         # rule 4 built every apex-layer graph and apex-searched each class
         calls = []
