@@ -86,7 +86,7 @@ def cmd_minor(args) -> int:
         "g": to_graph6(g),
         "is_minor": ok,
         "graphs_searched": len(minors._memo) - before,  # hosts the descent added to the memo
-        "placements": minors._placements - placed,  # partial placements of the spanning match
+        "placements": minors._placements - placed,  # partial placements of the subgraph match
     }
     _emit(args, payload, str(ok).lower())
     return EXIT_OK

@@ -1,15 +1,14 @@
 """Exact minor containment for small graphs.
 
-The descent drops one vertex per level, by an edge contraction or a vertex
-deletion, and at |h| vertices matches h as a spanning subgraph on the bitset
-rows (``is_minor`` proves that this decides h <= g).  The match places the
-members of each twin class of h (``graphs._twin_roots``) on increasing
-host vertices only, so it tries each arrangement of a class once
-(``_spans`` proves that no embedding is lost).  Above that level,
-results are memoized on canonical-form pairs.  A child whose edge count or
-cycle rank (m - n + c), derived from its parent's, falls below h's is
-refuted before it is built, and for h of minimum degree >= 2 each host is
-cut to its 2-core.  So the cost grows with the vertex gap, not the edge gap.
+The descent contracts one edge per level, one per orbit of the host's twin
+swaps, and matches h as a subgraph of each host on the bitset rows
+(``is_minor`` proves that this decides h <= g).  The match places the members
+of each twin class of h (``graphs._twin_roots``) on increasing host vertices
+only (``_spans`` proves that no embedding is lost).  Above |h| vertices,
+results are memoized on the labelled rows of h and of the host.  A child whose
+edge count or cycle rank (m - n + c), derived from its parent's, falls below
+h's is refuted before it is built, and for h of minimum degree >= 2 each host
+is cut to its 2-core.
 """
 
 from __future__ import annotations
@@ -17,13 +16,11 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator
 
-from .canonical import canonical_form
 from .graphs import (
     Graph,
     _contraction_rows,
     _edge_count,
     _induced,
-    _join_rank,
     _strip,
     _twin_roots,
     bits,
@@ -31,11 +28,9 @@ from .graphs import (
     popcount,
 )
 
-# (canonical_form(h), canonical_form(g)) -> bool.
-_memo: dict[tuple[bytes, bytes], bool] = {}
-
-
-# partial placements the spanning match has tried since import (``minor --json``)
+# (h.adj, rows of the host relabelled by ``graphs._induced``) -> bool.
+_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+# partial placements the match has tried since import (``minor --json``)
 _placements = 0
 
 
@@ -46,10 +41,11 @@ def clear_minor_cache() -> None:
 def is_minor(h: Graph, g: Graph) -> bool:
     """True iff h is a minor of g (up to isomorphism of h).
 
-    h <= g iff vertex deletions and edge contractions alone turn g into a
-    graph on |h| vertices with h as a spanning subgraph.  Proof: contract each
-    branch set of a minor model of h and delete every vertex outside it; the
-    converse holds as h is that graph less some edges.
+    h <= g iff edge contractions alone turn g into a graph with h as a
+    subgraph (contract a spanning tree of each branch set of a minor model
+    and leave every other vertex unused).  So h <= g iff h is a subgraph of
+    g or h <= g/e for an edge e; neither step raises the edge count or the
+    cycle rank, so a host below h in either is refuted with all beneath it.
 
     When every vertex of h has degree >= 2, g is first cut to its 2-core: a
     vertex of g of degree <= 1 is then no whole branch set, and as a leaf of a
@@ -78,16 +74,18 @@ class _Pattern:
         """h's vertices in match order as (vertex, degree, neighbours placed
         before it, the member of its twin class (``_twin_roots``) placed
         last before it or n), each next one with the most placed
-        neighbours, then the highest degree."""
+        neighbours, then the highest degree, then the lowest label."""
         adj, n = self.graph.adj, self.n
         degree = list(map(popcount, adj))
         roots = _twin_roots(adj)
         last = [n] * n  # last[r]: the last placed member of root r's class
-        order, placed, rest = [], 0, list(range(n))
+        score = degree[:]  # placed neighbours << 5 | degree (below 32); -1 once placed
+        order, placed = [], 0
         for _ in range(n):
-            # (placed neighbours, degree) as one int: a degree is below 32
-            v = max(rest, key=lambda v: popcount(adj[v] & placed) << 5 | degree[v])
-            rest.remove(v)
+            v = score.index(max(score))
+            score[v] = -1
+            for w in bits(adj[v] & ~placed):
+                score[w] += 32
             order.append((v, degree[v], list(bits(adj[v] & placed)), last[roots[v]]))
             last[roots[v]] = v
             placed |= 1 << v
@@ -96,7 +94,8 @@ class _Pattern:
 
 def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) -> bool:
     """Is p's graph a minor of the graph the rows induce on ``alive``, which
-    has m edges and cycle rank ``rank``, none of them below p's?"""
+    has m edges and cycle rank ``rank``, none of them below p's?  A memo miss
+    runs the match, which stands for every deletion below, then contracts."""
     if p.min_degree_two and (core := _strip(rows, alive)[0]) != alive:
         alive, m = core, _edge_count(rows, core)
         if p.n > popcount(core) or p.m > m:
@@ -104,10 +103,9 @@ def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) 
     if popcount(alive) == p.n:
         return _spans(p, rows, alive)
     g = _induced(rows, alive)
-    key = (canonical_form(p.graph), canonical_form(g))
-    cached = _memo.get(key)
+    cached = _memo.get(key := (p.graph.adj, g.adj))
     if cached is None:
-        cached = _memo[key] = any(
+        cached = _memo[key] = _spans(p, rows, alive) or any(
             p.m <= cm and p.rank <= crank and _descend(p, crows, calive, cm, crank)
             for crows, calive, cm, crank in _children(g, m, rank)
         )
@@ -116,24 +114,26 @@ def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) 
 
 def _children(g: Graph, m: int, rank: int) -> Iterator[tuple[tuple[int, ...], int, int, int]]:
     """(rows, alive, edge count, cycle rank) in g's labels of each edge uv
-    of ``g.edges()`` contracted into u, then of each vertex deleted.  A
-    contraction loses the common neighbours of u and v from the rank, and one
-    more edge; a vertex deletion loses its degree in edges and its
-    ``graphs._join_rank`` from the rank."""
+    of ``g.edges()`` contracted into u, for the first edge of each orbit of
+    g's twin swaps only: u and v are the first vertices of their twin
+    classes, or v is the second of u's.  A twin swap is an automorphism of
+    g, so it maps a skipped contraction onto an isomorphic kept one, and the
+    edges between two classes, or inside one, form one orbit.  A contraction
+    loses the common neighbours of u and v from the rank, and one more edge."""
     adj, full = g.adj, (1 << g.n) - 1
+    roots = _twin_roots(adj)
     for u, v in g.edges():
-        common = popcount(adj[u] & adj[v])
-        yield _contraction_rows(adj, u, v), full & ~(1 << v), m - 1 - common, rank - common
-    for v in range(g.n):
-        rest = full & ~(1 << v)
-        yield adj, rest, m - popcount(adj[v]), rank - _join_rank(adj, adj[v], rest)
+        if roots[u] == u and (roots[v] == v or roots[v] == u and roots.index(u, u + 1) == v):
+            common = popcount(adj[u] & adj[v])
+            yield _contraction_rows(adj, u, v), full & ~(1 << v), m - 1 - common, rank - common
 
 
 def _spans(p: _Pattern, rows: tuple[int, ...], alive: int) -> bool:
-    """Is p's graph h a spanning subgraph of the graph the rows induce on
-    ``alive`` (p.n vertices)?  Each vertex of h, in match order, goes on an
-    unused vertex of at least its degree adjacent to its neighbours' images,
-    and above the image of its twin placed last before it.
+    """Is p's graph h a subgraph of the graph the rows induce on ``alive``
+    (p.n vertices or more, the rest left unused)?  Each vertex of h, in
+    match order, goes on an unused vertex of at least its degree adjacent to
+    its neighbours' images, and above the image of its twin placed last
+    before it.
 
     The twin rule loses no embedding.  A permutation inside a twin class of
     h is an automorphism of h (``_twin_roots``), so with an embedding phi of

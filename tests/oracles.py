@@ -9,8 +9,9 @@ every pass, automorphism orbits come from VF2 matches with one vertex marked
 on each side, the butterfly-cacti attach at every non-central vertex, power
 series are Fraction-valued with exp and MSET taken by the exp-log formulas,
 the obstruction check runs a fresh apex test on every child (a subset loop
-on graphs small enough for one), and the obstruction search takes its
-candidates from every graph up to isomorphism.  Slow is fine; these run on
+on graphs small enough for one), the obstruction search takes its
+candidates from every graph up to isomorphism, and the minor test's match
+order picks each next vertex by a keyed max over the vertices left.  Slow is fine; these run on
 small graphs and orders only.
 
 Three helpers here are no oracles but live here because only tests call
@@ -41,6 +42,7 @@ from apexobs.graphs import (
     butterfly_graph,
     complete_graph,
     disjoint_union,
+    _twin_roots,
     has_apex_set_within,
     is_connected,
 )
@@ -363,6 +365,26 @@ def oracle_is_minor(h: Graph, g: Graph) -> bool:
         return False
 
     return place(0, 0, [])
+
+
+def reference_match_order(h: Graph) -> list[tuple[int, int, list[int], int]]:
+    """``minors._Pattern.order`` by its rule: each next vertex of h is the
+    first of the rest with the most placed neighbours, then the highest
+    degree, as (vertex, degree, placed neighbours, the member of its twin
+    class placed last before it or n)."""
+    adj, n = h.adj, h.n
+    degree = [row.bit_count() for row in adj]
+    roots = _twin_roots(adj)
+    last = [n] * n
+    order, placed, rest = [], 0, list(range(n))
+    for _ in range(n):
+        v = max(rest, key=lambda v: ((adj[v] & placed).bit_count(), degree[v]))
+        rest.remove(v)
+        back = [u for u in range(n) if (adj[v] & placed) >> u & 1]
+        order.append((v, degree[v], back, last[roots[v]]))
+        last[roots[v]] = v
+        placed |= 1 << v
+    return order
 
 
 # -- brute-force cycle census -------------------------------------------------------

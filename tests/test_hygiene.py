@@ -7,9 +7,8 @@ every name the benchmark harness hooks into exists, every top-level
 function or class of the package is exported, used by the package or a
 benchmark hook, every private name README mentions exists, no module but
 `canonical` sorts by canonical form, no module but `graphs` compares two
-masked rows, no module but `graphs` (and `minors`, for `_join_rank`)
-imports a component walk, and the `cli` docstring lists every private name
-of the package that `cli` reads."""
+masked rows, no module but `graphs` imports a component walk, and the
+`cli` docstring lists every private name of the package that `cli` reads."""
 
 from __future__ import annotations
 
@@ -396,9 +395,9 @@ def test_no_orphans():
 COMPONENT_WALKS = {"_component", "_components", "_components_meeting", "_join_rank"}
 
 
-def component_walk_imports(source: str, allowed: frozenset[str] = frozenset()) -> list[str]:
-    """Component walks of `graphs` outside ``allowed`` that a module imports
-    or reads as an attribute, as "line: name"."""
+def component_walk_imports(source: str) -> list[str]:
+    """Component walks of `graphs` that a module imports or reads as an
+    attribute, as "line: name"."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
@@ -408,7 +407,7 @@ def component_walk_imports(source: str, allowed: frozenset[str] = frozenset()) -
     return [
         f"{line}: {name}"
         for line, name in sorted(found)
-        if name in COMPONENT_WALKS and name not in allowed
+        if name in COMPONENT_WALKS
     ]
 
 
@@ -418,9 +417,6 @@ def test_scanner_flags_a_component_walk_import():
         "x = graphs._component(adj, 1, 3)\ny = component_masks(g)\n"
     )
     assert component_walk_imports(source) == ["1: _components", "1: _join_rank", "3: _component"]
-    assert component_walk_imports(source, frozenset({"_join_rank"})) == [
-        "1: _components", "3: _component",
-    ]
 
 
 @pytest.mark.parametrize(
@@ -429,9 +425,8 @@ def test_scanner_flags_a_component_walk_import():
 def test_only_graphs_walks_components(path):
     """Every cycle-rank step is counted in `graphs` (`_join_rank`, the
     deletion tables and `_rank_drop`): no other module imports a component
-    walk, but `minors` takes `_join_rank` for its vertex deletions."""
-    allowed = frozenset({"_join_rank"}) if path.name == "minors.py" else frozenset()
-    assert component_walk_imports(path.read_text(), allowed) == []
+    walk."""
+    assert component_walk_imports(path.read_text()) == []
 
 
 PRIVATE_NAME = re.compile(r"`(?:(\w+)\.)?(_[A-Za-z]\w*)`")
