@@ -32,7 +32,13 @@ The found automorphisms and the twin transpositions generate the
 automorphism group: a vertex in the orbit of a branch vertex on the path to
 the first smallest leaf is either skipped by them or searched, and its
 search meets a leaf equal to the best.  ``automorphism_orbits`` returns
-their union-find orbits, cached with the form.
+their union-find orbits, computed with the form.
+
+No form is cached: canonical augmentation builds each class once, so a
+form is asked for again only by a caller that threw it away.  A caller
+that needs a graph's form, labeling or orbits twice keeps what the one
+search returned, and the canonical representative is read off the form
+itself (``_form_graph``).
 
 Two graphs have equal canonical forms iff they are isomorphic.
 """
@@ -44,7 +50,6 @@ from typing import Iterable
 
 from .graphs import MAX_VERTICES, Graph, _twin_roots, popcount
 
-_CACHE_SIZE = 1 << 18
 _FIELD = MAX_VERTICES.bit_length()  # bits per count in a packed refinement key
 
 
@@ -230,7 +235,9 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
     return best.to_bytes(4 * n, "big"), best_order, tuple(parent)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+# stores nothing and only counts calls; the wrapper is kept for the
+# benchmark harness, which clears it and reads its cache_info() per op
+@lru_cache(maxsize=0)
 def _canonical(g: Graph) -> tuple[bytes, tuple[int, ...], tuple[int, ...]]:
     form, order, orbits = _canonical_search_pruned(g)
     return bytes([g.n]) + form, tuple(order), orbits
@@ -251,13 +258,19 @@ def automorphism_orbits(g: Graph) -> tuple[int, ...]:
     return _canonical(g)[2]
 
 
+def _form_graph(form: bytes) -> Graph:
+    """The canonical representative of the class whose canonical form is
+    ``form``: after the vertex count, the form holds its adjacency rows, 4
+    bytes each (``_certificate``)."""
+    return Graph._from_rows(
+        tuple(int.from_bytes(form[i:i + 4], "big") for i in range(1, len(form), 4))
+    )
+
+
 def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    order = canonical_labeling(g)
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    return g.relabel(pos)
+    """The canonical representative of g's isomorphism class: g relabelled
+    by ``canonical_labeling``."""
+    return _form_graph(canonical_form(g))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -299,14 +312,15 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
 
     Built by extending every (n-1)-vertex graph with a new vertex joined to
     every possible subset of the old vertices, deduplicating by canonical
-    form.  Counts for n = 0..7: 1, 1, 2, 4, 11, 34, 156, 1044.
+    form; each class is read off its form, in form order.  Counts for
+    n = 0..7: 1, 1, 2, 4, 11, 34, 156, 1044.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES} (the vertex limit)")
     if n == 0:
         return (Graph(0),)
     extended = (g.add_vertex(nb) for g in enumerate_graphs(n - 1) for nb in range(1 << (n - 1)))
-    return tuple(canonical_graph(g) for g in _form_sorted(extended))
+    return tuple(map(_form_graph, sorted(_iso_classes(extended))))
 
 
 def graphs_up_to(n: int) -> tuple[Graph, ...]:

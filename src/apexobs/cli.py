@@ -79,13 +79,13 @@ def cmd_check(args) -> int:
 def cmd_minor(args) -> int:
     h = _read_graph(args.h, args.format)
     g = _read_graph(args.g, args.format)
-    before, placed = len(minors._memo), minors._placements
+    placed = minors._placements
     ok = minors.is_minor(h, g)
     payload = {
         "h": to_graph6(h),
         "g": to_graph6(g),
         "is_minor": ok,
-        "graphs_searched": len(minors._memo) - before,  # hosts the descent added to the memo
+        "graphs_searched": len(minors._memo),  # hosts the descent memoized, this query's only
         "placements": minors._placements - placed,  # partial placements of the subgraph match
     }
     _emit(args, payload, str(ok).lower())

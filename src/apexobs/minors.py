@@ -5,10 +5,11 @@ swaps, and matches h as a subgraph of each host on the bitset rows
 (``is_minor`` proves that this decides h <= g).  The match places the members
 of each twin class of h (``graphs._twin_roots``) on increasing host vertices
 only (``_spans`` proves that no embedding is lost).  Above |h| vertices,
-results are memoized on the labelled rows of h and of the host.  A child whose
-edge count or cycle rank (m - n + c), derived from its parent's, falls below
-h's is refuted before it is built, and for h of minimum degree >= 2 each host
-is cut to its 2-core.
+results are memoized on the labelled rows of the host, for one query only:
+``is_minor`` empties the memo on entry, so every entry is about the same h.
+A child whose edge count or cycle rank (m - n + c), derived from its
+parent's, falls below h's is refuted before it is built, and for h of
+minimum degree >= 2 each host is cut to its 2-core.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from .graphs import (
     popcount,
 )
 
-# (h.adj, rows of the host relabelled by ``graphs._induced``) -> bool.
-_memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+# rows of the host relabelled by ``graphs._induced`` -> bool, for the hosts
+# of the last query (``minor --json`` prints its size)
+_memo: dict[tuple[int, ...], bool] = {}
 # partial placements the match has tried since import (``minor --json``)
 _placements = 0
 
@@ -51,6 +53,7 @@ def is_minor(h: Graph, g: Graph) -> bool:
     vertex of g of degree <= 1 is then no whole branch set, and as a leaf of a
     larger one it can be dropped, since its only edge stays inside that set.
     """
+    _memo.clear()
     m = h.num_edges()
     if m == 0:
         # edgeless graphs (K0 included) embed iff there is room for their vertices
@@ -103,9 +106,9 @@ def _descend(p: _Pattern, rows: tuple[int, ...], alive: int, m: int, rank: int) 
     if popcount(alive) == p.n:
         return _spans(p, rows, alive)
     g = _induced(rows, alive)
-    cached = _memo.get(key := (p.graph.adj, g.adj))
+    cached = _memo.get(g.adj)
     if cached is None:
-        cached = _memo[key] = _spans(p, rows, alive) or any(
+        cached = _memo[g.adj] = _spans(p, rows, alive) or any(
             p.m <= cm and p.rank <= crank and _descend(p, crows, calive, cm, crank)
             for crows, calive, cm, crank in _children(g, m, rank)
         )

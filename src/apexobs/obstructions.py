@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .canonical import _canonical, _iso_classes, canonical_form, canonical_graph
+from .canonical import _canonical, _form_graph, _iso_classes, canonical_form
 from .graphio import from_graph6, to_graph6
 from .graphs import (
     MAX_VERTICES,
@@ -284,13 +284,14 @@ class VerificationReport:
         return self.verified == len(self.results)
 
     def to_dict(self) -> dict:
+        """The report without its wall times, so equal runs print equal bytes;
+        ``to_text`` keeps them."""
         return {
             "k": self.k,
             "total": len(self.results),
             "verified": self.verified,
             "refuted": [r["name"] for r in self.refuted],
-            "runtime_seconds": round(self.runtime_seconds, 3),
-            "records": self.results,
+            "records": [{key: v for key, v in r.items() if key != "seconds"} for r in self.results],
         }
 
     def to_text(self) -> str:
@@ -537,7 +538,20 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     last layer is yielded raw.  With k = 0 there is no apex layer: the
     candidates are the members of cycle rank 2 of each core level that are
     finished, which ``_joins`` at ``later`` = 0 finds forcing nothing (rules
-    1 and 2 with no vertex still to come).  Six rules drop what the search
+    1 and 2 with no vertex still to come), and the top core level is
+    min(max_n, 6), as no finished graph g of cycle rank 2 has more than 6
+    vertices.  g has minimum degree 2, so m >= n, and m - n + c = 2 leaves
+    at most two components, each of cycle rank >= 1.  The vertices of
+    degree >= 3 cut g into threads, paths whose inner vertices have degree
+    2 and adjacent neighbours.  So a thread between two of them, a and b,
+    has at most one inner vertex, and one only if the edge ab is another
+    thread; a closed thread (a cycle through one such vertex, or a whole
+    component) is a triangle.  With two components each has cycle rank 1,
+    so is a cycle, and g is 2K3.  With one, the degrees sum to 2n + 2: one
+    vertex of degree 4 with two closed threads (the butterfly), or two of
+    degree 3 joined by three threads (K4-: two have an inner vertex, so the
+    third is the edge) or by one, the edge, with a closed thread each (two
+    triangles joined by an edge).  Six rules drop what the search
     need not check: rules 1 and 2 what cannot be an obstruction, as every
     obstruction has minimum degree 2 and adjacent neighbours at each
     degree-2 vertex (the degree conditions of ``structural_filters``), rule
@@ -618,7 +632,7 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
       form only within groups that share it.
     """
     counts = Counter() if counts is None else counts
-    top = max_n - k  # largest core size
+    top = max_n - k if k else min(max_n, 6)  # largest core size
     level = [Graph(0)]
     for m in range(1, top + 1):
         level = _augmented_level(level, top - m + k)
@@ -686,7 +700,7 @@ def search_obstructions(
             break
         counts["checked"] += 1
         if is_obstruction(g, k):
-            found[form] = canonical_graph(g)
+            found[form] = _form_graph(form)
     counts["found"] = len(found)
     records = [
         ObstructionRecord(

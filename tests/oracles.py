@@ -290,8 +290,9 @@ def reference_core_levels(k: int, max_n: int) -> list[list[Graph]]:
     """The core levels of ``_candidates(k, max_n)``, m = 1 up to the top,
     built as the search built them before canonical augmentation: the
     ``_core_extensions`` of every graph of the level below, one per class by
-    ``_iso_classes``."""
-    top = max_n - k
+    ``_iso_classes``.  At k = 0 the levels stop at 6 vertices, above which
+    no candidate lies (see ``_candidates``)."""
+    top = max_n - k if k else min(max_n, 6)
     levels = []
     level = [Graph(0)]
     for m in range(1, top + 1):

@@ -119,10 +119,16 @@ class TestCanonicalForm:
             assert canonical_graph(cg) == cg
 
     def test_labeling_realizes_form(self, rng):
+        # canonical_graph reads the representative off the form: it is g
+        # relabelled by the labeling
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 9), rng.random())
             order = canonical_labeling(g)
             assert sorted(order) == list(range(g.n))
+            pos = [0] * g.n
+            for i, v in enumerate(order):
+                pos[v] = i
+            assert canonical_graph(g) == g.relabel(pos)
 
     def test_highly_symmetric(self):
         # automorphism-rich graphs must still canonicalize (and fast)
@@ -492,3 +498,13 @@ class TestEnumeration:
 
     def test_graphs_up_to(self):
         assert len(graphs_up_to(6)) == 1 + 2 + 4 + 11 + 34 + 156
+
+
+class TestNoFormCache:
+    def test_searches_keep_no_form(self):
+        # canonical augmentation builds each class once, so no form outlives
+        # its call: the wrapper of ``_canonical`` only counts the calls
+        search_obstructions(2, 8)
+        cactus_obstruction_family(3)
+        info = apexobs.canonical._canonical.cache_info()
+        assert info.currsize == 0 and info.maxsize == 0 and info.misses > 0

@@ -13,7 +13,7 @@ import apexobs.canonical
 import apexobs.graphs
 import apexobs.obstructions
 from apexobs.cacti import disconnected_obstructions, generate_Z
-from apexobs.canonical import automorphism_orbits, canonical_form, enumerate_graphs
+from apexobs.canonical import automorphism_orbits, canonical_form, enumerate_graphs, graphs_up_to
 from apexobs.graphio import from_graph6, to_graph6
 from apexobs.graphs import (
     ClassId,
@@ -690,6 +690,17 @@ class TestCandidateGenerators:
             report = structural_filters(g)
             assert report.min_degree_two and report.degree_two_neighbors_adjacent, to_graph6(g)
 
+    def test_k0_candidates_have_at_most_6_vertices(self):
+        # the k = 0 core levels stop at 6 because the finished graphs of cycle
+        # rank 2 are K4-, the butterfly, 2K3 and two triangles joined by an
+        # edge (proof in ``_candidates``): by brute force over every graph on
+        # at most 8 vertices
+        finished = [g for g in graphs_up_to(8) if cyclomatic(g) == 2 and self.can_finish(g, 0)]
+        bridged = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+        want = [make_named("K4-"), butterfly_graph(), make_named("2K3"), bridged]
+        assert len(finished) == 4 and same_graph_sets(finished, want)
+        assert same_graph_sets(_candidates(0, 10), want)
+
     @pytest.mark.parametrize("k, max_n", [(0, 9), (1, 9), (2, 8), (3, 8)])
     def test_every_candidate_obeys_rules_1_and_2(self, k, max_n):
         # at k = 0 too, where each core level's finished classes are the
@@ -896,19 +907,25 @@ class TestCanonicalAugmentation:
         for _ in _candidates(k, max_n):
             pass
         want = reference_core_levels(k, max_n)
-        assert len(built) == len(want) == max_n - k
+        assert len(built) == len(want) == (max_n - k if k else 6)
         for got, ref in zip(built, want):
             forms = [canonical_form(g) for g in got]
             assert len(set(forms)) == len(forms)  # no class twice
             assert set(forms) == {canonical_form(g) for g in ref}
 
-    @pytest.mark.parametrize("k, searches", [(0, 71), (1, 113), (2, 107)])
+    @pytest.mark.parametrize("k, searches", [(0, 32), (1, 115), (2, 108)], ids=["k0", "k1", "k2"])
     def test_canonical_searches_pinned(self, k, searches, monkeypatch):
-        # from cold caches; deduplicating the core levels by form took 321
-        # and 531, at k = 0 extending the top level raw took 79, at k = 1
-        # the last layer took 280 before rules 5 and 6
-        # dropped its neighbourhoods unbuilt, and at k = 2 it took 206 while
-        # rule 4 built every apex-layer graph and apex-searched each class
+        # no form is cached, so a graph whose form two steps need is searched
+        # twice: at k = 0, 3 candidates whose tie ``_augmentation`` broke by
+        # form, again in the search's deduplication; at k = 0, 1 and 2, 1, 2
+        # and 1 found candidates already in canonical labelling, again when
+        # ``Catalog`` checks its records (71, 113 and 107 with a cache, 71 at
+        # k = 0 before its core levels stopped at 6 vertices).  Deduplicating
+        # the core levels by form took 321 and 531, at k = 0 extending the
+        # top level raw took 79, at k = 1 the last layer took 280 before
+        # rules 5 and 6 dropped its neighbourhoods unbuilt, and at k = 2 it
+        # took 206 while rule 4 built every apex-layer graph and apex-searched
+        # each class
         calls = []
         real = apexobs.canonical._canonical_search_pruned
 
