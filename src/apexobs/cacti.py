@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canonical import _form_sorted, _iso_classes
+from .canonical import _distinct, _form_sorted, _iso_classes
 from .graphs import (
     MAX_VERTICES,
     ClassId,
@@ -325,7 +325,7 @@ class CactusObstructionFamily:
 
     def __post_init__(self) -> None:
         members = self.all_graphs()
-        if len(_form_sorted(members)) != len(members):
+        if len(_distinct((g, None) for g in members)) != len(members):
             raise ValueError("family members must be pairwise non-isomorphic")
         for g in members:
             if not is_in_class(g, ClassId.CACTUS):

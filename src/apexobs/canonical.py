@@ -1,4 +1,4 @@
-"""Canonical forms, isomorphism, and exhaustive graph enumeration.
+"""Canonical forms, isomorphism, isomorph rejection and graph enumeration.
 
 The canonical form is computed by individualization-refinement: refine an
 ordered partition of the vertices to an equitable one, branch on the first
@@ -48,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import MAX_VERTICES, Graph, _twin_roots, popcount
+from .graphs import MAX_VERTICES, Graph, _twin_roots, bits, popcount
 
 _FIELD = MAX_VERTICES.bit_length()  # bits per count in a packed refinement key
 
@@ -306,21 +306,105 @@ def _form_sorted(graphs: Iterable[Graph]) -> tuple[Graph, ...]:
     return tuple(out)
 
 
+def _neighbour_degrees(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, ...]:
+    """The degrees of v's neighbours, ascending."""
+    return tuple(sorted(deg[u] for u in bits(adj[v])))
+
+
+def _invariant_multiset(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The sorted (degree, neighbour degrees) of every vertex of g."""
+    adj = g.adj
+    deg = [popcount(row) for row in adj]
+    return tuple(sorted((d, _neighbour_degrees(adj, deg, v)) for v, d in enumerate(deg)))
+
+
+def _distinct(pairs: Iterable[tuple[Graph, bytes | None]]) -> list[Graph]:
+    """The first graph of each isomorphism class among ``pairs`` (a graph
+    and its form or None), in input order, in one pass that holds only the
+    classes kept.  Isomorphic graphs share the hash of their
+    ``_invariant_multiset``, so a graph is compared by form (the one given,
+    else one computed) only with the kept graphs that share its hash."""
+    kept: dict[int, list[tuple[Graph, bytes | None]]] = {}
+    out: list[Graph] = []
+    for g, form in pairs:
+        group = kept.setdefault(hash(_invariant_multiset(g)), [])
+        if group:
+            group[:] = [(h, f or _canonical(h)[0]) for h, f in group]
+            form = form or _canonical(g)[0]
+            if any(f == form for _, f in group):
+                continue
+        group.append((g, form))
+        out.append(g)
+    return out
+
+
+def _augmentation(g: Graph) -> tuple[bool, bytes | None]:
+    """Whether g's last vertex x = g.n - 1 lies in the automorphism orbit of
+    g's canonical deletion vertex c(g), and g's form if deciding took one.
+    c(g) has maximum degree, then the largest ascending neighbour degrees
+    (``_neighbour_degrees``), then the highest position in the canonical
+    labeling: rules invariant under isomorphism, so c(g) is fixed up to an
+    automorphism.  Only a tie under the two degree rules takes a form, with
+    the labeling and orbits of the same ``_canonical`` search.
+    """
+    adj, x = g.adj, g.n - 1
+    deg = [popcount(row) for row in adj]
+    top = max(deg)
+    if deg[x] < top:
+        return False, None
+    tied = [v for v, d in enumerate(deg) if d == top]
+    if len(tied) > 1:
+        near = {v: _neighbour_degrees(adj, deg, v) for v in tied}
+        best = max(near.values())
+        if near[x] < best:
+            return False, None
+        tied = [v for v in tied if near[v] == best]
+    if len(tied) == 1:
+        return True, None
+    form, order, orbits = _canonical(g)
+    c = next(v for v in reversed(order) if v in tied)
+    return orbits[c] == orbits[x], form
+
+
+def _augmented_level(families: Iterable[Iterable[Graph]]) -> list[Graph]:
+    """One graph per isomorphism class of the children in ``families``, one
+    iterable per parent, each child its parent plus a last vertex x, by
+    canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    J. Algorithms 26, 1998): a parent keeps the children ``_augmentation``
+    accepts, and of those the first of each class (``_distinct``).
+
+    Sound if the parents are pairwise non-isomorphic and, for every wanted
+    class G, one parent P is isomorphic to G - c(G) and has a child
+    isomorphic to G by a map taking x onto c(G): that child is accepted.
+    A child g isomorphic to G with x in the orbit of c(g) has g - x
+    isomorphic to G - c(G), so no other parent's child is accepted.  Two
+    isomorphic accepted children of P differ by an automorphism of P (one
+    maps x onto the other's x, both in the orbit of c) that P's children
+    need not rule out, so ``_distinct`` compares them.
+    """
+    out: list[Graph] = []
+    for children in families:
+        tried = ((g, *_augmentation(g)) for g in children)
+        out += _distinct((g, form) for g, accepted, form in tried if accepted)
+    return out
+
+
 @lru_cache(maxsize=64)
 def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical representative each.
 
-    Built by extending every (n-1)-vertex graph with a new vertex joined to
-    every possible subset of the old vertices, deduplicating by canonical
-    form; each class is read off its form, in form order.  Counts for
-    n = 0..7: 1, 1, 2, 4, 11, 34, 156, 1044.
+    Built by canonical augmentation (``_augmented_level``): each graph on
+    n - 1 vertices is extended by a new vertex joined to every subset of
+    its vertices.  Each class is then read off its form, in form order.
+    Counts for n = 0..9: 1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668.
     """
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES} (the vertex limit)")
     if n == 0:
         return (Graph(0),)
-    extended = (g.add_vertex(nb) for g in enumerate_graphs(n - 1) for nb in range(1 << (n - 1)))
-    return tuple(map(_form_graph, sorted(_iso_classes(extended))))
+    children = (map(g.add_vertex, range(1 << g.n)) for g in enumerate_graphs(n - 1))
+    # the level is freed once its forms are sorted, before the output is built
+    return tuple(map(_form_graph, sorted(map(canonical_form, _augmented_level(children)))))
 
 
 def graphs_up_to(n: int) -> tuple[Graph, ...]:

@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .canonical import _canonical, _form_graph, _iso_classes, canonical_form
+from .canonical import _augmented_level, _distinct, _form_graph, canonical_form
 from .graphio import from_graph6, to_graph6
 from .graphs import (
     MAX_VERTICES,
@@ -36,7 +36,6 @@ from .graphs import (
     _strip,
     _table_drop,
     _twin_roots,
-    bits,
     bridges,
     component_masks,
     cyclomatic,
@@ -455,73 +454,6 @@ def _apex_layer(parent: Graph, j: int, k: int, counts: dict[str, int]) -> Iterat
             counts[rule] += 1
 
 
-def _neighbour_degrees(adj: tuple[int, ...], deg: list[int], v: int) -> tuple[int, ...]:
-    """The degrees of v's neighbours, ascending."""
-    return tuple(sorted(deg[u] for u in bits(adj[v])))
-
-
-def _augmentation(g: Graph) -> tuple[bool, bytes | None]:
-    """Whether g's last vertex x = g.n - 1 lies in the automorphism orbit of
-    g's canonical deletion vertex c(g), and g's form if deciding took one.
-
-    c(g) is the vertex of maximum degree, ties broken by the largest tuple
-    of ascending neighbour degrees (``_neighbour_degrees``), and any tie
-    left by the highest position in the canonical labeling.  Each rule is invariant
-    under isomorphism, so c(g) is fixed up to an automorphism.  x needs no
-    form unless it ties under the first two rules with another vertex; then
-    form, labeling and orbits come from one ``_canonical`` search.
-    """
-    adj, x = g.adj, g.n - 1
-    deg = [popcount(row) for row in adj]
-    top = max(deg)
-    if deg[x] < top:
-        return False, None
-    tied = [v for v, d in enumerate(deg) if d == top]
-    if len(tied) > 1:
-        near = {v: _neighbour_degrees(adj, deg, v) for v in tied}
-        best = max(near.values())
-        if near[x] < best:
-            return False, None
-        tied = [v for v in tied if near[v] == best]
-    if len(tied) == 1:
-        return True, None
-    form, order, orbits = _canonical(g)
-    c = next(v for v in reversed(order) if v in tied)
-    return orbits[c] == orbits[x], form
-
-
-def _invariant_multiset(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The sorted (degree, neighbour degrees) of every vertex of g."""
-    adj = g.adj
-    deg = [popcount(row) for row in adj]
-    return tuple(sorted((d, _neighbour_degrees(adj, deg, v)) for v, d in enumerate(deg)))
-
-
-def _augmented_level(level: Iterable[Graph], later: int) -> list[Graph]:
-    """One class per isomorphism class of the core extensions of ``level``
-    (``_core_extensions`` with ``later`` vertices still to come), by
-    canonical augmentation: each parent keeps the children that
-    ``_augmentation`` accepts, and of the accepted siblings that share an
-    invariant multiset (``_invariant_multiset``), the first of each form."""
-    out: list[Graph] = []
-    for parent in level:
-        kept = []
-        for g in _core_extensions(parent, later):
-            accepted, form = _augmentation(g)
-            if accepted:
-                kept.append((g, _invariant_multiset(g), form))
-        shared = Counter(key for _, key, _ in kept)
-        forms: set[bytes] = set()
-        for g, key, form in kept:
-            if shared[key] > 1:
-                form = form or _canonical(g)[0]
-                if form in forms:
-                    continue
-                forms.add(form)
-            out.append(g)
-    return out
-
-
 def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Iterator[Graph]:
     """Raw search candidates: a superset of the k-obstructions on <= max_n vertices.
 
@@ -534,8 +466,8 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     Cores grow by one-vertex extension: the class cyc <= 2 is closed under
     vertex deletion, so every core on m vertices extends one on m - 1.  Each
     core level is built by canonical augmentation (``_augmented_level``),
-    each apex layer but the last is deduplicated by canonical form, and the
-    last layer is yielded raw.  With k = 0 there is no apex layer: the
+    each apex layer but the last keeps one graph per class (``_distinct``),
+    and the last layer is yielded raw.  With k = 0 there is no apex layer: the
     candidates are the members of cycle rank 2 of each core level that are
     finished, which ``_joins`` at ``later`` = 0 finds forcing nothing (rules
     1 and 2 with no vertex still to come), and the top core level is
@@ -608,38 +540,22 @@ def _candidates(k: int, max_n: int, counts: dict[str, int] | None = None) -> Ite
     Core level m holds one graph of each class on m vertices with cyc <= 2
     and minimum degree at least its floor; at k = 0 the top level, with
     ``later`` = 0, holds instead the classes of cycle rank 2 that meet rules
-    1 and 2.  Canonical augmentation (McKay, "Isomorph-free exhaustive
-    generation", 1998) keeps each class once:
-
-    - Every vertex deletion of a level-m graph lies in level m - 1: cyc <= 2
-      is closed under deletion, the floor drops by one per level, and a
-      deletion lowers each degree by at most one.  At ``later`` = 0 a graph
-      meeting rule 2 has minimum degree 2, so each deletion meets the floor
-      1 of level top - 1, and the deleted vertex already joins every vertex
-      that rule 2 forces on that parent.  So for a class G of
-      level m, the parent class of G - c(G) is built, and so is one of its
-      children in which the new vertex x maps onto c(G); ``_augmentation``
-      accepts it.  A child g isomorphic to G with x in the orbit of c(g)
-      has g - x isomorphic to G - c(G), so a child of any other parent has
-      x outside that orbit and is rejected: each class is accepted from
-      exactly one parent class.
-    - If two accepted children of one parent P are isomorphic, some
-      isomorphism maps one new vertex onto the other, as both lie in the
-      orbit of c, and it restricts to an automorphism of P that maps one
-      neighbourhood onto the other.  Twin prefixes cover only part of
-      Aut(P), so accepted siblings can still repeat a class.  Isomorphic
-      graphs share their invariant multiset, so siblings are compared by
-      form only within groups that share it.
+    1 and 2.  Canonical augmentation (``_augmented_level``) applies: each
+    vertex deletion of a level-m graph lies in level m - 1, as cyc <= 2 is
+    closed under deletion, the floor drops by one per level, and a deletion
+    lowers each degree by at most one.  At ``later`` = 0 rule 2 leaves
+    minimum degree 2, so each deletion meets the floor 1 of level top - 1,
+    and the deleted vertex joins every vertex rule 2 forces on that parent.
+    Rule 3 builds each neighbourhood up to a twin swap, an automorphism.
     """
     counts = Counter() if counts is None else counts
     top = max_n - k if k else min(max_n, 6)  # largest core size
     level = [Graph(0)]
     for m in range(1, top + 1):
-        level = _augmented_level(level, top - m + k)
+        level = _augmented_level(_core_extensions(g, top - m + k) for g in level)
         graphs = [g for g in level if cyclomatic(g) == 2]
         for j in range(1, k):
-            layer = (ext for g in graphs for ext in _apex_layer(g, j, k, counts))
-            graphs = list(_iso_classes(layer).values())
+            graphs = _distinct((ext, None) for g in graphs for ext in _apex_layer(g, j, k, counts))
         for g in graphs:
             if k:
                 yield from _apex_layer(g, k, k, counts)

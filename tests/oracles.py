@@ -6,11 +6,12 @@ bitmasks, connected by their own BFS), class membership and connectivity go
 through networkx, isomorphism through networkx VF2, the tree census through
 an AHU certificate, partition refinement counts neighbors into every cell on
 every pass, automorphism orbits come from VF2 matches with one vertex marked
-on each side, the butterfly-cacti attach at every non-central vertex, power
-series are Fraction-valued with exp and MSET taken by the exp-log formulas,
-the obstruction check runs a fresh apex test on every child (a subset loop
-on graphs small enough for one), the obstruction search takes its
-candidates from every graph up to isomorphism, and the minor test's match
+on each side, enumeration extends every graph by every subset and keeps
+one per canonical form, the butterfly-cacti attach at every non-central
+vertex, power series are Fraction-valued with exp and MSET taken by the
+exp-log formulas, the obstruction check runs a fresh apex test on every
+child (a subset loop on graphs small enough for one), the obstruction
+search takes its candidates from every graph up to isomorphism, and the minor test's match
 order picks each next vertex by a keyed max over the vertices left.  Slow is fine; these run on
 small graphs and orders only.
 
@@ -34,7 +35,7 @@ import networkx as nx
 
 from apexobs.asymptotics import SaddlePoint, _log_terms, _moments, _z1_residual, eval_F
 from apexobs.cacti import ButterflyCactus, _attached_rows
-from apexobs.canonical import _iso_classes, canonical_form, graphs_up_to
+from apexobs.canonical import _form_graph, _iso_classes, canonical_form, graphs_up_to
 from apexobs.graphs import (
     ClassId,
     Graph,
@@ -262,6 +263,21 @@ def reference_check_obstruction(
         if not apex_within(child):
             return False, "minimality", child
     return True, None, None
+
+
+# -- enumeration by extending everything ------------------------------------------
+
+
+def reference_enumerate(n: int) -> tuple[Graph, ...]:
+    """``enumerate_graphs(n)`` built with no canonical augmentation: every
+    graph on m - 1 vertices is extended by every subset, the extensions are
+    deduplicated by canonical form (``_iso_classes``), and each class is
+    read off its form, in form order, for m = 1..n."""
+    level: tuple[Graph, ...] = (Graph(0),)
+    for m in range(1, n + 1):
+        extended = (g.add_vertex(nb) for g in level for nb in range(1 << (m - 1)))
+        level = tuple(map(_form_graph, sorted(_iso_classes(extended))))
+    return level
 
 
 # -- obstruction search over every graph ----------------------------------------

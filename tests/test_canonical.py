@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
@@ -18,6 +19,7 @@ from apexobs.cacti import (
 )
 from apexobs.canonical import (
     _canonical_search_pruned,
+    _distinct,
     _form_sorted,
     _iso_classes,
     _refine,
@@ -34,6 +36,7 @@ from apexobs.graphs import (
     Graph,
     complete_graph,
     cycle_graph,
+    cyclomatic,
     disjoint_union,
     make_named,
     one_step_minors,
@@ -42,7 +45,13 @@ from apexobs.graphs import (
 from apexobs.obstructions import search_obstructions
 
 from conftest import add_twins_and_pendants, random_graph
-from oracles import attach_butterfly, nx_automorphism_orbits, nx_isomorphic, reference_refine
+from oracles import (
+    attach_butterfly,
+    nx_automorphism_orbits,
+    nx_isomorphic,
+    reference_enumerate,
+    reference_refine,
+)
 
 
 def complete_multipartite(*parts: int) -> Graph:
@@ -189,6 +198,40 @@ class TestFormSorted:
         assert _form_sorted([alone, k3, p3, k3]) == (p3, k3, alone)
         assert alone not in formed and len(formed) == 3
         assert _form_sorted([]) == ()
+
+
+class TestDistinct:
+    """``_distinct`` keeps what ``_iso_classes`` keeps, in input order, and
+    searches only graphs whose invariants tie and that came with no form."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_iso_classes(self, seed):
+        rng = random.Random(seed)
+        pool = [random_graph(rng, rng.randint(0, 7), rng.random()) for _ in range(40)]
+        pool += [TestFormSorted.relabelled(rng, rng.choice(pool)) for _ in range(20)]
+        rng.shuffle(pool)
+        got = _distinct((g, None) for g in pool)
+        want = list(_iso_classes(pool).values())
+        assert len(got) == len(want) < len(pool)
+        assert all(a is b for a, b in zip(got, want))
+
+    def test_forms_only_where_invariants_tie(self, monkeypatch):
+        # C6 and 2K3 share every degree and neighbour degree; P3 shares
+        # them with no other graph, and 2K3 comes with its form
+        c6, two_k3, p3 = cycle_graph(6), make_named("2K3"), path_graph(3)
+        c6_copy = c6.relabel([1, 3, 5, 0, 2, 4])
+        given = canonical_form(two_k3)
+        searched = []
+        real = apexobs.canonical._canonical
+
+        def counted(g):
+            searched.append(g)
+            return real(g)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical", counted)
+        pairs = [(p3, None), (c6, None), (two_k3, given), (c6_copy, None)]
+        assert _distinct(pairs) == [p3, c6, two_k3]
+        assert searched == [c6, c6_copy]
 
 
 class TestAutomorphismOrbits:
@@ -476,8 +519,8 @@ class TestPinnedOutput:
 
 class TestEnumeration:
     def test_known_counts(self):
-        # number of graphs on n unlabeled vertices
-        expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+        # number of graphs on n unlabeled vertices (OEIS A000088)
+        expected = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
         for n, count in expected.items():
             assert len(enumerate_graphs(n)) == count
 
@@ -486,9 +529,42 @@ class TestEnumeration:
         def never(*args, **kwargs):
             raise AssertionError("graphs generated before the vertex count was checked")
 
-        monkeypatch.setattr(apexobs.canonical, "_iso_classes", never)
+        monkeypatch.setattr(apexobs.canonical, "_augmented_level", never)
         with pytest.raises(ValueError, match="outside 0..32"):
             enumerate_graphs(n)
+
+    def test_augmentation_lists_the_reference(self):
+        # canonical augmentation lists, graph for graph and in the same
+        # order, what extending every graph by every subset lists
+        for n in range(8):
+            assert enumerate_graphs(n) == reference_enumerate(n)
+
+    def test_canonical_searches_pinned(self, monkeypatch):
+        # from cold caches: one search per class for its form, plus one per
+        # child whose tie under the degree rules ``_augmentation`` broke by
+        # form, or whose invariant multiset ties with an accepted sibling's
+        # (``_distinct``).  Searching every extension by every subset took
+        # 144,923
+        calls = []
+        real = apexobs.canonical._canonical_search_pruned
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+        enumerate_graphs.cache_clear()
+        assert len(graphs_up_to(8)) == 1 + 2 + 4 + 11 + 34 + 156 + 1044 + 12346
+        assert len(calls) == 31666
+
+    @pytest.mark.slow
+    def test_nine_vertices(self):
+        # and the m = 9 column of the table of graphs by cycle rank that
+        # counting the search's core levels by series must match
+        graphs = enumerate_graphs(9)
+        assert len(graphs) == 274668
+        ranks = Counter(map(cyclomatic, graphs))
+        assert (ranks[0], ranks[1], ranks[2]) == (153, 504, 1302)
 
     def test_all_canonical_and_distinct(self):
         forms = [canonical_form(g) for g in enumerate_graphs(5)]

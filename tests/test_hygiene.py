@@ -6,9 +6,10 @@ but `Graph.__init__` and the trusted constructor fills in a `Graph` itself,
 every name the benchmark harness hooks into exists, every top-level
 function or class of the package is exported, used by the package or a
 benchmark hook, every private name README mentions exists, no module but
-`canonical` sorts by canonical form, no module but `graphs` compares two
-masked rows, no module but `graphs` imports a component walk, and the
-`cli` docstring lists every private name of the package that `cli` reads."""
+`canonical` sorts by canonical form or names its search `_canonical`, no
+module but `graphs` compares two masked rows, no module but `graphs`
+imports a component walk, and the `cli` docstring lists every private
+name of the package that `cli` reads."""
 
 from __future__ import annotations
 
@@ -264,6 +265,38 @@ def test_only_canonical_sorts_by_form(path):
     """Every family is listed in form order by ``canonical._form_sorted``, so
     no other module sorts by ``canonical_form`` itself."""
     assert form_keyed_sorts(path.read_text()) == []
+
+
+def canonical_search_names(source: str) -> list[int]:
+    """Lines that import, read or take as an attribute the name
+    ``_canonical``, the search behind every form, labeling and orbit."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [node.lineno for alias in node.names if alias.name == "_canonical"]
+        elif (isinstance(node, ast.Name) and node.id == "_canonical"
+              or isinstance(node, ast.Attribute) and node.attr == "_canonical"):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_scanner_flags_a_canonical_search_name():
+    source = (
+        "from .canonical import _canonical, canonical_form\nfrom . import canonical\n"
+        "x = canonical._canonical(g)[0]\ny = _canonical(g)\n"
+        "z = _canonical_search_pruned(g)\nw = canonical_form(g)\n"
+    )
+    assert canonical_search_names(source) == [1, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "canonical.py"], ids=lambda p: p.name
+)
+def test_only_canonical_rejects_isomorphs(path):
+    """Isomorph rejection is ``canonical``'s alone (``_augmented_level``,
+    ``_distinct``, ``_iso_classes``, ``_form_sorted``): no other module
+    names ``_canonical`` to decide a class or a canonical deletion vertex."""
+    assert canonical_search_names(path.read_text()) == []
 
 
 def masked_row_equalities(source: str) -> list[str]:
