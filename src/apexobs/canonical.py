@@ -3,7 +3,10 @@
 The canonical form is computed by individualization-refinement: refine an
 ordered partition of the vertices to an equitable one, branch on the first
 non-singleton cell, and take the lexicographically smallest relabelled
-adjacency matrix over all branches.
+adjacency matrix over all branches.  A cell is the bitmask of its
+vertices.  A node whose non-singleton cells each lie inside one twin class
+(``graphs._twin_roots``) has one leaf below it, its cells listed in order,
+and the search takes that leaf there without branching (see ``descend``).
 
 Refinement counts neighbors only into the cells the previous pass created
 (the *fresh* cells), and of each split cell's sub-cells only into all but
@@ -11,14 +14,15 @@ the last: the count into any other cell is constant inside each cell or
 follows from the fresh counts, so counting against it could split nothing
 and would not change the order of the sub-cells.  At the root the fresh
 cell is the unit cell; below a branch it is the individualized vertex
-``[v]``.  Every pass is the same: a vertex's counts are packed into one int
-key whose order is the order of the count vectors, and each cell splits by
-its keys (see ``_refine``).
+``[v]``.  Every pass is the same: it counts only for the vertices adjacent
+to a fresh cell, a vertex's counts are packed into one int key whose order
+is the order of the count vectors, and each cell splits by its keys (see
+``_refine``).
 
 Three prunes skip subtrees that are images of an explored subtree under an
 automorphism fixing the branch prefix.  The search skips a branch vertex
-that is a *twin* of an explored sibling (``graphs._twin_roots``; swapping
-the two is an automorphism) or that automorphisms found so far map onto
+that is a *twin* of an explored sibling (swapping the two is an
+automorphism) or that automorphisms found so far map onto
 an explored sibling.  A leaf with the best leaf's matrix yields
 the automorphism from the best leaf to it; it fixes the branch prefix the
 two leaves share and maps the best leaf's next branch vertex onto the
@@ -26,7 +30,7 @@ leaf's, so what is left of the branch the leaf took at that level is the
 image of an explored branch, and the search *backjumps* to that level's
 next sibling (McKay and Piperno, "Practical graph isomorphism II").  The first smallest
 leaf in search order is never pruned, so the form and the labeling do not
-depend on any prune.
+depend on any prune, nor on where a node takes its one leaf.
 
 The found automorphisms and the twin transpositions generate the
 automorphism group: a vertex in the orbit of a branch vertex on the path to
@@ -53,13 +57,12 @@ from .graphs import MAX_VERTICES, Graph, _twin_roots, bits, popcount
 _FIELD = MAX_VERTICES.bit_length()  # bits per count in a packed refinement key
 
 
-def _refine(
-    adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]
-) -> list[list[int]]:
+def _refine(adj: tuple[int, ...], cells: list[int], fresh: list[int]) -> list[int]:
     """Refine an ordered partition until it is equitable.
 
-    Each pass splits every cell by the vector of its neighbor counts into the
-    fresh cells (``fresh`` holds their indices into ``cells``, ascending).
+    A cell is the mask of its vertices, and lists them ascending.  Each pass
+    splits every cell by the vector of its neighbor counts into the fresh
+    cells (``fresh`` holds their indices into ``cells``, ascending).
     Splitting is deterministic (sub-cells ordered by their count vector) so
     the refined partition is isomorphism-invariant.  The sub-cells a pass
     creates, but the last of each split cell, are the fresh cells of the
@@ -83,34 +86,42 @@ def _refine(
     ``MAX_VERTICES``, so no field overflows into the next), the first fresh
     cell's count most significant.  Comparing two such ints compares the
     vectors lexicographically, so sorting the keys orders the sub-cells as
-    sorting the tuples would.  A cell whose keys are all equal stays whole.
+    sorting the tuples would.  A vertex outside ``reach``, the union of the
+    fresh cells' neighbourhoods, has the zero vector, the smallest: a cell
+    that ``reach`` misses stays whole, and in any other cell the vertices
+    outside ``reach`` form the first sub-cell with no key counted.
     """
     while fresh:
-        new_cells: list[list[int]] = []
-        masks = []
-        for i in fresh:
-            m = 0
-            for v in cells[i]:
-                m |= 1 << v
-            masks.append(m)
+        masks = [cells[i] for i in fresh]
+        reach = 0
+        for m in masks:
+            while m:
+                low = m & -m
+                reach |= adj[low.bit_length() - 1]
+                m ^= low
+        new_cells: list[int] = []
         fresh = []
         for cell in cells:
-            if len(cell) > 1:
-                keys = []
-                for v in cell:
-                    a = adj[v]
+            touched = cell & reach
+            if touched and cell & (cell - 1):
+                subs = [cell ^ touched] if cell != touched else []
+                sig: dict[int, int] = {}
+                left = touched
+                while left:
+                    low = left & -left
+                    a = adj[low.bit_length() - 1]
                     key = 0
                     for m in masks:
                         key = key << _FIELD | popcount(a & m)
-                    keys.append(key)
-                if keys.count(keys[0]) != len(keys):
-                    sig: dict[int, list[int]] = {}
-                    for v, key in zip(cell, keys):
-                        sig.setdefault(key, []).append(v)
-                    for key in sorted(sig):
-                        fresh.append(len(new_cells))
-                        new_cells.append(sig[key])
-                    fresh.pop()
+                    if key in sig:
+                        sig[key] |= low
+                    else:
+                        sig[key] = low
+                    left ^= low
+                subs += [sig[key] for key in sorted(sig)] if len(sig) > 1 else [touched]
+                if len(subs) > 1:
+                    fresh += range(len(new_cells), len(new_cells) + len(subs) - 1)
+                    new_cells += subs
                     continue
             new_cells.append(cell)
         cells = new_cells
@@ -151,6 +162,9 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
     best_fixed: tuple[int, ...] = ()
     gens: list[tuple[int, ...]] = []
     roots = _twin_roots(adj)
+    twins = [0] * n  # the mask of each twin class, at its first vertex
+    for v, r in enumerate(roots):
+        twins[r] |= 1 << v
 
     def find(parent: list[int], x: int) -> int:
         while parent[x] != x:
@@ -158,13 +172,43 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
             x = parent[x]
         return x
 
-    def descend(cells: list[list[int]], fresh: list[int], fixed: tuple[int, ...]) -> int:
-        """Search the subtree; return the depth to resume at (len(fixed) if none)."""
+    def descend(cells: list[int], fresh: list[int], fixed: tuple[int, ...], remnants: int) -> int:
+        """Search the subtree; return the depth to resume at (len(fixed) if none).
+
+        ``remnants`` counts the twin classes with a vertex not in ``fixed``.
+        A node whose open (non-singleton) cells each lie inside one twin
+        class has one leaf, its cells listed in order, each ascending, and
+        is handled as that leaf.  Proof: members of a twin class that are not
+        yet individualized always share a cell.  Swapping two of them is an
+        automorphism fixing ``fixed``; by induction it fixes every cell
+        before the node refines, and refinement is isomorphism-invariant, so
+        it fixes every cell after.  So each class's members left open lie in
+        one cell, the individualized vertices are singletons, and the cells
+        number ``len(fixed) + remnants`` iff no cell holds two classes: the
+        test below.  Take the first vertex u of the first open cell C, inside
+        the twin class T, and individualize it.  Every vertex outside C is
+        adjacent to all of C or to none of it (a member of T by the kind of
+        T's twins, any other vertex as N(x) - y = N(y) - x for x, y in T), so
+        in the equitable partition every other cell is uniform toward u, and
+        C - u is uniform toward u, its twins.  The refinement splits nothing
+        but C, into [u] and C - u, whose open cells again lie inside twin
+        classes, and the twin prune skips C's other members.  So the subtree
+        is a chain, and its leaf is the listed order.  The backjump still
+        compares prefixes of equal length: stopping is invariant under
+        isomorphism, so an automorphism that maps one leaf onto another maps
+        their stopping nodes onto each other, and the two prefixes first
+        differ where the leaves' full branch sequences do.
+        """
         nonlocal best, best_order, best_fixed
         cells = _refine(adj, cells, fresh)
         depth = len(fixed)
-        if len(cells) == n:
-            order = [c[0] for c in cells]
+        if len(cells) == depth + remnants:
+            order = []
+            for c in cells:
+                while c:
+                    low = c & -c
+                    order.append(low.bit_length() - 1)
+                    c ^= low
             s = _certificate(adj, order)
             if best < 0 or s < best:
                 best, best_order, best_fixed = s, order, fixed
@@ -182,7 +226,7 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
                         return level
             return depth
         target = 0
-        while len(cells[target]) == 1:
+        while cells[target] & (cells[target] - 1) == 0:
             target += 1
         cell = cells[target]
         before, after = cells[:target], cells[target + 1:]
@@ -192,7 +236,7 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
         # first one: until then no sibling is the image of an explored one
         parent: list[int] | None = None
         folded = 0
-        for v in cell:
+        for v in bits(cell):
             # skip a twin of an explored sibling: swapping them fixes `fixed`
             if roots[v] in explored_roots:
                 continue
@@ -216,13 +260,15 @@ def _canonical_search_pruned(g: Graph) -> tuple[bytes, list[int], tuple[int, ...
                         continue
             explored.append(v)
             explored_roots.add(roots[v])
-            rest = [u for u in cell if u != v]
-            resume = descend(before + [[v], rest] + after, [target], fixed + (v,))
+            # v's class keeps no vertex open iff no twin of v shares its cell
+            left = remnants - (twins[roots[v]] & cell == 1 << v)
+            child = before + [1 << v, cell ^ 1 << v] + after
+            resume = descend(child, [target], fixed + (v,), left)
             if resume < depth:
                 return resume
         return depth
 
-    descend([list(range(n))], [0], ())
+    descend([(1 << n) - 1], [0], (), len(set(roots)))
     parent = roots  # the twin classes, each linked to its smallest vertex
     for x, y in ((w, x) for s in gens for w, x in enumerate(s) if w != x):
         a, b = find(parent, x), find(parent, y)

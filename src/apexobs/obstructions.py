@@ -90,12 +90,15 @@ class Catalog:
     candidates: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        forms = {}
-        for rec in self.records:
-            f = canonical_form(rec.graph)
-            if f in forms:
-                raise ValueError(f"records {forms[f]} and {rec.name} are isomorphic")
-            forms[f] = rec.name
+        # ``_distinct`` takes forms only where invariant multisets tie; every
+        # record's form is taken only to name an isomorphic pair
+        if len(_distinct((rec.graph, None) for rec in self.records)) != len(self.records):
+            forms = {}
+            for rec in self.records:
+                f = canonical_form(rec.graph)
+                if f in forms:
+                    raise ValueError(f"records {forms[f]} and {rec.name} are isomorphic")
+                forms[f] = rec.name
         names = [r.name for r in self.records]
         if len(set(names)) != len(names):
             raise ValueError("duplicate record names")

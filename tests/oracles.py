@@ -5,7 +5,8 @@ containment is decided by enumerating partition models (branch sets are
 bitmasks, connected by their own BFS), class membership and connectivity go
 through networkx, isomorphism through networkx VF2, the tree census through
 an AHU certificate, partition refinement counts neighbors into every cell on
-every pass, automorphism orbits come from VF2 matches with one vertex marked
+every pass, the canonical search keeps its cells as vertex lists and
+branches down to discrete partitions, automorphism orbits come from VF2 matches with one vertex marked
 on each side, enumeration extends every graph by every subset and keeps
 one per canonical form, the butterfly-cacti attach at every non-central
 vertex, power series are Fraction-valued with exp and MSET taken by the
@@ -35,7 +36,14 @@ import networkx as nx
 
 from apexobs.asymptotics import SaddlePoint, _log_terms, _moments, _z1_residual, eval_F
 from apexobs.cacti import ButterflyCactus, _attached_rows
-from apexobs.canonical import _form_graph, _iso_classes, canonical_form, graphs_up_to
+from apexobs.canonical import (
+    _FIELD,
+    _certificate,
+    _form_graph,
+    _iso_classes,
+    canonical_form,
+    graphs_up_to,
+)
 from apexobs.graphs import (
     ClassId,
     Graph,
@@ -46,6 +54,7 @@ from apexobs.graphs import (
     _twin_roots,
     has_apex_set_within,
     is_connected,
+    popcount,
 )
 from apexobs.obstructions import _core_extensions, is_obstruction, structural_filters
 from apexobs.series import PowerSeries, SeriesSystemSolution
@@ -82,6 +91,174 @@ def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
         if len(new_cells) == len(cells):
             return cells
         cells = new_cells
+
+
+# -- the canonical search on list cells ------------------------------------------
+
+
+def _list_refine(
+    adj: tuple[int, ...], cells: list[list[int]], fresh: list[int]
+) -> list[list[int]]:
+    """Refine an ordered partition until it is equitable.
+
+    Each pass splits every cell by the vector of its neighbor counts into the
+    fresh cells (``fresh`` holds their indices into ``cells``, ascending).
+    Splitting is deterministic (sub-cells ordered by their count vector) so
+    the refined partition is isomorphism-invariant.  The sub-cells a pass
+    creates, but the last of each split cell, are the fresh cells of the
+    next pass; ``cells`` itself is not changed.
+
+    Precondition: the first cell (in partition order) into which two vertices
+    of one cell have different neighbor counts, if there is one, is fresh.
+    Then the fresh counts decide the splits and the sub-cell order of
+    counting against every cell.  It holds for the unit partition with
+    ``fresh=[0]``, and for an equitable partition with one cell split into
+    ``[v]`` and the rest, with ``fresh`` the index of ``[v]``: a count into
+    the rest is the count into the old cell minus adjacency to v.  Each pass
+    keeps it.  Two vertices left in one cell have equal counts into the fresh
+    cells of the pass, so by the precondition into all of its cells.  They
+    can first differ only at a sub-cell the pass created, and not at the
+    last one of its cell: its count is the old cell's minus the counts into
+    the sub-cells before it.
+
+    A vertex's count vector is *packed* into one int key, each count in a
+    field of ``MAX_VERTICES.bit_length()`` bits (a count is at most
+    ``MAX_VERTICES``, so no field overflows into the next), the first fresh
+    cell's count most significant.  Comparing two such ints compares the
+    vectors lexicographically, so sorting the keys orders the sub-cells as
+    sorting the tuples would.  A cell whose keys are all equal stays whole.
+    """
+    while fresh:
+        new_cells: list[list[int]] = []
+        masks = []
+        for i in fresh:
+            m = 0
+            for v in cells[i]:
+                m |= 1 << v
+            masks.append(m)
+        fresh = []
+        for cell in cells:
+            if len(cell) > 1:
+                keys = []
+                for v in cell:
+                    a = adj[v]
+                    key = 0
+                    for m in masks:
+                        key = key << _FIELD | popcount(a & m)
+                    keys.append(key)
+                if keys.count(keys[0]) != len(keys):
+                    sig: dict[int, list[int]] = {}
+                    for v, key in zip(cell, keys):
+                        sig.setdefault(key, []).append(v)
+                    for key in sorted(sig):
+                        fresh.append(len(new_cells))
+                        new_cells.append(sig[key])
+                    fresh.pop()
+                    continue
+            new_cells.append(cell)
+        cells = new_cells
+    return cells
+
+
+def reference_canonical_search(g: Graph) -> tuple[bytes, list[int], tuple[int, ...]]:
+    """Form, labeling and orbits by the search on list cells.
+
+    Cells are ascending lists, refined by ``_list_refine``, and every node
+    refines and branches until its partition is discrete, with the same
+    twin, orbit and backjump prunes as the library's search.  The library's
+    search stops where only twin classes stay open, on bitmask cells, and
+    must return the same form, labeling and orbits.
+    """
+    n, adj = g.n, g.adj
+    if n == 0:
+        return b"", [], ()
+    best = -1
+    best_order: list[int] = []
+    best_fixed: tuple[int, ...] = ()
+    gens: list[tuple[int, ...]] = []
+    roots = _twin_roots(adj)
+
+    def find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def descend(cells: list[list[int]], fresh: list[int], fixed: tuple[int, ...]) -> int:
+        """Search the subtree; return the depth to resume at (len(fixed) if none)."""
+        nonlocal best, best_order, best_fixed
+        cells = _list_refine(adj, cells, fresh)
+        depth = len(fixed)
+        if len(cells) == n:
+            order = [c[0] for c in cells]
+            s = _certificate(adj, order)
+            if best < 0 or s < best:
+                best, best_order, best_fixed = s, order, fixed
+            elif s == best:
+                sigma = [0] * n
+                for i in range(n):
+                    sigma[best_order[i]] = order[i]
+                gens.append(tuple(sigma))
+                # sigma maps best_fixed onto fixed, so both are equally long;
+                # they differ, since equal prefixes reach the same leaf
+                for level in range(depth):
+                    if fixed[level] != best_fixed[level]:
+                        # sigma fixes the common prefix, so what is left of the
+                        # subtree at `level` is the image of an explored one
+                        return level
+            return depth
+        target = 0
+        while len(cells[target]) == 1:
+            target += 1
+        cell = cells[target]
+        before, after = cells[:target], cells[target + 1:]
+        explored: list[int] = []
+        explored_roots: set[int] = set()
+        # union-find over the automorphisms fixing `fixed`, built at the
+        # first one: until then no sibling is the image of an explored one
+        parent: list[int] | None = None
+        folded = 0
+        for v in cell:
+            # skip a twin of an explored sibling: swapping them fixes `fixed`
+            if roots[v] in explored_roots:
+                continue
+            if explored:
+                # fold in automorphisms (old and newly found) fixing `fixed`;
+                # skip v if one maps an explored sibling onto it
+                while folded < len(gens):
+                    s = gens[folded]
+                    folded += 1
+                    if all(s[p] == p for p in fixed):
+                        if parent is None:
+                            parent = list(range(n))
+                        for w, x in enumerate(s):
+                            if w != x:
+                                a, b = find(parent, w), find(parent, x)
+                                if a != b:
+                                    parent[a] = b
+                if parent is not None:
+                    rv = find(parent, v)
+                    if any(find(parent, u) == rv for u in explored):
+                        continue
+            explored.append(v)
+            explored_roots.add(roots[v])
+            rest = [u for u in cell if u != v]
+            resume = descend(before + [[v], rest] + after, [target], fixed + (v,))
+            if resume < depth:
+                return resume
+        return depth
+
+    descend([list(range(n))], [0], ())
+    parent = roots  # the twin classes, each linked to its smallest vertex
+    for x, y in ((w, x) for s in gens for w, x in enumerate(s) if w != x):
+        a, b = find(parent, x), find(parent, y)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    # every link points to a smaller vertex, so in ascending order each
+    # vertex's parent already points at its root
+    for w in range(n):
+        parent[w] = parent[parent[w]]
+    return best.to_bytes(4 * n, "big"), best_order, tuple(parent)
 
 
 def nx_automorphism_orbits(g: Graph) -> tuple[int, ...]:

@@ -49,6 +49,7 @@ from oracles import (
     attach_butterfly,
     nx_automorphism_orbits,
     nx_isomorphic,
+    reference_canonical_search,
     reference_enumerate,
     reference_refine,
 )
@@ -267,7 +268,9 @@ class TestAutomorphismOrbits:
 
     def test_twin_prune_work_pinned(self, monkeypatch):
         # refinements over Z_1..Z_5 and over twin-rich dense graphs; without
-        # the twin skip the search refines 774 and 189 times
+        # the twin skip the search refines 774 and 189 times, and 453 and 90
+        # while it branched on to a discrete partition below a node whose
+        # open cells each lie inside one twin class
         calls = []
 
         def counting(adj, cells, fresh):
@@ -284,11 +287,32 @@ class TestAutomorphismOrbits:
             for g in pool:
                 _canonical_search_pruned(g)
             counts.append(len(calls))
-        assert counts == [453, 90]
+        assert counts == [145, 26]
+
+    def test_twin_class_leaf_work_pinned(self, monkeypatch):
+        # a 25-vertex child of a Z_5 member whose search is one path: 13
+        # refinements when each twin pair took a search level of its own,
+        # 10 of which split nothing but the branch cell
+        calls = []
+
+        def counting(adj, cells, fresh):
+            calls.append(fresh)
+            return _refine(adj, cells, fresh)
+
+        g = attach_butterfly(generate_Z(5)[3], 2).graph
+        monkeypatch.setattr(apexobs.canonical, "_refine", counting)
+        _canonical_search_pruned(g)
+        assert g.n == 25 and len(calls) == 3
+
+
+def as_masks(cells: list[list[int]]) -> list[int]:
+    """An ordered partition of vertex lists as the cell masks ``_refine`` takes."""
+    return [sum(1 << v for v in cell) for cell in cells]
 
 
 class TestRefine:
-    """The fresh-cell refinement gives the all-cells reference's ordered partition."""
+    """The fresh-cell refinement gives the all-cells reference's ordered
+    partition, whose cells are ascending, so a mask lists each of them."""
 
     @staticmethod
     def pool(rng: random.Random) -> list[Graph]:
@@ -298,7 +322,7 @@ class TestRefine:
     def test_unit_partition(self, rng):
         for g in self.pool(rng):
             unit = [list(range(g.n))]
-            assert _refine(g.adj, unit, [0]) == reference_refine(g.adj, unit)
+            assert _refine(g.adj, as_masks(unit), [0]) == as_masks(reference_refine(g.adj, unit))
 
     def test_one_vertex_individualized(self, rng):
         # every equitable partition on the search path that always branches
@@ -314,7 +338,9 @@ class TestRefine:
                     for v in cells[t]
                 ]
                 for child in children:
-                    assert _refine(g.adj, child, [t]) == reference_refine(g.adj, child)
+                    assert _refine(g.adj, as_masks(child), [t]) == as_masks(
+                        reference_refine(g.adj, child)
+                    )
                     checked += 1
                 cells = reference_refine(g.adj, children[0])
         assert checked > 1000
@@ -346,7 +372,7 @@ class TestRefine:
         checked = 0
         for g in pool:
             cells = [list(range(g.n))]
-            assert _refine(g.adj, cells, [0]) == reference_refine(g.adj, cells)
+            assert _refine(g.adj, as_masks(cells), [0]) == as_masks(reference_refine(g.adj, cells))
             cells = reference_refine(g.adj, cells)
             while len(cells) < g.n:
                 t = next(i for i, c in enumerate(cells) if len(c) > 1)
@@ -355,7 +381,9 @@ class TestRefine:
                     for v in cells[t]
                 ]
                 for child in children:
-                    assert _refine(g.adj, child, [t]) == reference_refine(g.adj, child)
+                    assert _refine(g.adj, as_masks(child), [t]) == as_masks(
+                        reference_refine(g.adj, child)
+                    )
                     checked += 1
                 cells = reference_refine(g.adj, children[0])
         assert checked > 300
@@ -371,23 +399,71 @@ class TestRefine:
                 cells = [[v for v in range(g.n) if side[v] == i] for i in range(parts)]
                 cells = [c for c in cells if c]
                 fresh = list(range(len(cells)))
-                assert _refine(g.adj, cells, fresh) == reference_refine(g.adj, cells)
+                assert _refine(g.adj, as_masks(cells), fresh) == as_masks(
+                    reference_refine(g.adj, cells)
+                )
 
     def test_cells_left_unchanged(self, rng):
         # the search hands one parent partition to every sibling's refinement
         for g in self.pool(rng) + self.large_pool()[::4]:
-            unit = [list(range(g.n))]
+            unit = as_masks([list(range(g.n))])
             _refine(g.adj, unit, [0])
-            assert unit == [list(range(g.n))]
-            cells = reference_refine(g.adj, unit)
+            assert unit == as_masks([list(range(g.n))])
+            cells = reference_refine(g.adj, [list(range(g.n))])
             if len(cells) == g.n:
                 continue
             t = next(i for i, c in enumerate(cells) if len(c) > 1)
             v, *rest = cells[t]
-            child = cells[:t] + [[v], rest] + cells[t + 1:]
-            copy = [list(c) for c in child]
+            child = as_masks(cells[:t] + [[v], rest] + cells[t + 1:])
+            copy = list(child)
             _refine(g.adj, child, [t])
             assert child == copy
+
+
+class TestReferenceSearch:
+    """The search on bitmask cells, which takes a node's one leaf where only
+    twin classes stay open, returns the form, labeling and orbits of the
+    list-cell search that branches down to discrete partitions."""
+
+    @staticmethod
+    def assert_same(pool: list[Graph]) -> None:
+        for g in pool:
+            assert _canonical_search_pruned(g) == reference_canonical_search(g), g.edges()
+
+    def test_seeded_pool(self):
+        rng = random.Random(54)
+        family = [b.graph for k in range(1, 6) for b in generate_Z(k)]
+        family += [g for k in range(1, 5) for g in disconnected_obstructions(k)]
+        dense = [complete_multipartite(*parts) for parts in (
+            (3, 3), (2, 5), (1, 7), (2, 2, 2, 2), (3, 7), (1, 12), (4, 4, 4), (1, 1, 5), (2, 3, 4)
+        )]
+        dense += [make_named("5K3"), complete_graph(9), Graph(9),
+                  disjoint_union(*[complete_multipartite(2, 2)] * 4)]
+        randoms = [random_graph(rng, rng.randint(0, 16), rng.random()) for _ in range(400)]
+        randoms += [
+            add_twins_and_pendants(rng, random_graph(rng, rng.randint(1, 8), rng.random()),
+                                   rng.randint(1, 8))
+            for _ in range(200)
+        ]
+        randoms += [random_graph(rng, rng.randint(22, 32), rng.random()) for _ in range(40)]
+        pool = list(graphs_up_to(7)) + family + dense + randoms
+        pool += [TestFormSorted.relabelled(rng, g) for g in family + dense]
+        self.assert_same(pool)
+
+    def test_larger_pool(self):
+        # every graph on 8 vertices, Z_6 and Z_7, every butterfly child of a
+        # Z_6 member, and the unions at k = 5
+        z6 = generate_Z(6)
+        pool = list(enumerate_graphs(8))
+        pool += [b.graph for b in z6 + generate_Z(7)]
+        pool += [
+            attach_butterfly(b, v).graph
+            for b in z6
+            for v in range(b.graph.n)
+            if v not in b.central_vertices
+        ]
+        pool += disconnected_obstructions(5)
+        self.assert_same(pool)
 
 
 class TestPinnedOutput:
