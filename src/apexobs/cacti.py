@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .canonical import _distinct, _form_sorted, _iso_classes
+from .canonical import _distinct, _iso_classes
 from .graphs import (
     MAX_VERTICES,
     ClassId,
@@ -189,12 +189,6 @@ def _members(level: list[tuple[tuple[int, ...], int]], k: int) -> tuple[Butterfl
                  for rows, central in level)
 
 
-def _in_form_order(members: tuple[ButterflyCactus, ...]) -> tuple[ButterflyCactus, ...]:
-    """``members`` in the order ``_form_sorted`` lists their graphs."""
-    by_graph = {b.graph: b for b in members}
-    return tuple(by_graph[g] for g in _form_sorted(by_graph))
-
-
 def _check_level(k: int) -> None:
     if not 1 <= k <= MAX_LEVEL:
         raise ValueError(f"k must be in 1..{MAX_LEVEL}, got {k}")
@@ -202,27 +196,29 @@ def _check_level(k: int) -> None:
 
 def generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     """All k-butterfly-cacti up to isomorphism, with central vertices tracked,
-    in canonical-form order.
+    in build order.
 
     The levels are built on bitset rows and deduplicated by incidence-tree
-    code (``_row_levels``); only level k is listed by ``_form_sorted``.
+    code (``_row_levels``), and level k is listed in the order it was built,
+    which depends on k alone: no canonical search is made.
     Counts for k = 1..7: 1, 1, 3, 7, 25, 88, 366.
     """
     _check_level(k)
-    return _in_form_order(_members(_row_levels(k)[-1], k))
+    return _members(_row_levels(k)[-1], k)
 
 
 def _z_levels(k: int) -> list[tuple[ButterflyCactus, ...]]:
     """The members of generate_Z(1), ..., generate_Z(k) from one pass of
-    ``_row_levels``, each level in the order it was built, not in form order
-    (``_in_form_order`` lists one as ``generate_Z`` does)."""
+    ``_row_levels``, each level in build order: ``_row_levels(k)`` builds
+    levels 1..k as ``_row_levels(j)`` builds them for every j <= k."""
     _check_level(k)
     return [_members(level, j) for j, level in enumerate(_row_levels(k), 1)]
 
 
 def butterfly_levels(k: int) -> tuple[tuple[ButterflyCactus, ...], ...]:
-    """``(generate_Z(1), ..., generate_Z(k))`` from one ``_row_levels`` pass."""
-    return tuple(map(_in_form_order, _z_levels(k)))
+    """``(generate_Z(1), ..., generate_Z(k))`` from one ``_row_levels`` pass,
+    member by member in build order."""
+    return tuple(_z_levels(k))
 
 
 def central_set(b: ButterflyCactus, verify: str = "forest") -> frozenset[int]:
@@ -262,35 +258,31 @@ def _check_union_level(k: int) -> None:
 def disconnected_obstructions(k: int) -> tuple[Graph, ...]:
     """Disconnected cactus obstructions at level k, up to isomorphism: the
     disjoint unions over multisets {G_1..G_r}, r >= 2, of k_i-butterfly-cacti
-    with sum k_i = k+1, and (k+2)K3, in form order (``cactus_unions``)."""
+    with sum k_i = k+1, and (k+2)K3, in build order (``cactus_unions``)."""
     _check_union_level(k)  # before any level is built
     return cactus_unions(_z_levels(k))
 
 
 def cactus_unions(levels: Sequence[tuple[ButterflyCactus, ...]]) -> tuple[Graph, ...]:
     """``disconnected_obstructions(k)``, k = len(levels), from the members of
-    ``generate_Z(1), ..., generate_Z(k)`` in any order within a level:
-    (k+2)K3, which has 3k + 6 vertices and so comes first, and the unions,
-    of at least 4k + 6, listed by ``_form_sorted``.  Only a level j that
-    one union can take two members of (2j <= k + 1) is put in form order: a
-    union takes at most one member of any other level, and the level fixes
-    that member's place in the union."""
+    ``generate_Z(1), ..., generate_Z(k)`` in build order: (k+2)K3 first, then
+    the unions of ``_cacti_unions`` by vertex count, ties in walk order.  A
+    union of r members has 4k + 4 + r vertices.  Levels in another order
+    give the same classes, listed and labelled by that order."""
     k = len(levels)
     _check_union_level(k)
-    levels = [_in_form_order(level) if 2 * j <= k + 1 else level
-              for j, level in enumerate(levels, 1)]
-    return _form_sorted((exceptional_obstruction(k), *_cacti_unions(levels)))
+    return (exceptional_obstruction(k), *sorted(_cacti_unions(levels), key=lambda g: g.n))
 
 
-def _cacti_unions(levels: list[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
+def _cacti_unions(levels: Sequence[tuple[ButterflyCactus, ...]]) -> Iterator[Graph]:
     """The disjoint unions of butterfly-cacti with levels summing to k + 1
     (``levels[j - 1]`` holds the members of ``generate_Z(j)``, k =
     len(levels)), one per multiset of members: a walk over the members in
     (level, index) order, each pick at or after the last (no level exceeds
     k, so >= 2 picks).  No two walks give isomorphic unions (a union's
     components are its members, one level's members are pairwise
-    non-isomorphic, level j has 4j + 1 vertices), so ``_form_sorted`` only
-    orders them and drops none."""
+    non-isomorphic, level j has 4j + 1 vertices), so no canonical search is
+    needed to drop any."""
     members = [(j, b.graph) for j, level in enumerate(levels, 1) for b in level]
 
     def walk(start: int, rest: int, picked: tuple[Graph, ...]) -> Iterator[Graph]:
@@ -350,7 +342,7 @@ def cactus_obstruction_family(k: int) -> CactusObstructionFamily:
     exceptional, *unions = cactus_unions(levels[:k])
     return CactusObstructionFamily(
         k=k,
-        connected=_in_form_order(levels[k]),
+        connected=levels[k],
         disconnected=tuple(unions),
         exceptional=exceptional,
     )
@@ -398,7 +390,7 @@ def verify_holiness(k: int, budget_seconds: float | None = None) -> HolinessRepo
     6 + 4k vertices finds no other connected obstruction.
     """
     if not 0 <= k < MAX_LEVEL:
-        raise ValueError(f"k must be in 0..{MAX_LEVEL - 1}")
+        raise ValueError(f"k must be in 0..{MAX_LEVEL - 1}, got {k}")
     _check_budget(budget_seconds)
     t0 = time.perf_counter()
     members = generate_Z(k + 1)

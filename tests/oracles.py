@@ -16,11 +16,12 @@ search takes its candidates from every graph up to isomorphism, and the minor te
 order picks each next vertex by a keyed max over the vertices left.  Slow is fine; these run on
 small graphs and orders only.
 
-Three helpers here are no oracles but live here because only tests call
+Four helpers here are no oracles but live here because only tests call
 them: ``attach_butterfly``, the one-step butterfly attachment the cactus
-and canonical tests build members with, and ``eval_series`` and
-``z1_identity_residual``, double-precision evaluations the asymptotics
-tests compare against.
+and canonical tests build members with, ``in_form_order``, which lists
+butterfly-cacti by canonical form for the tests that pick or pin members
+by position, and ``eval_series`` and ``z1_identity_residual``,
+double-precision evaluations the asymptotics tests compare against.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import networkx as nx
 
@@ -298,6 +299,12 @@ def attach_butterfly(b: ButterflyCactus, v: int) -> ButterflyCactus:
     return ButterflyCactus(g, b.central_vertices | {n + 1}, b.k + 1)
 
 
+def in_form_order(members: Iterable[ButterflyCactus]) -> list[ButterflyCactus]:
+    """``members`` sorted by the canonical forms of their graphs: an order
+    that does not depend on how the library builds a level."""
+    return sorted(members, key=lambda b: canonical_form(b.graph))
+
+
 def reference_generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     """The k-butterfly-cacti, attaching a butterfly at every non-central vertex.
 
@@ -319,14 +326,18 @@ def reference_generate_Z(k: int) -> tuple[ButterflyCactus, ...]:
     return tuple(level[key] for key in sorted(level))
 
 
-def reference_disconnected_obstructions(k: int) -> tuple[Graph, ...]:
+def reference_disconnected_obstructions(
+    levels: Sequence[Sequence[ButterflyCactus]],
+) -> tuple[Graph, ...]:
     """(k+2)K3 and the disjoint unions of >= 2 butterfly-cacti with levels
-    summing to k+1, from `reference_generate_Z`, sorted by canonical form.
+    summing to k+1, sorted by canonical form, where k = len(levels) and
+    ``levels[j - 1]`` lists the j-butterfly-cacti.
 
     A multiset of members is one non-decreasing sequence of (level, index)
     pairs, and its union takes the members in that order.
     """
-    zs = {j: reference_generate_Z(j) for j in range(1, k + 1)}
+    k = len(levels)
+    zs = dict(enumerate(levels, 1))
     out = {}
 
     def extend(rest: int, seq: list[tuple[int, int]]) -> None:

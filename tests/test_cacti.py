@@ -62,10 +62,25 @@ from conftest import random_graph
 from oracles import (
     attach_butterfly,
     find_butterfly_buckets,
+    in_form_order,
     reference_disconnected_obstructions,
     reference_generate_Z,
     tree_certificate,
 )
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The graphs ``_canonical_search_pruned`` is called on during the test."""
+    calls = []
+    search = apexobs.canonical._canonical_search_pruned
+
+    def counted(g):
+        calls.append(g)
+        return search(g)
+
+    monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+    return calls
 
 
 class TestGenerateZ:
@@ -73,10 +88,10 @@ class TestGenerateZ:
         assert [len(generate_Z(k)) for k in range(1, 7)] == [1, 1, 3, 7, 25, 88]
 
     def test_matches_unpruned_reference(self):
-        # attaching only at orbit minima keeps every member, its order, its
-        # labelling and its central vertices
+        # attaching only at orbit minima keeps every member, its labelling
+        # and its central vertices; both sides in form order
         for k in range(1, 7):
-            got = [(b.graph.adj, b.central_vertices) for b in generate_Z(k)]
+            got = [(b.graph.adj, b.central_vertices) for b in in_form_order(generate_Z(k))]
             want = [(b.graph.adj, b.central_vertices) for b in reference_generate_Z(k)]
             assert got == want
 
@@ -124,23 +139,12 @@ class TestGenerateZ:
                 assert min_apex_size(b.graph, ClassId.SUB_UNICYCLIC) == k
                 assert min_apex_size(b.graph, ClassId.FOREST) == k
 
-    def test_forms_only_for_the_returned_level(self, monkeypatch):
-        # from cold caches, generate_Z(k) searches each member of level k
-        # once and no graph of a lower level; a level of one member, none
-        search = apexobs.canonical._canonical_search_pruned
-        searched = []
-
-        def counted(g):
-            searched[-1].append(g.n)
-            return search(g)
-
-        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
-        for k in range(1, 7):
-            apexobs.canonical._canonical.cache_clear()
-            searched.append([])
+    def test_no_canonical_search(self, searches):
+        # the incidence-tree codes tell the members apart and the level is
+        # listed as built, so no member gets a form
+        for k in range(1, MAX_LEVEL + 1):
             generate_Z(k)
-            assert set(searched[-1]) <= {4 * k + 1}
-        assert [len(sizes) for sizes in searched] == [0, 0, 3, 7, 25, 88]
+        assert searches == []
 
     def test_attach_glues_two_triangles(self):
         # the new butterfly's rows are those of two _glue_cycle triangles,
@@ -320,9 +324,16 @@ class TestDisconnected:
                 assert is_in_class(g, ClassId.CACTUS)
 
     def test_matches_reference(self):
+        # the reference unions the members of the levels in their build
+        # order, as the walk does, after each level is checked against the
+        # unpruned reference; both sides in form order
         for k in range(1, 6):
-            got = [g.adj for g in disconnected_obstructions(k)]
-            assert got == [g.adj for g in reference_disconnected_obstructions(k)]
+            levels = butterfly_levels(k)
+            for j, level in enumerate(levels, 1):
+                assert [b.graph.adj for b in in_form_order(level)] == [
+                    b.graph.adj for b in reference_generate_Z(j)]
+            got = [g.adj for g in sorted(disconnected_obstructions(k), key=canonical_form)]
+            assert got == [g.adj for g in reference_disconnected_obstructions(levels)]
 
     def test_walk_meets_each_multiset_once(self):
         # no two walks give isomorphic unions, and there is one union per
@@ -347,48 +358,13 @@ class TestDisconnected:
         with pytest.raises(ValueError, match=f"got {k}$"):
             exceptional_obstruction(k)
 
-    def test_forms_only_break_ties(self, monkeypatch):
-        # (k+2)K3 and every union alone at its vertex count get no canonical
-        # search: from cold caches, the searches on graphs of two or more
-        # components are those of the unions that share a vertex count
-        from apexobs.graphs import component_masks
-
-        search = apexobs.canonical._canonical_search_pruned
-        disconnected_searches = []
-
-        def counted(g):
-            if len(component_masks(g)) >= 2:
-                disconnected_searches[-1] += 1
-            return search(g)
-
-        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
+    def test_no_canonical_search(self, searches):
+        # (k+2)K3 comes first and the unions follow by vertex count, ties in
+        # walk order, so no graph gets a form
         for k in range(1, 6):
-            apexobs.canonical._canonical.cache_clear()
-            disconnected_searches.append(0)
             got = disconnected_obstructions(k)
             assert got[0].adj == exceptional_obstruction(k).adj
-        assert disconnected_searches == [0, 0, 4, 14, 53]
-
-    def test_levels_sorted_only_where_a_union_ties(self, monkeypatch):
-        # from cold caches, a butterfly-cactus level gets forms only if one
-        # union can take two of its members (2j <= k + 1): at k = 5 the 3
-        # members of level 3; sorting every level took 0, 0, 3, 10, 35
-        from apexobs.graphs import is_connected
-
-        search = apexobs.canonical._canonical_search_pruned
-        connected_searches = []
-
-        def counted(g):
-            if is_connected(g):
-                connected_searches[-1] += 1
-            return search(g)
-
-        monkeypatch.setattr(apexobs.canonical, "_canonical_search_pruned", counted)
-        for k in range(1, 6):
-            apexobs.canonical._canonical.cache_clear()
-            connected_searches.append(0)
-            disconnected_obstructions(k)
-        assert connected_searches == [0, 0, 0, 0, 3]
+        assert searches == []
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -437,7 +413,7 @@ class TestHoliness:
 
     def test_level_range(self):
         for k in (-1, MAX_LEVEL):
-            with pytest.raises(ValueError, match=rf"k must be in 0\.\.{MAX_LEVEL - 1}$"):
+            with pytest.raises(ValueError, match=rf"k must be in 0\.\.{MAX_LEVEL - 1}, got {k}$"):
                 verify_holiness(k)
         rep = verify_holiness(MAX_LEVEL - 1, budget_seconds=0.0)
         assert rep.k == 6 and rep.members == 366 and not rep.complete
@@ -568,17 +544,29 @@ class TestPublicLevels:
     reads the levels and the unions from."""
 
     def test_butterfly_levels_are_generate_Z(self):
-        levels = butterfly_levels(MAX_LEVEL)
-        assert len(levels) == MAX_LEVEL
-        for j, level in enumerate(levels, 1):
-            assert level == generate_Z(j)
+        # build order depends on the level alone: every pass lists level j
+        # as generate_Z(j) does, member by member
+        def members(level):
+            return [(b.graph.adj, b.central_vertices) for b in level]
+
+        z = [members(generate_Z(j)) for j in range(1, MAX_LEVEL + 1)]
+        for k in range(1, MAX_LEVEL + 1):
+            levels = butterfly_levels(k)
+            assert list(map(members, levels)) == z[:k]
+
+    def test_butterfly_levels_make_no_canonical_search(self, searches):
+        butterfly_levels(MAX_LEVEL)
+        assert searches == []
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_unions_ignore_the_order_within_a_level(self, k):
-        # sorted levels, levels as built and the library call agree by rows
-        rows = [[g.adj for g in cactus_unions(levels)]
-                for levels in (butterfly_levels(k), _z_levels(k))]
-        assert rows[0] == rows[1] == [g.adj for g in disconnected_obstructions(k)]
+        # levels in build order give disconnected_obstructions(k) graph by
+        # graph; each level reversed gives the same classes
+        levels = butterfly_levels(k)
+        unions = cactus_unions(levels)
+        assert [g.adj for g in unions] == [g.adj for g in disconnected_obstructions(k)]
+        reversed_unions = cactus_unions([level[::-1] for level in levels])
+        assert sorted(map(canonical_form, reversed_unions)) == sorted(map(canonical_form, unions))
 
     @pytest.mark.parametrize("k", [0, 6])
     def test_cactus_unions_checks_the_union_level(self, k):

@@ -47,6 +47,7 @@ from apexobs.obstructions import search_obstructions
 from conftest import add_twins_and_pendants, random_graph
 from oracles import (
     attach_butterfly,
+    in_form_order,
     nx_automorphism_orbits,
     nx_isomorphic,
     reference_canonical_search,
@@ -299,7 +300,7 @@ class TestAutomorphismOrbits:
             calls.append(fresh)
             return _refine(adj, cells, fresh)
 
-        g = attach_butterfly(generate_Z(5)[3], 2).graph
+        g = attach_butterfly(in_form_order(generate_Z(5))[3], 2).graph
         monkeypatch.setattr(apexobs.canonical, "_refine", counting)
         _canonical_search_pruned(g)
         assert g.n == 25 and len(calls) == 3
@@ -481,7 +482,7 @@ class TestPinnedOutput:
         pool += [
             attach_butterfly(b, v).graph
             for k in range(1, 5)
-            for b in generate_Z(k)
+            for b in in_form_order(generate_Z(k))
             for v in range(b.graph.n)
             if v not in b.central_vertices
         ]
@@ -508,7 +509,7 @@ class TestPinnedOutput:
         pool += [
             attach_butterfly(b, v).graph
             for k in range(1, 5)
-            for b in generate_Z(k)
+            for b in in_form_order(generate_Z(k))
             for v in range(b.graph.n)
             if v not in b.central_vertices
         ]
@@ -549,12 +550,14 @@ class TestPinnedOutput:
     def test_generator_outputs_unchanged(self):
         # sha256 over the graph6 and adjacency rows of what every generator
         # returns, in order: which graph of a class is kept, and the order of
-        # the classes, are both part of the digest
+        # the classes, are both part of the digest.  The cactus families are
+        # listed in build order, so they are put in form order here
         families = [enumerate_graphs(n) for n in range(8)]
-        families += [disconnected_obstructions(k) for k in range(1, 5)]
+        families += [sorted(disconnected_obstructions(k), key=canonical_form) for k in range(1, 5)]
         for k in range(1, 5):
             family = cactus_obstruction_family(k)
-            families += [[b.graph for b in family.connected], family.disconnected]
+            families += [[b.graph for b in in_form_order(family.connected)],
+                         sorted(family.disconnected, key=canonical_form)]
         families.append(connected_cacti_up_to(11))
         families += [one_step_minors(g) for g in enumerate_graphs(6)]
         digest = hashlib.sha256()

@@ -300,15 +300,28 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("argv,digest", [
         (("--k", "5", "--disconnected", "--json"),
-         "fdb8363d316f605c0e71cdc7fe011d3383384c2eee9658c1bd57d2f3c5bac12c"),
-        (("--k", "7"), "53ab250a3174ffae64f52b2402ed1ff9c16f4aff079d7aa4ed287e860633c38f"),
-    ])
+         "ec3bd13b681e97beb2d114f91e527285829a809637b9a61d6d2605db4cc2fcf0"),
+        (("--k", "7"), "bb501b0112c25c9218d7baef90cc20b457e56ed4617ed5679db60a1a6504e873"),
+    ], ids=["k5-disconnected-json", "k7"])
     def test_gen_cacti_bytes_pinned(self, capsys, argv, digest):
-        # which levels are in form order fixes the unions' bytes; these are
-        # the digests of the CLI that sorted every level it listed
+        # every level and the unions are listed in build order, which fixes
+        # the order of the rows and the labelling of each union
         code, out = invoke(capsys, "gen-cacti", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_gen_cacti_classes_pinned(self, capsys):
+        # sha256 over the sorted (k, canonical form) pairs of the rows: the
+        # classes listed per level, whatever their order and labelling
+        code, out = invoke(capsys, "gen-cacti", "--k", "5", "--disconnected", "--verify", "--json")
+        assert code == 0
+        rows = json.loads(out)["families"]
+        pairs = sorted((row["k"], canonical_form(from_graph6(row["graph6"]))) for row in rows)
+        text = "".join(f"{k} {form.hex()}\n" for k, form in pairs)
+        assert len(rows) == 93
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "8be8a90459174160d6134410149eb76298bb1a2de40daf592b2a06d722203b6b"
+        )
 
     @staticmethod
     def refute_4k3(monkeypatch):
@@ -539,6 +552,21 @@ class TestProcessEntry:
             ln.startswith("XXX K4 ") and ln.endswith("[minimality]") for ln in lines
         )
         assert "3/4 verified" in proc.stdout
+
+    def test_gen_cacti_bytes_ignore_the_hash_seed(self):
+        # build order is keyed by ints and tuples of ints, never by str
+        # hashes, so the rows come out byte for byte the same under any seed
+        outs = [
+            subprocess.run(
+                [sys.executable, "-m", "apexobs", "gen-cacti", "--k", "5", "--disconnected", "--json"],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=child_env(PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("1", "4242")
+        ]
+        assert outs[0] == outs[1] and json.loads(outs[0])["families"]
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE here")
     def test_closed_stdout_ends_quietly(self):

@@ -47,6 +47,7 @@ from apexobs.obstructions import check_obstruction, is_obstruction, load_catalog
 from conftest import random_graph
 from oracles import (
     count_cycles,
+    in_form_order,
     oracle_in_class,
     oracle_min_apex,
     oracle_peripheral_blocks,
@@ -530,13 +531,14 @@ class TestApexSearch:
         assert max(sizes) >= 3 and len(nodes) > 1000
         assert len(dfs_calls) <= len(nodes)
 
-    # (level, k, step) -> per member of generate_Z(level)[::step], the
-    # _apex_search nodes at budgets 0..k of check_obstruction.  The budget
-    # >= 1 columns are those of a search that stripped every node's alive
-    # set and repacked it from scratch; budget 0 counts only the searches'
-    # own leaves, as _rank_drop answers every sibling-set test of
-    # SUB_UNICYCLIC.  The membership search's near misses are the first
-    # sibling sets, so only the children they do not settle are searched
+    # (level, k, step) -> per member of generate_Z(level), put in form order
+    # and taken [::step], the _apex_search nodes at budgets 0..k of
+    # check_obstruction.  The budget >= 1 columns are those of a search that
+    # stripped every node's alive set and repacked it from scratch; budget 0
+    # counts only the searches' own leaves, as _rank_drop answers every
+    # sibling-set test of SUB_UNICYCLIC.  The membership search's near
+    # misses are the first sibling sets, so only the children they do not
+    # settle are searched
     NODES = {
         (4, 3, 1): [
             [12, 7, 7, 3], [11, 7, 7, 4], [7, 5, 6, 4], [20, 8, 7, 3],
@@ -567,7 +569,7 @@ class TestApexSearch:
         monkeypatch.setattr(apexobs.graphs, "_apex_search", counted_search)
         monkeypatch.setattr(apexobs.obstructions, "_apex_search", counted_search)
         got = []
-        for b in generate_Z(level)[::step]:
+        for b in in_form_order(generate_Z(level))[::step]:
             budgets.clear()
             assert check_obstruction(b.graph, k).is_obstruction
             got.append([budgets.count(j) for j in range(k + 1)])

@@ -262,8 +262,9 @@ def test_scanner_flags_a_form_keyed_sort():
     "path", [p for p in MODULES if p.name != "canonical.py"], ids=lambda p: p.name
 )
 def test_only_canonical_sorts_by_form(path):
-    """Every family is listed in form order by ``canonical._form_sorted``, so
-    no other module sorts by ``canonical_form`` itself."""
+    """A family listed in form order is listed by ``canonical._form_sorted``
+    (the butterfly-cactus families are listed in build order), so no other
+    module sorts by ``canonical_form`` itself."""
     assert form_keyed_sorts(path.read_text()) == []
 
 
